@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Scaler, Table, split_indices
+from .dataset import ModelFile, Scaler, Table, split_indices, write_model
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 
 STOP_GOAL = "goal"
@@ -103,6 +103,20 @@ class MlpModel:
     def activations(self) -> tuple[str, ...]:
         return ("tansig",) * len(self.hidden) + ("logsig",)
 
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return layer_params(self.weights, self.biases)
+
+
+def layer_params(weights, biases, start: int = 0) -> dict[str, np.ndarray]:
+    """A layer stack as named parameters: `w<i>` then `b<i>` for each layer,
+    numbered from `start`."""
+    named = {}
+    for i, (w, b) in enumerate(zip(weights, biases), start):
+        named[f"w{i}"] = w
+        named[f"b{i}"] = b
+    return named
+
 
 def init_layers(sizes, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Uniform +-1/sqrt(fan-in) weights and biases, drawn layer by layer."""
@@ -125,10 +139,7 @@ def _forward_batch(weights, biases, x: np.ndarray) -> list[np.ndarray]:
 
 def forward(model: MlpModel, x) -> float:
     """Healthy-class score in (0, 1) for one input row; class 1 iff >= 0.5."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != model.input_width:
-        raise ShapeError(f"expected width {model.input_width}, got {x.shape[0]}")
-    return float(_forward_batch(model.weights, model.biases, x[None, :])[-1][0, 0])
+    return float(scores(model, np.ravel(x)[None, :])[0])
 
 
 def scores(model: MlpModel, values: np.ndarray) -> np.ndarray:
@@ -159,8 +170,54 @@ def _mse(weights, biases, x, targets) -> float:
     return float(np.mean((out - targets) ** 2))
 
 
+def descend(params: dict, gradients, val_error, cfg: MlpConfig, trace: TrainingTrace) -> None:
+    """Full-batch gradient descent on the named `params`, updated in place,
+    with goal / early-stop / epoch-budget exits recorded on `trace`.
+
+    `gradients()` returns the training error and one gradient per parameter
+    name.  `val_error()` returns the validation error; pass None when there is
+    no validation part.  With one, the parameters end at the epoch with the
+    lowest validation error.
+    """
+    best_val = np.inf
+    best = {}
+    strikes = 0
+    trace.stop_reason = STOP_EPOCHS
+    for epoch in range(1, cfg.epochs + 1):
+        err, grads = gradients()
+        if not np.isfinite(err):
+            raise TrainingDivergedError(f"non-finite training error at epoch {epoch}")
+        trace.train_errors.append(err)
+        if val_error is not None:
+            val_err = val_error()
+            if not np.isfinite(val_err):
+                raise TrainingDivergedError(f"non-finite validation error at epoch {epoch}")
+            trace.val_errors.append(val_err)
+            if val_err < best_val:
+                best_val = val_err
+                trace.best_epoch = epoch
+                best = {name: p.copy() for name, p in params.items()}
+            if epoch > 1 and trace.val_errors[-1] > trace.val_errors[-2]:
+                strikes += 1
+            else:
+                strikes = 0
+        if err <= cfg.goal:
+            trace.stop_reason = STOP_GOAL
+            break
+        if val_error is not None and strikes >= cfg.max_fail:
+            trace.stop_reason = STOP_EARLY
+            break
+        for name, p in params.items():
+            p -= cfg.learning_rate * grads[name]
+    if val_error is None:
+        trace.best_epoch = trace.epochs_run
+    else:
+        for name, p in params.items():
+            p[...] = best[name]
+
+
 def train(data: Table, cfg: MlpConfig) -> MlpModel:
-    """Full-batch gradient descent with goal / early-stop / epoch-budget exits.
+    """Full-batch gradient descent (see `descend`) from seeded initial weights.
 
     The seeded split carves train/validation/test parts from `data` by
     cfg.ratios (zero ratios give empty parts).  Whenever a validation part
@@ -168,59 +225,26 @@ def train(data: Table, cfg: MlpConfig) -> MlpModel:
     validation error.
     """
     started = time.perf_counter()
-    parts = split_indices(data.n_rows, cfg.ratios, cfg.seed)
-    train_idx, val_idx = parts[0], parts[1]
+    train_idx, val_idx, _ = split_indices(data.n_rows, cfg.ratios, cfg.seed)
     x_train = data.values[train_idx]
     d_train = data.decisions[train_idx].astype(float)
     x_val = data.values[val_idx]
     d_val = data.decisions[val_idx].astype(float)
-    has_val = val_idx.size > 0
 
-    rng = np.random.default_rng(cfg.seed)
     sizes = (data.n_attributes,) + cfg.hidden + (1,)
-    weights, biases = init_layers(sizes, rng)
+    weights, biases = init_layers(sizes, np.random.default_rng(cfg.seed))
+    model = MlpModel(weights, biases, data.n_attributes, cfg.hidden, TrainingTrace())
 
-    trace = TrainingTrace()
-    best_val = np.inf
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
-    strikes = 0
-    reason = STOP_EPOCHS
-    for epoch in range(1, cfg.epochs + 1):
+    def gradients():
         err, grads_w, grads_b = batch_gradients(weights, biases, x_train, d_train)
-        if not np.isfinite(err):
-            raise TrainingDivergedError(f"non-finite training error at epoch {epoch}")
-        trace.train_errors.append(err)
-        if has_val:
-            val_err = _mse(weights, biases, x_val, d_val)
-            if not np.isfinite(val_err):
-                raise TrainingDivergedError(f"non-finite validation error at epoch {epoch}")
-            trace.val_errors.append(val_err)
-            if val_err < best_val:
-                best_val = val_err
-                trace.best_epoch = epoch
-                best_weights = [w.copy() for w in weights]
-                best_biases = [b.copy() for b in biases]
-            if epoch > 1 and trace.val_errors[-1] > trace.val_errors[-2]:
-                strikes += 1
-            else:
-                strikes = 0
-        if err <= cfg.goal:
-            reason = STOP_GOAL
-            break
-        if has_val and strikes >= cfg.max_fail:
-            reason = STOP_EARLY
-            break
-        for layer in range(len(weights)):
-            weights[layer] -= cfg.learning_rate * grads_w[layer]
-            biases[layer] -= cfg.learning_rate * grads_b[layer]
-    if has_val:
-        weights, biases = best_weights, best_biases
-    else:
-        trace.best_epoch = trace.epochs_run
-    trace.stop_reason = reason
-    trace.train_time = time.perf_counter() - started
-    return MlpModel(weights, biases, data.n_attributes, cfg.hidden, trace)
+        return err, layer_params(grads_w, grads_b)
+
+    def val_error():
+        return _mse(weights, biases, x_val, d_val)
+
+    descend(model.params, gradients, val_error if val_idx.size else None, cfg, model.trace)
+    model.trace.train_time = time.perf_counter() - started
+    return model
 
 
 @dataclass(frozen=True)
@@ -258,75 +282,19 @@ def evaluate(model: MlpModel, test: Table) -> EvalResult:
 
 
 def save_model(model: MlpModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            _model_text(
-                "bpnn", model.weights, model.biases,
-                model.input_width, model.hidden, model.scaler,
-            )
-        )
-
-
-def _model_text(kind, weights, biases, input_width, hidden, scaler) -> str:
-    lines = [
-        f"kind = {kind}",
-        f"input_width = {input_width}",
-        "hidden = " + ",".join(str(h) for h in hidden),
-        "activations = " + ",".join(("tansig",) * len(hidden) + ("logsig",)),
-    ]
-    if scaler is not None:
-        lines.append("scaler_mean = " + ",".join("%.17g" % v for v in scaler.mean))
-        lines.append("scaler_std = " + ",".join("%.17g" % v for v in scaler.std))
-        lines.append("scaler_constant = " + ",".join(str(int(v)) for v in scaler.constant))
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        lines.append(f"shape-{i} = {w.shape[0]},{w.shape[1]}")
-        lines.append(f"weights-{i} = " + ",".join("%.17g" % v for v in w.ravel()))
-        lines.append(f"bias-{i} = " + ",".join("%.17g" % v for v in b))
-    return "\n".join(lines) + "\n"
-
-
-def _parse_fields(path) -> dict[str, str]:
-    fields = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, raw = line.partition("=")
-                fields[key.strip()] = raw.strip()
-    return fields
-
-
-def _parse_layers(fields, prefix="") -> tuple[list[np.ndarray], list[np.ndarray]]:
-    weights, biases = [], []
-    i = 0
-    while f"{prefix}shape-{i}" in fields:
-        rows, cols = (int(v) for v in fields[f"{prefix}shape-{i}"].split(","))
-        flat = np.array([float(v) for v in fields[f"{prefix}weights-{i}"].split(",")])
-        weights.append(flat.reshape(rows, cols))
-        biases.append(np.array([float(v) for v in fields[f"{prefix}bias-{i}"].split(",")]))
-        i += 1
-    return weights, biases
-
-
-def _parse_scaler(fields) -> Scaler | None:
-    if "scaler_mean" not in fields:
-        return None
-    return Scaler(
-        np.array([float(v) for v in fields["scaler_mean"].split(",")]),
-        np.array([float(v) for v in fields["scaler_std"].split(",")]),
-        np.array([bool(int(v)) for v in fields["scaler_constant"].split(",")]),
-    )
+    fields = {"input_width": model.input_width, "hidden": model.hidden}
+    write_model(path, "bpnn", {**fields, **model.params}, model.scaler)
 
 
 def load_model(path) -> MlpModel:
-    fields = _parse_fields(path)
-    if fields.get("kind") != "bpnn":
-        raise ParameterError(f"{path}: not a bpnn model file")
-    weights, biases = _parse_layers(fields)
+    f = ModelFile(path, "bpnn")
+    hidden = tuple(f.array("hidden", int).tolist())
+    layers = range(len(hidden) + 1)
     return MlpModel(
-        weights,
-        biases,
-        int(fields["input_width"]),
-        tuple(int(h) for h in fields["hidden"].split(",")),
+        [f.array(f"w{i}") for i in layers],
+        [f.array(f"b{i}") for i in layers],
+        f.get("input_width", int),
+        hidden,
         TrainingTrace(stop_reason="loaded"),
-        scaler=_parse_scaler(fields),
+        scaler=f.scaler(),
     )

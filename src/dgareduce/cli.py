@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -127,44 +128,32 @@ def train(path, clf, config_path, seed, model_out):
         table = load_csv(path)
         std, scaler = standardize(table)
         if clf == "bpnn":
-            from dataclasses import replace
-
             model = bpnn.train(std, replace(cfg.mlp, seed=seed))
-            model.scaler = scaler
-            trace = model.trace
-            if model_out:
-                bpnn.save_model(model, model_out)
         elif clf == "svm":
             model = svm.train_smo(
                 std, cfg.kernel, c=cfg.svm_c, tol=cfg.svm_tol,
                 max_passes=cfg.svm_max_passes, seed=seed,
             )
-            model.scaler = scaler
-            trace = None
-            if model_out:
-                svm.save_model(model, model_out)
         else:
-            from dataclasses import replace
-
             categorical = Discretizer.fit(table).apply(table)
             intervals = Intervalizer.fit(categorical, std).apply(categorical, std)
             model = rnn.train(intervals, replace(cfg.mlp, seed=seed),
                               connection=cfg.rnn_connection)
-            model.scaler = scaler
-            trace = model.trace
-            if model_out:
-                rnn.save_model(model, model_out)
+        model.scaler = scaler
+        if model_out:
+            {"bpnn": bpnn, "svm": svm, "rnn": rnn}[clf].save_model(model, model_out)
     except DgaError as exc:
         _fail_config(str(exc))
-    if trace is not None:
-        click.echo(
-            f"trained {clf}: stop={trace.stop_reason} epochs={trace.epochs_run} "
-            f"final-error={trace.train_errors[-1]:.6g} time={trace.train_time:.2f}s"
-        )
-    else:
+    if clf == "svm":
         click.echo(
             f"trained {clf}: converged={model.converged} sweeps={model.sweeps} "
             f"support-vectors={len(model.support_alphas)} time={model.train_time:.2f}s"
+        )
+    else:
+        trace = model.trace
+        click.echo(
+            f"trained {clf}: stop={trace.stop_reason} epochs={trace.epochs_run} "
+            f"final-error={trace.train_errors[-1]:.6g} time={trace.train_time:.2f}s"
         )
     if model_out:
         click.echo(f"wrote model to {model_out}")
@@ -203,92 +192,73 @@ def report(path, fmt):
 
 
 def _config_from_ini(path) -> pipeline.ExperimentConfig:
-    """Build an ExperimentConfig from flat key = value sections."""
+    """Build an ExperimentConfig from flat key = value sections.
+
+    Every key that is absent, or present with an empty value, keeps the
+    default of the config field it sets.  The one exception is `[data]
+    informative`: absent, every gas is informative; empty, none is.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
 
-    def get(section, key, fallback=None):
-        return parser.get(section, key, fallback=fallback)
+    def given(section, prefix="", **getters):
+        """The section's non-empty keys among `getters`, each read by its
+        getter and keyed by `prefix` + key."""
+        return {
+            prefix + key: get(section, key)
+            for key, get in getters.items()
+            if parser.get(section, key, fallback="")
+        }
 
+    def listed(section, key, parse=str):
+        return tuple(parse(v.strip()) for v in parser.get(section, key).split(","))
+
+    default = pipeline.ExperimentConfig()
+    text, integer, real = parser.get, parser.getint, parser.getfloat
     try:
-        kwargs = {}
-        if parser.has_section("data"):
-            source = get("data", "source", "synth")
-            if source == "csv":
-                kwargs["csv_path"] = get("data", "path")
-                if not kwargs["csv_path"]:
-                    raise ConfigError("[data] path is required when source = csv")
-            elif source == "synth":
-                # absent key: all gases informative; present but empty: none are
-                informative = get("data", "informative", None)
-                if informative is None:
-                    gases = None
-                else:
-                    gases = tuple(g.strip() for g in informative.split(",") if g.strip())
-                kwargs["synth"] = pipeline.SynthSpec(
-                    n=int(get("data", "n", "2000")),
-                    fault_ratio=float(get("data", "fault_ratio", "0.5")),
-                    noise=float(get("data", "noise", "0.25")),
-                    informative=gases,
-                )
-            else:
-                raise ConfigError(f"[data] source must be synth or csv, got {source!r}")
-        if parser.has_section("experiment"):
-            if get("experiment", "preprocessors"):
-                kwargs["preprocessors"] = tuple(
-                    p.strip() for p in get("experiment", "preprocessors").split(",")
-                )
-            if get("experiment", "classifiers"):
-                kwargs["classifiers"] = tuple(
-                    c.strip() for c in get("experiment", "classifiers").split(",")
-                )
-            kwargs["seed"] = int(get("experiment", "seed", "0"))
-            kwargs["strict_no_leakage"] = parser.getboolean(
-                "experiment", "strict_no_leakage", fallback=False
+        fields = {}
+        source = parser.get("data", "source", fallback="") or "synth"
+        if source == "csv":
+            fields["csv_path"] = parser.get("data", "path", fallback="")
+            if not fields["csv_path"]:
+                raise ConfigError("[data] path is required when source = csv")
+        elif source == "synth":
+            synth = given("data", n=integer, fault_ratio=real, noise=real)
+            if parser.has_option("data", "informative"):
+                gases = listed("data", "informative")
+                synth["informative"] = tuple(g for g in gases if g)
+            fields["synth"] = replace(default.synth, **synth)
+        else:
+            raise ConfigError(f"[data] source must be synth or csv, got {source!r}")
+        fields.update(
+            given(
+                "experiment", preprocessors=listed, classifiers=listed, seed=integer,
+                strict_no_leakage=parser.getboolean, folds_bpnn=integer, folds_svm=integer,
+                folds_rnn=integer,
             )
-            kwargs["folds_bpnn"] = int(get("experiment", "folds_bpnn", "15"))
-            kwargs["folds_svm"] = int(get("experiment", "folds_svm", "8"))
-            kwargs["folds_rnn"] = int(get("experiment", "folds_rnn", "15"))
-        if parser.has_section("pca"):
-            if get("pca", "threshold"):
-                kwargs["pca_components"] = None
-                kwargs["pca_threshold"] = float(get("pca", "threshold"))
-            elif get("pca", "components"):
-                kwargs["pca_components"] = int(get("pca", "components"))
-        if parser.has_section("gr"):
-            kwargs["gr_chunk_size"] = int(get("gr", "chunk_size", "250"))
-            kwargs["gr_carry"] = int(get("gr", "carry", "1"))
-        if parser.has_section("dt"):
-            kwargs["dt_criterion"] = get("dt", "criterion", "gain_ratio")
-            kwargs["dt_min_rows"] = int(get("dt", "min_rows", "2"))
-            kwargs["dt_prune_fraction"] = float(get("dt", "prune_fraction", "0.15"))
-        if parser.has_section("bpnn"):
-            kwargs["mlp"] = bpnn.MlpConfig(
-                epochs=int(get("bpnn", "epochs", "1000")),
-                learning_rate=float(get("bpnn", "learning_rate", "0.05")),
-                hidden=tuple(int(h) for h in get("bpnn", "hidden", "20,30").split(",")),
-                goal=float(get("bpnn", "goal", "1e-5")),
-                ratios=tuple(float(r) for r in get("bpnn", "ratios", "0.7,0.15,0.15").split(",")),
-                max_fail=int(get("bpnn", "max_fail", "6")),
-            )
-        if parser.has_section("svm"):
-            kind = get("svm", "kernel", "rbf")
-            kwargs["kernel"] = svm.Kernel(
-                kind,
-                degree=int(get("svm", "degree", "3")),
-                coef=float(get("svm", "coef", "1.0")),
-                gamma=float(get("svm", "gamma", "0.5")),
-                scale=float(get("svm", "scale", "1.0")),
-                offset=float(get("svm", "offset", "0.0")),
-            )
-            kwargs["svm_c"] = float(get("svm", "c", "10"))
-            kwargs["svm_tol"] = float(get("svm", "tol", "1e-3"))
-            kwargs["svm_max_passes"] = int(get("svm", "max_passes", "100"))
-        if parser.has_section("rnn"):
-            kwargs["rnn_connection"] = get("rnn", "connection", "excitatory")
-        return pipeline.ExperimentConfig(**kwargs)
+        )
+        fields.update(given("pca", "pca_", components=integer, threshold=real))
+        if "pca_threshold" in fields:
+            fields["pca_components"] = None
+        fields.update(given("gr", "gr_", chunk_size=integer, carry=integer))
+        fields.update(given("dt", "dt_", criterion=text, min_rows=integer, prune_fraction=real))
+        fields["mlp"] = replace(
+            default.mlp,
+            **given(
+                "bpnn", epochs=integer, learning_rate=real, goal=real, max_fail=integer,
+                hidden=lambda s, k: listed(s, k, int), ratios=lambda s, k: listed(s, k, float),
+            ),
+        )
+        kernel = given(
+            "svm", kernel=text, degree=integer, coef=real, gamma=real, scale=real, offset=real
+        )
+        if "kernel" in kernel:
+            kernel["kind"] = kernel.pop("kernel")
+        fields["kernel"] = replace(default.kernel, **kernel)
+        fields.update(given("svm", "svm_", c=real, tol=real, max_passes=integer))
+        fields.update(given("rnn", "rnn_", connection=text))
+        return replace(default, **fields)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

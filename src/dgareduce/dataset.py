@@ -256,8 +256,81 @@ class Scaler:
         z = (values - self.mean) / safe
         return np.where(self.constant, 0.0, z)
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
+
+def write_model(path, kind: str, fields: dict, scaler: Scaler | None = None) -> None:
+    """Write a model file: `kind = <kind>` first, then one `key = value` line
+    per field, then the scaler's `scaler_mean`, `scaler_std` and
+    `scaler_constant` arrays when one is given.
+
+    Strings are written as they are.  Numbers, tuples and arrays are comma
+    lists (arrays flattened) with numbers at %.17g, so a file reloads to
+    exactly the same values; each 2-D array gets a `key.shape = rows,cols`
+    line before its values.
+    """
+    if scaler is not None:
+        fields = dict(
+            fields,
+            scaler_mean=scaler.mean,
+            scaler_std=scaler.std,
+            scaler_constant=scaler.constant,
+        )
+    lines = [f"kind = {kind}"]
+    for key, value in fields.items():
+        if np.ndim(value) == 2:
+            lines.append(f"{key}.shape = {value.shape[0]},{value.shape[1]}")
+        if not isinstance(value, str):
+            value = ",".join(v if isinstance(v, str) else "%.17g" % v for v in np.ravel(value))
+        lines.append(f"{key} = {value}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class ModelFile:
+    """The fields of a file written by `write_model`, checked to be of `kind`.
+
+    A wrong kind, a missing key or a value that does not parse raises
+    ParameterError naming the file.
+    """
+
+    def __init__(self, path, kind: str):
+        self.path = path
+        self.fields = {}
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                key, sep, raw = line.partition("=")
+                if sep:
+                    self.fields[key.strip()] = raw.strip()
+        if self.fields.get("kind") != kind:
+            raise ParameterError(f"{path}: not a {kind} model file")
+
+    def get(self, key: str, parse=str):
+        """The value of `key`, passed through `parse`."""
+        if key not in self.fields:
+            raise ParameterError(f"{self.path}: missing key {key!r}")
+        try:
+            return parse(self.fields[key])
+        except ValueError as exc:
+            raise ParameterError(f"{self.path}: bad value for {key!r}: {exc}") from None
+
+    def array(self, key: str, dtype=float) -> np.ndarray:
+        def parse(raw):
+            flat = np.array([float(v) for v in raw.split(",")] if raw else [])
+            shape = self.fields.get(f"{key}.shape")
+            if shape is not None:
+                flat = flat.reshape([int(v) for v in shape.split(",")])
+            return flat.astype(dtype)
+
+        return self.get(key, parse)
+
+    def scaler(self, required: bool = False) -> Scaler | None:
+        """The embedded scaler; None when the file has none and none is required."""
+        if not required and "scaler_mean" not in self.fields:
+            return None
+        return Scaler(
+            self.array("scaler_mean"),
+            self.array("scaler_std"),
+            self.array("scaler_constant", bool),
+        )
 
 
 def standardize(table: Table) -> tuple[Table, Scaler]:

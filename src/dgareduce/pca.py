@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Scaler, Table, standardize
+from .dataset import ModelFile, Scaler, Table, standardize, write_model
 from .errors import ParameterError, ShapeError, ValidationError
 
 _SYMMETRY_TOL = 1e-9
@@ -189,43 +189,23 @@ def fit_projection(
 
 
 def save_projection(proj: PcaProjection, path) -> None:
-    """Write a projection as flat text, loadable for inference."""
-    lines = [
-        f"attributes = {','.join(proj.attributes)}",
-        f"m = {len(proj.attributes)}",
-        f"p = {proj.p}",
-        "mean = " + ",".join("%.17g" % v for v in proj.scaler.mean),
-        "std = " + ",".join("%.17g" % v for v in proj.scaler.std),
-        "constant = " + ",".join(str(int(v)) for v in proj.scaler.constant),
-        "eigenvalues = " + ",".join("%.17g" % v for v in proj.eigenvalues),
-        "proportions = " + ",".join("%.17g" % v for v in proj.proportions),
-    ]
-    for i, row in enumerate(proj.basis):
-        lines.append(f"basis-row-{i} = " + ",".join("%.17g" % v for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a projection as a model file of kind pca, loadable for inference."""
+    fields = {
+        "attributes": proj.attributes,
+        "p": proj.p,
+        "eigenvalues": proj.eigenvalues,
+        "proportions": proj.proportions,
+        "basis": proj.basis,
+    }
+    write_model(path, "pca", fields, proj.scaler)
 
 
 def load_projection(path) -> PcaProjection:
-    fields = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, raw = line.partition("=")
-                fields[key.strip()] = raw.strip()
-    attributes = tuple(fields["attributes"].split(","))
-    m = int(fields["m"])
-    floats = lambda key: np.array([float(v) for v in fields[key].split(",")])
-    scaler = Scaler(
-        floats("mean"),
-        floats("std"),
-        np.array([bool(int(v)) for v in fields["constant"].split(",")]),
-    )
-    basis = np.vstack([floats(f"basis-row-{i}") for i in range(m)])
+    f = ModelFile(path, "pca")
     return PcaProjection(
-        basis=basis,
-        scaler=scaler,
-        attributes=attributes,
-        eigenvalues=floats("eigenvalues"),
-        proportions=floats("proportions"),
+        basis=f.array("basis"),
+        scaler=f.scaler(required=True),
+        attributes=tuple(f.get("attributes").split(",")),
+        eigenvalues=f.array("eigenvalues"),
+        proportions=f.array("proportions"),
     )

@@ -18,7 +18,7 @@ import io
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -207,21 +207,7 @@ class CellResult:
     fold_diagnostics: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "preprocessor": self.preprocessor,
-            "classifier": self.classifier,
-            "folds": self.folds,
-            "accuracy_mean": self.accuracy_mean,
-            "accuracy_std": self.accuracy_std,
-            "time_mean": self.time_mean,
-            "kept": self.kept,
-            "stop_reasons": dict(self.stop_reasons),
-            "warnings": list(self.warnings),
-            "failed": self.failed,
-            "error": self.error,
-            "fold_accuracies": list(self.fold_accuracies),
-            "fold_diagnostics": list(self.fold_diagnostics),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CellResult":
@@ -230,21 +216,7 @@ class CellResult:
                 return tuple(deep_tuple(v) for v in value)
             return value
 
-        return cls(
-            preprocessor=raw["preprocessor"],
-            classifier=raw["classifier"],
-            folds=raw["folds"],
-            accuracy_mean=raw["accuracy_mean"],
-            accuracy_std=raw["accuracy_std"],
-            time_mean=raw["time_mean"],
-            kept=raw["kept"],
-            stop_reasons=dict(raw["stop_reasons"]),
-            warnings=tuple(raw["warnings"]),
-            failed=raw["failed"],
-            error=raw["error"],
-            fold_accuracies=tuple(raw["fold_accuracies"]),
-            fold_diagnostics=deep_tuple(raw["fold_diagnostics"]),
-        )
+        return cls(**{key: deep_tuple(value) for key, value in raw.items()})
 
 
 def _renormalized(mlp: bpnn.MlpConfig, seed: int) -> bpnn.MlpConfig:

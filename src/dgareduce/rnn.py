@@ -19,15 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpnn import EvalResult, MlpConfig, TrainingTrace, confusion, init_layers, logsig
-from .dataset import CategoricalTable, Scaler, Table, split_indices
-from .errors import (
-    NoUncertaintyWarning,
-    ParameterError,
-    ShapeError,
-    TrainingDivergedError,
-    ValidationError,
+from .bpnn import (
+    EvalResult,
+    MlpConfig,
+    TrainingTrace,
+    confusion,
+    descend,
+    init_layers,
+    layer_params,
+    logsig,
 )
+from .dataset import CategoricalTable, ModelFile, Scaler, Table, split_indices, write_model
+from .errors import NoUncertaintyWarning, ParameterError, ShapeError, ValidationError
 
 CONNECTIONS = ("excitatory", "inhibitory", "full")
 
@@ -136,14 +139,6 @@ def intervalize(categories: CategoricalTable, standardized: Table) -> IntervalTa
     return Intervalizer.fit(categories, standardized).apply(categories, standardized)
 
 
-def rough_neuron_output(net_lower: float, net_upper: float, activation=np.tanh):
-    """(lower, upper) outputs of a rough pair; ordering holds even when
-    weights invert the input order."""
-    a = float(activation(net_lower))
-    b = float(activation(net_upper))
-    return (min(a, b), max(a, b))
-
-
 @dataclass
 class RnnModel:
     """Channel weights for the rough first layer plus the shared stack."""
@@ -161,6 +156,21 @@ class RnnModel:
     connection: str
     trace: TrainingTrace
     scaler: Scaler | None = None
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """The rough first layer's channel parameters, then the shared stack's
+        layers named as in the point network (`w1`, `b1`, ...)."""
+        named = {
+            "lower_w": self.lower_w,
+            "lower_b": self.lower_b,
+            "upper_w": self.upper_w,
+            "upper_b": self.upper_b,
+        }
+        if self.connection == "full":
+            named["lower_cross"] = self.lower_cross
+            named["upper_cross"] = self.upper_cross
+        return {**named, **layer_params(self.shared_weights, self.shared_biases, start=1)}
 
 
 def _rough_nets(model: RnnModel, xl: np.ndarray, xu: np.ndarray):
@@ -239,25 +249,20 @@ def _gradients(model: RnnModel, xl, xu, targets):
     d_gl = d_up * (lo_gt | tie) + d_low * (up_gt | tie)
     d_zu = d_gu * (1.0 - gu**2)
     d_zl = d_gl * (1.0 - gl**2)
-    if model.connection == "excitatory":
-        g_lower_w, g_upper_w = d_zl.T @ xl, d_zu.T @ xu
-        g_lower_x = g_upper_x = None
-    elif model.connection == "inhibitory":
+    if model.connection == "inhibitory":
         g_lower_w, g_upper_w = -(d_zl.T @ xu), -(d_zu.T @ xl)
-        g_lower_x = g_upper_x = None
     else:
         g_lower_w, g_upper_w = d_zl.T @ xl, d_zu.T @ xu
-        g_lower_x, g_upper_x = d_zl.T @ xu, d_zu.T @ xl
-    return err, {
+    grads = {
         "lower_w": g_lower_w,
         "lower_b": d_zl.sum(axis=0),
         "upper_w": g_upper_w,
         "upper_b": d_zu.sum(axis=0),
-        "lower_cross": g_lower_x,
-        "upper_cross": g_upper_x,
-        "shared_w": grads_w,
-        "shared_b": grads_b,
     }
+    if model.connection == "full":
+        grads["lower_cross"] = d_zl.T @ xu
+        grads["upper_cross"] = d_zu.T @ xl
+    return err, {**grads, **layer_params(grads_w, grads_b, start=1)}
 
 
 def _error(model: RnnModel, xl, xu, targets) -> float:
@@ -265,34 +270,26 @@ def _error(model: RnnModel, xl, xu, targets) -> float:
     return float(np.mean((out - targets) ** 2))
 
 
-def train(
-    rows: IntervalTable,
-    cfg: MlpConfig,
-    connection: str = "excitatory",
-    rough_hidden: bool = False,
-) -> RnnModel:
-    """Gradient descent through both channels with the point-network stop rules.
+def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -> RnnModel:
+    """Gradient descent through both channels with the point-network stop
+    rules (see `bpnn.descend`).
 
     With every interval degenerate a no-uncertainty warning is emitted and the
     run reproduces a point-network training of the same seed exactly.
     """
     if connection not in CONNECTIONS:
         raise ParameterError(f"connection must be one of {CONNECTIONS}")
-    if rough_hidden:
-        raise NotImplementedError("rough neurons in hidden layers are unimplemented")
     if rows.degenerate:
         warnings.warn(
             "every input interval is degenerate; training as a point network",
             NoUncertaintyWarning,
         )
     started = time.perf_counter()
-    parts = split_indices(len(rows), cfg.ratios, cfg.seed)
-    train_idx, val_idx = parts[0], parts[1]
+    train_idx, val_idx, _ = split_indices(len(rows), cfg.ratios, cfg.seed)
     xl_train, xu_train = rows.lower[train_idx], rows.upper[train_idx]
     d_train = rows.decisions[train_idx].astype(float)
     xl_val, xu_val = rows.lower[val_idx], rows.upper[val_idx]
     d_val = rows.decisions[val_idx].astype(float)
-    has_val = val_idx.size > 0
 
     rng = np.random.default_rng(cfg.seed)
     sizes = (rows.n_attributes,) + cfg.hidden + (1,)
@@ -303,84 +300,28 @@ def train(
         cross_l = rng.uniform(-bound, bound, size=weights[0].shape)
         cross_u = rng.uniform(-bound, bound, size=weights[0].shape)
     model = RnnModel(
-        lower_w=weights[0].copy(),
-        lower_b=biases[0].copy(),
+        lower_w=weights[0],
+        lower_b=biases[0],
         upper_w=weights[0].copy(),
         upper_b=biases[0].copy(),
         lower_cross=cross_l,
         upper_cross=cross_u,
-        shared_weights=[w.copy() for w in weights[1:]],
-        shared_biases=[b.copy() for b in biases[1:]],
+        shared_weights=weights[1:],
+        shared_biases=biases[1:],
         input_width=rows.n_attributes,
         hidden=cfg.hidden,
         connection=connection,
         trace=TrainingTrace(),
     )
 
-    def snapshot():
-        return (
-            model.lower_w.copy(), model.lower_b.copy(),
-            model.upper_w.copy(), model.upper_b.copy(),
-            None if cross_l is None else model.lower_cross.copy(),
-            None if cross_u is None else model.upper_cross.copy(),
-            [w.copy() for w in model.shared_weights],
-            [b.copy() for b in model.shared_biases],
-        )
+    def gradients():
+        return _gradients(model, xl_train, xu_train, d_train)
 
-    def restore(state):
-        (model.lower_w, model.lower_b, model.upper_w, model.upper_b,
-         model.lower_cross, model.upper_cross,
-         model.shared_weights, model.shared_biases) = state
+    def val_error():
+        return _error(model, xl_val, xu_val, d_val)
 
-    trace = model.trace
-    best_val = np.inf
-    best_state = snapshot()
-    strikes = 0
-    reason = "epochs"
-    eta = cfg.learning_rate
-    for epoch in range(1, cfg.epochs + 1):
-        err, grads = _gradients(model, xl_train, xu_train, d_train)
-        if not np.isfinite(err):
-            raise TrainingDivergedError(f"non-finite training error at epoch {epoch}")
-        trace.train_errors.append(err)
-        if has_val:
-            val_err = _error(model, xl_val, xu_val, d_val)
-            if not np.isfinite(val_err):
-                raise TrainingDivergedError(f"non-finite validation error at epoch {epoch}")
-            trace.val_errors.append(val_err)
-            if val_err < best_val:
-                best_val = val_err
-                trace.best_epoch = epoch
-                best_state = snapshot()
-            if epoch > 1 and trace.val_errors[-1] > trace.val_errors[-2]:
-                strikes += 1
-            else:
-                strikes = 0
-        if err <= cfg.goal:
-            reason = "goal"
-            break
-        if has_val and strikes >= cfg.max_fail:
-            reason = "early-stop"
-            break
-        model.lower_w = model.lower_w - eta * grads["lower_w"]
-        model.lower_b = model.lower_b - eta * grads["lower_b"]
-        model.upper_w = model.upper_w - eta * grads["upper_w"]
-        model.upper_b = model.upper_b - eta * grads["upper_b"]
-        if model.connection == "full":
-            model.lower_cross = model.lower_cross - eta * grads["lower_cross"]
-            model.upper_cross = model.upper_cross - eta * grads["upper_cross"]
-        model.shared_weights = [
-            w - eta * g for w, g in zip(model.shared_weights, grads["shared_w"])
-        ]
-        model.shared_biases = [
-            b - eta * g for b, g in zip(model.shared_biases, grads["shared_b"])
-        ]
-    if has_val:
-        restore(best_state)
-    else:
-        trace.best_epoch = trace.epochs_run
-    trace.stop_reason = reason
-    trace.train_time = time.perf_counter() - started
+    descend(model.params, gradients, val_error if val_idx.size else None, cfg, model.trace)
+    model.trace.train_time = time.perf_counter() - started
     return model
 
 
@@ -393,59 +334,34 @@ def evaluate(model: RnnModel, test: IntervalTable) -> EvalResult:
 
 
 def save_model(model: RnnModel, path) -> None:
-    from .bpnn import _model_text
-
-    body = _model_text(
-        "rnn",
-        [model.lower_w] + model.shared_weights,
-        [model.lower_b] + model.shared_biases,
-        model.input_width,
-        model.hidden,
-        model.scaler,
-    )
-    extra = [
-        f"connection = {model.connection}",
-        "upper-weights = " + ",".join("%.17g" % v for v in model.upper_w.ravel()),
-        "upper-bias = " + ",".join("%.17g" % v for v in model.upper_b),
-    ]
-    if model.lower_cross is not None:
-        extra.append(
-            "lower-cross = " + ",".join("%.17g" % v for v in model.lower_cross.ravel())
-        )
-        extra.append(
-            "upper-cross = " + ",".join("%.17g" % v for v in model.upper_cross.ravel())
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body + "\n".join(extra) + "\n")
+    fields = {
+        "input_width": model.input_width,
+        "hidden": model.hidden,
+        "connection": model.connection,
+    }
+    write_model(path, "rnn", {**fields, **model.params}, model.scaler)
 
 
 def load_model(path) -> RnnModel:
-    from .bpnn import _parse_fields, _parse_layers, _parse_scaler
-    from .errors import ParameterError as _PErr
-
-    fields = _parse_fields(path)
-    if fields.get("kind") != "rnn":
-        raise _PErr(f"{path}: not an rnn model file")
-    weights, biases = _parse_layers(fields)
-    shape = weights[0].shape
-    upper_w = np.array([float(v) for v in fields["upper-weights"].split(",")]).reshape(shape)
-    upper_b = np.array([float(v) for v in fields["upper-bias"].split(",")])
-    cross_l = cross_u = None
-    if "lower-cross" in fields:
-        cross_l = np.array([float(v) for v in fields["lower-cross"].split(",")]).reshape(shape)
-        cross_u = np.array([float(v) for v in fields["upper-cross"].split(",")]).reshape(shape)
+    f = ModelFile(path, "rnn")
+    hidden = tuple(f.array("hidden", int).tolist())
+    connection = f.get("connection")
+    if connection not in CONNECTIONS:
+        raise ParameterError(f"{path}: connection must be one of {CONNECTIONS}")
+    full = connection == "full"
+    shared = range(1, len(hidden) + 1)
     return RnnModel(
-        lower_w=weights[0],
-        lower_b=biases[0],
-        upper_w=upper_w,
-        upper_b=upper_b,
-        lower_cross=cross_l,
-        upper_cross=cross_u,
-        shared_weights=weights[1:],
-        shared_biases=biases[1:],
-        input_width=int(fields["input_width"]),
-        hidden=tuple(int(h) for h in fields["hidden"].split(",")),
-        connection=fields["connection"],
+        lower_w=f.array("lower_w"),
+        lower_b=f.array("lower_b"),
+        upper_w=f.array("upper_w"),
+        upper_b=f.array("upper_b"),
+        lower_cross=f.array("lower_cross") if full else None,
+        upper_cross=f.array("upper_cross") if full else None,
+        shared_weights=[f.array(f"w{i}") for i in shared],
+        shared_biases=[f.array(f"b{i}") for i in shared],
+        input_width=f.get("input_width", int),
+        hidden=hidden,
+        connection=connection,
         trace=TrainingTrace(stop_reason="loaded"),
-        scaler=_parse_scaler(fields),
+        scaler=f.scaler(),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Scaler, Table
+from .dataset import ModelFile, Scaler, Table, write_model
 from .errors import ParameterError, ShapeError
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
@@ -74,15 +74,6 @@ def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.tanh(kernel.scale * dots + kernel.offset)
 
 
-def kernel_eval(kernel: Kernel, x, y) -> float:
-    """Kernel value for a single pair of rows."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ShapeError(f"row widths differ: {x.shape[0]} vs {y.shape[0]}")
-    return float(kernel_matrix(kernel, x[None, :], y[None, :])[0, 0])
-
-
 @dataclass
 class SvmModel:
     """Support rows, signed multipliers, bias, and the kernel that made them."""
@@ -101,19 +92,9 @@ class SvmModel:
     scaler: Scaler | None = None
 
 
-def _raw_scores(model: SvmModel, values: np.ndarray) -> np.ndarray:
-    k = kernel_matrix(model.kernel, values, model.support_vectors)
-    return k @ (model.support_alphas * model.support_labels) + model.bias
-
-
 def predict(model: SvmModel, x) -> tuple[int, float]:
     """(class, raw score); score >= 0 resolves to class 1 (healthy)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != model.support_vectors.shape[1]:
-        raise ShapeError(
-            f"expected width {model.support_vectors.shape[1]}, got {x.shape[0]}"
-        )
-    score = float(_raw_scores(model, x[None, :])[0])
+    score = float(decision_scores(model, np.ravel(x)[None, :])[0])
     return (1 if score >= 0 else 0), score
 
 
@@ -123,7 +104,8 @@ def decision_scores(model: SvmModel, values: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"expected width {model.support_vectors.shape[1]}, got {values.shape[1]}"
         )
-    return _raw_scores(model, values)
+    k = kernel_matrix(model.kernel, values, model.support_vectors)
+    return k @ (model.support_alphas * model.support_labels) + model.bias
 
 
 def _kkt_ok(alphas, margins, c, tol) -> np.ndarray:
@@ -284,64 +266,45 @@ def evaluate(model: SvmModel, test: Table):
 
 def save_model(model: SvmModel, path) -> None:
     kern = model.kernel
-    lines = [
-        "kind = svm",
-        f"kernel = {kern.kind}",
-        f"degree = {kern.degree}",
-        "coef = %.17g" % kern.coef,
-        "gamma = %.17g" % kern.gamma,
-        "scale = %.17g" % kern.scale,
-        "offset = %.17g" % kern.offset,
-        "c = %.17g" % model.c,
-        "bias = %.17g" % model.bias,
-        f"converged = {int(model.converged)}",
-        "labels = " + ",".join("%d" % v for v in model.support_labels),
-        "alphas = " + ",".join("%.17g" % v for v in model.support_alphas),
-        "indices = " + ",".join("%d" % v for v in model.support_indices),
-    ]
-    if model.scaler is not None:
-        lines.append("scaler_mean = " + ",".join("%.17g" % v for v in model.scaler.mean))
-        lines.append("scaler_std = " + ",".join("%.17g" % v for v in model.scaler.std))
-        lines.append(
-            "scaler_constant = " + ",".join(str(int(v)) for v in model.scaler.constant)
-        )
-    for i, row in enumerate(model.support_vectors):
-        lines.append(f"sv-{i} = " + ",".join("%.17g" % v for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fields = {
+        "kernel": kern.kind,
+        "degree": kern.degree,
+        "coef": kern.coef,
+        "gamma": kern.gamma,
+        "scale": kern.scale,
+        "offset": kern.offset,
+        "c": model.c,
+        "bias": model.bias,
+        "converged": int(model.converged),
+        "labels": model.support_labels,
+        "alphas": model.support_alphas,
+        "indices": model.support_indices,
+        "support_vectors": model.support_vectors,
+    }
+    write_model(path, "svm", fields, model.scaler)
 
 
 def load_model(path) -> SvmModel:
-    from .bpnn import _parse_fields, _parse_scaler
-
-    fields = _parse_fields(path)
-    if fields.get("kind") != "svm":
-        raise ParameterError(f"{path}: not an svm model file")
+    f = ModelFile(path, "svm")
     kernel = Kernel(
-        fields["kernel"],
-        degree=int(fields["degree"]),
-        coef=float(fields["coef"]),
-        gamma=float(fields["gamma"]),
-        scale=float(fields["scale"]),
-        offset=float(fields["offset"]),
+        f.get("kernel"),
+        degree=f.get("degree", int),
+        coef=f.get("coef", float),
+        gamma=f.get("gamma", float),
+        scale=f.get("scale", float),
+        offset=f.get("offset", float),
     )
-    labels = np.array([float(v) for v in fields["labels"].split(",")]) if fields["labels"] else np.zeros(0)
-    vectors = []
-    i = 0
-    while f"sv-{i}" in fields:
-        vectors.append([float(v) for v in fields[f"sv-{i}"].split(",")])
-        i += 1
     return SvmModel(
         kernel=kernel,
-        c=float(fields["c"]),
-        bias=float(fields["bias"]),
-        support_vectors=np.array(vectors, dtype=float),
-        support_labels=labels,
-        support_alphas=np.array([float(v) for v in fields["alphas"].split(",")]) if fields["alphas"] else np.zeros(0),
-        support_indices=np.array([int(v) for v in fields["indices"].split(",")]) if fields["indices"] else np.zeros(0, dtype=int),
-        converged=bool(int(fields["converged"])),
+        c=f.get("c", float),
+        bias=f.get("bias", float),
+        support_vectors=f.array("support_vectors"),
+        support_labels=f.array("labels"),
+        support_alphas=f.array("alphas"),
+        support_indices=f.array("indices", np.int64),
+        converged=bool(f.get("converged", int)),
         sweeps=0,
         train_time=0.0,
         training_kkt_rate=1.0,
-        scaler=_parse_scaler(fields),
+        scaler=f.scaler(),
     )

@@ -1,11 +1,15 @@
 """Command-line behaviour: subcommands, config files, exit codes."""
 
 import json
+from dataclasses import replace
 
 from click.testing import CliRunner
 
-from dgareduce.cli import main
+from dgareduce.bpnn import MlpConfig
+from dgareduce.cli import _config_from_ini, main
 from dgareduce.dataset import load_csv
+from dgareduce.pipeline import ExperimentConfig, SynthSpec
+from dgareduce.svm import Kernel
 
 
 def _invoke(*args):
@@ -161,3 +165,63 @@ class TestReport:
         result = _invoke("report", "--in", str(out), "--format", "csv")
         assert result.exit_code == 0
         assert result.output.startswith("preprocessor,classifier,")
+
+
+class TestConfigFromIni:
+    SECTIONS = ("data", "experiment", "pca", "gr", "dt", "bpnn", "svm", "rnn")
+
+    def _parsed(self, tmp_path, text):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        return _config_from_ini(ini)
+
+    def test_empty_sections_give_defaults(self, tmp_path):
+        text = "".join(f"[{section}]\n" for section in self.SECTIONS)
+        assert self._parsed(tmp_path, text) == ExperimentConfig()
+
+    def test_one_bpnn_key_keeps_other_defaults(self, tmp_path):
+        cfg = self._parsed(tmp_path, "[bpnn]\nepochs = 7\n")
+        assert cfg.mlp == replace(MlpConfig(), epochs=7)
+        assert cfg == replace(ExperimentConfig(), mlp=cfg.mlp)
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        cfg = self._parsed(
+            tmp_path,
+            "[data]\nn = 300\nfault_ratio = 0.4\nnoise = 0.1\ninformative = hydrogen, methane\n"
+            "[experiment]\npreprocessors = rs,dt\nclassifiers = svm\nseed = 9\n"
+            "strict_no_leakage = yes\nfolds_bpnn = 3\nfolds_svm = 4\nfolds_rnn = 5\n"
+            "[pca]\ncomponents = 2\nthreshold = 90\n"
+            "[gr]\nchunk_size = 50\ncarry = 2\n"
+            "[dt]\ncriterion = gain\nmin_rows = 4\nprune_fraction = 0.2\n"
+            "[bpnn]\nepochs = 7\nlearning_rate = 0.1\nhidden = 8\ngoal = 0.01\n"
+            "ratios = 0.6,0.4,0\nmax_fail = 3\n"
+            "[svm]\nkernel = polynomial\ndegree = 2\ncoef = 0.5\ngamma = 0.7\nscale = 2\n"
+            "offset = 0.3\nc = 5\ntol = 0.01\nmax_passes = 12\n"
+            "[rnn]\nconnection = full\n",
+        )
+        assert cfg == ExperimentConfig(
+            synth=SynthSpec(300, 0.4, 0.1, ("hydrogen", "methane")),
+            preprocessors=("rs", "dt"),
+            classifiers=("svm",),
+            seed=9,
+            strict_no_leakage=True,
+            folds_bpnn=3,
+            folds_svm=4,
+            folds_rnn=5,
+            pca_components=None,
+            pca_threshold=90.0,
+            gr_chunk_size=50,
+            gr_carry=2,
+            dt_criterion="gain",
+            dt_min_rows=4,
+            dt_prune_fraction=0.2,
+            mlp=MlpConfig(
+                epochs=7, learning_rate=0.1, hidden=(8,), goal=0.01,
+                ratios=(0.6, 0.4, 0.0), max_fail=3,
+            ),
+            kernel=Kernel("polynomial", degree=2, coef=0.5, gamma=0.7, scale=2.0, offset=0.3),
+            svm_c=5.0,
+            svm_tol=0.01,
+            svm_max_passes=12,
+            rnn_connection="full",
+        )

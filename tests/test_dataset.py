@@ -131,10 +131,10 @@ class TestStandardize:
         twice, _ = standardize(once)
         np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
 
-    def test_inverse_reconstructs(self, rng):
+    def test_scaler_transform_reproduces_output(self, rng):
         table = make_table(rng.uniform(1, 1e4, size=(25, 5)), rng.integers(0, 2, 25))
         out, scaler = standardize(table)
-        np.testing.assert_allclose(scaler.inverse(out.values), table.values, atol=1e-9)
+        np.testing.assert_array_equal(scaler.transform(table.values), out.values)
 
     def test_requires_two_rows(self):
         with pytest.raises(ParameterError):
@@ -304,4 +304,3 @@ class TestTableTypes:
         scaler = Scaler(np.array([1.0]), np.array([2.0]), np.array([False]))
         out = scaler.transform(np.array([[3.0]]))
         assert out[0, 0] == pytest.approx(1.0)
-        assert scaler.inverse(out)[0, 0] == pytest.approx(3.0)

@@ -1,0 +1,91 @@
+"""The one model-file codec shared by the bpnn, rnn, svm and pca formats."""
+
+import numpy as np
+import pytest
+
+from dgareduce import bpnn, pca, rnn, svm
+from dgareduce.bpnn import MlpConfig
+from dgareduce.dataset import standardize
+from dgareduce.errors import ParameterError
+from dgareduce.rnn import IntervalTable
+
+from conftest import make_table
+
+LOADERS = {
+    "bpnn": bpnn.load_model,
+    "rnn": rnn.load_model,
+    "svm": svm.load_model,
+    "pca": pca.load_projection,
+}
+
+
+def _saved(kind, path):
+    """A small fitted model of `kind`, with a scaler, written to `path`."""
+    rng = np.random.default_rng(3)
+    table = make_table(rng.normal(size=(30, 3)), np.arange(30) % 2)
+    std, scaler = standardize(table)
+    cfg = MlpConfig(epochs=5, hidden=(4,), seed=1)
+    if kind == "pca":
+        pca.save_projection(pca.fit_projection(table, fixed_count=2), path)
+        return
+    if kind == "bpnn":
+        model, save = bpnn.train(std, cfg), bpnn.save_model
+    elif kind == "rnn":
+        iv = IntervalTable(std.values - 0.1, std.values + 0.1, std.decisions, std.attributes)
+        model, save = rnn.train(iv, cfg, connection="full"), rnn.save_model
+    else:
+        model, save = svm.train_smo(std, svm.Kernel.rbf(0.5), max_passes=5), svm.save_model
+    model.scaler = scaler
+    save(model, path)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_malformed_files_raise_parameter_error(kind, tmp_path):
+    path = tmp_path / f"{kind}.txt"
+    _saved(kind, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"kind = {kind}"
+    LOADERS[kind](path)
+    for other, load in LOADERS.items():
+        if other != kind:
+            with pytest.raises(ParameterError, match=f"not a {other} model file"):
+                load(path)
+    key = lines[-1].partition("=")[0].strip()
+    path.write_text("\n".join(lines[:-1] + [f"{key} = 1,x,0"]) + "\n")
+    with pytest.raises(ParameterError, match="bad value"):
+        LOADERS[kind](path)
+    path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    with pytest.raises(ParameterError, match="missing key"):
+        LOADERS[kind](path)
+
+
+def test_rnn_full_connection_round_trips(tmp_path):
+    path = tmp_path / "rnn.txt"
+    _saved("rnn", path)
+    loaded = rnn.load_model(path)
+    assert loaded.connection == "full"
+    assert loaded.lower_cross.shape == loaded.lower_w.shape
+    assert loaded.scaler is not None
+
+
+def test_svm_without_support_vectors_loads(tmp_path):
+    model = svm.SvmModel(
+        kernel=svm.Kernel.rbf(0.5),
+        c=1.0,
+        bias=0.25,
+        support_vectors=np.zeros((0, 3)),
+        support_labels=np.zeros(0),
+        support_alphas=np.zeros(0),
+        support_indices=np.zeros(0, dtype=np.int64),
+        converged=True,
+        sweeps=1,
+        train_time=0.0,
+        training_kkt_rate=1.0,
+    )
+    path = tmp_path / "svm.txt"
+    svm.save_model(model, path)
+    loaded = svm.load_model(path)
+    assert loaded.support_vectors.shape == (0, 3)
+    assert loaded.scaler is None
+    probe = np.ones((4, 3))
+    np.testing.assert_array_equal(svm.decision_scores(loaded, probe), np.full(4, 0.25))

@@ -13,13 +13,7 @@ from dgareduce.errors import (
     ShapeError,
     ValidationError,
 )
-from dgareduce.rnn import (
-    IntervalTable,
-    Intervalizer,
-    RnnModel,
-    intervalize,
-    rough_neuron_output,
-)
+from dgareduce.rnn import IntervalTable, Intervalizer, RnnModel, intervalize
 
 from conftest import make_categorical, make_table
 
@@ -117,24 +111,42 @@ class TestIntervalize:
 
 
 class TestRoughNeuronOutput:
+    """The (lower, upper) outputs of the rough first layer, `a_low[0]` and
+    `a_up[0]` of `_forward_cache`, on a one-unit layer whose nets are the
+    inputs times `weight`."""
+
+    @staticmethod
+    def _first_layer(net_lower, net_upper, weight=1.0):
+        mlp = bpnn.MlpModel(
+            [np.array([[weight]]), np.array([[1.0]])],
+            [np.zeros(1), np.zeros(1)],
+            1,
+            (1,),
+            bpnn.TrainingTrace(stop_reason="t"),
+        )
+        xl = np.asarray(net_lower, dtype=float).reshape(-1, 1)
+        xu = np.asarray(net_upper, dtype=float).reshape(-1, 1)
+        _, _, _, a_low, a_up = rnn._forward_cache(_model_from_mlp(mlp), xl, xu)
+        return a_low[0][:, 0], a_up[0][:, 0]
+
     def test_degenerate_zero(self):
-        assert rough_neuron_output(0.0, 0.0, np.tanh) == (0.0, 0.0)
+        lo, hi = self._first_layer([0.0], [0.0])
+        assert (lo[0], hi[0]) == (0.0, 0.0)
 
     def test_hand_pair(self):
-        lo, hi = rough_neuron_output(-1.0, 1.0, np.tanh)
-        assert lo == pytest.approx(-0.761594, abs=1e-6)
-        assert hi == pytest.approx(0.761594, abs=1e-6)
+        lo, hi = self._first_layer([-1.0], [1.0])
+        assert lo[0] == pytest.approx(-0.761594, abs=1e-6)
+        assert hi[0] == pytest.approx(0.761594, abs=1e-6)
 
     def test_swap_invariant(self, rng):
-        for _ in range(20):
-            a, b = rng.normal(size=2)
-            assert rough_neuron_output(a, b) == rough_neuron_output(b, a)
+        a, b = rng.normal(size=(2, 20))
+        np.testing.assert_array_equal(self._first_layer(a, b), self._first_layer(b, a))
 
     def test_ordering_always(self, rng):
-        for _ in range(200):
-            a, b = rng.normal(scale=3, size=2)
-            lo, hi = rough_neuron_output(a, b)
-            assert hi >= lo
+        a, b = rng.normal(scale=3, size=(2, 200))
+        for weight in (1.0, -1.3):  # a negative weight inverts the input order
+            lo, hi = self._first_layer(a, b, weight)
+            assert (hi >= lo).all()
 
 
 class TestForward:
@@ -296,11 +308,6 @@ class TestTrain:
             assert np.all((out > 0) & (out < 1))
         with pytest.raises(ParameterError):
             rnn.train(table, MlpConfig(epochs=5, hidden=(2,), seed=1), connection="sideways")
-
-    def test_rough_hidden_flag_rejected(self):
-        table = self._separable_intervals(n=20)
-        with pytest.raises(NotImplementedError):
-            rnn.train(table, MlpConfig(epochs=5, hidden=(2,), seed=1), rough_hidden=True)
 
     def test_full_pipeline_on_discretized_gas_data(self):
         from dgareduce.dataset import synth_generate
