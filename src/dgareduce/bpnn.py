@@ -118,6 +118,12 @@ def layer_params(weights, biases, start: int = 0) -> dict[str, np.ndarray]:
     return named
 
 
+def layer_shapes(input_width: int, hidden) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter of a layer stack, named as in `layer_params`."""
+    sizes = (input_width,) + tuple(hidden) + (1,)
+    return layer_params(list(zip(sizes[1:], sizes[:-1])), [(size,) for size in sizes[1:]])
+
+
 def init_layers(sizes, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Uniform +-1/sqrt(fan-in) weights and biases, drawn layer by layer."""
     weights, biases = [], []
@@ -289,11 +295,13 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     f = ModelFile(path, "bpnn")
     hidden = tuple(f.array("hidden", int).tolist())
+    input_width = f.get("input_width", int)
+    params = f.arrays(layer_shapes(input_width, hidden))
     layers = range(len(hidden) + 1)
     return MlpModel(
-        [f.array(f"w{i}") for i in layers],
-        [f.array(f"b{i}") for i in layers],
-        f.get("input_width", int),
+        [params[f"w{i}"] for i in layers],
+        [params[f"b{i}"] for i in layers],
+        input_width,
         hidden,
         TrainingTrace(stop_reason="loaded"),
         scaler=f.scaler(),

@@ -131,8 +131,7 @@ def train(path, clf, config_path, seed, model_out):
             model = bpnn.train(std, replace(cfg.mlp, seed=seed))
         elif clf == "svm":
             model = svm.train_smo(
-                std, cfg.kernel, c=cfg.svm_c, tol=cfg.svm_tol,
-                max_passes=cfg.svm_max_passes, seed=seed,
+                std, cfg.kernel, c=cfg.svm_c, tol=cfg.svm_tol, max_passes=cfg.svm_max_passes
             )
         else:
             categorical = Discretizer.fit(table).apply(table)

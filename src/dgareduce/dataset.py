@@ -288,8 +288,8 @@ def write_model(path, kind: str, fields: dict, scaler: Scaler | None = None) -> 
 class ModelFile:
     """The fields of a file written by `write_model`, checked to be of `kind`.
 
-    A wrong kind, a missing key or a value that does not parse raises
-    ParameterError naming the file.
+    A wrong kind, a missing key, a value that does not parse or an array of
+    the wrong shape raises ParameterError naming the file.
     """
 
     def __init__(self, path, kind: str):
@@ -321,6 +321,17 @@ class ModelFile:
             return flat.astype(dtype)
 
         return self.get(key, parse)
+
+    def arrays(self, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+        """The float array of each key in `shapes`, checked to have that shape."""
+        named = {}
+        for key, shape in shapes.items():
+            named[key] = self.array(key)
+            if named[key].shape != shape:
+                raise ParameterError(
+                    f"{self.path}: {key!r} has shape {named[key].shape}, expected {shape}"
+                )
+        return named
 
     def scaler(self, required: bool = False) -> Scaler | None:
         """The embedded scaler; None when the file has none and none is required."""

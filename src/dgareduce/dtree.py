@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CategoricalTable
-from .errors import DegenerateSelectionWarning, ParameterError, PruneSkippedWarning
+from .errors import DegenerateSelectionWarning, ParameterError, PruneError, PruneSkippedWarning
 from .reduction import ReductionResult
 
 CRITERIA = ("gain", "gain_ratio")
@@ -207,8 +207,9 @@ def prune(root: TreeNode, validation: CategoricalTable) -> TreeNode:
         return candidate
 
     pruned = walk(root, np.arange(validation.n_rows))
-    # pruning must never cost validation accuracy
-    assert accuracy(pruned, validation) >= accuracy(root, validation)
+    before, after = accuracy(root, validation), accuracy(pruned, validation)
+    if after < before:
+        raise PruneError(f"pruning lowered validation accuracy from {before:.4f} to {after:.4f}")
     return pruned
 
 

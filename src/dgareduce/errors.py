@@ -33,6 +33,10 @@ class TrainingDivergedError(DgaError):
     """Training produced a non-finite loss."""
 
 
+class PruneError(DgaError):
+    """Reduced-error pruning lowered validation accuracy, which it must never do."""
+
+
 class ConfigError(DgaError):
     """An experiment configuration file or block is invalid."""
 

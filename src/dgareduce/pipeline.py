@@ -33,7 +33,7 @@ from .dataset import (
     standardize,
     synth_generate,
 )
-from .errors import ConfigError, DgaError, ParameterError
+from .errors import ConfigError, ParameterError
 from .reduction import ReductionResult
 from .roughset import InformationSystem, reduct_search
 from .rnn import Intervalizer
@@ -251,7 +251,6 @@ def _train_eval(classifier, cfg, train_raw, test_raw, fold_seed):
             c=cfg.svm_c,
             tol=cfg.svm_tol,
             max_passes=cfg.svm_max_passes,
-            seed=fold_seed,
         )
         elapsed = time.perf_counter() - started
         result = svm.evaluate(model, std_test)
@@ -334,7 +333,7 @@ def run_cell(
             accuracies.append(acc)
             times.append(seconds)
             reasons[reason] = reasons.get(reason, 0) + 1
-    except DgaError as exc:
+    except Exception as exc:  # a failure of any kind fails this cell only
         where = "global" if fold < 0 else f"fold {fold}"
         return CellResult(
             preprocessor=preprocessor,
@@ -345,7 +344,7 @@ def run_cell(
             time_mean=0.0,
             kept="",
             failed=True,
-            error=f"{where} stage {stage}: {exc}",
+            error=f"{where} stage {stage}: {type(exc).__name__}: {exc}",
         )
     return CellResult(
         preprocessor=preprocessor,

@@ -27,6 +27,7 @@ from .bpnn import (
     descend,
     init_layers,
     layer_params,
+    layer_shapes,
     logsig,
 )
 from .dataset import CategoricalTable, ModelFile, Scaler, Table, split_indices, write_model
@@ -345,21 +346,27 @@ def save_model(model: RnnModel, path) -> None:
 def load_model(path) -> RnnModel:
     f = ModelFile(path, "rnn")
     hidden = tuple(f.array("hidden", int).tolist())
+    input_width = f.get("input_width", int)
     connection = f.get("connection")
     if connection not in CONNECTIONS:
         raise ParameterError(f"{path}: connection must be one of {CONNECTIONS}")
-    full = connection == "full"
+    shapes = layer_shapes(input_width, hidden)
+    first = {"w": shapes.pop("w0"), "b": shapes.pop("b0")}
+    rough = {f"{side}_{kind}": first[kind] for side in ("lower", "upper") for kind in "wb"}
+    if connection == "full":
+        rough.update(lower_cross=first["w"], upper_cross=first["w"])
+    params = f.arrays({**rough, **shapes})
     shared = range(1, len(hidden) + 1)
     return RnnModel(
-        lower_w=f.array("lower_w"),
-        lower_b=f.array("lower_b"),
-        upper_w=f.array("upper_w"),
-        upper_b=f.array("upper_b"),
-        lower_cross=f.array("lower_cross") if full else None,
-        upper_cross=f.array("upper_cross") if full else None,
-        shared_weights=[f.array(f"w{i}") for i in shared],
-        shared_biases=[f.array(f"b{i}") for i in shared],
-        input_width=f.get("input_width", int),
+        lower_w=params["lower_w"],
+        lower_b=params["lower_b"],
+        upper_w=params["upper_w"],
+        upper_b=params["upper_b"],
+        lower_cross=params.get("lower_cross"),
+        upper_cross=params.get("upper_cross"),
+        shared_weights=[params[f"w{i}"] for i in shared],
+        shared_biases=[params[f"b{i}"] for i in shared],
+        input_width=input_width,
         hidden=hidden,
         connection=connection,
         trace=TrainingTrace(stop_reason="loaded"),

@@ -273,18 +273,18 @@ def test_criterion_07_svm():
             flips = rng.choice(n, size=5, replace=False)
             d[flips] = 1 - d[flips]
         table = make_table(values, d)
-        model = svm.train_smo(table, svm.Kernel.rbf(0.5), c=5.0, seed=trial)
+        model = svm.train_smo(table, svm.Kernel.rbf(0.5), c=5.0)
         if model.converged:
             converged_runs += 1
             assert model.training_kkt_rate == 1.0
             assert svm.check_kkt(model, table, tol=1e-3) == 1.0
     assert converged_runs >= 6
     two_point = make_table([[-1.0], [1.0]], [0, 1])
-    model = svm.train_smo(two_point, svm.Kernel.linear(), c=1e6, seed=0)
+    model = svm.train_smo(two_point, svm.Kernel.linear(), c=1e6)
     w = float(np.sum(model.support_alphas * model.support_labels * model.support_vectors[:, 0]))
     assert 2.0 / abs(w) == pytest.approx(2.0, abs=1e-3)
     xor = make_table([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]], [0, 1, 1, 0])
-    model = svm.train_smo(xor, svm.Kernel.rbf(1.0), c=10.0, seed=0)
+    model = svm.train_smo(xor, svm.Kernel.rbf(1.0), c=10.0)
     assert svm.evaluate(model, xor).accuracy == 100.0
     budget.done(7, f"KKT clean on {converged_runs} converged runs, margin 2, XOR separated")
 

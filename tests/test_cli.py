@@ -3,8 +3,10 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 from click.testing import CliRunner
 
+from dgareduce import svm
 from dgareduce.bpnn import MlpConfig
 from dgareduce.cli import _config_from_ini, main
 from dgareduce.dataset import load_csv
@@ -135,6 +137,17 @@ class TestMatrix:
         result = _invoke("matrix", "--config", str(ini))
         assert result.exit_code == 3
         assert "FAILED" in result.output
+
+    def test_non_package_error_exit_3(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular kernel")
+
+        monkeypatch.setattr(svm, "train_smo", broken)
+        ini = tmp_path / "exp.ini"
+        ini.write_text(MATRIX_INI)
+        result = _invoke("matrix", "--config", str(ini))
+        assert result.exit_code == 3, result.output
+        assert result.output.count("FAILED") == 2
 
     def test_bad_config_exit_2(self, tmp_path):
         ini = tmp_path / "exp.ini"

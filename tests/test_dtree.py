@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dgareduce import dtree
 from dgareduce.dtree import (
     Internal,
     Leaf,
@@ -15,7 +16,12 @@ from dgareduce.dtree import (
     prune,
     select_attributes,
 )
-from dgareduce.errors import DegenerateSelectionWarning, ParameterError, PruneSkippedWarning
+from dgareduce.errors import (
+    DegenerateSelectionWarning,
+    ParameterError,
+    PruneError,
+    PruneSkippedWarning,
+)
 
 from conftest import make_categorical
 
@@ -206,6 +212,14 @@ class TestPrune:
                 continue
             pruned = prune(tree, val)
             assert accuracy(pruned, val) >= accuracy(tree, val) - 1e-12
+
+    def test_accuracy_loss_raises_typed_error(self, monkeypatch):
+        # the guard must hold under python -O too, so it is an exception, not an assert
+        table = make_categorical([[1, 1, 2, 2], [1, 2, 1, 2]], [0, 0, 1, 1])
+        tree = build_tree(table)
+        monkeypatch.setattr(dtree, "accuracy", lambda node, _: 1.0 if node is tree else 0.5)
+        with pytest.raises(PruneError, match="from 1.0000 to 0.5000"):
+            prune(tree, table)
 
     def test_empty_validation_skips_with_warning(self):
         table = make_categorical([[1, 1, 2, 2]], [0, 0, 1, 1])

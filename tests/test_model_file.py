@@ -89,3 +89,43 @@ def test_svm_without_support_vectors_loads(tmp_path):
     assert loaded.scaler is None
     probe = np.ones((4, 3))
     np.testing.assert_array_equal(svm.decision_scores(loaded, probe), np.full(4, 0.25))
+
+
+
+def _fields(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+def _write_fields(path, fields):
+    path.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("bpnn", "b0"), ("bpnn", "w1"), ("rnn", "lower_b"), ("rnn", "upper_w"), ("rnn", "b1")],
+)
+def test_network_array_of_wrong_length_raises(kind, key, tmp_path):
+    path = tmp_path / f"{kind}.txt"
+    _saved(kind, path)
+    fields = _fields(path)
+    if f"{key}.shape" in fields:  # drop one row, keeping the array's own shape line true
+        rows, cols = (int(v) for v in fields[f"{key}.shape"].split(","))
+        fields[f"{key}.shape"] = f"{rows - 1},{cols}"
+        fields[key] = ",".join(fields[key].split(",")[cols:])
+    else:
+        fields[key] = ",".join(fields[key].split(",")[:-1])
+    _write_fields(path, fields)
+    with pytest.raises(ParameterError, match=f"'{key}' has shape"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", ["bpnn", "rnn"])
+@pytest.mark.parametrize("key", ["input_width", "hidden"])
+def test_network_header_disagreeing_with_arrays_raises(kind, key, tmp_path):
+    path = tmp_path / f"{kind}.txt"
+    _saved(kind, path)
+    fields = _fields(path)
+    fields[key] = str(int(fields[key]) + 1)
+    _write_fields(path, fields)
+    with pytest.raises(ParameterError, match="has shape"):
+        LOADERS[kind](path)

@@ -114,6 +114,28 @@ class TestRunMatrix:
         assert not by_pre["none"].failed
         assert report.any_failed
 
+    def test_non_package_error_fails_only_its_cells(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular kernel")
+
+        monkeypatch.setattr(pipeline.svm, "train_smo", broken)
+        cfg = quick_config(
+            preprocessors=("none", "rs"),
+            classifiers=("bpnn", "svm"),
+            mlp=bpnn.MlpConfig(epochs=5, hidden=(3,)),
+        )
+        report = run_matrix(cfg)
+        assert [(r.preprocessor, r.classifier) for r in report.rows] == [
+            ("none", "bpnn"), ("none", "svm"), ("rs", "bpnn"), ("rs", "svm"),
+        ]
+        for row in report.rows:
+            assert row.failed == (row.classifier == "svm")
+            if row.failed:
+                assert row.error == "fold 0 stage train: LinAlgError: singular kernel"
+            else:
+                assert row.accuracy_mean > 0.0
+        assert report.any_failed
+
     def test_report_records_kernel_used(self):
         cfg = quick_config(preprocessors=("rs",), classifiers=("svm",))
         report = run_matrix(cfg)

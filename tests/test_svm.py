@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dgareduce import svm
+from dgareduce import pipeline, svm
+from dgareduce.dataset import kfold, standardize
 from dgareduce.errors import ParameterError, ShapeError
 from dgareduce.svm import Kernel, check_kkt, kernel_matrix, predict, train_smo
 
@@ -69,7 +70,7 @@ class TestKernels:
 class TestAnalyticTwoPoint:
     def _model(self):
         table = make_table([[-1.0], [1.0]], [0, 1])
-        return train_smo(table, Kernel.linear(), c=1e6, seed=0)
+        return train_smo(table, Kernel.linear(), c=1e6)
 
     def test_weight_bias_margin(self):
         model = self._model()
@@ -99,8 +100,8 @@ class TestTrainSmo:
         d = np.array([1] * 15 + [0] * 15)
         table = make_table(values, d)
         doubled = make_table(np.vstack([values, values]), np.concatenate([d, d]))
-        a = train_smo(table, Kernel.rbf(0.5), c=100.0, seed=3)
-        b = train_smo(doubled, Kernel.rbf(0.5), c=100.0, seed=3)
+        a = train_smo(table, Kernel.rbf(0.5), c=100.0)
+        b = train_smo(doubled, Kernel.rbf(0.5), c=100.0)
         probe = rng.normal(size=(40, 2)) * 2
         sa = svm.decision_scores(a, probe)
         sb = svm.decision_scores(b, probe)
@@ -111,7 +112,7 @@ class TestTrainSmo:
         table = make_table(
             [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]], [0, 1, 1, 0]
         )
-        model = train_smo(table, Kernel.rbf(1.0), c=10.0, seed=0)
+        model = train_smo(table, Kernel.rbf(1.0), c=10.0)
         assert svm.evaluate(model, table).accuracy == 100.0
 
     def test_kkt_on_converged_runs(self, rng):
@@ -123,7 +124,7 @@ class TestTrainSmo:
                 flips = rng.choice(n, size=4, replace=False)
                 d[flips] = 1 - d[flips]
             table = make_table(values, d)
-            model = train_smo(table, Kernel.rbf(0.5), c=5.0, seed=trial)
+            model = train_smo(table, Kernel.rbf(0.5), c=5.0)
             if model.converged:
                 assert model.training_kkt_rate == 1.0
                 assert check_kkt(model, table, tol=1e-3) == 1.0
@@ -132,7 +133,7 @@ class TestTrainSmo:
         values = rng.normal(size=(50, 2))
         d = (values[:, 0] > 0.2).astype(int)
         table = make_table(values, d)
-        model = train_smo(table, Kernel.rbf(0.8), c=3.0, seed=1)
+        model = train_smo(table, Kernel.rbf(0.8), c=3.0)
         assert np.all(model.support_alphas >= 0)
         assert np.all(model.support_alphas <= 3.0 + 1e-12)
         assert abs(np.sum(model.support_alphas * model.support_labels)) <= 1e-8
@@ -145,7 +146,7 @@ class TestTrainSmo:
             values = np.vstack([pos, neg])
             d = np.array([1] * 8 + [0] * 8)
             table = make_table(values, d)
-            model = train_smo(table, Kernel.linear(), c=1e5, tol=1e-4, seed=0)
+            model = train_smo(table, Kernel.linear(), c=1e5, tol=1e-4)
             assert svm.evaluate(model, table).accuracy == 100.0
             w = (model.support_alphas * model.support_labels) @ model.support_vectors
             margin = 2.0 / np.linalg.norm(w)
@@ -161,7 +162,7 @@ class TestTrainSmo:
         table = make_table(
             [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]], [0, 1, 1, 0]
         )
-        model = train_smo(table, Kernel.rbf(1.0), c=10.0, max_passes=1, seed=0)
+        model = train_smo(table, Kernel.rbf(1.0), c=10.0, max_passes=1)
         assert not model.converged
 
     def test_parameter_validation(self, rng):
@@ -172,11 +173,64 @@ class TestTrainSmo:
             train_smo(table, Kernel.linear(), tol=0.0)
 
 
+class TestSolver:
+    def _noisy(self, n, seed=5):
+        local = np.random.default_rng(seed)
+        values = local.normal(size=(n, 3))
+        d = (values[:, 0] + 0.8 * local.normal(size=n) > 0).astype(int)
+        return make_table(values, d)
+
+    def test_pca_fold_of_criterion9_table_converges(self):
+        # the first-violator solver stopped at max_passes on this fold with
+        # KKT at 95.6 %
+        cfg = pipeline.ExperimentConfig(
+            synth=pipeline.SynthSpec(n=600, informative=("hydrogen", "methane", "ethylene")),
+            seed=0,
+        )
+        table = pipeline.resolve_data(cfg)
+        reduced = pipeline.fit_reducer(table, "pca", cfg, 0).transform(table)
+        train, _ = standardize(reduced.take(kfold(reduced, 5, 0).train_indices(0)))
+        model = train_smo(train, Kernel.rbf(0.5), c=10.0, tol=1e-3, max_passes=50)
+        assert model.converged
+        assert model.sweeps <= 50
+        assert model.training_kkt_rate == 1.0
+        assert check_kkt(model, train, tol=1e-3) == 1.0
+
+    @pytest.mark.parametrize("n", [41, 60])
+    def test_budget_bounds_passes_and_updates(self, n, monkeypatch):
+        updates = []
+        real_step = svm._pair_step
+
+        def counted(*args):
+            updates.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(svm, "_pair_step", counted)
+        table = self._noisy(n)
+        per_pass = -(-n // 2)
+        for max_passes in (1, 2, 3, 5, 100):
+            updates.clear()
+            model = train_smo(table, Kernel.rbf(0.5), c=10.0, max_passes=max_passes)
+            assert model.sweeps <= max_passes
+            assert len(updates) <= max_passes * per_pass
+            assert model.sweeps == -(-len(updates) // per_pass)
+        assert model.converged  # the 100-pass budget is enough here
+
+    def test_reruns_identical(self):
+        table = self._noisy(80)
+        a = train_smo(table, Kernel.rbf(0.5), c=10.0)
+        b = train_smo(table, Kernel.rbf(0.5), c=10.0)
+        assert np.array_equal(a.support_alphas, b.support_alphas)
+        assert np.array_equal(a.support_indices, b.support_indices)
+        assert a.bias == b.bias
+        assert a.sweeps == b.sweeps
+
+
 class TestPredict:
     def _trained(self, rng):
         values = rng.normal(size=(30, 2))
         d = (values[:, 0] > 0).astype(int)
-        return train_smo(make_table(values, d), Kernel.rbf(0.6), seed=2), values, d
+        return train_smo(make_table(values, d), Kernel.rbf(0.6)), values, d
 
     def test_unbound_sv_margin_one(self, rng):
         model, values, d = self._trained(rng)
@@ -221,7 +275,7 @@ class TestSaveLoad:
     def test_round_trip_scores(self, tmp_path, rng):
         values = rng.normal(size=(25, 3))
         d = (values[:, 1] > 0).astype(int)
-        model = train_smo(make_table(values, d), Kernel.polynomial(2, 0.5), seed=4)
+        model = train_smo(make_table(values, d), Kernel.polynomial(2, 0.5))
         path = tmp_path / "svm.txt"
         svm.save_model(model, path)
         loaded = svm.load_model(path)
