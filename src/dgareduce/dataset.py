@@ -9,6 +9,7 @@ the immutable table types defined here.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,30 +201,36 @@ def load_csv(path) -> GasTable:
             raise SchemaError(
                 f"{path}: expected header {','.join(_CSV_HEADER)}, got {','.join(names)}"
             )
-        rows, decisions, dropped = [], [], 0
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(_CSV_HEADER):
+        width = len(_CSV_HEADER)
+        cells, lines, dropped = array("d"), array("q"), 0
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
                 dropped += 1
                 continue
             try:
-                parsed = [float(c) for c in cells]
+                parsed = list(map(float, row))
             except ValueError:
                 dropped += 1
                 continue
-            if not all(np.isfinite(parsed)):
-                dropped += 1
-                continue
-            if any(v < 0 for v in parsed[:-1]):
-                raise ValidationError(f"{path}: negative concentration in row {lineno}")
-            if parsed[-1] not in (0.0, 1.0):
-                raise ValidationError(f"{path}: decision must be 0 or 1 in row {lineno}")
-            rows.append(parsed[:-1])
-            decisions.append(int(parsed[-1]))
-    if not rows:
+            cells.extend(parsed)
+            lines.append(lineno)
+    data = np.frombuffer(cells, dtype=float).reshape(-1, width)
+    finite = np.isfinite(data).all(axis=1)
+    dropped += int((~finite).sum())
+    data, lines = data[finite], np.frombuffer(lines, dtype=np.int64)[finite]
+    values, decision = data[:, :-1], data[:, -1]
+    negative = (values < 0).any(axis=1)
+    bad = negative | ((decision != 0) & (decision != 1))
+    if bad.any():
+        first = int(np.argmax(bad))
+        if negative[first]:
+            raise ValidationError(f"{path}: negative concentration in row {lines[first]}")
+        raise ValidationError(f"{path}: decision must be 0 or 1 in row {lines[first]}")
+    if not len(data):
         raise EmptyDatasetError(f"{path}: no usable rows")
     return GasTable(
-        np.array(rows, dtype=float),
-        np.array(decisions, dtype=np.int64),
+        np.ascontiguousarray(values),
+        decision.astype(np.int64),
         ATTRIBUTES,
         dropped_rows=dropped,
     )

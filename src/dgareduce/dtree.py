@@ -116,40 +116,47 @@ def build_tree(
     if table.n_rows == 0:
         raise ParameterError("cannot build a tree from an empty table")
     values = table.values.astype(np.int64)
-    decisions = table.decisions
+    return _grow(
+        values, table.decisions, table.attributes, criterion, min_rows,
+        np.arange(table.n_rows), tuple(range(table.n_attributes)),
+    )
 
-    def grow(rows: np.ndarray, available: tuple[int, ...]) -> TreeNode:
-        dec = decisions[rows]
-        count_t, count_f = _class_counts(dec)
-        majority = _majority(count_t, count_f)
-        if count_t == 0 or count_f == 0 or not available or len(rows) < min_rows:
-            return Leaf(majority, count_t, count_f)
-        h_y = entropy((count_t, count_f))
-        best_j, best_score = None, -1.0
-        for j in available:
-            col = values[rows, j]
-            uniques, counts = np.unique(col, return_counts=True)
-            if len(uniques) < 2:
-                continue
-            conditional = 0.0
-            for v, n_v in zip(uniques, counts):
-                conditional += (n_v / len(rows)) * entropy(
-                    _class_counts(dec[col == v])
-                )
-            gain = h_y - conditional
-            score = gain if criterion == "gain" else gain / entropy(counts)
-            if score > best_score + 1e-12:
-                best_j, best_score = j, score
-        if best_j is None:
-            return Leaf(majority, count_t, count_f)
-        remaining = tuple(j for j in available if j != best_j)
-        col = values[rows, best_j]
-        children = tuple(
-            (int(v), grow(rows[col == v], remaining)) for v in np.unique(col)
+
+# The recursive helpers below are module functions, not closures: a closure
+# that calls itself is a reference cycle, and its cells would keep the
+# table-sized arrays alive until the cycle collector next runs.
+def _grow(values, decisions, attributes, criterion, min_rows, rows, available) -> TreeNode:
+    dec = decisions[rows]
+    count_t, count_f = _class_counts(dec)
+    majority = _majority(count_t, count_f)
+    if count_t == 0 or count_f == 0 or not available or len(rows) < min_rows:
+        return Leaf(majority, count_t, count_f)
+    h_y = entropy((count_t, count_f))
+    best_j, best_score = None, -1.0
+    for j in available:
+        col = values[rows, j]
+        uniques, counts = np.unique(col, return_counts=True)
+        if len(uniques) < 2:
+            continue
+        conditional = 0.0
+        for v, n_v in zip(uniques, counts):
+            conditional += (n_v / len(rows)) * entropy(_class_counts(dec[col == v]))
+        gain = h_y - conditional
+        score = gain if criterion == "gain" else gain / entropy(counts)
+        if score > best_score + 1e-12:
+            best_j, best_score = j, score
+    if best_j is None:
+        return Leaf(majority, count_t, count_f)
+    remaining = tuple(j for j in available if j != best_j)
+    col = values[rows, best_j]
+    children = tuple(
+        (
+            int(v),
+            _grow(values, decisions, attributes, criterion, min_rows, rows[col == v], remaining),
         )
-        return Internal(table.attributes[best_j], children, majority, count_t, count_f)
-
-    return grow(np.arange(table.n_rows), tuple(range(table.n_attributes)))
+        for v in np.unique(col)
+    )
+    return Internal(attributes[best_j], children, majority, count_t, count_f)
 
 
 def predict(node: TreeNode, row, attributes) -> int:
@@ -182,50 +189,40 @@ def prune(root: TreeNode, validation: CategoricalTable) -> TreeNode:
         warnings.warn("empty validation set; prune skipped", PruneSkippedWarning)
         return root
     values = validation.values.astype(np.int64)
-    decisions = validation.decisions
-    attributes = validation.attributes
-
-    def collapse(node: TreeNode) -> Leaf:
-        return Leaf(node.decision, node.count_t, node.count_f)
-
-    def walk(node: TreeNode, rows: np.ndarray) -> TreeNode:
-        if isinstance(node, Leaf):
-            return node
-        col = values[rows, attributes.index(node.attribute)]
-        pruned_children = tuple(
-            (v, walk(child, rows[col == v])) for v, child in node.children
-        )
-        candidate = Internal(
-            node.attribute, pruned_children, node.decision, node.count_t, node.count_f
-        )
-        subtree_hits = sum(
-            predict(candidate, values[i], attributes) == int(decisions[i]) for i in rows
-        )
-        leaf_hits = int(np.sum(decisions[rows] == node.decision))
-        if leaf_hits >= subtree_hits:
-            return collapse(node)
-        return candidate
-
-    pruned = walk(root, np.arange(validation.n_rows))
+    pruned = _prune(
+        root, np.arange(validation.n_rows), values, validation.decisions, validation.attributes
+    )
     before, after = accuracy(root, validation), accuracy(pruned, validation)
     if after < before:
         raise PruneError(f"pruning lowered validation accuracy from {before:.4f} to {after:.4f}")
     return pruned
 
 
+def _prune(node: TreeNode, rows, values, decisions, attributes) -> TreeNode:
+    if isinstance(node, Leaf):
+        return node
+    col = values[rows, attributes.index(node.attribute)]
+    pruned_children = tuple(
+        (v, _prune(child, rows[col == v], values, decisions, attributes))
+        for v, child in node.children
+    )
+    candidate = Internal(
+        node.attribute, pruned_children, node.decision, node.count_t, node.count_f
+    )
+    subtree_hits = sum(
+        predict(candidate, values[i], attributes) == int(decisions[i]) for i in rows
+    )
+    leaf_hits = int(np.sum(decisions[rows] == node.decision))
+    if leaf_hits >= subtree_hits:
+        return Leaf(node.decision, node.count_t, node.count_f)
+    return candidate
+
+
 def select_attributes(root: TreeNode) -> ReductionResult:
     """Attributes appearing as split nodes, with shallowest-use depths."""
     depths: dict[str, int] = {}
     uses: dict[str, int] = {}
-
-    def walk(node: TreeNode, depth: int):
-        if isinstance(node, Internal):
-            depths[node.attribute] = min(depths.get(node.attribute, depth), depth)
-            uses[node.attribute] = uses.get(node.attribute, 0) + 1
-            for _, child in node.children:
-                walk(child, depth + 1)
-
-    walk(root, 0)
+    _count_splits(root, 0, depths, uses)
     if not depths:
         warnings.warn(
             "tree pruned to a single leaf; no attributes selected",
@@ -237,6 +234,14 @@ def select_attributes(root: TreeNode) -> ReductionResult:
         kept=kept,
         diagnostics={"depth": dict(sorted(depths.items())), "splits": dict(sorted(uses.items()))},
     )
+
+
+def _count_splits(node: TreeNode, depth: int, depths: dict, uses: dict) -> None:
+    if isinstance(node, Internal):
+        depths[node.attribute] = min(depths.get(node.attribute, depth), depth)
+        uses[node.attribute] = uses.get(node.attribute, 0) + 1
+        for _, child in node.children:
+            _count_splits(child, depth + 1, depths, uses)
 
 
 def format_tree(root: TreeNode, indent: str = "  ") -> str:

@@ -11,13 +11,14 @@ proportion 1 is positive (1 <= rank <= count_t), proportion 0 is negative
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import CategoricalTable
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError, SchemaError, ValidationError
 from .reduction import ReductionResult
-from .roughset import InformationSystem, reduct_search
+from .roughset import InformationSystem, pattern_codes, reduct_search
 
 
 @dataclass(frozen=True)
@@ -73,19 +74,79 @@ class GranuleSet:
         return len(self.granules)
 
 
+class _Granules(NamedTuple):
+    """Granules as parallel arrays; `codes` are the `pattern_codes` of `patterns`."""
+
+    codes: np.ndarray
+    patterns: np.ndarray
+    count_t: np.ndarray
+    count_f: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return int(self.count_t.sum() + self.count_f.sum())
+
+
+def _group(codes, patterns, count_t, count_f) -> _Granules:
+    """Sum the counts of entries sharing a code: one granule per distinct
+    pattern, in ascending pattern order."""
+    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+
+    def total(counts):
+        return np.bincount(inverse, weights=counts, minlength=len(unique)).astype(np.int64)
+
+    return _Granules(unique, patterns[first], total(count_t), total(count_f))
+
+
+def _rank_order(granules: _Granules) -> np.ndarray:
+    """Indices of the highest-ranked granules first; rank ties order by
+    count_t descending, remaining ties by pattern."""
+    t = granules.count_t
+    rank = t * (t / (t + granules.count_f))  # Granule.rank, element-wise
+    return np.lexsort((granules.codes, -t, -rank))
+
+
+def _granule_arrays(granules, width: int) -> _Granules:
+    """Granule objects as arrays, in their given order."""
+    patterns = np.array([g.pattern for g in granules], dtype=np.int64).reshape(-1, width)
+    if patterns.size and (patterns.min() < 1 or patterns.max() > 4):
+        raise ValidationError("granule patterns must hold categories in {1, 2, 3, 4}")
+    return _Granules(
+        pattern_codes(patterns, range(width)),
+        patterns,
+        np.array([g.count_t for g in granules], dtype=np.int64),
+        np.array([g.count_f for g in granules], dtype=np.int64),
+    )
+
+
+def _granule_set(granules: _Granules, attributes) -> GranuleSet:
+    """A GranuleSet of grouped arrays, which are already in pattern order."""
+    objects = tuple(
+        Granule(tuple(p), t, f)
+        for p, t, f in zip(
+            granules.patterns.tolist(), granules.count_t.tolist(), granules.count_f.tolist()
+        )
+    )
+    return GranuleSet(objects, tuple(attributes), granules.rows)
+
+
+def _expand(granules: _Granules, attributes) -> CategoricalTable:
+    """One majority-decision row per granule; a count tie gives a 1-row then
+    a 0-row so the contradiction survives."""
+    t, f = granules.count_t, granules.count_f
+    repeats = np.where(t == f, 2, 1)
+    decisions = np.repeat((t > f).astype(np.int64), repeats)
+    decisions[(np.cumsum(repeats) - repeats)[t == f]] = 1
+    return CategoricalTable(np.repeat(granules.patterns, repeats, axis=0), decisions, attributes)
+
+
 def granulate(chunk: CategoricalTable) -> GranuleSet:
     """One granule per distinct condition tuple in the chunk."""
     if chunk.n_rows == 0:
         raise ParameterError("cannot granulate an empty chunk")
-    patterns, inverse = np.unique(chunk.values, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    sizes = np.bincount(inverse, minlength=len(patterns))
-    ones = np.bincount(inverse, weights=chunk.decisions, minlength=len(patterns))
-    granules = [
-        Granule(tuple(int(v) for v in patterns[b]), int(ones[b]), int(sizes[b] - ones[b]))
-        for b in range(len(patterns))
-    ]
-    return GranuleSet.from_granules(granules, chunk.attributes)
+    codes = pattern_codes(chunk.values, range(chunk.n_attributes))
+    counts = _group(codes, chunk.values, chunk.decisions, 1 - chunk.decisions)
+    return _granule_set(counts, chunk.attributes)
 
 
 def combine(base: GranuleSet, new: GranuleSet) -> GranuleSet:
@@ -94,18 +155,8 @@ def combine(base: GranuleSet, new: GranuleSet) -> GranuleSet:
         raise SchemaError(
             f"attribute lists differ: {base.attributes} vs {new.attributes}"
         )
-    merged = base.by_pattern()
-    for granule in new.granules:
-        hit = merged.get(granule.pattern)
-        if hit is None:
-            merged[granule.pattern] = granule
-        else:
-            merged[granule.pattern] = Granule(
-                granule.pattern,
-                hit.count_t + granule.count_t,
-                hit.count_f + granule.count_f,
-            )
-    return GranuleSet.from_granules(merged.values(), base.attributes)
+    both = _granule_arrays(base.granules + new.granules, len(base.attributes))
+    return _granule_set(_group(*both), base.attributes)
 
 
 def top_ranked(granules: GranuleSet, n: int) -> list[Granule]:
@@ -113,10 +164,8 @@ def top_ranked(granules: GranuleSet, n: int) -> list[Granule]:
     remaining ties by pattern."""
     if n < 1:
         raise ParameterError("n must be at least 1")
-    ordered = sorted(
-        granules.granules, key=lambda g: (-g.rank, -g.count_t, g.pattern)
-    )
-    return ordered[:n]
+    order = _rank_order(_granule_arrays(granules.granules, len(granules.attributes)))
+    return [granules.granules[i] for i in order[:n].tolist()]
 
 
 def to_decision_table(granules: GranuleSet) -> CategoricalTable:
@@ -127,19 +176,8 @@ def to_decision_table(granules: GranuleSet) -> CategoricalTable:
     """
     if len(granules) == 0:
         raise ParameterError("cannot expand an empty granule set")
-    rows, decisions = [], []
-    for g in granules.granules:
-        if g.count_t == g.count_f:
-            rows.extend([g.pattern, g.pattern])
-            decisions.extend([1, 0])
-        else:
-            rows.append(g.pattern)
-            decisions.append(1 if g.count_t > g.count_f else 0)
-    return CategoricalTable(
-        np.array(rows, dtype=np.int64),
-        np.array(decisions, dtype=np.int64),
-        granules.attributes,
-    )
+    arrays = _granule_arrays(granules.granules, len(granules.attributes))
+    return _expand(arrays, granules.attributes)
 
 
 def dump_granules(granules: GranuleSet) -> str:
@@ -174,22 +212,28 @@ def incremental_rank_reduce(
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(table.n_rows)
         work = table.take(order)
+    values, decisions = work.values, work.decisions
+    codes = pattern_codes(values, range(work.n_attributes))
+
+    def chunk(start):
+        rows = slice(start, start + chunk_size)
+        return _group(codes[rows], values[rows], decisions[rows], 1 - decisions[rows])
+
     starts = range(0, work.n_rows, chunk_size)
-    chunks = [work.take(np.arange(s, min(s + chunk_size, work.n_rows))) for s in starts]
-    accumulated = granulate(chunks[0])
-    for chunk in chunks[1:]:
-        ranked = granulate(chunk)
-        carried = top_ranked(ranked, carry)
-        accumulated = combine(
-            accumulated, GranuleSet.from_granules(carried, ranked.attributes)
+    accumulated = chunk(0)
+    for start in starts[1:]:
+        ranked = chunk(start)
+        carried = _rank_order(ranked)[:carry]
+        accumulated = _group(
+            *(np.concatenate((a, r[carried])) for a, r in zip(accumulated, ranked))
         )
-    expanded = to_decision_table(accumulated)
+    expanded = _expand(accumulated, work.attributes)
     reduct = reduct_search(InformationSystem.from_table(expanded))
     diagnostics = {
-        "chunks": len(chunks),
+        "chunks": len(starts),
         "chunk_size": chunk_size,
         "carry": carry,
-        "granules": len(accumulated),
+        "granules": len(accumulated.codes),
         "rows_absorbed": accumulated.rows,
         "expanded_rows": expanded.n_rows,
     }

@@ -4,6 +4,11 @@ Indiscernibility partitions, lower/upper approximations, the positive-region
 degree of dependency, and a greedy backward-elimination reduct search that
 keeps removing superfluous attributes while the positive region is preserved
 exactly (integer cardinalities, no tolerance).
+
+Every partition is built from pattern codes: a row's values over a column
+subset read as one mixed-radix int64 number (`pattern_codes`), so blocks are
+the distinct codes and their ascending order is the lexicographic order of
+the value tuples.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ class InformationSystem:
     decisions: np.ndarray
     attributes: tuple[str, ...]
 
+    def __post_init__(self):
+        # pattern codes need cells in {1..4}; the table type enforces that
+        table = CategoricalTable(self.values, self.decisions, self.attributes)
+        object.__setattr__(self, "values", table.values)
+        object.__setattr__(self, "decisions", table.decisions)
+        object.__setattr__(self, "attributes", table.attributes)
+
     @classmethod
     def from_table(cls, table: CategoricalTable) -> "InformationSystem":
         return cls(table.values, table.decisions, table.attributes)
@@ -37,6 +49,8 @@ class InformationSystem:
         return frozenset(range(self.n_rows))
 
     def _column_indices(self, names) -> list[int]:
+        if not names:
+            raise ParameterError("attribute subset must be non-empty")
         idx = []
         for name in names:
             if name not in self.attributes:
@@ -71,24 +85,44 @@ class RegionDecomposition:
         return self.positive | self.boundary
 
 
+_CODE_LIMIT = 1 << 62
+
+
+def pattern_codes(values: np.ndarray, cols) -> np.ndarray:
+    """One int64 code per row for its values over the given columns.
+
+    Cells lie in {1..4}, so each column is one base-4 digit and the first
+    column is the most significant: ascending codes order the rows like their
+    value tuples.  Before the radix would pass 2**62 the running code is
+    replaced by its dense rank, which keeps that order, so any number of
+    columns codes exactly.
+    """
+    code = np.zeros(values.shape[0], dtype=np.int64)
+    span = 1
+    for c in cols:
+        if span > _CODE_LIMIT // 4:
+            _, code = np.unique(code, return_inverse=True)
+            span = int(code.max()) + 1 if code.size else 1
+        code = code * 4 + (values[:, c] - 1)
+        span *= 4
+    return code
+
+
 def _block_inverse(values: np.ndarray, cols) -> tuple[np.ndarray, int]:
-    """Block id per row for the partition induced by the given columns."""
-    sub = values[:, cols]
-    _, inverse = np.unique(sub, axis=0, return_inverse=True)
-    return inverse.ravel(), int(inverse.max()) + 1 if inverse.size else 0
+    """Block id per row for the partition induced by the given columns;
+    blocks are numbered in the lexicographic order of their value tuples."""
+    _, inverse = np.unique(pattern_codes(values, cols), return_inverse=True)
+    return inverse, int(inverse.max()) + 1 if inverse.size else 0
 
 
 def equivalence_classes(system: InformationSystem, subset) -> Partition:
     """Partition of the universe by equal value tuples on the attribute subset."""
     names = tuple(subset)
-    if not names:
-        raise ParameterError("attribute subset must be non-empty")
-    cols = system._column_indices(names)
-    inverse, n_blocks = _block_inverse(system.values, cols)
-    members: list[list[int]] = [[] for _ in range(n_blocks)]
-    for row, block in enumerate(inverse):
-        members[block].append(row)
-    return Partition(tuple(tuple(m) for m in members), names)
+    inverse, n_blocks = _block_inverse(system.values, system._column_indices(names))
+    rows = np.argsort(inverse, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(inverse, minlength=n_blocks)).tolist()
+    blocks = tuple(tuple(rows[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    return Partition(blocks, names)
 
 
 def approximate(system: InformationSystem, subset, target) -> RegionDecomposition:
@@ -96,20 +130,19 @@ def approximate(system: InformationSystem, subset, target) -> RegionDecompositio
     target = frozenset(int(r) for r in target)
     if target and (min(target) < 0 or max(target) >= system.n_rows):
         raise ParameterError("target rows outside the universe")
-    partition = equivalence_classes(system, subset)
-    lower: set[int] = set()
-    upper: set[int] = set()
-    for block in partition.blocks:
-        block_set = set(block)
-        if block_set <= target:
-            lower |= block_set
-        if block_set & target:
-            upper |= block_set
-    universe = set(range(system.n_rows))
+    inverse, n_blocks = _block_inverse(system.values, system._column_indices(tuple(subset)))
+    in_target = np.zeros(system.n_rows, dtype=bool)
+    in_target[list(target)] = True
+    sizes = np.bincount(inverse, minlength=n_blocks)
+    hits = np.bincount(inverse, weights=in_target, minlength=n_blocks)
+    lower = (hits == sizes)[inverse]
+    upper = (hits > 0)[inverse]
+
+    def rows(mask):
+        return frozenset(np.flatnonzero(mask).tolist())
+
     return RegionDecomposition(
-        positive=frozenset(lower),
-        boundary=frozenset(upper - lower),
-        negative=frozenset(universe - upper),
+        positive=rows(lower), boundary=rows(upper & ~lower), negative=rows(~upper)
     )
 
 
@@ -129,10 +162,7 @@ def _positive_region_size(values, decisions, cols) -> int:
 
 def degree_of_dependency(system: InformationSystem, subset) -> float:
     """|positive region of the decision partition| / |universe|."""
-    names = tuple(subset)
-    if not names:
-        raise ParameterError("attribute subset must be non-empty")
-    cols = system._column_indices(names)
+    cols = system._column_indices(tuple(subset))
     return _positive_region_size(system.values, system.decisions, cols) / system.n_rows
 
 

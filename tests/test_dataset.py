@@ -1,9 +1,12 @@
 """Tables, CSV ingestion, standardization, discretization, folds, synthesis."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgareduce import dataset
 from dgareduce.dataset import (
@@ -21,6 +24,7 @@ from dgareduce.dataset import (
     write_csv,
 )
 from dgareduce.errors import (
+    DgaError,
     EmptyDatasetError,
     ParameterError,
     SchemaError,
@@ -92,6 +96,53 @@ class TestLoadCsv:
         with pytest.raises(ValidationError):
             load_csv(_write(tmp_path, f"{HEADER}\n{bad}\n"))
 
+    def test_blank_line_counts_as_dropped(self, tmp_path):
+        table = load_csv(_write(tmp_path, f"{HEADER}\n{SAMPLE_ROW}\n\n{SAMPLE_ROW}\n"))
+        assert table.n_rows == 2
+        assert table.dropped_rows == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_drops_the_row(self, tmp_path, cell):
+        bad = SAMPLE_ROW.replace("2055", cell)
+        table = load_csv(_write(tmp_path, f"{HEADER}\n{bad}\n{SAMPLE_ROW}\n"))
+        assert table.n_rows == 1
+        assert table.dropped_rows == 1
+        assert np.isfinite(table.values).all()
+
+    def test_non_finite_row_with_negative_cell_is_dropped_not_rejected(self, tmp_path):
+        bad = SAMPLE_ROW.replace("43", "-43").replace("2055", "nan")
+        table = load_csv(_write(tmp_path, f"{HEADER}\n{bad}\n{SAMPLE_ROW}\n"))
+        assert (table.n_rows, table.dropped_rows) == (1, 1)
+
+    def test_quoted_numeric_cell_parses(self, tmp_path):
+        quoted = SAMPLE_ROW.replace("2055", '"2055"')
+        table = load_csv(_write(tmp_path, f"{HEADER}\n{quoted}\n"))
+        assert table.column("ethylene")[0] == 2055
+        assert table.dropped_rows == 0
+
+    def test_negative_after_dropped_rows_names_its_line(self, tmp_path):
+        blank_cell = SAMPLE_ROW.replace("2055", "")
+        nan_cell = SAMPLE_ROW.replace("2055", "nan")
+        negative = SAMPLE_ROW.replace("43", "-43")
+        text = f"{HEADER}\n{SAMPLE_ROW}\n{blank_cell}\n\n{nan_cell}\n{negative}\n"
+        with pytest.raises(ValidationError, match="negative concentration in row 6$"):
+            load_csv(_write(tmp_path, text))
+
+    def test_first_invalid_row_in_file_order_wins(self, tmp_path):
+        bad_decision = SAMPLE_ROW[:-1] + "2"
+        negative = SAMPLE_ROW.replace("43", "-43")
+        first = _write(tmp_path, f"{HEADER}\n{SAMPLE_ROW}\n{bad_decision}\n{negative}\n", "a.csv")
+        with pytest.raises(ValidationError, match="decision must be 0 or 1 in row 3$"):
+            load_csv(first)
+        second = _write(tmp_path, f"{HEADER}\n{SAMPLE_ROW}\n{negative}\n{bad_decision}\n", "b.csv")
+        with pytest.raises(ValidationError, match="negative concentration in row 3$"):
+            load_csv(second)
+
+    def test_every_row_dropped_is_empty_dataset(self, tmp_path):
+        text = f"{HEADER}\n\n{SAMPLE_ROW.replace('43', 'nan')}\n1,2,3\n"
+        with pytest.raises(EmptyDatasetError):
+            load_csv(_write(tmp_path, text))
+
     def test_round_trip(self, tmp_path):
         table = synth_generate(40, 0.4, 0.3, seed=9)
         first = tmp_path / "a.csv"
@@ -101,6 +152,82 @@ class TestLoadCsv:
         write_csv(reloaded, second)
         assert first.read_text() == second.read_text()
         assert np.array_equal(table.decisions, reloaded.decisions)
+
+
+def reference_load(path):
+    """The row-at-a-time loader that `load_csv` must agree with."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows, decisions, dropped = [], [], 0
+        for lineno, cells in enumerate(reader, start=2):
+            if len(cells) != len(ATTRIBUTES) + 1:
+                dropped += 1
+                continue
+            try:
+                parsed = [float(c) for c in cells]
+            except ValueError:
+                dropped += 1
+                continue
+            if not all(np.isfinite(parsed)):
+                dropped += 1
+                continue
+            if any(v < 0 for v in parsed[:-1]):
+                raise ValidationError(f"{path}: negative concentration in row {lineno}")
+            if parsed[-1] not in (0.0, 1.0):
+                raise ValidationError(f"{path}: decision must be 0 or 1 in row {lineno}")
+            rows.append(parsed[:-1])
+            decisions.append(int(parsed[-1]))
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no usable rows")
+    return np.array(rows, dtype=float), np.array(decisions, dtype=np.int64), dropped
+
+
+_SPOILED = st.sampled_from(["", "n/a", "nan", "inf", "-inf", '"7"', "1e3"] + ["-1.5"] * 4)
+_CELL = st.floats(0, 1e5, allow_nan=False).map(repr) | _SPOILED
+_DECISION = st.sampled_from(["0", "1", "1.0", "-0.0"] * 4 + ["2", "-1", "nan"])
+
+
+def _row(gases, spoil, decision):
+    """A ten-gas row, with one cell replaced when `spoil` is (column, cell)."""
+    if spoil is not None:
+        gases[spoil[0]] = spoil[1]
+    return ",".join(gases + [decision])
+
+
+_LINE = st.one_of(
+    st.builds(
+        _row,
+        st.lists(st.integers(0, 5000).map(str), min_size=10, max_size=10),
+        st.none() | st.tuples(st.integers(0, 9), _SPOILED),
+        _DECISION,
+    ),
+    st.lists(_CELL, min_size=0, max_size=12).map(",".join),
+)
+
+
+class TestLoadCsvMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_LINE, max_size=12))
+    def test_same_rows_drops_and_errors(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text("\n".join([HEADER] + lines) + "\n")
+
+        def outcome(load):
+            try:
+                return load(path)
+            except DgaError as exc:
+                return type(exc).__name__, str(exc)
+
+        expected = outcome(reference_load)
+        got = outcome(load_csv)
+        if isinstance(got, GasTable):
+            assert isinstance(expected[0], np.ndarray)
+            assert np.array_equal(got.values, expected[0])
+            assert np.array_equal(got.decisions, expected[1])
+            assert got.dropped_rows == expected[2]
+        else:
+            assert got == expected
 
 
 class TestStandardize:

@@ -1,5 +1,7 @@
 """Entropy, information gain, tree induction, pruning, attribute selection."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,23 @@ class TestSelectAttributes:
         with pytest.warns(DegenerateSelectionWarning):
             result = select_attributes(Leaf(1, 3, 0))
         assert result.kept == ()
+
+
+class TestMemory:
+    def test_fit_leaves_no_reference_cycles(self, rng):
+        # garbage in a cycle waits for the cycle collector, and here it would
+        # hold copies of the table's arrays
+        columns = rng.integers(1, 5, size=(4, 200)).tolist()
+        table = make_categorical(columns, rng.integers(0, 2, 200))
+        grow, val = table.take(np.arange(150)), table.take(np.arange(150, 200))
+        select_attributes(prune(build_tree(grow), val))  # first calls may cache
+        gc.collect()
+        gc.disable()
+        try:
+            select_attributes(prune(build_tree(grow), val))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFormatTree:
