@@ -22,22 +22,11 @@ STOP_EPOCHS = "epochs"
 
 
 def logsig(n):
-    """1 / (1 + e^-n), strictly increasing, range (0, 1)."""
-    arr = np.asarray(n, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    expn = np.exp(arr[~pos])
-    out[~pos] = expn / (1.0 + expn)
-    return float(out[0]) if scalar else out
-
-
-def tansig(n):
-    """Hyperbolic tangent, odd, range (-1, 1), derivative 1 - g**2."""
-    out = np.tanh(np.asarray(n, dtype=float))
-    return out if out.ndim else float(out)
+    """1 / (1 + e^-n), strictly increasing, range (0, 1); evaluated through
+    e^-|n|, which never overflows."""
+    n = np.asarray(n, dtype=float)
+    e = np.exp(-np.abs(n))
+    return np.where(n >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -100,10 +89,6 @@ class MlpModel:
     scaler: Scaler | None = None
 
     @property
-    def activations(self) -> tuple[str, ...]:
-        return ("tansig",) * len(self.hidden) + ("logsig",)
-
-    @property
     def params(self) -> dict[str, np.ndarray]:
         return layer_params(self.weights, self.biases)
 
@@ -143,12 +128,8 @@ def _forward_batch(weights, biases, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward(model: MlpModel, x) -> float:
-    """Healthy-class score in (0, 1) for one input row; class 1 iff >= 0.5."""
-    return float(scores(model, np.ravel(x)[None, :])[0])
-
-
 def scores(model: MlpModel, values: np.ndarray) -> np.ndarray:
+    """Healthy-class score in (0, 1) per row; class 1 iff >= 0.5."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != model.input_width:
         raise ShapeError(f"expected width {model.input_width}, got {values.shape[1]}")

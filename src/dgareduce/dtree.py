@@ -36,12 +36,6 @@ class Internal:
     count_t: int
     count_f: int
 
-    def child(self, value: int) -> "TreeNode | None":
-        for v, node in self.children:
-            if v == value:
-                return node
-        return None
-
 
 TreeNode = Leaf | Internal
 
@@ -75,20 +69,19 @@ class GainEntry:
 
 def information_gain(table: CategoricalTable, attribute: str) -> GainEntry:
     """Reduction in decision entropy from knowing the attribute's value."""
-    column = table.column(attribute).astype(np.int64)
-    decisions = table.decisions
-    h_y = entropy(_class_counts(decisions))
-    conditional = 0.0
-    value_counts = []
-    for v in np.unique(column):
-        mask = column == v
-        n_v = int(mask.sum())
-        value_counts.append(n_v)
-        conditional += (n_v / len(column)) * entropy(_class_counts(decisions[mask]))
-    h_x = entropy(value_counts)
-    gain = h_y - conditional
+    h_y, h_x, gain = _gain(table.column(attribute), table.decisions)
     ratio = gain / h_x if h_x > 0 else None
     return GainEntry(attribute, h_y, h_x, gain, ratio)
+
+
+def _gain(column, decisions) -> tuple[float, float, float]:
+    """H(decision), H(column) and the information gain of `column`, in bits."""
+    h_y = entropy(_class_counts(decisions))
+    uniques, counts = np.unique(column, return_counts=True)
+    conditional = 0.0
+    for v, n_v in zip(uniques, counts):
+        conditional += (n_v / len(column)) * entropy(_class_counts(decisions[column == v]))
+    return h_y, entropy(counts), float(h_y - conditional)
 
 
 def _class_counts(decisions) -> tuple[int, int]:
@@ -115,9 +108,8 @@ def build_tree(
         raise ParameterError(f"criterion must be one of {CRITERIA}")
     if table.n_rows == 0:
         raise ParameterError("cannot build a tree from an empty table")
-    values = table.values.astype(np.int64)
     return _grow(
-        values, table.decisions, table.attributes, criterion, min_rows,
+        table.values, table.decisions, table.attributes, criterion, min_rows,
         np.arange(table.n_rows), tuple(range(table.n_attributes)),
     )
 
@@ -131,18 +123,12 @@ def _grow(values, decisions, attributes, criterion, min_rows, rows, available) -
     majority = _majority(count_t, count_f)
     if count_t == 0 or count_f == 0 or not available or len(rows) < min_rows:
         return Leaf(majority, count_t, count_f)
-    h_y = entropy((count_t, count_f))
     best_j, best_score = None, -1.0
     for j in available:
-        col = values[rows, j]
-        uniques, counts = np.unique(col, return_counts=True)
-        if len(uniques) < 2:
+        _, h_x, gain = _gain(values[rows, j], dec)
+        if h_x == 0:  # one value only: no split can partition the rows
             continue
-        conditional = 0.0
-        for v, n_v in zip(uniques, counts):
-            conditional += (n_v / len(rows)) * entropy(_class_counts(dec[col == v]))
-        gain = h_y - conditional
-        score = gain if criterion == "gain" else gain / entropy(counts)
+        score = gain if criterion == "gain" else gain / h_x
         if score > best_score + 1e-12:
             best_j, best_score = j, score
     if best_j is None:
@@ -159,27 +145,24 @@ def _grow(values, decisions, attributes, criterion, min_rows, rows, available) -
     return Internal(attributes[best_j], children, majority, count_t, count_f)
 
 
-def predict(node: TreeNode, row, attributes) -> int:
-    """Route one categorical row down the tree; unseen values stop at the
-    node's majority class."""
-    while isinstance(node, Internal):
-        value = int(row[attributes.index(node.attribute)])
-        child = node.child(value)
-        if child is None:
-            return node.decision
-        node = child
-    return node.decision
+def _route(node: TreeNode, rows, values, attributes, out) -> None:
+    """Write the tree's class for each of `rows` into `out`, sending the rows
+    down by column arrays; a value with no child stops at the node's majority
+    class."""
+    out[rows] = node.decision
+    if isinstance(node, Internal):
+        col = values[rows, attributes.index(node.attribute)]
+        for v, child in node.children:
+            _route(child, rows[col == v], values, attributes, out)
 
 
 def accuracy(node: TreeNode, table: CategoricalTable) -> float:
     """Fraction of rows the tree classifies correctly."""
     if table.n_rows == 0:
         raise ParameterError("empty table")
-    hits = sum(
-        predict(node, table.values[i], table.attributes) == int(table.decisions[i])
-        for i in range(table.n_rows)
-    )
-    return hits / table.n_rows
+    predicted = np.empty(table.n_rows, dtype=np.int64)
+    _route(node, np.arange(table.n_rows), table.values, table.attributes, predicted)
+    return int(np.count_nonzero(predicted == table.decisions)) / table.n_rows
 
 
 def prune(root: TreeNode, validation: CategoricalTable) -> TreeNode:
@@ -188,9 +171,9 @@ def prune(root: TreeNode, validation: CategoricalTable) -> TreeNode:
     if validation.n_rows == 0:
         warnings.warn("empty validation set; prune skipped", PruneSkippedWarning)
         return root
-    values = validation.values.astype(np.int64)
-    pruned = _prune(
-        root, np.arange(validation.n_rows), values, validation.decisions, validation.attributes
+    pruned, _ = _prune(
+        root, np.arange(validation.n_rows), validation.values, validation.decisions,
+        validation.attributes,
     )
     before, after = accuracy(root, validation), accuracy(pruned, validation)
     if after < before:
@@ -198,24 +181,30 @@ def prune(root: TreeNode, validation: CategoricalTable) -> TreeNode:
     return pruned
 
 
-def _prune(node: TreeNode, rows, values, decisions, attributes) -> TreeNode:
+def _prune(node: TreeNode, rows, values, decisions, attributes) -> tuple[TreeNode, int]:
+    """The pruned subtree for the validation `rows` that reach `node`, and
+    its hits on them: the sum of its pruned children's hits, plus the rows
+    whose value has no child scored against the node's majority."""
+    leaf_hits = int(np.count_nonzero(decisions[rows] == node.decision))
     if isinstance(node, Leaf):
-        return node
+        return node, leaf_hits
     col = values[rows, attributes.index(node.attribute)]
-    pruned_children = tuple(
-        (v, _prune(child, rows[col == v], values, decisions, attributes))
-        for v, child in node.children
-    )
-    candidate = Internal(
-        node.attribute, pruned_children, node.decision, node.count_t, node.count_f
-    )
-    subtree_hits = sum(
-        predict(candidate, values[i], attributes) == int(decisions[i]) for i in rows
-    )
-    leaf_hits = int(np.sum(decisions[rows] == node.decision))
+    unmatched = np.ones(len(rows), dtype=bool)
+    subtree_hits = 0
+    pruned_children = []
+    for v, child in node.children:
+        reached = col == v
+        unmatched &= ~reached
+        pruned, hits = _prune(child, rows[reached], values, decisions, attributes)
+        pruned_children.append((v, pruned))
+        subtree_hits += hits
+    subtree_hits += int(np.count_nonzero(decisions[rows[unmatched]] == node.decision))
     if leaf_hits >= subtree_hits:
-        return Leaf(node.decision, node.count_t, node.count_f)
-    return candidate
+        return Leaf(node.decision, node.count_t, node.count_f), leaf_hits
+    candidate = Internal(
+        node.attribute, tuple(pruned_children), node.decision, node.count_t, node.count_f
+    )
+    return candidate, subtree_hits
 
 
 def select_attributes(root: TreeNode) -> ReductionResult:

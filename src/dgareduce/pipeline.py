@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError("set exactly one of pca_components / pca_threshold")
         if not 0.0 < self.dt_prune_fraction < 1.0:
             raise ConfigError("dt_prune_fraction must be in (0, 1)")
+        if self.dt_criterion not in dtree.CRITERIA:
+            raise ConfigError(f"dt_criterion must be one of {dtree.CRITERIA}")
+        if self.rnn_connection not in rnn.CONNECTIONS:
+            raise ConfigError(f"rnn_connection must be one of {rnn.CONNECTIONS}")
 
     def folds_for(self, classifier: str) -> int:
         return {"bpnn": self.folds_bpnn, "svm": self.folds_svm, "rnn": self.folds_rnn}[

@@ -36,18 +36,10 @@ from .errors import NoUncertaintyWarning, ParameterError, ShapeError, Validation
 CONNECTIONS = ("excitatory", "inhibitory", "full")
 
 
-@dataclass(frozen=True)
-class IntervalRow:
-    """Per-attribute (lower, upper) standardized bounds plus the decision."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    decision: int
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalTable:
-    """Row-aligned lower/upper bound matrices; iterates as IntervalRow views."""
+    """Row-aligned lower/upper bound matrices of standardized values, one
+    (lower, upper) pair per attribute, plus the decisions."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -71,9 +63,6 @@ class IntervalTable:
 
     def __len__(self) -> int:
         return self.lower.shape[0]
-
-    def row(self, i: int) -> IntervalRow:
-        return IntervalRow(self.lower[i], self.upper[i], int(self.decisions[i]))
 
     @property
     def n_attributes(self) -> int:
@@ -132,12 +121,6 @@ def _check_aligned(categories: CategoricalTable, standardized: Table) -> None:
         )
     if categories.attributes != standardized.attributes:
         raise ShapeError("attribute lists differ between the two tables")
-
-
-def intervalize(categories: CategoricalTable, standardized: Table) -> IntervalTable:
-    """Bounds from each row's own discretization cell: every attribute's
-    interval is the (min, max) of standardized values sharing its category."""
-    return Intervalizer.fit(categories, standardized).apply(categories, standardized)
 
 
 @dataclass
@@ -204,17 +187,8 @@ def _forward_cache(model: RnnModel, xl: np.ndarray, xu: np.ndarray):
     return out, gl, gu, a_low, a_up
 
 
-def forward(model: RnnModel, row: IntervalRow) -> float:
-    """Healthy-class score in (0, 1); class 1 iff >= 0.5."""
-    xl = np.asarray(row.lower, dtype=float).ravel()
-    xu = np.asarray(row.upper, dtype=float).ravel()
-    if xl.shape[0] != model.input_width or xu.shape[0] != model.input_width:
-        raise ShapeError(f"expected width {model.input_width}")
-    out, *_ = _forward_cache(model, xl[None, :], xu[None, :])
-    return float(out[0])
-
-
 def scores(model: RnnModel, table: IntervalTable) -> np.ndarray:
+    """Healthy-class score in (0, 1) per interval row; class 1 iff >= 0.5."""
     if table.n_attributes != model.input_width:
         raise ShapeError(f"expected width {model.input_width}, got {table.n_attributes}")
     out, *_ = _forward_cache(model, table.lower, table.upper)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bpnn import confusion
 from .dataset import ModelFile, Scaler, Table, write_model
 from .errors import ParameterError, ShapeError
 
@@ -102,13 +103,8 @@ class SvmModel:
     scaler: Scaler | None = None
 
 
-def predict(model: SvmModel, x) -> tuple[int, float]:
-    """(class, raw score); score >= 0 resolves to class 1 (healthy)."""
-    score = float(decision_scores(model, np.ravel(x)[None, :])[0])
-    return (1 if score >= 0 else 0), score
-
-
 def decision_scores(model: SvmModel, values: np.ndarray) -> np.ndarray:
+    """Raw score per row; a score >= 0 resolves to class 1 (healthy)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != model.support_vectors.shape[1]:
         raise ShapeError(
@@ -245,8 +241,6 @@ def train_smo(
 
 def evaluate(model: SvmModel, test: Table):
     """Accuracy percentage and confusion counts; see bpnn.EvalResult."""
-    from .bpnn import confusion
-
     if test.n_rows == 0:
         raise ParameterError("empty test set")
     predicted = (decision_scores(model, test.values) >= 0).astype(np.int64)

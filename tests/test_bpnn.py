@@ -1,4 +1,4 @@
-"""Activations, forward pass, gradients, training loop exits, evaluation."""
+"""Activations, scores, gradients, training loop exits, evaluation."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgareduce import bpnn
-from dgareduce.bpnn import MlpConfig, MlpModel, TrainingTrace, logsig, tansig
+from dgareduce.bpnn import MlpConfig, MlpModel, TrainingTrace, logsig
 from dgareduce.dataset import Table, split_indices
 from dgareduce.errors import ParameterError, ShapeError, TrainingDivergedError
 
@@ -39,19 +39,6 @@ class TestActivations:
         ys = logsig(xs)
         assert np.all(np.diff(ys) > 0)
 
-    def test_tansig_values(self):
-        assert tansig(0.0) == 0.0
-        assert tansig(1.0) == pytest.approx(0.761594, abs=1e-6)
-
-    def test_tansig_odd(self, rng):
-        for n in rng.normal(scale=2, size=20):
-            assert tansig(-n) == pytest.approx(-tansig(n), abs=1e-12)
-
-    def test_tansig_derivative_identity(self, rng):
-        h = 1e-6
-        for n in rng.normal(size=10):
-            numeric = (tansig(n + h) - tansig(n - h)) / (2 * h)
-            assert numeric == pytest.approx(1.0 - tansig(n) ** 2, abs=1e-6)
 
 
 def _tiny_model(weights, biases):
@@ -65,16 +52,18 @@ def _tiny_model(weights, biases):
 
 
 class TestForward:
+    """One-row inputs through `scores`, the batch path evaluation uses."""
+
     def test_zero_weights_give_half(self):
         model = _tiny_model(
             [np.zeros((3, 2)), np.zeros((1, 3))], [np.zeros(3), np.zeros(1)]
         )
-        assert bpnn.forward(model, [0.7, -0.2]) == pytest.approx(0.5)
+        assert bpnn.scores(model, [[0.7, -0.2]])[0] == pytest.approx(0.5)
 
     def test_hand_composed_1_1_1(self):
         model = _tiny_model([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
         expected = logsig(math.tanh(1.0))
-        assert bpnn.forward(model, [1.0]) == pytest.approx(expected, abs=1e-12)
+        assert bpnn.scores(model, [[1.0]])[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.6817, abs=5e-4)
 
     def test_duplicate_rows_identical(self, rng):
@@ -82,13 +71,13 @@ class TestForward:
             [rng.normal(size=(4, 3)), rng.normal(size=(1, 4))],
             [rng.normal(size=4), rng.normal(size=1)],
         )
-        x = rng.normal(size=3)
-        assert bpnn.forward(model, x) == bpnn.forward(model, x.copy())
+        x = rng.normal(size=(1, 3))
+        assert np.array_equal(bpnn.scores(model, x), bpnn.scores(model, x.copy()))
 
     def test_width_mismatch(self):
         model = _tiny_model([np.zeros((2, 3)), np.zeros((1, 2))], [np.zeros(2), np.zeros(1)])
         with pytest.raises(ShapeError):
-            bpnn.forward(model, [1.0, 2.0])
+            bpnn.scores(model, [[1.0, 2.0]])
 
 
 class TestGradients:

@@ -155,6 +155,15 @@ class TestMatrix:
         result = _invoke("matrix", "--config", str(ini))
         assert result.exit_code == 2
 
+    def test_unknown_method_name_exit_2_before_any_cell(self, tmp_path):
+        for section in ("[rnn]\nconnection = bogus", "[dt]\ncriterion = gini"):
+            ini = tmp_path / "exp.ini"
+            ini.write_text(MATRIX_INI + "\n" + section + "\n")
+            result = _invoke("matrix", "--config", str(ini))
+            assert result.exit_code == 2, result.output
+            assert "Average Accuracy (%)" not in result.output
+            assert "FAILED" not in result.output
+
     def test_csv_data_source(self, tmp_path):
         src = tmp_path / "rows.csv"
         _invoke("synth", "-n", "60", "--seed", "8", "--out", str(src))

@@ -4,6 +4,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgareduce import dtree
 from dgareduce.dtree import (
@@ -14,7 +16,6 @@ from dgareduce.dtree import (
     entropy,
     format_tree,
     information_gain,
-    predict,
     prune,
     select_attributes,
 )
@@ -147,7 +148,8 @@ class TestBuildTree:
     def test_unseen_value_routes_to_majority(self):
         table = make_categorical([[1, 1, 2, 2]], [0, 0, 1, 1])
         tree = build_tree(table)
-        assert predict(tree, [3], ("a1",)) == tree.decision
+        assert accuracy(tree, make_categorical([[3]], [tree.decision])) == 1.0
+        assert accuracy(tree, make_categorical([[3]], [1 - tree.decision])) == 0.0
 
 
 class TestPrune:
@@ -273,3 +275,127 @@ class TestFormatTree:
 
     def test_single_leaf(self):
         assert format_tree(Leaf(1, 3, 1)) == "class 1 (3/1)\n"
+
+
+# The row-at-a-time tree code that the column-array router and the bottom-up
+# hit counts replace, kept here as the oracle.
+def oracle_gain(column, decisions):
+    h_y = entropy(dtree._class_counts(decisions))
+    conditional = 0.0
+    value_counts = []
+    for v in np.unique(column):
+        mask = column == v
+        n_v = int(mask.sum())
+        value_counts.append(n_v)
+        conditional += (n_v / len(column)) * entropy(dtree._class_counts(decisions[mask]))
+    return h_y, entropy(value_counts), h_y - conditional
+
+
+def oracle_grow(values, decisions, attributes, criterion, min_rows, rows, available):
+    dec = decisions[rows]
+    count_t, count_f = dtree._class_counts(dec)
+    majority = dtree._majority(count_t, count_f)
+    if count_t == 0 or count_f == 0 or not available or len(rows) < min_rows:
+        return Leaf(majority, count_t, count_f)
+    best_j, best_score = None, -1.0
+    for j in available:
+        col = values[rows, j]
+        if len(np.unique(col)) < 2:
+            continue
+        _, h_x, gain = oracle_gain(col, dec)
+        score = gain if criterion == "gain" else gain / h_x
+        if score > best_score + 1e-12:
+            best_j, best_score = j, score
+    if best_j is None:
+        return Leaf(majority, count_t, count_f)
+    remaining = tuple(j for j in available if j != best_j)
+    col = values[rows, best_j]
+    children = tuple(
+        (
+            int(v),
+            oracle_grow(
+                values, decisions, attributes, criterion, min_rows, rows[col == v], remaining
+            ),
+        )
+        for v in np.unique(col)
+    )
+    return Internal(attributes[best_j], children, majority, count_t, count_f)
+
+
+def oracle_predict(node, row, attributes):
+    while isinstance(node, Internal):
+        value = int(row[attributes.index(node.attribute)])
+        child = next((c for v, c in node.children if v == value), None)
+        if child is None:
+            return node.decision
+        node = child
+    return node.decision
+
+
+def oracle_accuracy(node, table):
+    hits = sum(
+        oracle_predict(node, table.values[i], table.attributes) == int(table.decisions[i])
+        for i in range(table.n_rows)
+    )
+    return hits / table.n_rows
+
+
+def oracle_prune(node, rows, values, decisions, attributes):
+    if isinstance(node, Leaf):
+        return node
+    col = values[rows, attributes.index(node.attribute)]
+    children = tuple(
+        (v, oracle_prune(child, rows[col == v], values, decisions, attributes))
+        for v, child in node.children
+    )
+    candidate = Internal(node.attribute, children, node.decision, node.count_t, node.count_f)
+    subtree_hits = sum(
+        oracle_predict(candidate, values[i], attributes) == int(decisions[i]) for i in rows
+    )
+    leaf_hits = int(np.sum(decisions[rows] == node.decision))
+    if leaf_hits >= subtree_hits:
+        return Leaf(node.decision, node.count_t, node.count_f)
+    return candidate
+
+
+@st.composite
+def grow_and_validation(draw):
+    """A grow table and a validation table over the same attributes.  Grow
+    values of column j lie in 1..seen[j], so validation rows (1..4) can carry
+    values no node has a child for; seen[j] = 1 makes column j constant."""
+    m = draw(st.integers(1, 4))
+    seen = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    identical = draw(st.booleans())
+
+    def table(high, max_rows):
+        row = st.tuples(*(st.integers(1, h) for h in high))
+        values = np.array(draw(st.lists(row, min_size=1, max_size=max_rows)), dtype=np.int64)
+        if identical:
+            values[:] = values[0]
+        n = len(values)
+        decisions = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        return make_categorical(values.T.tolist(), decisions)
+
+    return table(seen, 40), table([4] * m, 30)
+
+
+class TestRouterMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(grow_and_validation(), st.sampled_from(dtree.CRITERIA), st.integers(1, 4))
+    def test_grow_prune_and_accuracy(self, tables, criterion, min_rows):
+        grow, val = tables
+        tree = build_tree(grow, criterion=criterion, min_rows=min_rows)
+        assert tree == oracle_grow(
+            grow.values, grow.decisions, grow.attributes, criterion, min_rows,
+            np.arange(grow.n_rows), tuple(range(grow.n_attributes)),
+        )
+        for name in grow.attributes:
+            entry = information_gain(grow, name)
+            h_y, h_x, gain = oracle_gain(grow.column(name), grow.decisions)
+            assert (entry.class_entropy, entry.attribute_entropy, entry.gain) == (h_y, h_x, gain)
+        pruned = prune(tree, val)
+        rows = np.arange(val.n_rows)
+        assert pruned == oracle_prune(tree, rows, val.values, val.decisions, val.attributes)
+        for node in (tree, pruned):
+            for table in (grow, val):
+                assert accuracy(node, table) == oracle_accuracy(node, table)

@@ -241,6 +241,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(folds_svm=1)
 
+    def test_unknown_classifier_method_names(self):
+        with pytest.raises(ConfigError, match="rnn_connection"):
+            ExperimentConfig(rnn_connection="bogus")
+        with pytest.raises(ConfigError, match="dt_criterion"):
+            ExperimentConfig(dt_criterion="gini")
+
 
 class TestFitReducer:
     def test_none_keeps_everything(self):

@@ -13,7 +13,7 @@ from dgareduce.errors import (
     ShapeError,
     ValidationError,
 )
-from dgareduce.rnn import IntervalTable, Intervalizer, RnnModel, intervalize
+from dgareduce.rnn import IntervalTable, Intervalizer, RnnModel
 
 from conftest import make_categorical, make_table
 
@@ -25,6 +25,11 @@ def _aligned_pair(rng, n=20, m=3):
     std = Table(values, decisions, names)
     cats = CategoricalTable(rng.integers(1, 4, size=(n, m)), decisions, names)
     return cats, std
+
+
+def _one_row(lower, upper) -> IntervalTable:
+    names = tuple(f"a{i + 1}" for i in range(len(lower)))
+    return IntervalTable([lower], [upper], [0], names)
 
 
 def _degenerate(table: Table) -> IntervalTable:
@@ -58,13 +63,13 @@ class TestIntervalize:
     def test_constant_cell_degenerate(self):
         cats = make_categorical([[1, 1, 2]], [0, 1, 0])
         std = make_table([[0.5], [0.5], [2.0]], [0, 1, 0])
-        table = intervalize(cats, std)
+        table = Intervalizer.fit(cats, std).apply(cats, std)
         assert table.lower[0, 0] == table.upper[0, 0] == 0.5
 
     def test_cell_extrema_shared_by_members(self):
         cats = make_categorical([[1, 1, 1]], [0, 1, 0])
         std = make_table([[-1.0], [0.0], [2.0]], [0, 1, 0])
-        table = intervalize(cats, std)
+        table = Intervalizer.fit(cats, std).apply(cats, std)
         for i in range(3):
             assert (table.lower[i, 0], table.upper[i, 0]) == (-1.0, 2.0)
 
@@ -83,15 +88,15 @@ class TestIntervalize:
                 decisions,
                 ("a1",),
             )
-            coarse = intervalize(coarse_cats, std)
-            fine = intervalize(fine_cats, std)
+            coarse = Intervalizer.fit(coarse_cats, std).apply(coarse_cats, std)
+            fine = Intervalizer.fit(fine_cats, std).apply(fine_cats, std)
             assert np.all(fine.lower >= coarse.lower - 1e-12)
             assert np.all(fine.upper <= coarse.upper + 1e-12)
 
     def test_misaligned_rejected(self, rng):
         cats, std = _aligned_pair(rng)
         with pytest.raises(ShapeError):
-            intervalize(cats, std.take(np.arange(5)))
+            Intervalizer.fit(cats, std.take(np.arange(5)))
 
     def test_unseen_category_degenerates(self, rng):
         cats, std = _aligned_pair(rng)
@@ -154,8 +159,8 @@ class TestForward:
         mlp = _random_mlp(rng)
         model = _model_from_mlp(mlp)
         x = rng.normal(size=3)
-        row = rnn.IntervalRow(x, x.copy(), 1)
-        assert rnn.forward(model, row) == pytest.approx(bpnn.forward(mlp, x), abs=1e-9)
+        rough = rnn.scores(model, _one_row(x, x.copy()))[0]
+        assert rough == pytest.approx(bpnn.scores(mlp, x[None, :])[0], abs=1e-9)
 
     def test_channel_outputs_ordered_per_unit(self, rng):
         mlp = _random_mlp(rng, width=4, hidden=(6,))
@@ -193,14 +198,14 @@ class TestForward:
         model = _model_from_mlp(mlp)
         lo, hi = rng.normal(size=3), rng.normal(size=3)
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        a = rnn.forward(model, rnn.IntervalRow(lo, hi, 0))
-        b = rnn.forward(model, rnn.IntervalRow(lo.copy(), hi.copy(), 0))
-        assert a == b
+        a = rnn.scores(model, _one_row(lo, hi))
+        b = rnn.scores(model, _one_row(lo.copy(), hi.copy()))
+        assert np.array_equal(a, b)
 
     def test_width_mismatch(self, rng):
         model = _model_from_mlp(_random_mlp(rng))
         with pytest.raises(ShapeError):
-            rnn.forward(model, rnn.IntervalRow(np.zeros(5), np.zeros(5), 0))
+            rnn.scores(model, _one_row(np.zeros(5), np.zeros(5)))
 
 
 class TestGradients:
@@ -315,7 +320,7 @@ class TestTrain:
         gas = synth_generate(80, 0.5, 0.25, seed=6)
         std, _ = standardize(gas)
         cats = discretize(gas)
-        iv = intervalize(cats, std)
+        iv = Intervalizer.fit(cats, std).apply(cats, std)
         cfg = MlpConfig(epochs=150, hidden=(6,), seed=0)
         model = rnn.train(iv, cfg)
         assert rnn.evaluate(model, iv).accuracy >= 90.0

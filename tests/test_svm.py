@@ -6,7 +6,7 @@ import pytest
 from dgareduce import pipeline, svm
 from dgareduce.dataset import kfold, standardize
 from dgareduce.errors import ParameterError, ShapeError
-from dgareduce.svm import Kernel, check_kkt, kernel_matrix, predict, train_smo
+from dgareduce.svm import Kernel, check_kkt, kernel_matrix, train_smo
 
 from conftest import make_table
 
@@ -86,9 +86,9 @@ class TestAnalyticTwoPoint:
 
     def test_midpoint_ties_to_healthy(self):
         model = self._model()
-        cls, score = predict(model, [0.0])
+        score = svm.decision_scores(model, [[0.0]])[0]
         assert abs(score) <= 1e-6
-        assert cls == 1
+        assert svm.evaluate(model, make_table([[0.0]], [1])).true_healthy == 1
 
 
 class TestTrainSmo:
@@ -237,12 +237,13 @@ class TestPredict:
         free = (model.support_alphas > 1e-6) & (model.support_alphas < model.c - 1e-6)
         assert free.any()
         idx = int(np.flatnonzero(free)[0])
-        _, score = predict(model, model.support_vectors[idx])
+        score = svm.decision_scores(model, model.support_vectors[idx : idx + 1])[0]
         assert model.support_labels[idx] * score == pytest.approx(1.0, abs=2e-3)
 
     def test_repeat_prediction_identical(self, rng):
         model, values, _ = self._trained(rng)
-        assert predict(model, values[0]) == predict(model, values[0])
+        first = svm.decision_scores(model, values[:1])
+        assert np.array_equal(first, svm.decision_scores(model, values[:1]))
 
     def test_support_vector_permutation_invariant(self, rng):
         model, values, _ = self._trained(rng)
@@ -268,7 +269,7 @@ class TestPredict:
     def test_width_mismatch(self, rng):
         model, _, _ = self._trained(rng)
         with pytest.raises(ShapeError):
-            predict(model, [1.0, 2.0, 3.0])
+            svm.decision_scores(model, [[1.0, 2.0, 3.0]])
 
 
 class TestSaveLoad:
