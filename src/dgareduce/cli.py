@@ -198,8 +198,11 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
     informative`: absent, every gas is informative; empty, none is.
     """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
     def given(section, prefix="", **getters):
         """The section's non-empty keys among `getters`, each read by its
@@ -258,7 +261,7 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
         fields.update(given("svm", "svm_", c=real, tol=real, max_passes=integer))
         fields.update(given("rnn", "rnn_", connection=text))
         return replace(default, **fields)
-    except (ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

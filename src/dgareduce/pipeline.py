@@ -100,6 +100,10 @@ class ExperimentConfig:
             raise ConfigError(f"dt_criterion must be one of {dtree.CRITERIA}")
         if self.rnn_connection not in rnn.CONNECTIONS:
             raise ConfigError(f"rnn_connection must be one of {rnn.CONNECTIONS}")
+        if not self.svm_c > 0:
+            raise ConfigError(f"svm_c must be positive, got {self.svm_c}")
+        if not self.svm_tol > 0:
+            raise ConfigError(f"svm_tol must be positive, got {self.svm_tol}")
 
     def folds_for(self, classifier: str) -> int:
         return {"bpnn": self.folds_bpnn, "svm": self.folds_svm, "rnn": self.folds_rnn}[

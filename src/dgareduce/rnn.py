@@ -9,6 +9,13 @@ min as the lower output and max as the upper output.  The two channels are
 simulated separately through the shared stack.  At an exact activation tie the
 gradient of both the min and max nodes flows to both branches, which keeps the
 two channels identical whenever their inputs and weights are identical.
+
+As in the point network, a training owns its buffers (`RoughBuffers`), one
+set for the training rows and one for the validation rows, rewritten in
+place by every epoch.  With h1 the first hidden width, the training set holds
+(2 * h1 + 4 * sum(hidden) + 5) float64 per row and the validation set
+(2 * h1 + 2 * sum(hidden) + 3), plus h1 each for the full connection's cross
+nets: at hidden (20, 30) and 1,120 training rows that is 2.2 MB.
 """
 
 from __future__ import annotations
@@ -28,7 +35,10 @@ from .bpnn import (
     init_layers,
     layer_params,
     layer_shapes,
-    logsig,
+    _logsig_inplace,
+    _mean_square,
+    _output_delta,
+    _tanh_slope,
 )
 from .dataset import CategoricalTable, ModelFile, Scaler, Table, split_indices, write_model
 from .errors import NoUncertaintyWarning, ParameterError, ShapeError, ValidationError
@@ -157,92 +167,148 @@ class RnnModel:
         return {**named, **layer_params(self.shared_weights, self.shared_biases, start=1)}
 
 
-def _rough_nets(model: RnnModel, xl: np.ndarray, xu: np.ndarray):
+class RoughBuffers:
+    """The arrays one block of interval rows needs in `model`'s network,
+    allocated once and rewritten by every pass over those rows.
+
+    Forward passes fill `gl`/`gu` (the first layer's channel nets, then
+    their tanh), `a_low`/`a_up` (each layer's min- and max-channel outputs)
+    and the two output nets.  With `backward`, a gradient step also fills
+    the channel deltas, the tie masks and one gradient per parameter name.
+    It reuses the activations it no longer needs as scratch, so after a step
+    they no longer hold a forward pass.
+    """
+
+    def __init__(self, model: RnnModel, xl: np.ndarray, xu: np.ndarray, backward: bool = False):
+        n = xl.shape[0]
+        first = model.hidden[0]
+        self.xl, self.xu = xl, xu
+        self.gl, self.gu = np.empty((n, first)), np.empty((n, first))
+        self.cross = np.empty((n, first)) if model.connection == "full" else None
+        self.a_low = [np.empty((n, k)) for k in model.hidden]
+        self.a_up = [np.empty((n, k)) for k in model.hidden]
+        self.z_low, self.z_up = np.empty((n, 1)), np.empty((n, 1))
+        self.negative = np.empty((n, 1), dtype=bool)
+        self.resid = np.empty(n)
+        if backward:
+            widths = model.hidden + (1,)
+            self.d_low = [np.empty((n, k)) for k in widths]
+            self.d_up = [np.empty((n, k)) for k in widths]
+            self.up_or_tie = np.empty((n, first), dtype=bool)
+            self.low_or_tie = np.empty((n, first), dtype=bool)
+            self.grads = {name: np.empty_like(p) for name, p in model.params.items()}
+            self.pair = [np.empty_like(w) for w in model.shared_weights]
+
+
+def _rough_nets(model: RnnModel, rows: RoughBuffers) -> None:
+    """The first layer's lower/upper channel nets, written into rows.gl / rows.gu."""
+    xl, xu, zl, zu = rows.xl, rows.xu, rows.gl, rows.gu
     if model.connection == "excitatory":
-        zl = xl @ model.lower_w.T + model.lower_b
-        zu = xu @ model.upper_w.T + model.upper_b
+        np.matmul(xl, model.lower_w.T, out=zl)
+        np.matmul(xu, model.upper_w.T, out=zu)
     elif model.connection == "inhibitory":
-        zl = -(xu @ model.lower_w.T) + model.lower_b
-        zu = -(xl @ model.upper_w.T) + model.upper_b
+        np.matmul(xu, model.lower_w.T, out=zl)
+        np.negative(zl, out=zl)
+        np.matmul(xl, model.upper_w.T, out=zu)
+        np.negative(zu, out=zu)
     else:
-        zl = xl @ model.lower_w.T + xu @ model.lower_cross.T + model.lower_b
-        zu = xu @ model.upper_w.T + xl @ model.upper_cross.T + model.upper_b
-    return zl, zu
+        np.matmul(xl, model.lower_w.T, out=zl)
+        zl += np.matmul(xu, model.lower_cross.T, out=rows.cross)
+        np.matmul(xu, model.upper_w.T, out=zu)
+        zu += np.matmul(xl, model.upper_cross.T, out=rows.cross)
+    zl += model.lower_b
+    zu += model.upper_b
 
 
-def _forward_cache(model: RnnModel, xl: np.ndarray, xu: np.ndarray):
-    zl, zu = _rough_nets(model, xl, xu)
-    gl, gu = np.tanh(zl), np.tanh(zu)
-    a_low = [np.minimum(gl, gu)]
-    a_up = [np.maximum(gl, gu)]
+def _forward(model: RnnModel, rows: RoughBuffers) -> np.ndarray:
+    """The logsig output column over the rows, as a view into `rows`."""
+    _rough_nets(model, rows)
+    gl, gu = np.tanh(rows.gl, out=rows.gl), np.tanh(rows.gu, out=rows.gu)
+    np.minimum(gl, gu, out=rows.a_low[0])
+    np.maximum(gl, gu, out=rows.a_up[0])
     last = len(model.shared_weights) - 1
     for layer, (w, b) in enumerate(zip(model.shared_weights, model.shared_biases)):
         if layer == last:
-            z_low_out = a_low[-1] @ w.T + b
-            z_up_out = a_up[-1] @ w.T + b
+            nets = (rows.z_low, rows.z_up)
         else:
-            a_low.append(np.tanh(a_low[-1] @ w.T + b))
-            a_up.append(np.tanh(a_up[-1] @ w.T + b))
-    out = logsig(0.5 * (z_low_out + z_up_out))[:, 0]
-    return out, gl, gu, a_low, a_up
+            nets = (rows.a_low[layer + 1], rows.a_up[layer + 1])
+        for a, z in zip((rows.a_low[layer], rows.a_up[layer]), nets):
+            np.matmul(a, w.T, out=z)
+            z += b
+            if layer < last:
+                np.tanh(z, out=z)
+    out = rows.z_low
+    out += rows.z_up
+    out *= 0.5
+    _logsig_inplace(out, rows.z_up, rows.negative)
+    return out[:, 0]
 
 
 def scores(model: RnnModel, table: IntervalTable) -> np.ndarray:
     """Healthy-class score in (0, 1) per interval row; class 1 iff >= 0.5."""
     if table.n_attributes != model.input_width:
         raise ShapeError(f"expected width {model.input_width}, got {table.n_attributes}")
-    out, *_ = _forward_cache(model, table.lower, table.upper)
-    return out
+    return _forward(model, RoughBuffers(model, table.lower, table.upper))
 
 
-def _gradients(model: RnnModel, xl, xu, targets):
-    out, gl, gu, a_low, a_up = _forward_cache(model, xl, xu)
-    err = float(np.mean((out - targets) ** 2))
-    n = xl.shape[0]
-    # same multiplication order as the point network's output delta, so the
-    # all-degenerate case reproduces it bit for bit
-    out2 = out[:, None]
-    delta_out = (2.0 / n) * (out - targets)[:, None] * (out2 * (1.0 - out2))
-    d_low = 0.5 * delta_out
-    d_up = 0.5 * delta_out
-    grads_w = [None] * len(model.shared_weights)
-    grads_b = [None] * len(model.shared_weights)
-    for layer in range(len(model.shared_weights) - 1, -1, -1):
+def _gradients(model: RnnModel, rows: RoughBuffers, targets):
+    """Mean-squared-error value and one gradient per parameter name, written
+    into the `backward` buffers `rows`."""
+    np.subtract(_forward(model, rows), targets, out=rows.resid)
+    grads = rows.grads
+    # the point network's output delta, so the all-degenerate case reproduces
+    # it bit for bit; each channel gets half
+    d_low, d_up = rows.d_low[-1], rows.d_up[-1]
+    _output_delta(rows.z_low, rows.resid, d_low, d_up)
+    np.multiply(0.5, d_low, out=d_up)
+    d_low *= 0.5
+    err = _mean_square(rows.resid)
+    last = len(model.shared_weights) - 1
+    for layer in range(last, -1, -1):
         w = model.shared_weights[layer]
-        if layer < len(model.shared_weights) - 1:
-            d_low = d_low * (1.0 - a_low[layer + 1] ** 2)
-            d_up = d_up * (1.0 - a_up[layer + 1] ** 2)
-        grads_w[layer] = d_low.T @ a_low[layer] + d_up.T @ a_up[layer]
-        grads_b[layer] = (d_low + d_up).sum(axis=0)
-        d_low = d_low @ w
-        d_up = d_up @ w
-    # d_low / d_up now sit at the min / max node outputs
-    up_gt = gu > gl
-    lo_gt = gl > gu
-    tie = ~(up_gt | lo_gt)
-    d_gu = d_up * (up_gt | tie) + d_low * (lo_gt | tie)
-    d_gl = d_up * (lo_gt | tie) + d_low * (up_gt | tie)
-    d_zu = d_gu * (1.0 - gu**2)
-    d_zl = d_gl * (1.0 - gl**2)
+        d_low, d_up = rows.d_low[layer + 1], rows.d_up[layer + 1]
+        if layer < last:
+            d_low *= _tanh_slope(rows.a_low[layer + 1])
+            d_up *= _tanh_slope(rows.a_up[layer + 1])
+        g_w = np.matmul(d_low.T, rows.a_low[layer], out=grads[f"w{layer + 1}"])
+        g_w += np.matmul(d_up.T, rows.a_up[layer], out=rows.pair[layer])
+        np.matmul(d_low, w, out=rows.d_low[layer])
+        np.matmul(d_up, w, out=rows.d_up[layer])
+        d_low += d_up
+        np.sum(d_low, axis=0, out=grads[f"b{layer + 1}"])
+    # the deltas now sit at the min / max node outputs; at a tie both flow
+    # to both branches: d_gu = d_up*(up|tie) + d_low*(low|tie), and
+    # d_gl = d_up*(low|tie) + d_low*(up|tie), where up|tie is not gl > gu
+    gl, gu = rows.gl, rows.gu
+    d_low, d_up = rows.d_low[0], rows.d_up[0]
+    up, low = rows.up_or_tie, rows.low_or_tie
+    np.logical_not(np.greater(gl, gu, out=up), out=up)
+    np.logical_not(np.greater(gu, gl, out=low), out=low)
+    d_zu = np.multiply(d_up, up, out=rows.a_low[0])
+    d_zu += np.multiply(d_low, low, out=rows.a_up[0])
+    d_zl = d_up
+    d_zl *= low
+    d_low *= up
+    d_zl += d_low
+    d_zu *= _tanh_slope(gu)
+    d_zl *= _tanh_slope(gl)
     if model.connection == "inhibitory":
-        g_lower_w, g_upper_w = -(d_zl.T @ xu), -(d_zu.T @ xl)
+        np.negative(np.matmul(d_zl.T, rows.xu, out=grads["lower_w"]), out=grads["lower_w"])
+        np.negative(np.matmul(d_zu.T, rows.xl, out=grads["upper_w"]), out=grads["upper_w"])
     else:
-        g_lower_w, g_upper_w = d_zl.T @ xl, d_zu.T @ xu
-    grads = {
-        "lower_w": g_lower_w,
-        "lower_b": d_zl.sum(axis=0),
-        "upper_w": g_upper_w,
-        "upper_b": d_zu.sum(axis=0),
-    }
+        np.matmul(d_zl.T, rows.xl, out=grads["lower_w"])
+        np.matmul(d_zu.T, rows.xu, out=grads["upper_w"])
+    np.sum(d_zl, axis=0, out=grads["lower_b"])
+    np.sum(d_zu, axis=0, out=grads["upper_b"])
     if model.connection == "full":
-        grads["lower_cross"] = d_zl.T @ xu
-        grads["upper_cross"] = d_zu.T @ xl
-    return err, {**grads, **layer_params(grads_w, grads_b, start=1)}
+        np.matmul(d_zl.T, rows.xu, out=grads["lower_cross"])
+        np.matmul(d_zu.T, rows.xl, out=grads["upper_cross"])
+    return err, grads
 
 
-def _error(model: RnnModel, xl, xu, targets) -> float:
-    out, *_ = _forward_cache(model, xl, xu)
-    return float(np.mean((out - targets) ** 2))
+def _error(model: RnnModel, rows: RoughBuffers, targets) -> float:
+    np.subtract(_forward(model, rows), targets, out=rows.resid)
+    return _mean_square(rows.resid)
 
 
 def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -> RnnModel:
@@ -289,11 +355,14 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
         trace=TrainingTrace(),
     )
 
+    train_rows = RoughBuffers(model, xl_train, xu_train, backward=True)
+    val_rows = RoughBuffers(model, xl_val, xu_val)
+
     def gradients():
-        return _gradients(model, xl_train, xu_train, d_train)
+        return _gradients(model, train_rows, d_train)
 
     def val_error():
-        return _error(model, xl_val, xu_val, d_val)
+        return _error(model, val_rows, d_val)
 
     descend(model.params, gradients, val_error if val_idx.size else None, cfg, model.trace)
     model.trace.train_time = time.perf_counter() - started

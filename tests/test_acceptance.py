@@ -215,7 +215,8 @@ def test_criterion_06_bpnn_gradients_and_xor():
         biases = [rng.normal(size=2), rng.normal(size=1)]
         x = rng.normal(size=(5, 3))
         d = rng.integers(0, 2, 5).astype(float)
-        _, grads_w, _ = bpnn.batch_gradients(weights, biases, x, d)
+        rows = bpnn.LayerBuffers(x, weights, backward=True)
+        _, grads_w, _ = bpnn.batch_gradients(weights, biases, rows, d)
         h = 1e-5
         for layer in range(2):
             for idx in np.ndindex(weights[layer].shape):
@@ -224,7 +225,8 @@ def test_criterion_06_bpnn_gradients_and_xor():
                 plus[layer][idx] += h
                 minus[layer][idx] -= h
                 numeric = (
-                    bpnn._mse(plus, biases, x, d) - bpnn._mse(minus, biases, x, d)
+                    bpnn._mse(plus, biases, bpnn.LayerBuffers(x, plus), d)
+                    - bpnn._mse(minus, biases, bpnn.LayerBuffers(x, minus), d)
                 ) / (2 * h)
                 analytic = grads_w[layer][idx]
                 scale = max(abs(numeric), abs(analytic), 1e-8)
@@ -307,8 +309,9 @@ def test_criterion_08_rnn():
         )
         mid = rng.normal(size=(100, m))
         spread = np.abs(rng.normal(size=(100, m)))
-        zl, zu = rnn._rough_nets(model, mid - spread, mid + spread)
-        gl, gu = np.tanh(zl), np.tanh(zu)
+        rows = rnn.RoughBuffers(model, mid - spread, mid + spread)
+        rnn._forward(model, rows)
+        gl, gu = rows.gl, rows.gu
         assert np.all(np.maximum(gl, gu) - np.minimum(gl, gu) >= 0.0)
         checked += gl.size
     assert checked >= 10_000

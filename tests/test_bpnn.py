@@ -80,6 +80,10 @@ class TestForward:
             bpnn.scores(model, [[1.0, 2.0]])
 
 
+def _mse(weights, biases, x, d):
+    return bpnn._mse(weights, biases, bpnn.LayerBuffers(x, weights), d)
+
+
 class TestGradients:
     def test_matches_central_differences(self, rng):
         for _ in range(20):
@@ -87,7 +91,8 @@ class TestGradients:
             biases = [rng.normal(size=2), rng.normal(size=1)]
             x = rng.normal(size=(5, 3))
             d = rng.integers(0, 2, 5).astype(float)
-            _, grads_w, grads_b = bpnn.batch_gradients(weights, biases, x, d)
+            rows = bpnn.LayerBuffers(x, weights, backward=True)
+            _, grads_w, grads_b = bpnn.batch_gradients(weights, biases, rows, d)
             h = 1e-5
             for layer in range(2):
                 for idx in np.ndindex(weights[layer].shape):
@@ -95,8 +100,8 @@ class TestGradients:
                     w_minus = [w.copy() for w in weights]
                     w_plus[layer][idx] += h
                     w_minus[layer][idx] -= h
-                    e_plus = bpnn._mse(w_plus, biases, x, d)
-                    e_minus = bpnn._mse(w_minus, biases, x, d)
+                    e_plus = _mse(w_plus, biases, x, d)
+                    e_minus = _mse(w_minus, biases, x, d)
                     numeric = (e_plus - e_minus) / (2 * h)
                     analytic = grads_w[layer][idx]
                     scale = max(abs(numeric), abs(analytic), 1e-8)
@@ -107,11 +112,12 @@ class TestGradients:
         biases = [rng.normal(size=3), rng.normal(size=1)]
         x = rng.normal(size=(12, 4))
         d = rng.integers(0, 2, 12).astype(float)
-        err0, grads_w, grads_b = bpnn.batch_gradients(weights, biases, x, d)
+        rows = bpnn.LayerBuffers(x, weights, backward=True)
+        err0, grads_w, grads_b = bpnn.batch_gradients(weights, biases, rows, d)
         eta = 1e-6
         stepped_w = [w - eta * g for w, g in zip(weights, grads_w)]
         stepped_b = [b - eta * g for b, g in zip(biases, grads_b)]
-        err1 = bpnn._mse(stepped_w, stepped_b, x, d)
+        err1 = _mse(stepped_w, stepped_b, x, d)
         assert err1 - err0 <= 1e-12
 
 

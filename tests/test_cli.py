@@ -164,6 +164,27 @@ class TestMatrix:
             assert "Average Accuracy (%)" not in result.output
             assert "FAILED" not in result.output
 
+    def test_nonpositive_svm_c_and_tol_exit_2_before_any_cell(self, tmp_path):
+        for key in ("c", "tol"):
+            ini = tmp_path / "exp.ini"
+            ini.write_text(MATRIX_INI + f"{key} = -1\n")
+            result = _invoke("matrix", "--config", str(ini))
+            assert result.exit_code == 2, result.output
+            assert f"config error: {ini}: svm_{key} must be positive" in result.stderr
+            assert "Average Accuracy (%)" not in result.output
+
+    def test_config_errors_name_the_file(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        for text, message in (
+            (MATRIX_INI + "\n[rnn]\nconnection = bogus\n", "rnn_connection must be one of"),
+            (MATRIX_INI.replace("gamma = 0.5", "gamma = -1"), "rbf gamma must be positive"),
+            (MATRIX_INI + "\n[svm]\ngamma = 1\n", "While reading from"),
+        ):
+            ini.write_text(text)
+            result = _invoke("matrix", "--config", str(ini))
+            assert result.exit_code == 2, result.output
+            assert result.stderr.startswith(f"config error: {ini}: {message}"), result.stderr
+
     def test_csv_data_source(self, tmp_path):
         src = tmp_path / "rows.csv"
         _invoke("synth", "-n", "60", "--seed", "8", "--out", str(src))

@@ -59,6 +59,13 @@ def _random_mlp(rng, width=3, hidden=(4, 3)):
     return bpnn.MlpModel(weights, biases, width, hidden, bpnn.TrainingTrace(stop_reason="t"))
 
 
+def _channel_outputs(model: RnnModel, xl, xu):
+    """The rough first layer's tanh outputs (gl, gu) of a forward pass."""
+    rows = rnn.RoughBuffers(model, xl, xu)
+    rnn._forward(model, rows)
+    return rows.gl, rows.gu
+
+
 class TestIntervalize:
     def test_constant_cell_degenerate(self):
         cats = make_categorical([[1, 1, 2]], [0, 1, 0])
@@ -117,7 +124,7 @@ class TestIntervalize:
 
 class TestRoughNeuronOutput:
     """The (lower, upper) outputs of the rough first layer, `a_low[0]` and
-    `a_up[0]` of `_forward_cache`, on a one-unit layer whose nets are the
+    `a_up[0]` of a forward pass's buffers, on a one-unit layer whose nets are the
     inputs times `weight`."""
 
     @staticmethod
@@ -131,8 +138,10 @@ class TestRoughNeuronOutput:
         )
         xl = np.asarray(net_lower, dtype=float).reshape(-1, 1)
         xu = np.asarray(net_upper, dtype=float).reshape(-1, 1)
-        _, _, _, a_low, a_up = rnn._forward_cache(_model_from_mlp(mlp), xl, xu)
-        return a_low[0][:, 0], a_up[0][:, 0]
+        model = _model_from_mlp(mlp)
+        rows = rnn.RoughBuffers(model, xl, xu)
+        rnn._forward(model, rows)
+        return rows.a_low[0][:, 0], rows.a_up[0][:, 0]
 
     def test_degenerate_zero(self):
         lo, hi = self._first_layer([0.0], [0.0])
@@ -169,8 +178,7 @@ class TestForward:
             mid = rng.normal(size=4)
             spread = np.abs(rng.normal(size=4))
             xl, xu = (mid - spread)[None, :], (mid + spread)[None, :]
-            zl, zu = rnn._rough_nets(model, xl, xu)
-            gl, gu = np.tanh(zl), np.tanh(zu)
+            gl, gu = _channel_outputs(model, xl, xu)
             assert np.all(np.maximum(gl, gu) >= np.minimum(gl, gu))
 
     def test_widening_grows_spread_on_1_1_1(self):
@@ -187,8 +195,7 @@ class TestForward:
             for width in (0.0, 0.5, 1.0, 2.0):
                 xl = np.array([[-width]])
                 xu = np.array([[width]])
-                zl, zu = rnn._rough_nets(model, xl, xu)
-                gl, gu = np.tanh(zl), np.tanh(zu)
+                gl, gu = _channel_outputs(model, xl, xu)
                 spread = (np.maximum(gl, gu) - np.minimum(gl, gu)).item()
                 assert spread > last
                 last = spread
@@ -216,11 +223,11 @@ class TestGradients:
             mid = rng.normal(size=(4, 2))
             spread = 0.5 + np.abs(rng.normal(size=(4, 2)))  # wide: keeps channels apart
             xl, xu = mid - spread, mid + spread
-            zl, zu = rnn._rough_nets(model, xl, xu)
-            if np.abs(np.tanh(zu) - np.tanh(zl)).min() <= 1e-6:
+            gl, gu = _channel_outputs(model, xl, xu)
+            if np.abs(gu - gl).min() <= 1e-6:
                 continue
             targets = rng.integers(0, 2, 4).astype(float)
-            _, grads = rnn._gradients(model, xl, xu, targets)
+            _, grads = rnn._gradients(model, rnn.RoughBuffers(model, xl, xu, backward=True), targets)
             h = 1e-5
             for field in ("lower_w", "upper_w"):
                 w = getattr(model, field)
@@ -229,11 +236,11 @@ class TestGradients:
                     w_mut = w.copy()
                     w_mut[idx] = orig + h
                     setattr(model, field, w_mut)
-                    e_plus = rnn._error(model, xl, xu, targets)
+                    e_plus = rnn._error(model, rnn.RoughBuffers(model, xl, xu), targets)
                     w_mut = w.copy()
                     w_mut[idx] = orig - h
                     setattr(model, field, w_mut)
-                    e_minus = rnn._error(model, xl, xu, targets)
+                    e_minus = rnn._error(model, rnn.RoughBuffers(model, xl, xu), targets)
                     setattr(model, field, w)
                     numeric = (e_plus - e_minus) / (2 * h)
                     analytic = grads[field][idx]
