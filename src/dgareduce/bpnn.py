@@ -185,10 +185,10 @@ def _tanh_slope(a: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, a, out=a)
 
 
-def _output_delta(a: np.ndarray, resid: np.ndarray, delta: np.ndarray, scratch: np.ndarray) -> None:
-    """The logsig output's delta (2 / n) * resid * (a * (1 - a)) over n rows,
-    written into `delta`; `scratch` is an array of a's shape."""
-    np.multiply(2.0 / resid.shape[0], resid[:, None], out=delta)
+def _output_delta(a: np.ndarray, resid: np.ndarray, n: int, delta: np.ndarray, scratch: np.ndarray) -> None:
+    """The logsig output's delta (2 / n) * resid * (a * (1 - a)) for a mean
+    over n rows, written into `delta`; `scratch` is an array of a's shape."""
+    np.multiply(2.0 / n, resid[:, None], out=delta)
     np.subtract(1.0, a, out=scratch)
     scratch *= a
     delta *= scratch
@@ -213,7 +213,7 @@ def batch_gradients(weights, biases, rows: LayerBuffers, targets):
     np.subtract(_forward(weights, biases, rows), targets, out=rows.resid)
     acts, deltas = rows.acts, rows.deltas
     delta = deltas[-1]
-    _output_delta(acts[-1], rows.resid, delta, rows.expo)
+    _output_delta(acts[-1], rows.resid, len(targets), delta, rows.expo)
     err = _mean_square(rows.resid)
     for layer in range(len(weights) - 1, -1, -1):
         np.matmul(delta.T, acts[layer], out=rows.grads_w[layer])
@@ -234,12 +234,14 @@ def descend(params: dict, gradients, val_error, cfg: MlpConfig, trace: TrainingT
     with goal / early-stop / epoch-budget exits recorded on `trace`.
 
     `gradients()` returns the training error and one gradient per parameter
-    name.  `val_error()` returns the validation error; pass None when there is
-    no validation part.  With one, the parameters end at the epoch with the
-    lowest validation error.
+    name; descend scales those gradient arrays in place by the learning rate,
+    so they must be rewritten by the next call.  `val_error()` returns the
+    validation error; pass None when there is no validation part.  With one,
+    the parameters end at the epoch with the lowest validation error, kept in
+    snapshot arrays allocated once.
     """
     best_val = np.inf
-    best = {}
+    best = {name: np.empty_like(p) for name, p in params.items()}
     strikes = 0
     trace.stop_reason = STOP_EPOCHS
     for epoch in range(1, cfg.epochs + 1):
@@ -255,7 +257,8 @@ def descend(params: dict, gradients, val_error, cfg: MlpConfig, trace: TrainingT
             if val_err < best_val:
                 best_val = val_err
                 trace.best_epoch = epoch
-                best = {name: p.copy() for name, p in params.items()}
+                for name, p in params.items():
+                    np.copyto(best[name], p)
             if epoch > 1 and trace.val_errors[-1] > trace.val_errors[-2]:
                 strikes += 1
             else:
@@ -267,12 +270,13 @@ def descend(params: dict, gradients, val_error, cfg: MlpConfig, trace: TrainingT
             trace.stop_reason = STOP_EARLY
             break
         for name, p in params.items():
-            p -= cfg.learning_rate * grads[name]
+            grads[name] *= cfg.learning_rate
+            p -= grads[name]
     if val_error is None:
         trace.best_epoch = trace.epochs_run
     else:
         for name, p in params.items():
-            p[...] = best[name]
+            np.copyto(p, best[name])
 
 
 def train(data: Table, cfg: MlpConfig) -> MlpModel:

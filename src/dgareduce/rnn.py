@@ -10,12 +10,22 @@ simulated separately through the shared stack.  At an exact activation tie the
 gradient of both the min and max nodes flows to both branches, which keeps the
 two channels identical whenever their inputs and weights are identical.
 
+Rows with the same category pattern get the same (lower, upper) input, so a
+block of rows holds few distinct interval rows: a one-gas cell at most 4, a
+ten-gas README training fold about 240 of its 1,318 rows.  The network runs
+once per distinct row, and training weights each one by its row count (see
+`RoughBuffers`), so an epoch costs in distinct rows, not in rows.
+
 As in the point network, a training owns its buffers (`RoughBuffers`), one
 set for the training rows and one for the validation rows, rewritten in
 place by every epoch.  With h1 the first hidden width, the training set holds
-(2 * h1 + 4 * sum(hidden) + 5) float64 per row and the validation set
-(2 * h1 + 2 * sum(hidden) + 3), plus h1 each for the full connection's cross
-nets: at hidden (20, 30) and 1,120 training rows that is 2.2 MB.
+(2 * h1 + 4 * sum(hidden) + 6) float64 per distinct row and the validation
+set (2 * h1 + 2 * sum(hidden) + 4), plus h1 each for the full connection's
+cross nets and, when rows repeat, a copy of the distinct rows' bounds; each
+set also keeps one int64 group index per row.  At hidden (20, 30) the
+training set of a one-gas cell's 2 distinct rows takes 4 KB plus 10 KB of
+indices, and that of 240 distinct rows 0.5 MB, where 1,318 rows held one
+each would take 2.6 MB.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ from .bpnn import (
     layer_params,
     layer_shapes,
     _logsig_inplace,
-    _mean_square,
     _output_delta,
     _tanh_slope,
 )
@@ -83,45 +92,54 @@ class IntervalTable:
         return bool(np.array_equal(self.lower, self.upper))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Intervalizer:
-    """Per (attribute, category) extrema of standardized values, fitted once.
+    """Per (attribute, category) extrema of standardized values, fitted once:
+    `lower[j, c]` and `upper[j, c]` span the rows of attribute j in category
+    c (1..4), nan where c was unseen at fit time.
 
     Applying to new rows looks up the fitted cell span; a category unseen at
     fit time yields a degenerate interval around the row's own value.
     """
 
     attributes: tuple[str, ...]
-    spans: dict
+    lower: np.ndarray
+    upper: np.ndarray
 
     @classmethod
     def fit(cls, categories: CategoricalTable, standardized: Table) -> "Intervalizer":
         _check_aligned(categories, standardized)
-        spans = {}
-        for j in range(len(categories.attributes)):
-            cat_col = categories.values[:, j]
-            std_col = standardized.values[:, j]
-            for value in np.unique(cat_col):
-                cell = std_col[cat_col == value]
-                spans[(j, int(value))] = (float(cell.min()), float(cell.max()))
-        return cls(tuple(categories.attributes), spans)
+        cells = _cells(categories)
+        shape = (len(categories.attributes), 5)
+        lower, upper = np.full(shape, np.inf), np.full(shape, -np.inf)
+        np.minimum.at(lower, cells, standardized.values)
+        np.maximum.at(upper, cells, standardized.values)
+        unseen = lower > upper
+        lower[unseen] = upper[unseen] = np.nan
+        return cls(tuple(categories.attributes), lower, upper)
+
+    @property
+    def spans(self) -> dict[tuple[int, int], tuple[float, float]]:
+        """(lower, upper) per (attribute index, category) seen at fit time."""
+        return {
+            (int(j), int(c)): (float(self.lower[j, c]), float(self.upper[j, c]))
+            for j, c in zip(*np.nonzero(~np.isnan(self.lower)))
+        }
 
     def apply(self, categories: CategoricalTable, standardized: Table) -> IntervalTable:
         _check_aligned(categories, standardized)
         if categories.attributes != self.attributes:
             raise ShapeError("attributes do not match the fitted intervalizer")
-        lower = standardized.values.copy()
-        upper = standardized.values.copy()
-        for j in range(standardized.values.shape[1]):
-            cat_col = categories.values[:, j]
-            for value in np.unique(cat_col):
-                span = self.spans.get((j, int(value)))
-                if span is None:
-                    continue
-                mask = cat_col == value
-                lower[mask, j] = span[0]
-                upper[mask, j] = span[1]
+        cells = _cells(categories)
+        lower, upper = self.lower[cells], self.upper[cells]
+        unseen = np.isnan(lower)
+        lower[unseen] = upper[unseen] = standardized.values[unseen]
         return IntervalTable(lower, upper, standardized.decisions, self.attributes)
+
+
+def _cells(categories: CategoricalTable) -> tuple[np.ndarray, np.ndarray]:
+    """The (attribute, category) index of every cell, for a (width, 5) lookup."""
+    return np.arange(categories.n_attributes), categories.values
 
 
 def _check_aligned(categories: CategoricalTable, standardized: Table) -> None:
@@ -171,6 +189,11 @@ class RoughBuffers:
     """The arrays one block of interval rows needs in `model`'s network,
     allocated once and rewritten by every pass over those rows.
 
+    The block is held as its distinct (lower, upper) rows, matched bit for
+    bit and kept in order of first occurrence: `xl`/`xu` hold one row per
+    group, `inverse` maps each of the `n` rows to its group and `counts`
+    holds each group's row count.  Every other array has one row per group.
+
     Forward passes fill `gl`/`gu` (the first layer's channel nets, then
     their tanh), `a_low`/`a_up` (each layer's min- and max-channel outputs)
     and the two output nets.  With `backward`, a gradient step also fills
@@ -180,24 +203,43 @@ class RoughBuffers:
     """
 
     def __init__(self, model: RnnModel, xl: np.ndarray, xu: np.ndarray, backward: bool = False):
-        n = xl.shape[0]
+        self.n = xl.shape[0]
+        firsts, self.inverse = _distinct_rows(xl, xu)
+        g = firsts.shape[0]
+        self.counts = np.bincount(self.inverse, minlength=g).astype(float)
+        self.xl, self.xu = (xl, xu) if g == self.n else (xl[firsts], xu[firsts])
         first = model.hidden[0]
-        self.xl, self.xu = xl, xu
-        self.gl, self.gu = np.empty((n, first)), np.empty((n, first))
-        self.cross = np.empty((n, first)) if model.connection == "full" else None
-        self.a_low = [np.empty((n, k)) for k in model.hidden]
-        self.a_up = [np.empty((n, k)) for k in model.hidden]
-        self.z_low, self.z_up = np.empty((n, 1)), np.empty((n, 1))
-        self.negative = np.empty((n, 1), dtype=bool)
-        self.resid = np.empty(n)
+        self.gl, self.gu = np.empty((g, first)), np.empty((g, first))
+        self.cross = np.empty((g, first)) if model.connection == "full" else None
+        self.a_low = [np.empty((g, k)) for k in model.hidden]
+        self.a_up = [np.empty((g, k)) for k in model.hidden]
+        self.z_low, self.z_up = np.empty((g, 1)), np.empty((g, 1))
+        self.negative = np.empty((g, 1), dtype=bool)
+        self.resid = np.empty(g)
         if backward:
             widths = model.hidden + (1,)
-            self.d_low = [np.empty((n, k)) for k in widths]
-            self.d_up = [np.empty((n, k)) for k in widths]
-            self.up_or_tie = np.empty((n, first), dtype=bool)
-            self.low_or_tie = np.empty((n, first), dtype=bool)
+            self.d_low = [np.empty((g, k)) for k in widths]
+            self.d_up = [np.empty((g, k)) for k in widths]
+            self.up_or_tie = np.empty((g, first), dtype=bool)
+            self.low_or_tie = np.empty((g, first), dtype=bool)
             self.grads = {name: np.empty_like(p) for name, p in model.params.items()}
             self.pair = [np.empty_like(w) for w in model.shared_weights]
+
+    def target_sums(self, targets: np.ndarray) -> np.ndarray:
+        """Each group's sum of the per-row `targets`."""
+        return np.bincount(self.inverse, weights=targets, minlength=self.counts.shape[0])
+
+
+def _distinct_rows(xl: np.ndarray, xu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each bitwise-distinct (lower, upper) row's first
+    occurrence, in row order, and the group index of every row."""
+    pairs = np.ascontiguousarray(np.hstack((xl, xu)))
+    keys = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1])))[:, 0]
+    _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return firsts[order], rank[inverse]
 
 
 def _rough_nets(model: RnnModel, rows: RoughBuffers) -> None:
@@ -248,21 +290,29 @@ def scores(model: RnnModel, table: IntervalTable) -> np.ndarray:
     """Healthy-class score in (0, 1) per interval row; class 1 iff >= 0.5."""
     if table.n_attributes != model.input_width:
         raise ShapeError(f"expected width {model.input_width}, got {table.n_attributes}")
-    return _forward(model, RoughBuffers(model, table.lower, table.upper))
+    rows = RoughBuffers(model, table.lower, table.upper)
+    return _forward(model, rows)[rows.inverse]
 
 
 def _gradients(model: RnnModel, rows: RoughBuffers, targets):
-    """Mean-squared-error value and one gradient per parameter name, written
-    into the `backward` buffers `rows`."""
-    np.subtract(_forward(model, rows), targets, out=rows.resid)
+    """Mean-squared-error value over the rows and one gradient per parameter
+    name, written into the `backward` buffers `rows`.
+
+    A group's output residual is the sum of its rows' residuals,
+    count * output - target sum, so each group stands for all its rows.
+    """
+    out = _forward(model, rows)
+    sums = rows.target_sums(targets)
+    np.multiply(rows.counts, out, out=rows.resid)
+    rows.resid -= sums
     grads = rows.grads
-    # the point network's output delta, so the all-degenerate case reproduces
-    # it bit for bit; each channel gets half
+    # the point network's output delta, so the all-degenerate case without
+    # repeated rows reproduces it bit for bit; each channel gets half
     d_low, d_up = rows.d_low[-1], rows.d_up[-1]
-    _output_delta(rows.z_low, rows.resid, d_low, d_up)
+    _output_delta(rows.z_low, rows.resid, rows.n, d_low, d_up)
     np.multiply(0.5, d_low, out=d_up)
     d_low *= 0.5
-    err = _mean_square(rows.resid)
+    err = _grouped_mean_square(rows, out, sums)
     last = len(model.shared_weights) - 1
     for layer in range(last, -1, -1):
         w = model.shared_weights[layer]
@@ -307,8 +357,22 @@ def _gradients(model: RnnModel, rows: RoughBuffers, targets):
 
 
 def _error(model: RnnModel, rows: RoughBuffers, targets) -> float:
-    np.subtract(_forward(model, rows), targets, out=rows.resid)
-    return _mean_square(rows.resid)
+    return _grouped_mean_square(rows, _forward(model, rows), rows.target_sums(targets))
+
+
+def _grouped_mean_square(rows: RoughBuffers, out: np.ndarray, sums: np.ndarray) -> float:
+    """The mean square of output - target over the rows of 0/1 targets, from
+    the group outputs and target sums s: (1 / n) * sum over the groups of
+    count * (output - mean target)^2 + s * (1 - mean target).  It overwrites
+    `rows.resid`."""
+    mean = np.divide(sums, rows.counts)
+    resid = np.subtract(out, mean, out=rows.resid)
+    np.square(resid, out=resid)
+    resid *= rows.counts
+    np.subtract(1.0, mean, out=mean)
+    mean *= sums
+    resid += mean
+    return float(np.sum(resid)) / rows.n
 
 
 def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -> RnnModel:
@@ -316,7 +380,8 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
     rules (see `bpnn.descend`).
 
     With every interval degenerate a no-uncertainty warning is emitted and the
-    run reproduces a point-network training of the same seed exactly.
+    run reproduces a point-network training of the same seed: exactly when
+    no row repeats, else up to the rounding of summing a group's rows at once.
     """
     if connection not in CONNECTIONS:
         raise ParameterError(f"connection must be one of {CONNECTIONS}")

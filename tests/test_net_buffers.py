@@ -1,14 +1,15 @@
-"""Buffered training steps: bit-identity with the allocating formulas, no
-state carried between epochs or trainings, and a bounded allocation peak."""
+"""Buffered training steps: bit-identity with the allocating formulas,
+grouped rough-network rows against the per-row formulas, no state carried
+between epochs or trainings, and a bounded allocation peak."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dgareduce import bpnn, rnn
+from dgareduce import bpnn, pipeline, rnn
 from dgareduce.bpnn import MlpConfig
-from dgareduce.dataset import Table
+from dgareduce.dataset import Discretizer, Table, standardize, synth_generate
 from dgareduce.rnn import IntervalTable, RnnModel
 
 
@@ -197,6 +198,51 @@ class TestBitIdentity:
         val = rnn.RoughBuffers(model, xl[:40], xu[:40])
         want = float(np.mean((ref_out[:40] - d[:40]) ** 2))
         assert rnn._error(model, val, d[:40]) == want
+
+
+class TestGroupedRows:
+    """Rows with bitwise-equal (lower, upper) inputs share one buffer row,
+    weighted by their count; the result matches the per-row formulas."""
+
+    @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
+    def test_duplicate_rows_match_reference(self, connection):
+        rng = np.random.default_rng(23)
+        patterns = 7
+        lower, upper = _intervals_with_ties(rng, patterns, 10)
+        picks = rng.permutation(np.r_[np.arange(patterns), rng.integers(0, patterns, 113)])
+        xl, xu = lower[picks], upper[picks]
+        d = rng.integers(0, 2, picks.shape[0]).astype(float)
+        model = _rnn_model(rng, 10, (20, 30), connection)
+        ref_out, ref_gl, ref_gu, _, _ = _ref_rnn_forward(model, xl, xu)
+        assert np.any(ref_gl == ref_gu) and np.any(ref_gl != ref_gu)
+        rows = rnn.RoughBuffers(model, xl, xu, backward=True)
+        assert rows.n == 120 and rows.xl.shape[0] == rows.gl.shape[0] == patterns
+        for _ in range(2):
+            err, grads = rnn._gradients(model, rows, d)
+            ref_err, ref_grads = _ref_rnn_gradients(model, xl, xu, d)
+            assert err == pytest.approx(ref_err, rel=1e-12, abs=0)
+            assert grads.keys() == ref_grads.keys()
+            # relative to each array's largest entry: an entry that sums rows
+            # of both signs can be far smaller than its rounding in either order
+            for name, want in ref_grads.items():
+                scale = 1e-12 * np.abs(want).max()
+                np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=scale, err_msg=name)
+        val = rnn.RoughBuffers(model, xl[:40], xu[:40])
+        want = float(np.mean((ref_out[:40] - d[:40]) ** 2))
+        assert rnn._error(model, val, d[:40]) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_one_gas_fold_holds_at_most_four_rows(self):
+        gas = synth_generate(1600, 0.5, 0.25, seed=0)
+        reducer = pipeline.fit_reducer(gas, "rs", pipeline.ExperimentConfig(), seed=0)
+        one_gas = reducer.transform(gas)
+        assert one_gas.n_attributes == 1
+        std, _ = standardize(one_gas)
+        cats = Discretizer.fit(one_gas).apply(one_gas)
+        iv = rnn.Intervalizer.fit(cats, std).apply(cats, std)
+        model = _rnn_model(np.random.default_rng(0), 1, (20, 30), "full")
+        rows = rnn.RoughBuffers(model, iv.lower, iv.upper, backward=True)
+        assert rows.n == 1600 and rows.counts.sum() == 1600
+        assert rows.xl.shape[0] == rows.gl.shape[0] == rows.d_low[0].shape[0] <= 4
 
 
 class TestRepeatTraining:

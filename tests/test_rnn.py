@@ -117,6 +117,32 @@ class TestIntervalize:
         if 4 not in seen:
             assert np.all(out.lower == out.upper)
 
+    def test_lookup_matches_loop_reference(self, rng):
+        """The (width, 5) span lookup selects exactly what a per-(attribute,
+        category) mask loop selects, unseen categories included."""
+
+        def loop_apply(fit_cats, fit_std, cats, std):
+            lower, upper = std.values.copy(), std.values.copy()
+            for j in range(std.n_attributes):
+                for value in np.unique(cats.values[:, j]):
+                    cell = fit_std.values[fit_cats.values[:, j] == value, j]
+                    if cell.size:
+                        mask = cats.values[:, j] == value
+                        lower[mask, j], upper[mask, j] = cell.min(), cell.max()
+            return lower, upper
+
+        for _ in range(20):
+            cats, std = _aligned_pair(rng, n=int(rng.integers(1, 60)), m=int(rng.integers(1, 6)))
+            probe_cats, probe_std = _aligned_pair(rng, n=30, m=cats.n_attributes)
+            probe_cats = CategoricalTable(
+                rng.integers(1, 5, size=probe_cats.values.shape), probe_cats.decisions, cats.attributes
+            )
+            fitted = Intervalizer.fit(cats, std)
+            for c, s in ((cats, std), (probe_cats, probe_std)):
+                out = fitted.apply(c, s)
+                lower, upper = loop_apply(cats, std, c, s)
+                assert np.array_equal(out.lower, lower) and np.array_equal(out.upper, upper)
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValidationError):
             IntervalTable([[1.0]], [[0.0]], [1], ("a1",))
@@ -208,6 +234,21 @@ class TestForward:
         a = rnn.scores(model, _one_row(lo, hi))
         b = rnn.scores(model, _one_row(lo.copy(), hi.copy()))
         assert np.array_equal(a, b)
+
+    def test_repeated_shuffled_rows_score_as_their_distinct_rows(self, rng):
+        model = _model_from_mlp(_random_mlp(rng))
+        mid = rng.normal(size=(5, 3))
+        spread = np.abs(rng.normal(size=(5, 3)))
+        spread[0] = 0.0
+        lower, upper = mid - spread, mid + spread
+        picks = rng.permutation(np.r_[np.arange(5), rng.integers(0, 5, 35)])
+        names = ("a1", "a2", "a3")
+        got = rnn.scores(model, IntervalTable(lower[picks], upper[picks], picks % 2, names))
+        # the distinct rows in order of first occurrence
+        distinct = picks[np.sort(np.unique(picks, return_index=True)[1])]
+        want = rnn.scores(model, IntervalTable(lower[distinct], upper[distinct], [0] * 5, names))
+        position = np.argsort(distinct)
+        assert np.array_equal(got, want[position[picks]])
 
     def test_width_mismatch(self, rng):
         model = _model_from_mlp(_random_mlp(rng))
