@@ -15,17 +15,11 @@ from dataclasses import replace
 
 import click
 
-from . import bpnn, dtree, pca, pipeline, rnn, svm
-from .dataset import (
-    Discretizer,
-    discretize as discretize_table,
-    load_csv,
-    standardize,
-    synth_generate,
-    write_csv,
-)
+from . import dtree, pipeline
+from .dataset import discretize as discretize_table, load_csv, synth_generate, write_csv
 from .errors import ConfigError, DgaError
-from .rnn import Intervalizer
+
+_CONFIG = pipeline.ExperimentConfig()
 
 
 @click.group()
@@ -40,9 +34,9 @@ def _fail_config(message: str):
 
 
 @main.command()
-@click.option("--rows", "-n", default=2000, show_default=True, help="Row count.")
-@click.option("--fault-ratio", default=0.5, show_default=True)
-@click.option("--noise", default=0.25, show_default=True)
+@click.option("--rows", "-n", default=_CONFIG.synth.n, show_default=True, help="Row count.")
+@click.option("--fault-ratio", default=_CONFIG.synth.fault_ratio, show_default=True)
+@click.option("--noise", default=_CONFIG.synth.noise, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--informative", default=None, help="Comma list of informative gases.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
@@ -73,20 +67,21 @@ def discretize(path, out):
 @main.command()
 @click.option("--in", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["pca", "rs", "gr", "dt"]), required=True)
-@click.option("--components", default=3, show_default=True, help="PCA components kept.")
+@click.option("--components", default=_CONFIG.pca_components, show_default=True,
+              help="PCA components kept.")
 @click.option("--threshold", default=None, type=float, help="PCA cumulative proportion %.")
-@click.option("--chunk-size", default=250, show_default=True, help="Granular chunk size.")
-@click.option("--carry", default=1, show_default=True, help="Granules carried per chunk.")
-@click.option("--criterion", type=click.Choice(list(dtree.CRITERIA)), default="gain_ratio",
-              show_default=True)
-@click.option("--min-rows", default=2, show_default=True)
-@click.option("--prune-fraction", default=0.15, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--chunk-size", default=_CONFIG.gr_chunk_size, show_default=True,
+              help="Granular chunk size.")
+@click.option("--carry", default=_CONFIG.gr_carry, show_default=True,
+              help="Granules carried per chunk.")
+@click.option("--criterion", type=click.Choice(list(dtree.CRITERIA)),
+              default=_CONFIG.dt_criterion, show_default=True)
+@click.option("--min-rows", default=_CONFIG.dt_min_rows, show_default=True)
+@click.option("--prune-fraction", default=_CONFIG.dt_prune_fraction, show_default=True)
+@click.option("--seed", default=_CONFIG.seed, show_default=True)
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
-@click.option("--projection-out", default=None, type=click.Path(dir_okay=False),
-              help="Also export the PCA projection basis.")
 def reduce(path, method, components, threshold, chunk_size, carry, criterion,
-           min_rows, prune_fraction, seed, out, projection_out):
+           min_rows, prune_fraction, seed, out):
     """Run one attribute-reduction method and print or save its result."""
     try:
         table = load_csv(path)
@@ -110,9 +105,6 @@ def reduce(path, method, components, threshold, chunk_size, carry, criterion,
         click.echo(f"wrote reduction result to {out}")
     else:
         click.echo(text, nl=False)
-    if projection_out and reducer.projection is not None:
-        pca.save_projection(reducer.projection, projection_out)
-        click.echo(f"wrote projection to {projection_out}")
 
 
 @main.command()
@@ -124,23 +116,11 @@ def reduce(path, method, components, threshold, chunk_size, carry, criterion,
 def train(path, clf, config_path, seed, model_out):
     """Train one classifier on a CSV table (standardized internally)."""
     try:
-        cfg = _config_from_ini(config_path) if config_path else pipeline.ExperimentConfig()
-        table = load_csv(path)
-        std, scaler = standardize(table)
-        if clf == "bpnn":
-            model = bpnn.train(std, replace(cfg.mlp, seed=seed))
-        elif clf == "svm":
-            model = svm.train_smo(
-                std, cfg.kernel, c=cfg.svm_c, tol=cfg.svm_tol, max_passes=cfg.svm_max_passes
-            )
-        else:
-            categorical = Discretizer.fit(table).apply(table)
-            intervals = Intervalizer.fit(categorical, std).apply(categorical, std)
-            model = rnn.train(intervals, replace(cfg.mlp, seed=seed),
-                              connection=cfg.rnn_connection)
-        model.scaler = scaler
+        cfg = _config_from_ini(config_path) if config_path else _CONFIG
+        mlp = replace(cfg.mlp, seed=seed)
+        model = pipeline.fit_classifier(clf, cfg, load_csv(path), mlp).model
         if model_out:
-            {"bpnn": bpnn, "svm": svm, "rnn": rnn}[clf].save_model(model, model_out)
+            pipeline.MODELS[clf].save_model(model, model_out)
     except DgaError as exc:
         _fail_config(str(exc))
     if clf == "svm":
@@ -185,9 +165,13 @@ def matrix(config_path, json_out, fmt):
               default="table", show_default=True)
 def report(path, fmt):
     """Re-render a saved JSON report in another format."""
-    with open(path, encoding="utf-8") as fh:
-        saved = pipeline.ExperimentReport.from_dict(json.load(fh))
-    click.echo(pipeline.emit_report(saved, fmt), nl=False)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            saved = pipeline.ExperimentReport.from_dict(json.load(fh))
+        text = pipeline.emit_report(saved, fmt)
+    except (DgaError, ValueError, KeyError, TypeError) as exc:
+        _fail_config(f"{path}: not a saved report: {type(exc).__name__}: {exc}")
+    click.echo(text, nl=False)
 
 
 def _config_from_ini(path) -> pipeline.ExperimentConfig:
@@ -216,7 +200,7 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
     def listed(section, key, parse=str):
         return tuple(parse(v.strip()) for v in parser.get(section, key).split(","))
 
-    default = pipeline.ExperimentConfig()
+    default = _CONFIG
     text, integer, real = parser.get, parser.getint, parser.getfloat
     try:
         fields = {}

@@ -340,9 +340,9 @@ class ModelFile:
                 )
         return named
 
-    def scaler(self, required: bool = False) -> Scaler | None:
-        """The embedded scaler; None when the file has none and none is required."""
-        if not required and "scaler_mean" not in self.fields:
+    def scaler(self) -> Scaler | None:
+        """The embedded scaler, or None when the file has none."""
+        if "scaler_mean" not in self.fields:
             return None
         return Scaler(
             self.array("scaler_mean"),

@@ -231,24 +231,3 @@ def _count_splits(node: TreeNode, depth: int, depths: dict, uses: dict) -> None:
         uses[node.attribute] = uses.get(node.attribute, 0) + 1
         for _, child in node.children:
             _count_splits(child, depth + 1, depths, uses)
-
-
-def format_tree(root: TreeNode, indent: str = "  ") -> str:
-    """Indented one-node-per-line rendering for human inspection."""
-    lines: list[str] = []
-
-    def emit(node: TreeNode, depth: int):
-        pad = indent * depth
-        if isinstance(node, Leaf):
-            lines.append(f"{pad}class {node.decision} ({node.count_t}/{node.count_f})")
-            return
-        for value, child in node.children:
-            label = f"{pad}{node.attribute}={value} -> "
-            if isinstance(child, Leaf):
-                lines.append(f"{label}class {child.decision} ({child.count_t}/{child.count_f})")
-            else:
-                lines.append(label.rstrip())
-                emit(child, depth + 1)
-
-    emit(root, 0)
-    return "\n".join(lines) + "\n"

@@ -180,17 +180,6 @@ def to_decision_table(granules: GranuleSet) -> CategoricalTable:
     return _expand(arrays, granules.attributes)
 
 
-def dump_granules(granules: GranuleSet) -> str:
-    """Human-readable rank trace, one granule per line."""
-    lines = [f"attributes = {','.join(granules.attributes)}", f"rows = {granules.rows}"]
-    for g in granules.granules:
-        lines.append(
-            "pattern=%s count_t=%d count_f=%d proportion=%.9g rank=%.9g"
-            % (",".join(str(v) for v in g.pattern), g.count_t, g.count_f, g.proportion, g.rank)
-        )
-    return "\n".join(lines) + "\n"
-
-
 def incremental_rank_reduce(
     table: CategoricalTable,
     chunk_size: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ModelFile, Scaler, Table, standardize, write_model
+from .dataset import Scaler, Table, standardize
 from .errors import ParameterError, ShapeError, ValidationError
 
 _SYMMETRY_TOL = 1e-9
@@ -185,27 +185,4 @@ def fit_projection(
     eigen = eigendecompose(covariance(std))
     return select_components(
         eigen, scaler, table.attributes, fixed_count=fixed_count, threshold=threshold
-    )
-
-
-def save_projection(proj: PcaProjection, path) -> None:
-    """Write a projection as a model file of kind pca, loadable for inference."""
-    fields = {
-        "attributes": proj.attributes,
-        "p": proj.p,
-        "eigenvalues": proj.eigenvalues,
-        "proportions": proj.proportions,
-        "basis": proj.basis,
-    }
-    write_model(path, "pca", fields, proj.scaler)
-
-
-def load_projection(path) -> PcaProjection:
-    f = ModelFile(path, "pca")
-    return PcaProjection(
-        basis=f.array("basis"),
-        scaler=f.scaler(required=True),
-        attributes=tuple(f.get("attributes").split(",")),
-        eigenvalues=f.array("eigenvalues"),
-        proportions=f.array("proportions"),
     )

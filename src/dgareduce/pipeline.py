@@ -24,6 +24,7 @@ import numpy as np
 
 from . import bpnn, dtree, granular, pca, rnn, svm
 from .dataset import (
+    ATTRIBUTES,
     Discretizer,
     GasTable,
     Table,
@@ -94,6 +95,12 @@ class ExperimentConfig:
                 raise ConfigError("fold counts must be at least 2")
         if (self.pca_components is None) == (self.pca_threshold is None):
             raise ConfigError("set exactly one of pca_components / pca_threshold")
+        if self.pca_components is not None and not 1 <= self.pca_components <= len(ATTRIBUTES):
+            raise ConfigError(
+                f"pca_components must be in [1, {len(ATTRIBUTES)}], got {self.pca_components}"
+            )
+        if self.pca_threshold is not None and not 0.0 < self.pca_threshold <= 100.0:
+            raise ConfigError(f"pca_threshold must be in (0, 100], got {self.pca_threshold}")
         if not 0.0 < self.dt_prune_fraction < 1.0:
             raise ConfigError("dt_prune_fraction must be in (0, 1)")
         if self.dt_criterion not in dtree.CRITERIA:
@@ -104,6 +111,9 @@ class ExperimentConfig:
             raise ConfigError(f"svm_c must be positive, got {self.svm_c}")
         if not self.svm_tol > 0:
             raise ConfigError(f"svm_tol must be positive, got {self.svm_tol}")
+        for name in ("gr_chunk_size", "gr_carry", "svm_max_passes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def folds_for(self, classifier: str) -> int:
         return {"bpnn": self.folds_bpnn, "svm": self.folds_svm, "rnn": self.folds_rnn}[
@@ -234,50 +244,62 @@ def _renormalized(mlp: bpnn.MlpConfig, seed: int) -> bpnn.MlpConfig:
     return replace(mlp, seed=seed, ratios=(t / total, v / total, 0.0))
 
 
-def _standardized_pair(train: Table, test: Table) -> tuple[Table, Table]:
-    std_train, scaler = standardize(train)
-    std_test = Table(scaler.transform(test.values), test.decisions, test.attributes)
-    return std_train, std_test
+MODELS = {"bpnn": bpnn, "svm": svm, "rnn": rnn}
+
+
+@dataclass(frozen=True)
+class FittedClassifier:
+    """A trained model with its `scaler` set, the wall-clock seconds of the
+    train call alone and, for rnn, the discretizer and intervalizer fitted on
+    the same rows."""
+
+    model: bpnn.MlpModel | svm.SvmModel | rnn.RnnModel
+    seconds: float
+    cells: tuple[Discretizer, Intervalizer] | None = None
+
+    def inputs(self, raw: Table) -> Table:
+        """Other raw rows encoded as the model's training rows were."""
+        std = Table(self.model.scaler.transform(raw.values), raw.decisions, raw.attributes)
+        if self.cells is None:
+            return std
+        disc, ivz = self.cells
+        return ivz.apply(disc.apply(raw), std)
+
+
+def fit_classifier(classifier, cfg, train_raw: Table, mlp: bpnn.MlpConfig) -> FittedClassifier:
+    """Standardize the raw rows, then for rnn discretize and intervalize them,
+    then train one classifier; every fitted step sees these rows only."""
+    rows, scaler = standardize(train_raw)
+    cells = None
+    if classifier == "rnn":
+        # interval cells come from the raw values, bounds from the standardized ones
+        disc = Discretizer.fit(train_raw)
+        categorical = disc.apply(train_raw)
+        ivz = Intervalizer.fit(categorical, rows)
+        rows, cells = ivz.apply(categorical, rows), (disc, ivz)
+    started = time.perf_counter()
+    if classifier == "bpnn":
+        model = bpnn.train(rows, mlp)
+    elif classifier == "svm":
+        model = svm.train_smo(
+            rows, cfg.kernel, c=cfg.svm_c, tol=cfg.svm_tol, max_passes=cfg.svm_max_passes
+        )
+    else:
+        model = rnn.train(rows, mlp, connection=cfg.rnn_connection)
+    seconds = time.perf_counter() - started
+    model.scaler = scaler
+    return FittedClassifier(model, seconds, cells)
 
 
 def _train_eval(classifier, cfg, train_raw, test_raw, fold_seed):
     """Train one classifier on a reduced fold; returns (accuracy, seconds,
     stop reason)."""
-    std_train, std_test = _standardized_pair(train_raw, test_raw)
-    if classifier == "bpnn":
-        mlp_cfg = _renormalized(cfg.mlp, fold_seed)
-        started = time.perf_counter()
-        model = bpnn.train(std_train, mlp_cfg)
-        elapsed = time.perf_counter() - started
-        result = bpnn.evaluate(model, std_test)
-        return result.accuracy, elapsed, model.trace.stop_reason
+    fitted = fit_classifier(classifier, cfg, train_raw, _renormalized(cfg.mlp, fold_seed))
+    model = fitted.model
+    result = MODELS[classifier].evaluate(model, fitted.inputs(test_raw))
     if classifier == "svm":
-        started = time.perf_counter()
-        model = svm.train_smo(
-            std_train,
-            cfg.kernel,
-            c=cfg.svm_c,
-            tol=cfg.svm_tol,
-            max_passes=cfg.svm_max_passes,
-        )
-        elapsed = time.perf_counter() - started
-        result = svm.evaluate(model, std_test)
-        reason = "converged" if model.converged else "max-passes"
-        return result.accuracy, elapsed, reason
-    # rnn: interval cells come from the raw reduced values, bounds from the
-    # standardized ones; both fitted on the training portion only
-    disc = Discretizer.fit(train_raw)
-    cat_train = disc.apply(train_raw)
-    cat_test = disc.apply(test_raw)
-    ivz = Intervalizer.fit(cat_train, std_train)
-    train_iv = ivz.apply(cat_train, std_train)
-    test_iv = ivz.apply(cat_test, std_test)
-    mlp_cfg = _renormalized(cfg.mlp, fold_seed)
-    started = time.perf_counter()
-    model = rnn.train(train_iv, mlp_cfg, connection=cfg.rnn_connection)
-    elapsed = time.perf_counter() - started
-    result = rnn.evaluate(model, test_iv)
-    return result.accuracy, elapsed, model.trace.stop_reason
+        return result.accuracy, fitted.seconds, "converged" if model.converged else "max-passes"
+    return result.accuracy, fitted.seconds, model.trace.stop_reason
 
 
 def run_cell(

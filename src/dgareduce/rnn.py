@@ -118,14 +118,6 @@ class Intervalizer:
         lower[unseen] = upper[unseen] = np.nan
         return cls(tuple(categories.attributes), lower, upper)
 
-    @property
-    def spans(self) -> dict[tuple[int, int], tuple[float, float]]:
-        """(lower, upper) per (attribute index, category) seen at fit time."""
-        return {
-            (int(j), int(c)): (float(self.lower[j, c]), float(self.upper[j, c]))
-            for j, c in zip(*np.nonzero(~np.isnan(self.lower)))
-        }
-
     def apply(self, categories: CategoricalTable, standardized: Table) -> IntervalTable:
         _check_aligned(categories, standardized)
         if categories.attributes != self.attributes:

@@ -1,9 +1,8 @@
 """Rough-set operators over categorical decision tables.
 
-Indiscernibility partitions, lower/upper approximations, the positive-region
-degree of dependency, and a greedy backward-elimination reduct search that
-keeps removing superfluous attributes while the positive region is preserved
-exactly (integer cardinalities, no tolerance).
+The positive-region degree of dependency, and a greedy backward-elimination
+reduct search that keeps removing superfluous attributes while the positive
+region is preserved exactly (integer cardinalities, no tolerance).
 
 Every partition is built from pattern codes: a row's values over a column
 subset read as one mixed-radix int64 number (`pattern_codes`), so blocks are
@@ -45,9 +44,6 @@ class InformationSystem:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    def universe(self) -> frozenset:
-        return frozenset(range(self.n_rows))
-
     def _column_indices(self, names) -> list[int]:
         if not names:
             raise ParameterError("attribute subset must be non-empty")
@@ -57,32 +53,6 @@ class InformationSystem:
                 raise ParameterError(f"unknown attribute {name!r}")
             idx.append(self.attributes.index(name))
         return idx
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint blocks of row indices covering the universe, keyed by the
-    attribute subset whose values the block members share."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    key: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RegionDecomposition:
-    """Positive / boundary / negative regions of a target row set."""
-
-    positive: frozenset
-    boundary: frozenset
-    negative: frozenset
-
-    @property
-    def lower(self) -> frozenset:
-        return self.positive
-
-    @property
-    def upper(self) -> frozenset:
-        return self.positive | self.boundary
 
 
 _CODE_LIMIT = 1 << 62
@@ -113,37 +83,6 @@ def _block_inverse(values: np.ndarray, cols) -> tuple[np.ndarray, int]:
     blocks are numbered in the lexicographic order of their value tuples."""
     _, inverse = np.unique(pattern_codes(values, cols), return_inverse=True)
     return inverse, int(inverse.max()) + 1 if inverse.size else 0
-
-
-def equivalence_classes(system: InformationSystem, subset) -> Partition:
-    """Partition of the universe by equal value tuples on the attribute subset."""
-    names = tuple(subset)
-    inverse, n_blocks = _block_inverse(system.values, system._column_indices(names))
-    rows = np.argsort(inverse, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(inverse, minlength=n_blocks)).tolist()
-    blocks = tuple(tuple(rows[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    return Partition(blocks, names)
-
-
-def approximate(system: InformationSystem, subset, target) -> RegionDecomposition:
-    """Lower/upper approximation of a target row set under the subset's partition."""
-    target = frozenset(int(r) for r in target)
-    if target and (min(target) < 0 or max(target) >= system.n_rows):
-        raise ParameterError("target rows outside the universe")
-    inverse, n_blocks = _block_inverse(system.values, system._column_indices(tuple(subset)))
-    in_target = np.zeros(system.n_rows, dtype=bool)
-    in_target[list(target)] = True
-    sizes = np.bincount(inverse, minlength=n_blocks)
-    hits = np.bincount(inverse, weights=in_target, minlength=n_blocks)
-    lower = (hits == sizes)[inverse]
-    upper = (hits > 0)[inverse]
-
-    def rows(mask):
-        return frozenset(np.flatnonzero(mask).tolist())
-
-    return RegionDecomposition(
-        positive=rows(lower), boundary=rows(upper & ~lower), negative=rows(~upper)
-    )
 
 
 def _positive_region_size(values, decisions, cols) -> int:

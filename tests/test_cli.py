@@ -2,8 +2,10 @@
 
 import json
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from dgareduce import svm
@@ -95,17 +97,19 @@ class TestReduce:
         assert result.exit_code == 0
         assert "kept =" in result.output
 
-    def test_writes_projection(self, tmp_path):
-        src = tmp_path / "src.csv"
-        proj = tmp_path / "proj.txt"
-        _invoke("synth", "-n", "60", "--seed", "2", "--out", str(src))
-        result = _invoke(
-            "reduce", "--in", str(src), "--method", "pca",
-            "--components", "2", "--projection-out", str(proj),
-        )
-        assert result.exit_code == 0
-        assert proj.exists()
-        assert "p = 2" in proj.read_text()
+    def test_option_defaults_are_the_config_defaults(self):
+        cfg = ExperimentConfig()
+        for command, fields in {
+            "synth": {"rows": "synth.n", "fault_ratio": "synth.fault_ratio",
+                      "noise": "synth.noise"},
+            "reduce": {"components": "pca_components", "chunk_size": "gr_chunk_size",
+                       "carry": "gr_carry", "criterion": "dt_criterion",
+                       "min_rows": "dt_min_rows", "prune_fraction": "dt_prune_fraction",
+                       "seed": "seed"},
+        }.items():
+            defaults = {p.name: p.default for p in main.commands[command].params}
+            for option, field in fields.items():
+                assert defaults[option] == attrgetter(field)(cfg), (command, option)
 
 
 class TestTrain:
@@ -209,6 +213,15 @@ class TestReport:
         assert result.exit_code == 0
         assert result.output.startswith("preprocessor,classifier,")
 
+    def test_bad_file_exit_2(self, tmp_path):
+        out = tmp_path / "report.json"
+        missing_keys = {"seed": 0, "rows": [{"preprocessor": "rs", "classifier": "svm"}]}
+        for text in ("not json {", json.dumps(missing_keys)):
+            out.write_text(text)
+            result = _invoke("report", "--in", str(out))
+            assert result.exit_code == 2, result.output
+            assert result.stderr.startswith(f"config error: {out}: "), result.stderr
+
 
 class TestConfigFromIni:
     SECTIONS = ("data", "experiment", "pca", "gr", "dt", "bpnn", "svm", "rnn")
@@ -226,6 +239,32 @@ class TestConfigFromIni:
         cfg = self._parsed(tmp_path, "[bpnn]\nepochs = 7\n")
         assert cfg.mlp == replace(MlpConfig(), epochs=7)
         assert cfg == replace(ExperimentConfig(), mlp=cfg.mlp)
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("pca", "components", "0", "pca_components must be in [1, 10]"),
+            ("pca", "components", "11", "pca_components must be in [1, 10]"),
+            ("pca", "threshold", "150", "pca_threshold must be in (0, 100]"),
+            ("gr", "chunk_size", "0", "gr_chunk_size must be at least 1"),
+            ("gr", "carry", "0", "gr_carry must be at least 1"),
+            ("svm", "max_passes", "0", "svm_max_passes must be at least 1"),
+        ],
+        ids=["components=0", "components=11", "threshold=150", "chunk_size=0", "carry=0",
+             "max_passes=0"],
+    )
+    def test_out_of_range_value_exit_2_before_any_cell(
+        self, tmp_path, section, key, value, message
+    ):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            "[data]\nn = 60\n[experiment]\npreprocessors = pca,gr\nclassifiers = svm\n"
+            f"folds_svm = 2\n[{section}]\n{key} = {value}\n"
+        )
+        result = _invoke("matrix", "--config", str(ini))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"config error: {ini}: {message}"), result.stderr
+        assert "Average Accuracy (%)" not in result.output
 
     def test_every_key_sets_its_field(self, tmp_path):
         cfg = self._parsed(

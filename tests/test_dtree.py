@@ -14,7 +14,6 @@ from dgareduce.dtree import (
     accuracy,
     build_tree,
     entropy,
-    format_tree,
     information_gain,
     prune,
     select_attributes,
@@ -264,17 +263,6 @@ class TestMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-class TestFormatTree:
-    def test_lines(self):
-        table = make_categorical([[1, 1, 2, 2]], [0, 0, 1, 1])
-        text = format_tree(build_tree(table))
-        assert "a1=1 -> class 0 (0/2)" in text
-        assert "a1=2 -> class 1 (2/0)" in text
-
-    def test_single_leaf(self):
-        assert format_tree(Leaf(1, 3, 1)) == "class 1 (3/1)\n"
 
 
 # The row-at-a-time tree code that the column-array router and the bottom-up

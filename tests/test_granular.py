@@ -8,7 +8,6 @@ from dgareduce.granular import (
     Granule,
     GranuleSet,
     combine,
-    dump_granules,
     granulate,
     incremental_rank_reduce,
     to_decision_table,
@@ -227,9 +226,3 @@ class TestIncrementalRankReduce:
         b = incremental_rank_reduce(table, 8, 2, shuffle_seed=3)
         assert a.kept == b.kept
 
-
-class TestDump:
-    def test_fields_present(self, rng):
-        text = dump_granules(granulate(_random_table(rng)))
-        assert "count_t=" in text and "count_f=" in text
-        assert "proportion=" in text and "rank=" in text

@@ -1,9 +1,9 @@
-"""The one model-file codec shared by the bpnn, rnn, svm and pca formats."""
+"""The one model-file codec shared by the bpnn, rnn and svm formats."""
 
 import numpy as np
 import pytest
 
-from dgareduce import bpnn, pca, rnn, svm
+from dgareduce import bpnn, rnn, svm
 from dgareduce.bpnn import MlpConfig
 from dgareduce.dataset import standardize
 from dgareduce.errors import ParameterError
@@ -15,7 +15,6 @@ LOADERS = {
     "bpnn": bpnn.load_model,
     "rnn": rnn.load_model,
     "svm": svm.load_model,
-    "pca": pca.load_projection,
 }
 
 
@@ -25,9 +24,6 @@ def _saved(kind, path):
     table = make_table(rng.normal(size=(30, 3)), np.arange(30) % 2)
     std, scaler = standardize(table)
     cfg = MlpConfig(epochs=5, hidden=(4,), seed=1)
-    if kind == "pca":
-        pca.save_projection(pca.fit_projection(table, fixed_count=2), path)
-        return
     if kind == "bpnn":
         model, save = bpnn.train(std, cfg), bpnn.save_model
     elif kind == "rnn":

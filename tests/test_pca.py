@@ -184,18 +184,3 @@ class TestProject:
         out = pca.project(probe, proj)
         expected = proj.scaler.transform(probe_values) @ proj.basis
         np.testing.assert_allclose(out.values, expected, atol=1e-12)
-
-
-class TestExport:
-    def test_round_trip(self, tmp_path, rng):
-        table = make_table(rng.normal(size=(25, 4)), rng.integers(0, 2, 25))
-        proj = pca.fit_projection(table, fixed_count=2)
-        path = tmp_path / "proj.txt"
-        pca.save_projection(proj, path)
-        loaded = pca.load_projection(path)
-        np.testing.assert_array_equal(loaded.basis, proj.basis)
-        np.testing.assert_array_equal(loaded.scaler.mean, proj.scaler.mean)
-        np.testing.assert_array_equal(loaded.eigenvalues, proj.eigenvalues)
-        out_a = pca.project(table, proj)
-        out_b = pca.project(table, loaded)
-        np.testing.assert_array_equal(out_a.values, out_b.values)

@@ -1,5 +1,5 @@
-"""Indiscernibility, approximations, dependency, and the reduct search,
-checked against brute-force oracles on small tables."""
+"""Indiscernibility partitions, dependency, and the reduct search, checked
+against brute-force oracles on small tables."""
 
 from itertools import combinations
 
@@ -9,9 +9,8 @@ import pytest
 from dgareduce.errors import DependencyDegenerateError, ParameterError
 from dgareduce.roughset import (
     InformationSystem,
-    approximate,
+    _block_inverse,
     degree_of_dependency,
-    equivalence_classes,
     reduct_search,
 )
 
@@ -47,21 +46,25 @@ def brute_reduct_check(system: InformationSystem, kept) -> bool:
     return True
 
 
+def equivalence_classes(table, names=("a1",)) -> list[tuple[int, ...]]:
+    """The blocks of `_block_inverse` over the named columns, as sorted row tuples."""
+    system = InformationSystem.from_table(table)
+    inverse, n_blocks = _block_inverse(system.values, system._column_indices(names))
+    return sorted(tuple(np.flatnonzero(inverse == b).tolist()) for b in range(n_blocks))
+
+
 class TestEquivalenceClasses:
     def test_single_block(self):
         table = make_categorical([[1, 1, 1, 1]], [0, 0, 1, 1])
-        part = equivalence_classes(InformationSystem.from_table(table), ("a1",))
-        assert part.blocks == ((0, 1, 2, 3),)
+        assert equivalence_classes(table) == [(0, 1, 2, 3)]
 
     def test_singletons(self):
         table = make_categorical([[1, 2, 3, 4]], [0, 0, 1, 1])
-        part = equivalence_classes(InformationSystem.from_table(table), ("a1",))
-        assert sorted(part.blocks) == [(0,), (1,), (2,), (3,)]
+        assert equivalence_classes(table) == [(0,), (1,), (2,), (3,)]
 
     def test_hand_grouping(self):
         table = make_categorical([[1, 1, 2, 2, 2]], [0, 0, 1, 1, 1])
-        part = equivalence_classes(InformationSystem.from_table(table), ("a1",))
-        assert sorted(part.blocks) == [(0, 1), (2, 3, 4)]
+        assert equivalence_classes(table) == [(0, 1), (2, 3, 4)]
 
     def test_blocks_partition_universe(self, rng):
         for _ in range(20):
@@ -69,53 +72,19 @@ class TestEquivalenceClasses:
             table = make_categorical(
                 rng.integers(1, 4, size=(m, n)).tolist(), rng.integers(0, 2, n)
             )
-            system = InformationSystem.from_table(table)
-            part = equivalence_classes(system, system.attributes[: m])
-            seen = sorted(r for block in part.blocks for r in block)
+            blocks = equivalence_classes(table, table.attributes)
+            seen = sorted(r for block in blocks for r in block)
             assert seen == list(range(n))
+            for block in blocks:
+                assert (table.values[list(block)] == table.values[block[0]]).all()
 
     def test_errors(self):
         table = make_categorical([[1, 2]], [0, 1])
         system = InformationSystem.from_table(table)
         with pytest.raises(ParameterError):
-            equivalence_classes(system, ("nope",))
+            degree_of_dependency(system, ("nope",))
         with pytest.raises(ParameterError):
-            equivalence_classes(system, ())
-
-
-class TestApproximate:
-    def test_full_target(self):
-        table = make_categorical([[1, 1, 2, 2]], [0, 0, 1, 1])
-        system = InformationSystem.from_table(table)
-        region = approximate(system, ("a1",), {0, 1, 2, 3})
-        assert region.lower == region.upper == frozenset(range(4))
-        assert region.boundary == frozenset()
-
-    def test_empty_target(self):
-        table = make_categorical([[1, 1, 2, 2]], [0, 0, 1, 1])
-        system = InformationSystem.from_table(table)
-        region = approximate(system, ("a1",), set())
-        assert region.negative == frozenset(range(4))
-
-    def test_hand_regions(self):
-        # blocks {0,1}, {2,3}; target {0,1,2}
-        table = make_categorical([[1, 1, 2, 2]], [0, 0, 1, 1])
-        system = InformationSystem.from_table(table)
-        region = approximate(system, ("a1",), {0, 1, 2})
-        assert region.lower == frozenset({0, 1})
-        assert region.upper == frozenset({0, 1, 2, 3})
-        assert region.boundary == frozenset({2, 3})
-
-    def test_sandwich_property(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(4, 12))
-            table = make_categorical(
-                [rng.integers(1, 3, n).tolist()], rng.integers(0, 2, n)
-            )
-            system = InformationSystem.from_table(table)
-            target = frozenset(int(i) for i in rng.choice(n, size=n // 2, replace=False))
-            region = approximate(system, ("a1",), target)
-            assert region.lower <= target <= region.upper
+            degree_of_dependency(system, ())
 
 
 class TestDegreeOfDependency:
