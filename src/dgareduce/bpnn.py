@@ -17,7 +17,6 @@ order of the allocating formulas, so results are bit-identical to them
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +91,6 @@ class TrainingTrace:
     val_errors: list[float] = field(default_factory=list)
     stop_reason: str = ""
     best_epoch: int = 0
-    train_time: float = 0.0
 
     @property
     def epochs_run(self) -> int:
@@ -287,7 +285,6 @@ def train(data: Table, cfg: MlpConfig) -> MlpModel:
     exists, the returned weights are the ones from the epoch with the lowest
     validation error.
     """
-    started = time.perf_counter()
     train_idx, val_idx, _ = split_indices(data.n_rows, cfg.ratios, cfg.seed)
     x_train = data.values[train_idx]
     d_train = data.decisions[train_idx].astype(float)
@@ -310,7 +307,6 @@ def train(data: Table, cfg: MlpConfig) -> MlpModel:
         return _mse(weights, biases, val_rows, d_val)
 
     descend(model.params, gradients, val_error if val_idx.size else None, cfg, model.trace)
-    model.trace.train_time = time.perf_counter() - started
     return model
 
 

@@ -118,7 +118,8 @@ def train(path, clf, config_path, seed, model_out):
     try:
         cfg = _config_from_ini(config_path) if config_path else _CONFIG
         mlp = replace(cfg.mlp, seed=seed)
-        model = pipeline.fit_classifier(clf, cfg, load_csv(path), mlp).model
+        fitted = pipeline.fit_classifier(clf, cfg, load_csv(path), mlp)
+        model = fitted.model
         if model_out:
             pipeline.MODELS[clf].save_model(model, model_out)
     except DgaError as exc:
@@ -126,13 +127,13 @@ def train(path, clf, config_path, seed, model_out):
     if clf == "svm":
         click.echo(
             f"trained {clf}: converged={model.converged} sweeps={model.sweeps} "
-            f"support-vectors={len(model.support_alphas)} time={model.train_time:.2f}s"
+            f"support-vectors={len(model.support_alphas)} time={fitted.seconds:.2f}s"
         )
     else:
         trace = model.trace
         click.echo(
             f"trained {clf}: stop={trace.stop_reason} epochs={trace.epochs_run} "
-            f"final-error={trace.train_errors[-1]:.6g} time={trace.train_time:.2f}s"
+            f"final-error={trace.train_errors[-1]:.6g} time={fitted.seconds:.2f}s"
         )
     if model_out:
         click.echo(f"wrote model to {model_out}")

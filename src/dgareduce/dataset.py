@@ -362,7 +362,7 @@ def standardize(table: Table) -> tuple[Table, Scaler]:
     values = table.values
     mean = values.mean(axis=0)
     std = np.sqrt(np.mean((values - mean) ** 2, axis=0))
-    constant = np.array([np.all(values[:, j] == values[0, j]) for j in range(values.shape[1])])
+    constant = (values == values[0]).all(axis=0)
     std = np.where(constant, 0.0, std)
     scaler = Scaler(mean, std, constant)
     out = Table(scaler.transform(values), table.decisions, table.attributes)
@@ -426,10 +426,9 @@ def kfold(table: Table, k: int, seed: int) -> FoldPlan:
     assignments = np.empty(table.n_rows, dtype=np.int64)
     pos = 0
     for cls in (DECISION_FAULTY, DECISION_HEALTHY):
-        idx = np.flatnonzero(table.decisions == cls)
-        for r in rng.permutation(idx):
-            assignments[r] = pos % k
-            pos += 1
+        rows = rng.permutation(np.flatnonzero(table.decisions == cls))
+        assignments[rows] = (pos + np.arange(rows.size)) % k
+        pos += rows.size
     return FoldPlan(k, assignments)
 
 

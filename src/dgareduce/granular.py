@@ -6,19 +6,28 @@ search.
 Rank ranges per region follow the membership definition: a granule with
 proportion 1 is positive (1 <= rank <= count_t), proportion 0 is negative
 (rank = 0), anything between is boundary (0 < rank < count_t).
+
+Granules are counted, merged and ranked as arrays grouped by
+`roughset._group`, the grouping routine the reduct search uses too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import CategoricalTable
 from .errors import ParameterError, SchemaError, ValidationError
 from .reduction import ReductionResult
-from .roughset import InformationSystem, pattern_codes, reduct_search
+from .roughset import (
+    InformationSystem,
+    _group,
+    _Granules,
+    _row_granules,
+    pattern_codes,
+    reduct_search,
+)
 
 
 @dataclass(frozen=True)
@@ -74,30 +83,6 @@ class GranuleSet:
         return len(self.granules)
 
 
-class _Granules(NamedTuple):
-    """Granules as parallel arrays; `codes` are the `pattern_codes` of `patterns`."""
-
-    codes: np.ndarray
-    patterns: np.ndarray
-    count_t: np.ndarray
-    count_f: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return int(self.count_t.sum() + self.count_f.sum())
-
-
-def _group(codes, patterns, count_t, count_f) -> _Granules:
-    """Sum the counts of entries sharing a code: one granule per distinct
-    pattern, in ascending pattern order."""
-    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-
-    def total(counts):
-        return np.bincount(inverse, weights=counts, minlength=len(unique)).astype(np.int64)
-
-    return _Granules(unique, patterns[first], total(count_t), total(count_f))
-
-
 def _rank_order(granules: _Granules) -> np.ndarray:
     """Indices of the highest-ranked granules first; rank ties order by
     count_t descending, remaining ties by pattern."""
@@ -144,9 +129,7 @@ def granulate(chunk: CategoricalTable) -> GranuleSet:
     """One granule per distinct condition tuple in the chunk."""
     if chunk.n_rows == 0:
         raise ParameterError("cannot granulate an empty chunk")
-    codes = pattern_codes(chunk.values, range(chunk.n_attributes))
-    counts = _group(codes, chunk.values, chunk.decisions, 1 - chunk.decisions)
-    return _granule_set(counts, chunk.attributes)
+    return _granule_set(_row_granules(chunk.values, chunk.decisions), chunk.attributes)
 
 
 def combine(base: GranuleSet, new: GranuleSet) -> GranuleSet:
@@ -184,7 +167,6 @@ def incremental_rank_reduce(
     table: CategoricalTable,
     chunk_size: int,
     carry: int,
-    shuffle_seed: int | None = None,
 ) -> ReductionResult:
     """Chunked granular ranking feeding the degree-of-dependency reduct search.
 
@@ -197,18 +179,14 @@ def incremental_rank_reduce(
         raise ParameterError("chunk_size must be at least 1")
     if carry < 1:
         raise ParameterError("carry must be at least 1")
-    work = table
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(table.n_rows)
-        work = table.take(order)
-    values, decisions = work.values, work.decisions
-    codes = pattern_codes(values, range(work.n_attributes))
+    values, decisions = table.values, table.decisions
+    codes = pattern_codes(values, range(table.n_attributes))
 
     def chunk(start):
         rows = slice(start, start + chunk_size)
         return _group(codes[rows], values[rows], decisions[rows], 1 - decisions[rows])
 
-    starts = range(0, work.n_rows, chunk_size)
+    starts = range(0, table.n_rows, chunk_size)
     accumulated = chunk(0)
     for start in starts[1:]:
         ranked = chunk(start)
@@ -216,7 +194,7 @@ def incremental_rank_reduce(
         accumulated = _group(
             *(np.concatenate((a, r[carried])) for a, r in zip(accumulated, ranked))
         )
-    expanded = _expand(accumulated, work.attributes)
+    expanded = _expand(accumulated, table.attributes)
     reduct = reduct_search(InformationSystem.from_table(expanded))
     diagnostics = {
         "chunks": len(starts),

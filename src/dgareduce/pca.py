@@ -1,14 +1,13 @@
 """Principal component analysis over standardized gas tables.
 
 Covariance uses the population (n) divisor, so on standardized input it
-coincides with the correlation matrix.  Eigenpairs come from cyclic Jacobi
-rotations; components are selected either by fixed count or by cumulative
-variance-proportion threshold.
+coincides with the correlation matrix.  Eigenpairs come from
+`np.linalg.eigh`; components are selected either by fixed count or by
+cumulative variance-proportion threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,6 @@ from .dataset import Scaler, Table, standardize
 from .errors import ParameterError, ShapeError, ValidationError
 
 _SYMMETRY_TOL = 1e-9
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 def covariance(table: Table) -> np.ndarray:
@@ -43,7 +40,7 @@ class EigenSystem:
 
 
 def eigendecompose(c: np.ndarray) -> EigenSystem:
-    """Eigen decomposition of a symmetric matrix via cyclic Jacobi rotations.
+    """Eigen decomposition of a symmetric matrix via `np.linalg.eigh`.
 
     Sign convention: the largest-magnitude entry of each eigenvector is made
     positive (first such entry on ties) so results are deterministic.
@@ -53,7 +50,7 @@ def eigendecompose(c: np.ndarray) -> EigenSystem:
         raise ShapeError(f"expected a square matrix, got shape {c.shape}")
     if np.abs(c - c.T).max() > _SYMMETRY_TOL:
         raise ValidationError("matrix is not symmetric")
-    eigenvalues, vectors = _jacobi(c)
+    eigenvalues, vectors = np.linalg.eigh(c)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
@@ -64,55 +61,6 @@ def eigendecompose(c: np.ndarray) -> EigenSystem:
     total = eigenvalues.sum()
     proportions = 100.0 * eigenvalues / total if total != 0 else np.zeros_like(eigenvalues)
     return EigenSystem(eigenvalues, vectors, proportions)
-
-
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # sum the off-diagonal entries directly; subtracting the diagonal
-        # mass from the total cancels catastrophically near convergence
-        strict_upper = np.triu_indices(n, 1)
-        off = math.sqrt(2.0 * float(np.sum(a[strict_upper] ** 2)))
-        if off <= _JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                g = 100.0 * abs(apq)
-                # negligible relative to the diagonal: flush to zero
-                if abs(a[p, p]) + g == abs(a[p, p]) and abs(a[q, q]) + g == abs(a[q, q]):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                if apq == 0.0:
-                    continue
-                h = a[q, q] - a[p, p]
-                if abs(h) + g == abs(h):
-                    t = apq / h
-                else:
-                    theta = h / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                cos = 1.0 / math.sqrt(1.0 + t * t)
-                sin = t * cos
-                tau = sin / (1.0 + cos)
-                delta = t * apq
-                a[p, p] -= delta
-                a[q, q] += delta
-                a[p, q] = a[q, p] = 0.0
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    arp, arq = a[r, p], a[r, q]
-                    a[r, p] = a[p, r] = arp - sin * (arq + arp * tau)
-                    a[r, q] = a[q, r] = arq + sin * (arp - arq * tau)
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp - sin * (vq + vp * tau)
-                v[:, q] = vq + sin * (vp - vq * tau)
-    return np.diag(a).copy(), v
 
 
 @dataclass(frozen=True)

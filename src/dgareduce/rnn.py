@@ -30,7 +30,6 @@ each would take 2.6 MB.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -382,7 +381,6 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
             "every input interval is degenerate; training as a point network",
             NoUncertaintyWarning,
         )
-    started = time.perf_counter()
     train_idx, val_idx, _ = split_indices(len(rows), cfg.ratios, cfg.seed)
     xl_train, xu_train = rows.lower[train_idx], rows.upper[train_idx]
     d_train = rows.decisions[train_idx].astype(float)
@@ -422,7 +420,6 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
         return _error(model, val_rows, d_val)
 
     descend(model.params, gradients, val_error if val_idx.size else None, cfg, model.trace)
-    model.trace.train_time = time.perf_counter() - started
     return model
 
 

@@ -7,12 +7,16 @@ region is preserved exactly (integer cardinalities, no tolerance).
 Every partition is built from pattern codes: a row's values over a column
 subset read as one mixed-radix int64 number (`pattern_codes`), so blocks are
 the distinct codes and their ascending order is the lexicographic order of
-the value tuples.
+the value tuples.  `_group` sums decision counts per distinct code; it is the
+package's one grouping routine, shared with the granular layer.  The reduct
+search groups the rows into full-pattern granules once, then partitions those
+granules by each column subset and reads purity off the summed counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,31 +82,53 @@ def pattern_codes(values: np.ndarray, cols) -> np.ndarray:
     return code
 
 
-def _block_inverse(values: np.ndarray, cols) -> tuple[np.ndarray, int]:
-    """Block id per row for the partition induced by the given columns;
-    blocks are numbered in the lexicographic order of their value tuples."""
-    _, inverse = np.unique(pattern_codes(values, cols), return_inverse=True)
-    return inverse, int(inverse.max()) + 1 if inverse.size else 0
+class _Granules(NamedTuple):
+    """Granules as parallel arrays; `codes` are the `pattern_codes` of `patterns`."""
+
+    codes: np.ndarray
+    patterns: np.ndarray
+    count_t: np.ndarray
+    count_f: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return int(self.count_t.sum() + self.count_f.sum())
 
 
-def _positive_region_size(values, decisions, cols) -> int:
+def _group(codes, patterns, count_t, count_f) -> _Granules:
+    """Sum the counts of entries sharing a code: one granule per distinct
+    code, in ascending code order."""
+    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+
+    def total(counts):
+        return np.bincount(inverse, weights=counts, minlength=len(unique)).astype(np.int64)
+
+    return _Granules(unique, patterns[first], total(count_t), total(count_f))
+
+
+def _row_granules(values: np.ndarray, decisions: np.ndarray) -> _Granules:
+    """One granule per distinct row of the table, over all its columns."""
+    codes = pattern_codes(values, range(values.shape[1]))
+    return _group(codes, values, decisions, 1 - decisions)
+
+
+def _positive_region_size(granules: _Granules, cols) -> int:
     """Rows in decision-pure blocks of the partition by the given columns.
 
-    The empty column set induces the single-block partition of the universe.
+    The blocks group the full-pattern granules by their values over `cols`;
+    the empty column set codes every granule 0, one block for the universe.
     """
-    if not cols:
-        return len(decisions) if np.all(decisions == decisions[0]) else 0
-    inverse, n_blocks = _block_inverse(values, cols)
-    sizes = np.bincount(inverse, minlength=n_blocks)
-    ones = np.bincount(inverse, weights=decisions, minlength=n_blocks)
-    pure = (ones == 0) | (ones == sizes)
-    return int(sizes[pure].sum())
+    codes = pattern_codes(granules.patterns, cols)
+    blocks = _group(codes, granules.patterns, granules.count_t, granules.count_f)
+    pure = (blocks.count_t == 0) | (blocks.count_f == 0)
+    return int((blocks.count_t + blocks.count_f)[pure].sum())
 
 
 def degree_of_dependency(system: InformationSystem, subset) -> float:
     """|positive region of the decision partition| / |universe|."""
     cols = system._column_indices(tuple(subset))
-    return _positive_region_size(system.values, system.decisions, cols) / system.n_rows
+    granules = _row_granules(system.values, system.decisions)
+    return _positive_region_size(granules, cols) / system.n_rows
 
 
 def reduct_search(system: InformationSystem) -> ReductionResult:
@@ -115,10 +141,10 @@ def reduct_search(system: InformationSystem) -> ReductionResult:
     """
     if len(system.attributes) < 2:
         raise ParameterError("reduct search needs at least 2 attributes")
-    values, decisions = system.values, system.decisions
+    granules = _row_granules(system.values, system.decisions)
     n = system.n_rows
     all_cols = list(range(len(system.attributes)))
-    full = _positive_region_size(values, decisions, all_cols)
+    full = _positive_region_size(granules, all_cols)
     if full == 0:
         raise DependencyDegenerateError(
             "degree of dependency of the full attribute set is 0; reduct undefined"
@@ -129,7 +155,7 @@ def reduct_search(system: InformationSystem) -> ReductionResult:
         removable = None
         for j in kept:
             others = [c for c in kept if c != j]
-            if _positive_region_size(values, decisions, others) == full:
+            if _positive_region_size(granules, others) == full:
                 removable = j  # ascending scan: ends at the highest preserving index
         if removable is None:
             break
@@ -139,7 +165,7 @@ def reduct_search(system: InformationSystem) -> ReductionResult:
     for j in kept:
         others = [c for c in kept if c != j]
         gamma_without[system.attributes[j]] = (
-            _positive_region_size(values, decisions, others) / n
+            _positive_region_size(granules, others) / n
         )
     return ReductionResult(
         method="rs",

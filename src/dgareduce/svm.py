@@ -18,7 +18,6 @@ updates, so one pass updates as many multipliers as there are rows.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +97,6 @@ class SvmModel:
     support_indices: np.ndarray  # original training row numbers
     converged: bool
     sweeps: int
-    train_time: float
     training_kkt_rate: float
     scaler: Scaler | None = None
 
@@ -175,7 +173,6 @@ def train_smo(
     if n < 2 or len(np.unique(y)) < 2:
         raise ParameterError("training data must contain both classes")
     x = data.values
-    started = time.perf_counter()
     k = kernel_matrix(kernel, x, x)
     diag = np.diagonal(k).copy()
     positive = y > 0
@@ -234,7 +231,6 @@ def train_smo(
         support_indices=np.flatnonzero(keep),
         converged=converged,
         sweeps=-(-updates // per_pass),
-        train_time=time.perf_counter() - started,
         training_kkt_rate=kkt_rate,
     )
 
@@ -287,7 +283,6 @@ def load_model(path) -> SvmModel:
         support_indices=f.array("indices", np.int64),
         converged=bool(f.get("converged", int)),
         sweeps=0,
-        train_time=0.0,
         training_kkt_rate=1.0,
         scaler=f.scaler(),
     )

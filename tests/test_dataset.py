@@ -347,6 +347,25 @@ class TestKfold:
         with pytest.raises(ParameterError):
             kfold(table, 11, seed=0)
 
+    @pytest.mark.parametrize("faulty_share", [0.0, 0.3, 0.5, 1.0])
+    def test_matches_per_row_loop(self, faulty_share):
+        def reference(decisions, k, seed):
+            rng = np.random.default_rng(seed)
+            assignments = np.empty(len(decisions), dtype=np.int64)
+            pos = 0
+            for cls in (0, 1):
+                for r in rng.permutation(np.flatnonzero(decisions == cls)):
+                    assignments[r] = pos % k
+                    pos += 1
+            return assignments
+
+        for n, k, seed in [(10, 2, 0), (23, 3, 1), (37, 5, 7), (64, 10, 123)]:
+            decisions = (np.arange(n) >= round(faulty_share * n)).astype(np.int64)
+            decisions = np.random.default_rng(seed).permutation(decisions)
+            table = make_gas_table(n_rows=n, decisions=decisions, hydrogen=range(n))
+            plan = kfold(table, k, seed)
+            assert np.array_equal(plan.assignments, reference(decisions, k, seed))
+
 
 class TestSplitIndices:
     def test_partition(self):

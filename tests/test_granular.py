@@ -219,10 +219,3 @@ class TestIncrementalRankReduce:
         # at most the first chunk's granules plus one per later chunk survive
         assert result.diagnostics["granules"] <= 10 + 5
         assert result.diagnostics["rows_absorbed"] < 60
-
-    def test_shuffle_seed_deterministic(self, rng):
-        table = _random_table(rng, n=30)
-        a = incremental_rank_reduce(table, 8, 2, shuffle_seed=3)
-        b = incremental_rank_reduce(table, 8, 2, shuffle_seed=3)
-        assert a.kept == b.kept
-

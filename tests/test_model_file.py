@@ -75,7 +75,6 @@ def test_svm_without_support_vectors_loads(tmp_path):
         support_indices=np.zeros(0, dtype=np.int64),
         converged=True,
         sweeps=1,
-        train_time=0.0,
         training_kkt_rate=1.0,
     )
     path = tmp_path / "svm.txt"

@@ -23,10 +23,20 @@ from dgareduce.roughset import InformationSystem, pattern_codes, reduct_search
 PROPERTY = settings(max_examples=80, deadline=None)
 
 
-def oracle_block_inverse(values, cols):
-    sub = values[:, cols]
-    _, inverse = np.unique(sub, axis=0, return_inverse=True)
-    return inverse.ravel(), int(inverse.max()) + 1 if inverse.size else 0
+def oracle_codes(values, cols):
+    """Dense rank of each row's value tuple over `cols`; no columns rank
+    every row 0, one block for the universe."""
+    cols = list(cols)
+    if not cols:
+        return np.zeros(len(values), dtype=np.int64)
+    _, inverse = np.unique(values[:, cols], axis=0, return_inverse=True)
+    return inverse.ravel()
+
+
+def block_inverse(values, cols):
+    """Block id per row from the pattern codes, numbered in code order."""
+    _, inverse = np.unique(pattern_codes(values, cols), return_inverse=True)
+    return inverse
 
 
 def oracle_granules(values, decisions) -> dict:
@@ -50,7 +60,7 @@ def oracle_ranked(granules: dict) -> list:
 
 
 def oracle_reduct(table: CategoricalTable):
-    with mock.patch.object(roughset, "_block_inverse", oracle_block_inverse):
+    with mock.patch.object(roughset, "pattern_codes", oracle_codes):
         return reduct_search(InformationSystem.from_table(table))
 
 
@@ -127,30 +137,27 @@ class TestBlockInverse:
     def test_matches_row_tuple_partition(self, table, data):
         m = table.n_attributes
         cols = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
-        inverse, n_blocks = roughset._block_inverse(table.values, cols)
-        expected, expected_blocks = oracle_block_inverse(table.values, cols)
-        assert n_blocks == expected_blocks
-        assert np.array_equal(inverse, expected)
+        expected = oracle_codes(table.values, cols)
+        assert np.array_equal(block_inverse(table.values, cols), expected)
 
     @PROPERTY
     @given(tables(max_cols=70, max_rows=25))
     def test_wide_tables_code_exactly(self, table):
         # more than 31 base-4 digits: the running code is re-densified
         cols = list(range(table.n_attributes))[::-1]
-        inverse, n_blocks = roughset._block_inverse(table.values, cols)
-        expected, expected_blocks = oracle_block_inverse(table.values, cols)
-        assert n_blocks == expected_blocks
-        assert np.array_equal(inverse, expected)
+        expected = oracle_codes(table.values, cols)
+        assert np.array_equal(block_inverse(table.values, cols), expected)
 
     def test_codes_are_base_4_digits(self):
         values = np.array([[1, 1], [4, 2], [2, 4]])
         assert pattern_codes(values, [0, 1]).tolist() == [0, 13, 7]
         assert pattern_codes(values, [1, 0]).tolist() == [0, 7, 13]
+        # no columns: one block, the whole universe
+        assert pattern_codes(values, []).tolist() == [0, 0, 0]
 
     def test_identical_rows_form_one_block(self):
         values = np.full((64, 40), 3)
-        inverse, n_blocks = roughset._block_inverse(values, range(40))
-        assert n_blocks == 1 and not inverse.any()
+        assert not block_inverse(values, range(40)).any()
 
 
 class TestReducersMatchOracle:

@@ -1,4 +1,4 @@
-"""Covariance, Jacobi eigenpairs, component selection, projection."""
+"""Covariance, eigenpairs, component selection, projection."""
 
 import numpy as np
 import pytest

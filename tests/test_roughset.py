@@ -5,12 +5,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dgareduce.dataset import CategoricalTable
 from dgareduce.errors import DependencyDegenerateError, ParameterError
 from dgareduce.roughset import (
     InformationSystem,
-    _block_inverse,
     degree_of_dependency,
+    pattern_codes,
     reduct_search,
 )
 
@@ -46,11 +50,38 @@ def brute_reduct_check(system: InformationSystem, kept) -> bool:
     return True
 
 
+def row_count_dependency(values, decisions, cols) -> float:
+    """Row-by-row count: a row is positive when every row sharing its values
+    over `cols` shares its decision; no columns make one block of all rows."""
+    keys = [tuple(row) for row in values[:, cols].tolist()]
+    seen: dict[tuple, set] = {}
+    for key, decision in zip(keys, decisions.tolist()):
+        seen.setdefault(key, set()).add(decision)
+    return sum(len(seen[key]) == 1 for key in keys) / len(keys)
+
+
+@st.composite
+def repetitive_tables(draw):
+    """Up to 300 rows over 2..5 columns of cells in 1..2, so rows repeat
+    heavily; decisions are free, copy the first column or are constant."""
+    n, m = draw(st.integers(1, 300)), draw(st.integers(2, 5))
+    values = draw(arrays(np.int64, (n, m), elements=st.integers(1, 2)))
+    kind = draw(st.sampled_from(["free", "first-column", "constant"]))
+    if kind == "free":
+        decisions = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    elif kind == "first-column":
+        decisions = values[:, 0] - 1
+    else:
+        decisions = np.full(n, draw(st.integers(0, 1)))
+    return CategoricalTable(values, decisions, tuple(f"a{i + 1}" for i in range(m)))
+
+
 def equivalence_classes(table, names=("a1",)) -> list[tuple[int, ...]]:
-    """The blocks of `_block_inverse` over the named columns, as sorted row tuples."""
+    """The blocks of equal pattern codes over the named columns, as sorted row tuples."""
     system = InformationSystem.from_table(table)
-    inverse, n_blocks = _block_inverse(system.values, system._column_indices(names))
-    return sorted(tuple(np.flatnonzero(inverse == b).tolist()) for b in range(n_blocks))
+    codes = pattern_codes(system.values, system._column_indices(names))
+    blocks, inverse = np.unique(codes, return_inverse=True)
+    return sorted(tuple(np.flatnonzero(inverse == b).tolist()) for b in range(len(blocks)))
 
 
 class TestEquivalenceClasses:
@@ -123,6 +154,31 @@ class TestDegreeOfDependency:
                 degree_of_dependency(system, system.attributes[: k + 1]) for k in range(4)
             ]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestRepeatedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(repetitive_tables())
+    # one attribute kept, its removal leaving the contradictory universe
+    @example(make_categorical([[1, 2, 1, 2], [1, 1, 1, 1]], [0, 1, 0, 1]))
+    # one attribute kept, its removal leaving a pure universe
+    @example(make_categorical([[1, 2, 1, 2], [2, 1, 1, 2]], [1, 1, 1, 1]))
+    def test_dependency_and_gamma_without_kept_match_row_count(self, table):
+        system = InformationSystem.from_table(table)
+        values, decisions, names = table.values, table.decisions, table.attributes
+        for size in range(1, len(names) + 1):
+            for cols in combinations(range(len(names)), size):
+                subset = tuple(names[c] for c in cols)
+                expected = row_count_dependency(values, decisions, list(cols))
+                assert degree_of_dependency(system, subset) == expected
+        try:
+            result = reduct_search(system)
+        except DependencyDegenerateError:
+            assert row_count_dependency(values, decisions, list(range(len(names)))) == 0.0
+            return
+        for name, gamma in result.diagnostics["gamma_without_kept"].items():
+            others = [names.index(a) for a in result.kept if a != name]
+            assert gamma == row_count_dependency(values, decisions, others)
 
 
 class TestReductSearch:

@@ -258,7 +258,6 @@ class TestPredict:
             support_indices=model.support_indices[order],
             converged=model.converged,
             sweeps=model.sweeps,
-            train_time=model.train_time,
             training_kkt_rate=model.training_kkt_rate,
         )
         probe = values[:5]
