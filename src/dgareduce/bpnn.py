@@ -361,5 +361,5 @@ def load_model(path) -> MlpModel:
         input_width,
         hidden,
         TrainingTrace(stop_reason="loaded"),
-        scaler=f.scaler(),
+        scaler=f.scaler(input_width),
     )

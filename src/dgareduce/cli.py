@@ -150,7 +150,10 @@ def matrix(config_path, json_out, fmt):
         cfg = _config_from_ini(config_path)
     except (ConfigError, DgaError, ValueError) as exc:
         _fail_config(str(exc))
-    report = pipeline.run_matrix(cfg)
+    try:
+        report = pipeline.run_matrix(cfg)  # each cell contains its own errors
+    except (DgaError, OSError) as exc:
+        _fail_config(str(exc))
     click.echo(pipeline.emit_report(report, fmt), nl=False)
     if json_out:
         with open(json_out, "w", encoding="utf-8") as fh:

@@ -329,26 +329,25 @@ class ModelFile:
 
         return self.get(key, parse)
 
-    def arrays(self, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-        """The float array of each key in `shapes`, checked to have that shape."""
+    def arrays(self, shapes: dict[str, tuple[int, ...]], dtype=float) -> dict[str, np.ndarray]:
+        """The array of each key in `shapes`, checked to have that shape."""
         named = {}
         for key, shape in shapes.items():
-            named[key] = self.array(key)
+            named[key] = self.array(key, dtype)
             if named[key].shape != shape:
                 raise ParameterError(
                     f"{self.path}: {key!r} has shape {named[key].shape}, expected {shape}"
                 )
         return named
 
-    def scaler(self) -> Scaler | None:
-        """The embedded scaler, or None when the file has none."""
+    def scaler(self, width: int) -> Scaler | None:
+        """The embedded scaler, checked to be `width` columns wide, or None
+        when the file has none."""
         if "scaler_mean" not in self.fields:
             return None
-        return Scaler(
-            self.array("scaler_mean"),
-            self.array("scaler_std"),
-            self.array("scaler_constant", bool),
-        )
+        keys = ("scaler_mean", "scaler_std", "scaler_constant")
+        named = self.arrays({key: (width,) for key in keys})
+        return Scaler(*(named[key] for key in keys))
 
 
 def standardize(table: Table) -> tuple[Table, Scaler]:

@@ -56,24 +56,6 @@ def entropy(class_counts) -> float:
     return h
 
 
-@dataclass(frozen=True)
-class GainEntry:
-    """Per-attribute entropy and gain numbers for one table."""
-
-    attribute: str
-    class_entropy: float  # H(decision)
-    attribute_entropy: float  # H(attribute)
-    gain: float
-    gain_ratio: float | None  # undefined when the attribute is constant
-
-
-def information_gain(table: CategoricalTable, attribute: str) -> GainEntry:
-    """Reduction in decision entropy from knowing the attribute's value."""
-    h_y, h_x, gain = _gain(table.column(attribute), table.decisions)
-    ratio = gain / h_x if h_x > 0 else None
-    return GainEntry(attribute, h_y, h_x, gain, ratio)
-
-
 def _gain(column, decisions) -> tuple[float, float, float]:
     """H(decision), H(column) and the information gain of `column`, in bits."""
     h_y = entropy(_class_counts(decisions))

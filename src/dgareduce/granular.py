@@ -1,118 +1,35 @@
-"""Granular layer: pattern granules with positive/negative counts, rough
-membership, the ranking function count_t * proportion, and the incremental
-chunked ranking whose accumulated granule set feeds the rough-set reduct
-search.
+"""Granular layer: the incremental chunked ranking whose accumulated granule
+set feeds the rough-set reduct search.
 
-Rank ranges per region follow the membership definition: a granule with
-proportion 1 is positive (1 <= rank <= count_t), proportion 0 is negative
-(rank = 0), anything between is boundary (0 < rank < count_t).
-
+A granule is one condition-value pattern with its decision counts count_t
+(rows with decision 1) and count_f (rows with decision 0); its rank is
+count_t * proportion, with proportion count_t / (count_t + count_f).
 Granules are counted, merged and ranked as arrays grouped by
 `roughset._group`, the grouping routine the reduct search uses too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import CategoricalTable
-from .errors import ParameterError, SchemaError, ValidationError
+from .errors import ParameterError
 from .reduction import ReductionResult
 from .roughset import (
     InformationSystem,
     _group,
     _Granules,
-    _row_granules,
     pattern_codes,
     reduct_search,
 )
-
-
-@dataclass(frozen=True)
-class Granule:
-    """All rows sharing one condition-value pattern, with decision counts."""
-
-    pattern: tuple[int, ...]
-    count_t: int  # rows with decision 1
-    count_f: int  # rows with decision 0
-
-    def __post_init__(self):
-        if self.count_t < 0 or self.count_f < 0 or self.count_t + self.count_f == 0:
-            raise ParameterError("granule counts must be non-negative and not both zero")
-
-    @property
-    def proportion(self) -> float:
-        return self.count_t / (self.count_t + self.count_f)
-
-    @property
-    def rank(self) -> float:
-        return self.count_t * self.proportion
-
-    @property
-    def region(self) -> str:
-        if self.count_f == 0:
-            return "positive"
-        if self.count_t == 0:
-            return "negative"
-        return "boundary"
-
-
-@dataclass(frozen=True)
-class GranuleSet:
-    """Granules keyed by pattern over a fixed attribute list."""
-
-    granules: tuple[Granule, ...]
-    attributes: tuple[str, ...]
-    rows: int  # total row mass absorbed
-
-    @classmethod
-    def from_granules(cls, granules, attributes) -> "GranuleSet":
-        granules = tuple(sorted(granules, key=lambda g: g.pattern))
-        patterns = [g.pattern for g in granules]
-        if len(set(patterns)) != len(patterns):
-            raise ParameterError("duplicate granule patterns")
-        rows = sum(g.count_t + g.count_f for g in granules)
-        return cls(granules, tuple(attributes), rows)
-
-    def by_pattern(self) -> dict[tuple[int, ...], Granule]:
-        return {g.pattern: g for g in self.granules}
-
-    def __len__(self) -> int:
-        return len(self.granules)
 
 
 def _rank_order(granules: _Granules) -> np.ndarray:
     """Indices of the highest-ranked granules first; rank ties order by
     count_t descending, remaining ties by pattern."""
     t = granules.count_t
-    rank = t * (t / (t + granules.count_f))  # Granule.rank, element-wise
+    rank = t * (t / (t + granules.count_f))  # count_t * proportion
     return np.lexsort((granules.codes, -t, -rank))
-
-
-def _granule_arrays(granules, width: int) -> _Granules:
-    """Granule objects as arrays, in their given order."""
-    patterns = np.array([g.pattern for g in granules], dtype=np.int64).reshape(-1, width)
-    if patterns.size and (patterns.min() < 1 or patterns.max() > 4):
-        raise ValidationError("granule patterns must hold categories in {1, 2, 3, 4}")
-    return _Granules(
-        pattern_codes(patterns, range(width)),
-        patterns,
-        np.array([g.count_t for g in granules], dtype=np.int64),
-        np.array([g.count_f for g in granules], dtype=np.int64),
-    )
-
-
-def _granule_set(granules: _Granules, attributes) -> GranuleSet:
-    """A GranuleSet of grouped arrays, which are already in pattern order."""
-    objects = tuple(
-        Granule(tuple(p), t, f)
-        for p, t, f in zip(
-            granules.patterns.tolist(), granules.count_t.tolist(), granules.count_f.tolist()
-        )
-    )
-    return GranuleSet(objects, tuple(attributes), granules.rows)
 
 
 def _expand(granules: _Granules, attributes) -> CategoricalTable:
@@ -123,44 +40,6 @@ def _expand(granules: _Granules, attributes) -> CategoricalTable:
     decisions = np.repeat((t > f).astype(np.int64), repeats)
     decisions[(np.cumsum(repeats) - repeats)[t == f]] = 1
     return CategoricalTable(np.repeat(granules.patterns, repeats, axis=0), decisions, attributes)
-
-
-def granulate(chunk: CategoricalTable) -> GranuleSet:
-    """One granule per distinct condition tuple in the chunk."""
-    if chunk.n_rows == 0:
-        raise ParameterError("cannot granulate an empty chunk")
-    return _granule_set(_row_granules(chunk.values, chunk.decisions), chunk.attributes)
-
-
-def combine(base: GranuleSet, new: GranuleSet) -> GranuleSet:
-    """Merge matching patterns by adding counts; insert unmatched granules."""
-    if base.attributes != new.attributes:
-        raise SchemaError(
-            f"attribute lists differ: {base.attributes} vs {new.attributes}"
-        )
-    both = _granule_arrays(base.granules + new.granules, len(base.attributes))
-    return _granule_set(_group(*both), base.attributes)
-
-
-def top_ranked(granules: GranuleSet, n: int) -> list[Granule]:
-    """Highest-ranked granules first; rank ties order by count_t descending,
-    remaining ties by pattern."""
-    if n < 1:
-        raise ParameterError("n must be at least 1")
-    order = _rank_order(_granule_arrays(granules.granules, len(granules.attributes)))
-    return [granules.granules[i] for i in order[:n].tolist()]
-
-
-def to_decision_table(granules: GranuleSet) -> CategoricalTable:
-    """Expand a granule set back into a decision table for reduct search.
-
-    Each granule contributes one row carrying its majority decision; an exact
-    count tie contributes one row per class so the contradiction survives.
-    """
-    if len(granules) == 0:
-        raise ParameterError("cannot expand an empty granule set")
-    arrays = _granule_arrays(granules.granules, len(granules.attributes))
-    return _expand(arrays, granules.attributes)
 
 
 def incremental_rank_reduce(

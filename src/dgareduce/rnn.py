@@ -467,5 +467,5 @@ def load_model(path) -> RnnModel:
         hidden=hidden,
         connection=connection,
         trace=TrainingTrace(stop_reason="loaded"),
-        scaler=f.scaler(),
+        scaler=f.scaler(input_width),
     )

@@ -273,16 +273,19 @@ def load_model(path) -> SvmModel:
         scale=f.get("scale", float),
         offset=f.get("offset", float),
     )
+    vectors = f.array("support_vectors")
+    n = vectors.shape[:1]  # one label, alpha and index per support vector
+    support = f.arrays({"labels": n, "alphas": n})
     return SvmModel(
         kernel=kernel,
         c=f.get("c", float),
         bias=f.get("bias", float),
-        support_vectors=f.array("support_vectors"),
-        support_labels=f.array("labels"),
-        support_alphas=f.array("alphas"),
-        support_indices=f.array("indices", np.int64),
+        support_vectors=vectors,
+        support_labels=support["labels"],
+        support_alphas=support["alphas"],
+        support_indices=f.arrays({"indices": n}, np.int64)["indices"],
         converged=bool(f.get("converged", int)),
         sweeps=0,
         training_kkt_rate=1.0,
-        scaler=f.scaler(),
+        scaler=f.scaler(vectors.shape[-1]),
     )

@@ -24,8 +24,13 @@ from dgareduce.dataset import (
     synth_generate,
 )
 from dgareduce.errors import DependencyDegenerateError, NoUncertaintyWarning
-from dgareduce.granular import combine, granulate, to_decision_table
-from dgareduce.roughset import InformationSystem, degree_of_dependency, reduct_search
+from dgareduce.roughset import (
+    InformationSystem,
+    _group,
+    _row_granules,
+    degree_of_dependency,
+    reduct_search,
+)
 from dgareduce.rnn import IntervalTable, Intervalizer
 
 from conftest import make_categorical, make_gas_table, make_table
@@ -152,13 +157,22 @@ def test_criterion_04_granular_algebra():
             rng.integers(1, 4, size=(m, n)).tolist(), rng.integers(0, 2, n)
         )
         cut = int(rng.integers(1, n))
-        left = table.take(np.arange(cut))
-        right = table.take(np.arange(cut, n))
-        merged = combine(granulate(left), granulate(right))
-        direct = granulate(table)
-        assert merged.by_pattern() == direct.by_pattern()
-        for g in direct.granules:
-            assert abs(g.rank - g.count_t**2 / (g.count_t + g.count_f)) <= 1e-12
+        chunks = [
+            _row_granules(table.values[rows], table.decisions[rows])
+            for rows in (slice(cut), slice(cut, n))
+        ]
+        direct = _row_granules(table.values, table.decisions)
+        for first, second in (chunks, chunks[::-1]):
+            merged = _group(*(np.concatenate(pair) for pair in zip(first, second)))
+            for got, want in zip(merged, direct):
+                assert np.array_equal(got, want)
+            assert merged.rows == n
+        t, f = direct.count_t.tolist(), direct.count_f.tolist()
+        patterns = [tuple(p) for p in direct.patterns.tolist()]
+        identity = sorted(
+            range(len(t)), key=lambda i: (-t[i] ** 2 / (t[i] + f[i]), -t[i], patterns[i])
+        )
+        assert granular._rank_order(direct).tolist() == identity
     checked = 0
     while checked < 5:
         n = int(np.random.default_rng(checked).integers(20, 40))
@@ -171,20 +185,21 @@ def test_criterion_04_granular_algebra():
         except DependencyDegenerateError:
             checked += 1
             continue
+        granules = _row_granules(table.values, table.decisions)
         direct = reduct_search(
-            InformationSystem.from_table(to_decision_table(granulate(table)))
+            InformationSystem.from_table(granular._expand(granules, table.attributes))
         )
         assert incremental.kept == direct.kept
         checked += 1
-    budget.done(4, "combine/granulate equivalence, rank identity, single-chunk match")
+    budget.done(4, "granule grouping equivalence, rank identity, single-chunk match")
 
 
 def test_criterion_05_tree_math():
     budget = _Budget(5.0)
     assert dtree.entropy([3, 1]) == pytest.approx(0.811278, abs=1e-6)
     worked = make_categorical([[1, 1, 2, 2]], [0, 1, 1, 1])
-    entry = dtree.information_gain(worked, "a1")
-    assert entry.gain == pytest.approx(0.311278, abs=1e-6)
+    _, _, gain = dtree._gain(worked.column("a1"), worked.decisions)
+    assert gain == pytest.approx(0.311278, abs=1e-6)
     xor = make_categorical([[1, 1, 2, 2] * 2, [1, 2, 1, 2] * 2], [0, 1, 1, 0] * 2)
     tree = dtree.build_tree(xor)
     assert isinstance(tree, dtree.Internal)

@@ -202,6 +202,30 @@ class TestMatrix:
         assert result.exit_code == 0, result.output
         assert "rs" in result.output
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ("informative = hydrogen,bogus", "not a generable gas: 'bogus'"),
+            ("n = 5", "n must be at least 10"),
+            ("source = csv\npath = {tmp}/missing.csv", "No such file or directory"),
+            ("source = csv\npath = {tmp}/header.csv", "no usable rows"),
+        ],
+        ids=["unknown-gas", "too-few-rows", "missing-csv", "header-only-csv"],
+    )
+    def test_unresolvable_data_exit_2_before_any_cell(self, tmp_path, data, message):
+        rows = tmp_path / "rows.csv"
+        _invoke("synth", "-n", "30", "--seed", "8", "--out", str(rows))
+        (tmp_path / "header.csv").write_text(rows.read_text().splitlines()[0] + "\n")
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            "[data]\n%s\n\n[experiment]\npreprocessors = rs\nclassifiers = svm\n"
+            % data.format(tmp=tmp_path)
+        )
+        result = _invoke("matrix", "--config", str(ini))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("config error: ") and message in result.stderr
+        assert "Average Accuracy (%)" not in result.output
+
 
 class TestReport:
     def test_reformat_round_trip(self, tmp_path):

@@ -1,19 +1,25 @@
-"""Granules, rough membership, ranking, combination, incremental reduction."""
+"""Granule counting, merging, ranking, expansion and incremental reduction,
+on the arrays the GR++ reducer runs: `roughset._row_granules` counts a
+table's granules, `roughset._group` merges granule sets, `granular._rank_order`
+ranks them and `granular._expand` turns them back into a decision table.
+
+A granule's rank is count_t * proportion = count_t**2 / (count_t + count_f);
+rank ties order by count_t descending, remaining ties by pattern.
+"""
 
 import numpy as np
 import pytest
 
-from dgareduce.errors import DependencyDegenerateError, ParameterError, SchemaError
-from dgareduce.granular import (
-    Granule,
-    GranuleSet,
-    combine,
-    granulate,
-    incremental_rank_reduce,
-    to_decision_table,
-    top_ranked,
+from dgareduce.errors import DependencyDegenerateError, ParameterError
+from dgareduce.granular import _expand, _rank_order, incremental_rank_reduce
+from dgareduce.roughset import (
+    InformationSystem,
+    _group,
+    _Granules,
+    _row_granules,
+    pattern_codes,
+    reduct_search,
 )
-from dgareduce.roughset import InformationSystem, reduct_search
 
 from conftest import make_categorical
 
@@ -24,154 +30,176 @@ def _random_table(rng, n=20, m=3):
     )
 
 
+def _granules(patterns, count_t, count_f, width=1):
+    """Hand-written granules, one pattern tuple per granule."""
+    patterns = np.array(patterns, dtype=np.int64).reshape(len(count_t), width)
+    return _Granules(
+        pattern_codes(patterns, range(width)),
+        patterns,
+        np.array(count_t, dtype=np.int64),
+        np.array(count_f, dtype=np.int64),
+    )
+
+
+def _of(table):
+    return _row_granules(table.values, table.decisions)
+
+
+def _merge(*parts):
+    """Group the concatenation of granule sets, as the chunk loop does."""
+    return _group(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+def _assert_same(a, b):
+    for name, x, y in zip(_Granules._fields, a, b):
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+def _by_pattern(granules):
+    return {
+        tuple(p): (t, f)
+        for p, t, f in zip(
+            granules.patterns.tolist(), granules.count_t.tolist(), granules.count_f.tolist()
+        )
+    }
+
+
+def _ranked(granules):
+    """Patterns in `_rank_order`."""
+    return [tuple(p) for p in granules.patterns[_rank_order(granules)].tolist()]
+
+
+def _ranks(granules):
+    t, f = granules.count_t, granules.count_f
+    return t * t / (t + f)
+
+
+def _oracle_order(granules):
+    t, rank = granules.count_t.tolist(), _ranks(granules).tolist()
+    patterns = [tuple(p) for p in granules.patterns.tolist()]
+    return sorted(range(len(t)), key=lambda i: (-rank[i], -t[i], patterns[i]))
+
+
 class TestGranule:
     def test_hand_counts(self):
         table = make_categorical([[2, 2, 2, 2], [3, 3, 3, 3]], [1, 1, 1, 0])
-        gset = granulate(table)
-        assert len(gset) == 1
-        g = gset.granules[0]
-        assert (g.count_t, g.count_f) == (3, 1)
-        assert g.proportion == pytest.approx(0.75)
-        assert g.rank == pytest.approx(2.25)
-        assert g.region == "boundary"
+        granules = _of(table)
+        assert _by_pattern(granules) == {(2, 3): (3, 1)}
+        assert granules.rows == 4
+        # rank 9/4 lies between 2 (count 2, 0) and 5/2 (count 5, 5)
+        around = _merge(granules, _granules([(1, 1), (4, 4)], [2, 5], [0, 5], width=2))
+        assert _ranked(around) == [(4, 4), (2, 3), (1, 1)]
 
     def test_all_negative_rank_zero(self):
-        table = make_categorical([[1, 1, 2, 2]], [0, 0, 0, 0])
-        for g in granulate(table).granules:
-            assert g.rank == 0.0
-            assert g.region == "negative"
+        granules = _of(make_categorical([[1, 1, 2, 2]], [0, 0, 0, 0]))
+        assert _by_pattern(granules) == {(1,): (0, 2), (2,): (0, 2)}
+        # rank-0 granules tie and keep pattern order; any positive mass ranks above
+        mixed = _merge(granules, _granules([(3,)], [1], [3]))
+        assert _ranked(mixed) == [(3,), (1,), (2,)]
 
     def test_distinct_positive_rank_one(self):
-        table = make_categorical([[1, 2, 3, 4]], [1, 1, 1, 1])
-        for g in granulate(table).granules:
-            assert g.rank == 1.0
-            assert g.region == "positive"
+        table = make_categorical([[1, 2, 3, 4], [1, 1, 1, 1]], [1, 1, 1, 1])
+        granules = _of(table)
+        assert _ranked(granules) == [(1, 1), (2, 1), (3, 1), (4, 1)]
+        # 2*2/4 ties at rank 1 and leads on count_t; 1*1/2 ranks below
+        mixed = _merge(granules, _granules([(1, 2), (2, 2)], [1, 2], [1, 2], width=2))
+        assert _ranked(mixed) == [(2, 2), (1, 1), (2, 1), (3, 1), (4, 1), (1, 2)]
 
     def test_rank_formula_exact(self, rng):
         for _ in range(30):
-            gset = granulate(_random_table(rng))
-            for g in gset.granules:
-                expected = g.count_t**2 / (g.count_t + g.count_f)
-                assert abs(g.rank - expected) <= 1e-12
+            granules = _of(_random_table(rng))
+            assert _rank_order(granules).tolist() == _oracle_order(granules)
 
     def test_rank_monotonicity(self):
-        assert Granule((1,), 3, 1).rank > Granule((1,), 2, 1).rank
-        assert Granule((1,), 2, 2).rank < Granule((1,), 2, 1).rank
+        # more positive mass at equal negative mass ranks higher: 9/4 > 4/3
+        assert _ranked(_granules([(1,), (2,)], [2, 3], [1, 1])) == [(2,), (1,)]
+        # more negative mass at equal positive mass ranks lower: 4/4 < 4/3
+        assert _ranked(_granules([(1,), (2,)], [2, 2], [2, 1])) == [(2,), (1,)]
 
     def test_region_rank_bounds(self, rng):
+        # negative granules (rank 0) rank below every granule with positive
+        # mass; a positive granule (rank count_t) ranks above every boundary
+        # granule (rank below count_t) of no more positive mass
         for _ in range(30):
-            for g in granulate(_random_table(rng)).granules:
-                if g.region == "positive":
-                    assert 1 <= g.rank <= g.count_t
-                elif g.region == "negative":
-                    assert g.rank == 0.0
-                else:
-                    assert 0.0 < g.rank < g.count_t
-
-    def test_empty_counts_rejected(self):
-        with pytest.raises(ParameterError):
-            Granule((1, 2), 0, 0)
-
-    def test_empty_chunk_rejected(self):
-        table = make_categorical([[1, 2]], [0, 1])
-        with pytest.raises(ParameterError):
-            granulate(table.take([]))
+            granules = _of(_random_table(rng))
+            place = np.argsort(_rank_order(granules))
+            t, f = granules.count_t, granules.count_f
+            assert place[t == 0].min(initial=len(t)) > place[t > 0].max(initial=-1)
+            for i in np.flatnonzero((f == 0) & (t > 0)):
+                boundary = (t > 0) & (f > 0) & (t <= t[i])
+                assert (place[boundary] > place[i]).all()
 
 
 class TestCombine:
     def test_hand_merge(self):
-        a = GranuleSet.from_granules([Granule((1, 2), 2, 1)], ("a1", "a2"))
-        b = GranuleSet.from_granules([Granule((1, 2), 1, 0)], ("a1", "a2"))
-        merged = combine(a, b)
-        g = merged.granules[0]
-        assert (g.count_t, g.count_f) == (3, 1)
-        assert g.proportion == pytest.approx(0.75)
-        assert g.rank == pytest.approx(2.25)
+        merged = _merge(
+            _granules([(1, 2)], [2], [1], width=2), _granules([(1, 2)], [1], [0], width=2)
+        )
+        assert _by_pattern(merged) == {(1, 2): (3, 1)}
+        assert merged.rows == 4
 
     def test_identity_element(self, rng):
-        gset = granulate(_random_table(rng))
-        empty = GranuleSet.from_granules([], gset.attributes)
-        merged = combine(gset, empty)
-        assert merged.by_pattern() == gset.by_pattern()
-        assert merged.rows == gset.rows
+        granules = _of(_random_table(rng))
+        empty = _granules(np.zeros((0, 3)), [], [], width=3)
+        merged = _merge(granules, empty)
+        _assert_same(merged, granules)
+        assert merged.rows == granules.rows
 
     def test_matches_granulating_the_union(self, rng):
         for _ in range(20):
             table = _random_table(rng, n=24)
             cut = int(rng.integers(4, 20))
-            left = table.take(np.arange(cut))
-            right = table.take(np.arange(cut, 24))
-            merged = combine(granulate(left), granulate(right))
-            direct = granulate(table)
-            assert merged.by_pattern() == direct.by_pattern()
+            left = _of(table.take(np.arange(cut)))
+            right = _of(table.take(np.arange(cut, 24)))
+            for merged in (_merge(left, right), _merge(right, left)):
+                _assert_same(merged, _of(table))
+                assert merged.rows == 24
 
     def test_commutative_and_mass_conserving(self, rng):
         table = _random_table(rng, n=30)
-        left = table.take(np.arange(15))
-        right = table.take(np.arange(15, 30))
-        ab = combine(granulate(left), granulate(right))
-        ba = combine(granulate(right), granulate(left))
-        assert ab.by_pattern() == ba.by_pattern()
+        left = _of(table.take(np.arange(15)))
+        right = _of(table.take(np.arange(15, 30)))
+        ab = _merge(left, right)
+        _assert_same(ab, _merge(right, left))
         assert ab.rows == 30
 
     def test_associative_over_disjoint_sources(self, rng):
         table = _random_table(rng, n=30)
-        parts = [granulate(table.take(np.arange(s, s + 10))) for s in (0, 10, 20)]
-        left_first = combine(combine(parts[0], parts[1]), parts[2])
-        right_first = combine(parts[0], combine(parts[1], parts[2]))
-        assert left_first.by_pattern() == right_first.by_pattern()
+        parts = [_of(table.take(np.arange(s, s + 10))) for s in (0, 10, 20)]
+        left_first = _merge(_merge(parts[0], parts[1]), parts[2])
+        right_first = _merge(parts[0], _merge(parts[1], parts[2]))
+        _assert_same(left_first, right_first)
         assert left_first.rows == right_first.rows == 30
-
-    def test_schema_mismatch(self):
-        a = GranuleSet.from_granules([Granule((1,), 1, 0)], ("a1",))
-        b = GranuleSet.from_granules([Granule((1,), 1, 0)], ("zz",))
-        with pytest.raises(SchemaError):
-            combine(a, b)
 
 
 class TestTopRanked:
     def test_unique_max(self):
-        gset = GranuleSet.from_granules(
-            [Granule((1,), 3, 1), Granule((2,), 1, 0), Granule((3,), 0, 1)], ("a1",)
-        )
-        best = top_ranked(gset, 1)
-        assert best[0].pattern == (1,)
+        granules = _granules([(1,), (2,), (3,)], [3, 1, 0], [1, 0, 1])
+        assert _ranked(granules)[0] == (1,)
 
     def test_count_t_breaks_rank_ties(self):
-        # ranks equal 1.0 with different positive mass: 2/(2+2) vs 1/(1+0)
-        a = Granule((1,), 2, 2)
-        b = Granule((2,), 1, 0)
-        gset = GranuleSet.from_granules([a, b], ("a1",))
-        best = top_ranked(gset, 2)
-        assert best[0].pattern == (1,)
-        assert best[0].count_t == 2
+        # ranks equal 1.0 with different positive mass: 1/(1+0) vs 2*2/(2+2)
+        granules = _granules([(1,), (2,)], [1, 2], [0, 2])
+        assert _ranked(granules) == [(2,), (1,)]
 
     def test_saturation(self, rng):
-        gset = granulate(_random_table(rng))
-        ranked = top_ranked(gset, len(gset) + 10)
-        assert len(ranked) == len(gset)
-        ranks = [g.rank for g in ranked]
+        granules = _of(_random_table(rng))
+        order = _rank_order(granules)
+        assert sorted(order.tolist()) == list(range(len(granules.codes)))
+        ranks = _ranks(granules)[order].tolist()
         assert ranks == sorted(ranks, reverse=True)
-
-    def test_n_validation(self, rng):
-        with pytest.raises(ParameterError):
-            top_ranked(granulate(_random_table(rng)), 0)
 
 
 class TestDecisionTableExpansion:
     def test_majority_rows(self):
-        gset = GranuleSet.from_granules(
-            [Granule((1,), 3, 1), Granule((2,), 0, 2)], ("a1",)
-        )
-        table = to_decision_table(gset)
+        table = _expand(_granules([(1,), (2,)], [3, 0], [1, 2]), ("a1",))
         assert table.n_rows == 2
         assert list(table.decisions) == [1, 0]
 
     def test_tie_preserves_contradiction(self):
-        gset = GranuleSet.from_granules([Granule((1,), 2, 2)], ("a1",))
-        table = to_decision_table(gset)
-        assert table.n_rows == 2
-        assert sorted(table.decisions) == [0, 1]
+        table = _expand(_granules([(1,)], [2], [2]), ("a1",))
+        assert table.values.tolist() == [[1], [1]]
+        assert list(table.decisions) == [1, 0]
 
 
 class TestIncrementalRankReduce:
@@ -182,7 +210,7 @@ class TestIncrementalRankReduce:
         except DependencyDegenerateError:
             pytest.skip("degenerate draw")
         direct = reduct_search(
-            InformationSystem.from_table(to_decision_table(granulate(table)))
+            InformationSystem.from_table(_expand(_of(table), table.attributes))
         )
         assert incremental.kept == direct.kept
 

@@ -97,7 +97,21 @@ def _write_fields(path, fields):
 
 @pytest.mark.parametrize(
     "kind, key",
-    [("bpnn", "b0"), ("bpnn", "w1"), ("rnn", "lower_b"), ("rnn", "upper_w"), ("rnn", "b1")],
+    [
+        ("bpnn", "b0"),
+        ("bpnn", "w1"),
+        ("rnn", "lower_b"),
+        ("rnn", "upper_w"),
+        ("rnn", "b1"),
+        # one entry per support vector
+        ("svm", "labels"),
+        ("svm", "alphas"),
+        ("svm", "indices"),
+        # one entry per input column
+        ("bpnn", "scaler_mean"),
+        ("rnn", "scaler_std"),
+        ("svm", "scaler_constant"),
+    ],
 )
 def test_network_array_of_wrong_length_raises(kind, key, tmp_path):
     path = tmp_path / f"{kind}.txt"

@@ -2,9 +2,12 @@
 
 The oracle is `np.unique(values[:, cols], axis=0)`: blocks numbered in the
 lexicographic order of their value tuples.  The pattern-code partition must
-give the same block ids, and the rough-set and granular reducers built on it
-the same kept sets and diagnostics as when every partition, granule count and
-granule ranking goes through the oracle instead.
+give the same block ids; `roughset._row_granules` the same granule counts;
+`granular._rank_order` the same ranking as sorting by rank count_t**2 /
+(count_t + count_f), then count_t, then pattern; and the rough-set and
+granular reducers built on them the same kept sets and diagnostics as when
+every partition, granule count and granule ranking goes through the oracle
+instead.
 """
 
 from unittest import mock
@@ -17,8 +20,8 @@ from hypothesis import strategies as st
 from dgareduce import granular, roughset
 from dgareduce.dataset import CategoricalTable
 from dgareduce.errors import DgaError, ValidationError
-from dgareduce.granular import Granule, GranuleSet, incremental_rank_reduce
-from dgareduce.roughset import InformationSystem, pattern_codes, reduct_search
+from dgareduce.granular import incremental_rank_reduce
+from dgareduce.roughset import InformationSystem, _row_granules, pattern_codes, reduct_search
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -54,7 +57,7 @@ def oracle_granules(values, decisions) -> dict:
 def oracle_ranked(granules: dict) -> list:
     def key(item):
         pattern, (t, f) = item
-        return (-Granule(pattern, t, f).rank, -t, pattern)
+        return (-(t * t / (t + f)), -t, pattern)
 
     return sorted(granules.items(), key=key)
 
@@ -65,7 +68,7 @@ def oracle_reduct(table: CategoricalTable):
 
 
 def oracle_incremental(table: CategoricalTable, chunk_size: int, carry: int):
-    """The granule-object chunk loop: granulate, rank, merge by pattern."""
+    """The chunk loop on dicts: count, rank, merge by pattern."""
     values, decisions = table.values, table.decisions
     starts = range(0, table.n_rows, chunk_size)
     accumulated = oracle_granules(values[:chunk_size], decisions[:chunk_size])
@@ -179,14 +182,18 @@ class TestReducersMatchOracle:
     # rank 1.0 twice: pattern (1,) has count_t 1, pattern (2,) count_t 2 and goes first
     @example(CategoricalTable([[1], [2], [2], [2], [2]], [1, 1, 1, 0, 0], ("a1",)))
     def test_granulate_and_top_ranked(self, table):
-        gset = granular.granulate(table)
+        granules = _row_granules(table.values, table.decisions)
+        counted = [
+            (tuple(p), (t, f))
+            for p, t, f in zip(
+                granules.patterns.tolist(), granules.count_t.tolist(), granules.count_f.tolist()
+            )
+        ]
         expected = oracle_granules(table.values, table.decisions)
-        assert [(g.pattern, (g.count_t, g.count_f)) for g in gset.granules] == sorted(
-            expected.items()
-        )
-        assert gset.rows == table.n_rows
-        ranked = granular.top_ranked(gset, len(gset))
-        assert [(g.pattern, (g.count_t, g.count_f)) for g in ranked] == oracle_ranked(expected)
+        assert counted == sorted(expected.items())
+        assert granules.rows == table.n_rows
+        ranked = [counted[i] for i in granular._rank_order(granules).tolist()]
+        assert ranked == oracle_ranked(expected)
 
 
 class TestCategoryGuard:
@@ -199,8 +206,3 @@ class TestCategoryGuard:
     def test_information_system_stores_int64(self):
         system = InformationSystem(np.array([[1.0, 4.0]]), np.array([1]), ("a1", "a2"))
         assert system.values.dtype == np.int64
-
-    def test_granule_patterns_outside_categories_rejected(self):
-        gset = GranuleSet.from_granules([Granule((5,), 1, 0), Granule((1,), 0, 1)], ("a1",))
-        with pytest.raises(ValidationError):
-            granular.top_ranked(gset, 1)
