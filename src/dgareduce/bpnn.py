@@ -13,6 +13,11 @@ holds (2 * sum(hidden) + 4) float64 per row, the validation set
 held for the length of the training.  Every in-place operation keeps the
 order of the allocating formulas, so results are bit-identical to them
 (tests/test_net_buffers.py keeps those formulas as the reference).
+
+The buffers carry a leading channel axis.  The point network runs one
+channel; the rough network (`rnn`) runs its shared layers here as two, the
+min and max outputs of its rough layer.  The output is the logsig of the
+channels' mean output net, so one channel gives the plain network exactly.
 """
 
 from __future__ import annotations
@@ -29,17 +34,10 @@ STOP_EARLY = "early-stop"
 STOP_EPOCHS = "epochs"
 
 
-def logsig(n):
-    """1 / (1 + e^-n), strictly increasing, range (0, 1); evaluated through
-    e^-|n|, which never overflows."""
-    n = np.array(n, dtype=float)
-    _logsig_inplace(n, np.empty_like(n), np.empty(n.shape, dtype=bool))
-    return n
-
-
 def _logsig_inplace(z: np.ndarray, expo: np.ndarray, negative: np.ndarray) -> None:
-    """Overwrite `z` with logsig(z); `expo` and `negative` are scratch arrays
-    of z's shape."""
+    """Overwrite `z` with its logsig 1 / (1 + e^-z), strictly increasing, range
+    (0, 1); evaluated through e^-|z|, which never overflows.  `expo` and
+    `negative` are scratch arrays of z's shape."""
     np.less(z, 0.0, out=negative)
     np.abs(z, out=expo)
     np.negative(expo, out=expo)
@@ -143,38 +141,52 @@ class LayerBuffers:
     """The arrays one row block `x` needs in a layer stack of the `weights`'
     shapes, allocated once and rewritten by every pass over those rows.
 
-    Forward passes fill `acts`: the input first, then each layer's output.
-    With `backward`, a gradient step also fills `deltas` (each layer's
-    output delta) and the weight and bias gradients, and it turns each
-    hidden activation into its tanh slope in place.
+    Every array has a leading channel axis: `x` is (channels, n, width), or
+    (n, width) for one channel.  Forward passes fill `acts`: the input first,
+    then each layer's output.  With `backward`, a gradient step also fills
+    `deltas` (each layer's output delta) and the weight and bias gradients,
+    and it turns each hidden activation into its tanh slope in place; with
+    `input_delta` it also fills the delta at the stack's input.
     """
 
-    def __init__(self, x: np.ndarray, weights, backward: bool = False):
-        n = x.shape[0]
+    def __init__(self, x: np.ndarray, weights, backward: bool = False, input_delta: bool = False):
+        x = x if x.ndim == 3 else x[None]
+        channels, n = x.shape[:2]
         widths = [w.shape[0] for w in weights]
-        self.acts = [x] + [np.empty((n, k)) for k in widths]
+        self.acts = [x] + [np.empty((channels, n, k)) for k in widths]
         self.expo = np.empty((n, 1))
         self.negative = np.empty((n, 1), dtype=bool)
         self.resid = np.empty(n)
         if backward:
-            self.deltas = [np.empty((n, k)) for k in widths]
-            self.grads_w = [np.empty_like(w) for w in weights]
+            self.deltas = [np.empty((channels, n, k)) for k in widths]
+            self.input_delta = np.empty_like(x) if input_delta else None
+            self.channel_grads = [np.empty((channels,) + w.shape) for w in weights]
+            self.grads_w = [g[0] for g in self.channel_grads]
             self.grads_b = [np.empty(k) for k in widths]
 
 
+def _add_channels(a: np.ndarray) -> np.ndarray:
+    """Add every channel of `a` into channel 0, in channel order, and return it."""
+    for c in range(1, a.shape[0]):
+        a[0] += a[c]
+    return a[0]
+
+
 def _forward(weights, biases, rows: LayerBuffers) -> np.ndarray:
-    """The logsig output column over the rows, as a view into `rows`."""
+    """The logsig of the channel mean of the output nets over the rows, as a
+    view into `rows`."""
     acts = rows.acts
     last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
         z = acts[layer + 1]
         np.matmul(acts[layer], w.T, out=z)
         z += b
-        if layer == last:
-            _logsig_inplace(z, rows.expo, rows.negative)
-        else:
+        if layer < last:
             np.tanh(z, out=z)
-    return acts[-1][:, 0]
+    out = _add_channels(acts[-1])
+    out *= 1.0 / acts[-1].shape[0]
+    _logsig_inplace(out, rows.expo, rows.negative)
+    return out[:, 0]
 
 
 def _tanh_slope(a: np.ndarray) -> np.ndarray:
@@ -205,21 +217,36 @@ def scores(model: MlpModel, values: np.ndarray) -> np.ndarray:
     return _forward(model.weights, model.biases, LayerBuffers(values, model.weights))
 
 
+def _backward(weights, rows: LayerBuffers, n: int) -> None:
+    """The delta rule after a forward pass, from the output residuals in
+    `rows.resid` of a mean over n rows, written into the `backward` buffers
+    `rows`.  Each channel takes an equal share of the output delta, and each
+    gradient adds the channels' gradients in channel order."""
+    acts, deltas = rows.acts, rows.deltas
+    delta = deltas[-1]
+    _output_delta(acts[-1][0], rows.resid, n, delta[0], rows.expo)
+    share = 1.0 / delta.shape[0]
+    for c in range(1, delta.shape[0]):
+        np.multiply(share, delta[0], out=delta[c])
+    delta[0] *= share
+    for layer in range(len(weights) - 1, -1, -1):
+        np.matmul(delta.transpose(0, 2, 1), acts[layer], out=rows.channel_grads[layer])
+        _add_channels(rows.channel_grads[layer])
+        below = deltas[layer - 1] if layer > 0 else rows.input_delta
+        if below is not None:
+            np.matmul(delta, weights[layer], out=below)
+            if layer > 0:
+                below *= _tanh_slope(acts[layer])
+        np.sum(_add_channels(delta), axis=0, out=rows.grads_b[layer])
+        delta = below
+
+
 def batch_gradients(weights, biases, rows: LayerBuffers, targets):
     """Mean-squared-error value and full-batch gradients via the delta rule,
     written into the `backward` buffers `rows`."""
     np.subtract(_forward(weights, biases, rows), targets, out=rows.resid)
-    acts, deltas = rows.acts, rows.deltas
-    delta = deltas[-1]
-    _output_delta(acts[-1], rows.resid, len(targets), delta, rows.expo)
-    err = _mean_square(rows.resid)
-    for layer in range(len(weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[layer], out=rows.grads_w[layer])
-        np.sum(delta, axis=0, out=rows.grads_b[layer])
-        if layer > 0:
-            delta = np.matmul(delta, weights[layer], out=deltas[layer - 1])
-            delta *= _tanh_slope(acts[layer])
-    return err, rows.grads_w, rows.grads_b
+    _backward(weights, rows, len(targets))
+    return _mean_square(rows.resid), rows.grads_w, rows.grads_b
 
 
 def _mse(weights, biases, rows: LayerBuffers, targets) -> float:

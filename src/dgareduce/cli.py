@@ -111,7 +111,7 @@ def reduce(path, method, components, threshold, chunk_size, carry, criterion,
 @click.option("--in", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--clf", type=click.Choice(list(pipeline.CLASSIFIERS)), required=True)
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=_CONFIG.mlp.seed, show_default=True)
 @click.option("--model-out", default=None, type=click.Path(dir_okay=False))
 def train(path, clf, config_path, seed, model_out):
     """Train one classifier on a CSV table (standardized internally)."""

@@ -18,6 +18,7 @@ import io
 import json
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -302,6 +303,15 @@ def _train_eval(classifier, cfg, train_raw, test_raw, fold_seed):
     return result.accuracy, fitted.seconds, model.trace.stop_reason
 
 
+@contextmanager
+def _recording(caught: list[str]):
+    """Record every warning the block raises, appending its message to `caught`."""
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always")
+        yield
+    caught.extend(str(n.message) for n in notes)
+
+
 def run_cell(
     cfg: ExperimentConfig,
     preprocessor: str,
@@ -322,16 +332,11 @@ def run_cell(
     caught: list[str] = []
     try:
         plan = kfold(table, k, cell_seed)
-        reducer = None
-        kept_label = ""
         if not cfg.strict_no_leakage:
             stage = "preprocess"
-            with warnings.catch_warnings(record=True) as notes:
-                warnings.simplefilter("always")
+            with _recording(caught):
                 reducer = fit_reducer(table, preprocessor, cfg, cell_seed)
                 reduced_all = reducer.transform(table)
-            caught.extend(str(n.message) for n in notes)
-            kept_label = reducer.kept_label
         accuracies, times, reasons = [], [], {}
         diagnostics = []
         for fold in range(k):
@@ -340,26 +345,19 @@ def run_cell(
             test_idx = plan.test_indices(fold)
             if cfg.strict_no_leakage:
                 stage = "preprocess"
-                with warnings.catch_warnings(record=True) as notes:
-                    warnings.simplefilter("always")
-                    fold_reducer = fit_reducer(
-                        table.take(train_idx), preprocessor, cfg, fold_seed
-                    )
-                caught.extend(str(n.message) for n in notes)
-                train_raw = fold_reducer.transform(table.take(train_idx))
-                test_raw = fold_reducer.transform(table.take(test_idx))
-                kept_label = fold_reducer.kept_label
-                diagnostics.append(_reducer_fingerprint(fold_reducer))
+                with _recording(caught):
+                    reducer = fit_reducer(table.take(train_idx), preprocessor, cfg, fold_seed)
+                train_raw = reducer.transform(table.take(train_idx))
+                test_raw = reducer.transform(table.take(test_idx))
+                diagnostics.append(_reducer_fingerprint(reducer))
             else:
                 train_raw = reduced_all.take(train_idx)
                 test_raw = reduced_all.take(test_idx)
             stage = "train"
-            with warnings.catch_warnings(record=True) as notes:
-                warnings.simplefilter("always")
+            with _recording(caught):
                 acc, seconds, reason = _train_eval(
                     classifier, cfg, train_raw, test_raw, fold_seed
                 )
-            caught.extend(str(n.message) for n in notes)
             accuracies.append(acc)
             times.append(seconds)
             reasons[reason] = reasons.get(reason, 0) + 1
@@ -383,7 +381,7 @@ def run_cell(
         accuracy_mean=float(np.mean(accuracies)),
         accuracy_std=float(np.std(accuracies)),
         time_mean=float(np.mean(times)),
-        kept=kept_label,
+        kept=reducer.kept_label,
         stop_reasons=reasons,
         warnings=tuple(dict.fromkeys(caught)),
         fold_accuracies=tuple(accuracies),

@@ -5,10 +5,12 @@ point network).
 
 Each rough unit computes nets from the lower and upper input bounds through
 its own channel weights, applies the activation, and emits the element-wise
-min as the lower output and max as the upper output.  The two channels are
-simulated separately through the shared stack.  At an exact activation tie the
-gradient of both the min and max nodes flows to both branches, which keeps the
-two channels identical whenever their inputs and weights are identical.
+min as the lower output and max as the upper output.  The shared stack is
+the point network's stack (`bpnn.LayerBuffers`, `bpnn._forward` and
+`bpnn._backward`) run with the two outputs as its two channels.  At an exact
+activation tie the gradient of both the min and max nodes flows to both
+branches, which keeps the two channels identical whenever their inputs and
+weights are identical.
 
 Rows with the same category pattern get the same (lower, upper) input, so a
 block of rows holds few distinct interval rows: a one-gas cell at most 4, a
@@ -16,16 +18,16 @@ ten-gas README training fold about 240 of its 1,318 rows.  The network runs
 once per distinct row, and training weights each one by its row count (see
 `RoughBuffers`), so an epoch costs in distinct rows, not in rows.
 
-As in the point network, a training owns its buffers (`RoughBuffers`), one
-set for the training rows and one for the validation rows, rewritten in
-place by every epoch.  With h1 the first hidden width, the training set holds
-(2 * h1 + 4 * sum(hidden) + 6) float64 per distinct row and the validation
-set (2 * h1 + 2 * sum(hidden) + 4), plus h1 each for the full connection's
-cross nets and, when rows repeat, a copy of the distinct rows' bounds; each
-set also keeps one int64 group index per row.  At hidden (20, 30) the
-training set of a one-gas cell's 2 distinct rows takes 4 KB plus 10 KB of
-indices, and that of 240 distinct rows 0.5 MB, where 1,318 rows held one
-each would take 2.6 MB.
+As in the point network, a training owns its buffers (`RoughBuffers`, which
+hold the stack's two-channel `LayerBuffers`), one set for the training rows
+and one for the validation rows, rewritten in place by every epoch.  With h1
+the first hidden width, the training set holds (2 * h1 + 4 * sum(hidden) + 7)
+float64 per distinct row and the validation set (2 * h1 + 2 * sum(hidden) + 5),
+plus h1 each for the full connection's cross nets and, when rows repeat, a
+copy of the distinct rows' bounds; each set also keeps one int64 group index
+per row.  At hidden (20, 30) the training set of a one-gas cell's 2 distinct
+rows takes 4 KB plus 10 KB of indices, and that of 240 distinct rows 0.5 MB,
+where 1,318 rows held one each would take 2.6 MB.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 
 from .bpnn import (
     EvalResult,
+    LayerBuffers,
     MlpConfig,
     TrainingTrace,
     confusion,
@@ -44,8 +47,8 @@ from .bpnn import (
     init_layers,
     layer_params,
     layer_shapes,
-    _logsig_inplace,
-    _output_delta,
+    _backward as _stack_backward,
+    _forward as _stack_forward,
     _tanh_slope,
 )
 from .dataset import CategoricalTable, ModelFile, Scaler, Table, split_indices, write_model
@@ -185,12 +188,13 @@ class RoughBuffers:
     group, `inverse` maps each of the `n` rows to its group and `counts`
     holds each group's row count.  Every other array has one row per group.
 
-    Forward passes fill `gl`/`gu` (the first layer's channel nets, then
-    their tanh), `a_low`/`a_up` (each layer's min- and max-channel outputs)
-    and the two output nets.  With `backward`, a gradient step also fills
-    the channel deltas, the tie masks and one gradient per parameter name.
-    It reuses the activations it no longer needs as scratch, so after a step
-    they no longer hold a forward pass.
+    Forward passes fill `gl`/`gu` (the rough layer's channel nets, then
+    their tanh) and write the rough layer's min and max outputs into the two
+    channels of `stack`, the point network's buffers (`bpnn.LayerBuffers`)
+    for the shared layers.  With `backward`, a gradient step also fills the
+    stack's deltas, including the delta at its input, the tie masks and one
+    gradient per parameter name.  It reuses the activations it no longer
+    needs as scratch, so after a step they no longer hold a forward pass.
     """
 
     def __init__(self, model: RnnModel, xl: np.ndarray, xu: np.ndarray, backward: bool = False):
@@ -202,19 +206,17 @@ class RoughBuffers:
         first = model.hidden[0]
         self.gl, self.gu = np.empty((g, first)), np.empty((g, first))
         self.cross = np.empty((g, first)) if model.connection == "full" else None
-        self.a_low = [np.empty((g, k)) for k in model.hidden]
-        self.a_up = [np.empty((g, k)) for k in model.hidden]
-        self.z_low, self.z_up = np.empty((g, 1)), np.empty((g, 1))
-        self.negative = np.empty((g, 1), dtype=bool)
-        self.resid = np.empty(g)
+        self.stack = LayerBuffers(
+            np.empty((2, g, first)), model.shared_weights, backward, input_delta=backward
+        )
         if backward:
-            widths = model.hidden + (1,)
-            self.d_low = [np.empty((g, k)) for k in widths]
-            self.d_up = [np.empty((g, k)) for k in widths]
             self.up_or_tie = np.empty((g, first), dtype=bool)
             self.low_or_tie = np.empty((g, first), dtype=bool)
-            self.grads = {name: np.empty_like(p) for name, p in model.params.items()}
-            self.pair = [np.empty_like(w) for w in model.shared_weights]
+            shared = layer_params(self.stack.grads_w, self.stack.grads_b, start=1)
+            self.grads = {
+                name: shared[name] if name in shared else np.empty_like(p)
+                for name, p in model.params.items()
+            }
 
     def target_sums(self, targets: np.ndarray) -> np.ndarray:
         """Each group's sum of the per-row `targets`."""
@@ -257,24 +259,10 @@ def _forward(model: RnnModel, rows: RoughBuffers) -> np.ndarray:
     """The logsig output column over the rows, as a view into `rows`."""
     _rough_nets(model, rows)
     gl, gu = np.tanh(rows.gl, out=rows.gl), np.tanh(rows.gu, out=rows.gu)
-    np.minimum(gl, gu, out=rows.a_low[0])
-    np.maximum(gl, gu, out=rows.a_up[0])
-    last = len(model.shared_weights) - 1
-    for layer, (w, b) in enumerate(zip(model.shared_weights, model.shared_biases)):
-        if layer == last:
-            nets = (rows.z_low, rows.z_up)
-        else:
-            nets = (rows.a_low[layer + 1], rows.a_up[layer + 1])
-        for a, z in zip((rows.a_low[layer], rows.a_up[layer]), nets):
-            np.matmul(a, w.T, out=z)
-            z += b
-            if layer < last:
-                np.tanh(z, out=z)
-    out = rows.z_low
-    out += rows.z_up
-    out *= 0.5
-    _logsig_inplace(out, rows.z_up, rows.negative)
-    return out[:, 0]
+    low, up = rows.stack.acts[0]
+    np.minimum(gl, gu, out=low)
+    np.maximum(gl, gu, out=up)
+    return _stack_forward(model.shared_weights, model.shared_biases, rows.stack)
 
 
 def scores(model: RnnModel, table: IntervalTable) -> np.ndarray:
@@ -294,39 +282,22 @@ def _gradients(model: RnnModel, rows: RoughBuffers, targets):
     """
     out = _forward(model, rows)
     sums = rows.target_sums(targets)
-    np.multiply(rows.counts, out, out=rows.resid)
-    rows.resid -= sums
-    grads = rows.grads
-    # the point network's output delta, so the all-degenerate case without
-    # repeated rows reproduces it bit for bit; each channel gets half
-    d_low, d_up = rows.d_low[-1], rows.d_up[-1]
-    _output_delta(rows.z_low, rows.resid, rows.n, d_low, d_up)
-    np.multiply(0.5, d_low, out=d_up)
-    d_low *= 0.5
+    stack = rows.stack
+    np.multiply(rows.counts, out, out=stack.resid)
+    stack.resid -= sums
+    _stack_backward(model.shared_weights, stack, rows.n)
     err = _grouped_mean_square(rows, out, sums)
-    last = len(model.shared_weights) - 1
-    for layer in range(last, -1, -1):
-        w = model.shared_weights[layer]
-        d_low, d_up = rows.d_low[layer + 1], rows.d_up[layer + 1]
-        if layer < last:
-            d_low *= _tanh_slope(rows.a_low[layer + 1])
-            d_up *= _tanh_slope(rows.a_up[layer + 1])
-        g_w = np.matmul(d_low.T, rows.a_low[layer], out=grads[f"w{layer + 1}"])
-        g_w += np.matmul(d_up.T, rows.a_up[layer], out=rows.pair[layer])
-        np.matmul(d_low, w, out=rows.d_low[layer])
-        np.matmul(d_up, w, out=rows.d_up[layer])
-        d_low += d_up
-        np.sum(d_low, axis=0, out=grads[f"b{layer + 1}"])
+    grads = rows.grads
     # the deltas now sit at the min / max node outputs; at a tie both flow
     # to both branches: d_gu = d_up*(up|tie) + d_low*(low|tie), and
     # d_gl = d_up*(low|tie) + d_low*(up|tie), where up|tie is not gl > gu
     gl, gu = rows.gl, rows.gu
-    d_low, d_up = rows.d_low[0], rows.d_up[0]
+    d_low, d_up = stack.input_delta
     up, low = rows.up_or_tie, rows.low_or_tie
     np.logical_not(np.greater(gl, gu, out=up), out=up)
     np.logical_not(np.greater(gu, gl, out=low), out=low)
-    d_zu = np.multiply(d_up, up, out=rows.a_low[0])
-    d_zu += np.multiply(d_low, low, out=rows.a_up[0])
+    d_zu = np.multiply(d_up, up, out=stack.acts[0][0])
+    d_zu += np.multiply(d_low, low, out=stack.acts[0][1])
     d_zl = d_up
     d_zl *= low
     d_low *= up
@@ -355,9 +326,9 @@ def _grouped_mean_square(rows: RoughBuffers, out: np.ndarray, sums: np.ndarray) 
     """The mean square of output - target over the rows of 0/1 targets, from
     the group outputs and target sums s: (1 / n) * sum over the groups of
     count * (output - mean target)^2 + s * (1 - mean target).  It overwrites
-    `rows.resid`."""
+    the stack's `resid`."""
     mean = np.divide(sums, rows.counts)
-    resid = np.subtract(out, mean, out=rows.resid)
+    resid = np.subtract(out, mean, out=rows.stack.resid)
     np.square(resid, out=resid)
     resid *= rows.counts
     np.subtract(1.0, mean, out=mean)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgareduce import bpnn
-from dgareduce.bpnn import MlpConfig, MlpModel, TrainingTrace, logsig
+from dgareduce.bpnn import MlpConfig, MlpModel, TrainingTrace
 from dgareduce.dataset import Table, split_indices
 from dgareduce.errors import ParameterError, ShapeError, TrainingDivergedError
 
@@ -17,6 +17,14 @@ def xor_table(replicas=25):
     base = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     dec = np.array([0, 1, 1, 0])
     return Table(np.tile(base, (replicas, 1)), np.tile(dec, replicas), ("x1", "x2"))
+
+
+def logsig(n):
+    """`bpnn._logsig_inplace`, the logsig that training and scoring run, on a
+    copy of `n`."""
+    z = np.array(n, dtype=float)
+    bpnn._logsig_inplace(z, np.empty_like(z), np.empty(z.shape, dtype=bool))
+    return z
 
 
 class TestActivations:

@@ -179,6 +179,26 @@ class TestBitIdentity:
             weights, biases, x[:40], d[:40]
         )[0]
 
+    def test_two_equal_channels_match_one_channel(self):
+        """Each channel takes half the output delta and the gradients add the
+        two halves back, both exactly, so two channels that both hold `x`
+        give the one-channel error and gradients bit for bit."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(120, 10))
+        d = rng.integers(0, 2, 120).astype(float)
+        weights, biases = bpnn.init_layers((10, 20, 30, 1), rng)
+        one = bpnn.LayerBuffers(x, weights, backward=True)
+        two = bpnn.LayerBuffers(np.stack([x, x]), weights, backward=True)
+        err, grads_w, grads_b = bpnn.batch_gradients(weights, biases, one, d)
+        err2, grads_w2, grads_b2 = bpnn.batch_gradients(weights, biases, two, d)
+        assert err2 == err
+        for got, want in zip(grads_w2 + grads_b2, grads_w + grads_b, strict=True):
+            assert np.array_equal(got, want)
+        val = bpnn.LayerBuffers(np.stack([x[:40], x[:40]]), weights)
+        assert bpnn._mse(weights, biases, val, d[:40]) == bpnn._mse(
+            weights, biases, bpnn.LayerBuffers(x[:40], weights), d[:40]
+        )
+
     @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
     def test_rnn_step_matches_reference_with_ties(self, connection):
         rng = np.random.default_rng(11)
@@ -242,7 +262,7 @@ class TestGroupedRows:
         model = _rnn_model(np.random.default_rng(0), 1, (20, 30), "full")
         rows = rnn.RoughBuffers(model, iv.lower, iv.upper, backward=True)
         assert rows.n == 1600 and rows.counts.sum() == 1600
-        assert rows.xl.shape[0] == rows.gl.shape[0] == rows.d_low[0].shape[0] <= 4
+        assert rows.xl.shape[0] == rows.gl.shape[0] == rows.stack.input_delta[0].shape[0] <= 4
 
 
 class TestRepeatTraining:

@@ -148,9 +148,9 @@ class TestIntervalize:
 
 
 class TestRoughNeuronOutput:
-    """The (lower, upper) outputs of the rough first layer, `a_low[0]` and
-    `a_up[0]` of a forward pass's buffers, on a one-unit layer whose nets are the
-    inputs times `weight`."""
+    """The (lower, upper) outputs of the rough first layer, the two channels
+    of the stack input a forward pass writes, on a one-unit layer whose nets
+    are the inputs times `weight`."""
 
     @staticmethod
     def _first_layer(net_lower, net_upper, weight=1.0):
@@ -166,7 +166,8 @@ class TestRoughNeuronOutput:
         model = _model_from_mlp(mlp)
         rows = rnn.RoughBuffers(model, xl, xu)
         rnn._forward(model, rows)
-        return rows.a_low[0][:, 0], rows.a_up[0][:, 0]
+        low, up = rows.stack.acts[0]
+        return low[:, 0], up[:, 0]
 
     def test_degenerate_zero(self):
         lo, hi = self._first_layer([0.0], [0.0])
@@ -193,8 +194,8 @@ class TestForward:
         mlp = _random_mlp(rng)
         model = _model_from_mlp(mlp)
         x = rng.normal(size=3)
-        rough = rnn.scores(model, _one_row(x, x.copy()))[0]
-        assert rough == pytest.approx(bpnn.scores(mlp, x[None, :])[0], abs=1e-9)
+        rough = rnn.scores(model, _one_row(x, x.copy()))
+        assert np.array_equal(rough, bpnn.scores(mlp, x[None, :]))
 
     def test_channel_outputs_ordered_per_unit(self, rng):
         mlp = _random_mlp(rng, width=4, hidden=(6,))
@@ -305,11 +306,17 @@ class TestTrain:
             rough = rnn.train(_degenerate(table), cfg)
         point = bpnn.train(table, cfg)
         s_r = rnn.scores(rough, _degenerate(table))
-        s_p = bpnn.scores(point, table.values)
-        assert np.abs(s_r - s_p).max() <= 1e-9
+        assert np.array_equal(s_r, bpnn.scores(point, table.values))
+        assert np.array_equal(rough.lower_w, point.weights[0])
+        assert np.array_equal(rough.upper_w, point.weights[0])
+        assert np.array_equal(rough.lower_b, point.biases[0])
+        assert np.array_equal(rough.upper_b, point.biases[0])
+        shared = rough.shared_weights + rough.shared_biases
+        for got, want in zip(shared, point.weights[1:] + point.biases[1:], strict=True):
+            assert np.array_equal(got, want)
+        assert rough.trace.train_errors == point.trace.train_errors
         acc_r = rnn.evaluate(rough, _degenerate(table)).accuracy
-        acc_p = bpnn.evaluate(point, table).accuracy
-        assert acc_r == pytest.approx(acc_p, abs=1e-9)
+        assert acc_r == bpnn.evaluate(point, table).accuracy
 
     def test_separable_interval_seed_sweep(self):
         table = self._separable_intervals()
