@@ -347,10 +347,6 @@ class EvalResult:
     true_faulty: int
     false_faulty: int
 
-    @property
-    def total(self) -> int:
-        return self.true_healthy + self.false_healthy + self.true_faulty + self.false_faulty
-
 
 def confusion(predicted: np.ndarray, actual: np.ndarray) -> EvalResult:
     predicted = np.asarray(predicted, dtype=np.int64)

@@ -15,20 +15,15 @@ import numpy as np
 from .dataset import CategoricalTable
 from .errors import ParameterError
 from .reduction import ReductionResult
-from .roughset import (
-    InformationSystem,
-    _group,
-    _Granules,
-    pattern_codes,
-    reduct_search,
-)
+from .roughset import _group, _Granules, pattern_codes, reduct_search
 
 
 def _rank_order(granules: _Granules) -> np.ndarray:
     """Indices of the highest-ranked granules first; rank ties order by
     count_t descending, remaining ties by pattern."""
     t = granules.count_t
-    rank = t * (t / (t + granules.count_f))  # count_t * proportion
+    # count_t * proportion as one division, so equal ranks compare equal
+    rank = t * t / (t + granules.count_f)
     return np.lexsort((granules.codes, -t, -rank))
 
 
@@ -74,7 +69,7 @@ def incremental_rank_reduce(
             *(np.concatenate((a, r[carried])) for a, r in zip(accumulated, ranked))
         )
     expanded = _expand(accumulated, table.attributes)
-    reduct = reduct_search(InformationSystem.from_table(expanded))
+    reduct = reduct_search(expanded)
     diagnostics = {
         "chunks": len(starts),
         "chunk_size": chunk_size,

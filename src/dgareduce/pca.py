@@ -43,7 +43,8 @@ def eigendecompose(c: np.ndarray) -> EigenSystem:
     """Eigen decomposition of a symmetric matrix via `np.linalg.eigh`.
 
     Sign convention: the largest-magnitude entry of each eigenvector is made
-    positive (first such entry on ties) so results are deterministic.
+    positive (first such entry on ties) so results are deterministic.  An
+    eigenvalue within m * eps * max|eigenvalue| of 0 is reported as exactly 0.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -54,6 +55,9 @@ def eigendecompose(c: np.ndarray) -> EigenSystem:
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
+    # a null direction comes out as rounding noise of either sign; report it as 0
+    noise = c.shape[0] * np.finfo(float).eps * np.abs(eigenvalues).max(initial=0.0)
+    eigenvalues[np.abs(eigenvalues) <= noise] = 0.0
     for j in range(vectors.shape[1]):
         col = vectors[:, j]
         if col[np.argmax(np.abs(col))] < 0:

@@ -37,7 +37,7 @@ from .dataset import (
 )
 from .errors import ConfigError, ParameterError
 from .reduction import ReductionResult
-from .roughset import InformationSystem, reduct_search
+from .roughset import reduct_search
 from .rnn import Intervalizer
 
 PREPROCESSORS = ("none", "pca", "rs", "gr", "dt")
@@ -187,7 +187,7 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
         return FittedReducer("pca", result, projection=proj)
     categorical = Discretizer.fit(table).apply(table)
     if method == "rs":
-        result = reduct_search(InformationSystem.from_table(categorical))
+        result = reduct_search(categorical)
         return FittedReducer("rs", result)
     if method == "gr":
         result = granular.incremental_rank_reduce(

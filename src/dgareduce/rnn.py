@@ -21,8 +21,8 @@ once per distinct row, and training weights each one by its row count (see
 As in the point network, a training owns its buffers (`RoughBuffers`, which
 hold the stack's two-channel `LayerBuffers`), one set for the training rows
 and one for the validation rows, rewritten in place by every epoch.  With h1
-the first hidden width, the training set holds (2 * h1 + 4 * sum(hidden) + 7)
-float64 per distinct row and the validation set (2 * h1 + 2 * sum(hidden) + 5),
+the first hidden width, the training set holds (2 * h1 + 4 * sum(hidden) + 10)
+float64 per distinct row and the validation set (2 * h1 + 2 * sum(hidden) + 8),
 plus h1 each for the full connection's cross nets and, when rows repeat, a
 copy of the distinct rows' bounds; each set also keeps one int64 group index
 per row.  At hidden (20, 30) the training set of a one-gas cell's 2 distinct
@@ -187,6 +187,10 @@ class RoughBuffers:
     bit and kept in order of first occurrence: `xl`/`xu` hold one row per
     group, `inverse` maps each of the `n` rows to its group and `counts`
     holds each group's row count.  Every other array has one row per group.
+    Given the rows' 0/1 `targets`, it keeps each group's target sum s
+    (`target_sum`), mean target (`target_mean`) and s * (1 - mean target)
+    (`target_sq_dev`, the group's sum of squared target deviations), which
+    stay fixed for the whole training.
 
     Forward passes fill `gl`/`gu` (the rough layer's channel nets, then
     their tanh) and write the rough layer's min and max outputs into the two
@@ -197,11 +201,16 @@ class RoughBuffers:
     needs as scratch, so after a step they no longer hold a forward pass.
     """
 
-    def __init__(self, model: RnnModel, xl: np.ndarray, xu: np.ndarray, backward: bool = False):
+    def __init__(self, model: RnnModel, xl: np.ndarray, xu: np.ndarray,
+                 targets: np.ndarray | None = None, backward: bool = False):
         self.n = xl.shape[0]
         firsts, self.inverse = _distinct_rows(xl, xu)
         g = firsts.shape[0]
         self.counts = np.bincount(self.inverse, minlength=g).astype(float)
+        if targets is not None:
+            self.target_sum = np.bincount(self.inverse, weights=targets, minlength=g)
+            self.target_mean = self.target_sum / self.counts
+            self.target_sq_dev = (1.0 - self.target_mean) * self.target_sum
         self.xl, self.xu = (xl, xu) if g == self.n else (xl[firsts], xu[firsts])
         first = model.hidden[0]
         self.gl, self.gu = np.empty((g, first)), np.empty((g, first))
@@ -217,10 +226,6 @@ class RoughBuffers:
                 name: shared[name] if name in shared else np.empty_like(p)
                 for name, p in model.params.items()
             }
-
-    def target_sums(self, targets: np.ndarray) -> np.ndarray:
-        """Each group's sum of the per-row `targets`."""
-        return np.bincount(self.inverse, weights=targets, minlength=self.counts.shape[0])
 
 
 def _distinct_rows(xl: np.ndarray, xu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,20 +278,19 @@ def scores(model: RnnModel, table: IntervalTable) -> np.ndarray:
     return _forward(model, rows)[rows.inverse]
 
 
-def _gradients(model: RnnModel, rows: RoughBuffers, targets):
+def _gradients(model: RnnModel, rows: RoughBuffers):
     """Mean-squared-error value over the rows and one gradient per parameter
-    name, written into the `backward` buffers `rows`.
+    name, written into `rows`, which were made with targets and `backward`.
 
     A group's output residual is the sum of its rows' residuals,
     count * output - target sum, so each group stands for all its rows.
     """
     out = _forward(model, rows)
-    sums = rows.target_sums(targets)
     stack = rows.stack
     np.multiply(rows.counts, out, out=stack.resid)
-    stack.resid -= sums
+    stack.resid -= rows.target_sum
     _stack_backward(model.shared_weights, stack, rows.n)
-    err = _grouped_mean_square(rows, out, sums)
+    err = _grouped_mean_square(rows, out)
     grads = rows.grads
     # the deltas now sit at the min / max node outputs; at a tie both flow
     # to both branches: d_gu = d_up*(up|tie) + d_low*(low|tie), and
@@ -318,22 +322,19 @@ def _gradients(model: RnnModel, rows: RoughBuffers, targets):
     return err, grads
 
 
-def _error(model: RnnModel, rows: RoughBuffers, targets) -> float:
-    return _grouped_mean_square(rows, _forward(model, rows), rows.target_sums(targets))
+def _error(model: RnnModel, rows: RoughBuffers) -> float:
+    return _grouped_mean_square(rows, _forward(model, rows))
 
 
-def _grouped_mean_square(rows: RoughBuffers, out: np.ndarray, sums: np.ndarray) -> float:
+def _grouped_mean_square(rows: RoughBuffers, out: np.ndarray) -> float:
     """The mean square of output - target over the rows of 0/1 targets, from
-    the group outputs and target sums s: (1 / n) * sum over the groups of
-    count * (output - mean target)^2 + s * (1 - mean target).  It overwrites
-    the stack's `resid`."""
-    mean = np.divide(sums, rows.counts)
-    resid = np.subtract(out, mean, out=rows.stack.resid)
+    the group outputs and the target constants of `rows`: (1 / n) * sum over
+    the groups of count * (output - mean target)^2 + s * (1 - mean target).
+    It overwrites the stack's `resid`."""
+    resid = np.subtract(out, rows.target_mean, out=rows.stack.resid)
     np.square(resid, out=resid)
     resid *= rows.counts
-    np.subtract(1.0, mean, out=mean)
-    mean *= sums
-    resid += mean
+    resid += rows.target_sq_dev
     return float(np.sum(resid)) / rows.n
 
 
@@ -381,14 +382,14 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
         trace=TrainingTrace(),
     )
 
-    train_rows = RoughBuffers(model, xl_train, xu_train, backward=True)
-    val_rows = RoughBuffers(model, xl_val, xu_val)
+    train_rows = RoughBuffers(model, xl_train, xu_train, d_train, backward=True)
+    val_rows = RoughBuffers(model, xl_val, xu_val, d_val)
 
     def gradients():
-        return _gradients(model, train_rows, d_train)
+        return _gradients(model, train_rows)
 
     def val_error():
-        return _error(model, val_rows, d_val)
+        return _error(model, val_rows)
 
     descend(model.params, gradients, val_error if val_idx.size else None, cfg, model.trace)
     return model

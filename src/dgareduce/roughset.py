@@ -2,7 +2,10 @@
 
 The positive-region degree of dependency, and a greedy backward-elimination
 reduct search that keeps removing superfluous attributes while the positive
-region is preserved exactly (integer cardinalities, no tolerance).
+region is preserved exactly (integer cardinalities, no tolerance).  Both take
+a `CategoricalTable` and refuse any other table type with `ValidationError`,
+so only cells in {1..4} reach the pattern codes.  `InformationSystem` is the
+same table under its rough-set name.
 
 Every partition is built from pattern codes: a row's values over a column
 subset read as one mixed-radix int64 number (`pattern_codes`), so blocks are
@@ -15,48 +18,22 @@ granules by each column subset and reads purity off the summed counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import CategoricalTable
-from .errors import DependencyDegenerateError, ParameterError
+from .errors import DependencyDegenerateError, ParameterError, ValidationError
 from .reduction import ReductionResult
 
 
-@dataclass(frozen=True)
-class InformationSystem:
-    """Universe of row indices, condition attributes, and the decision column."""
-
-    values: np.ndarray
-    decisions: np.ndarray
-    attributes: tuple[str, ...]
-
-    def __post_init__(self):
-        # pattern codes need cells in {1..4}; the table type enforces that
-        table = CategoricalTable(self.values, self.decisions, self.attributes)
-        object.__setattr__(self, "values", table.values)
-        object.__setattr__(self, "decisions", table.decisions)
-        object.__setattr__(self, "attributes", table.attributes)
+class InformationSystem(CategoricalTable):
+    """A `CategoricalTable` under its rough-set name; the operators below
+    take any `CategoricalTable`."""
 
     @classmethod
     def from_table(cls, table: CategoricalTable) -> "InformationSystem":
         return cls(table.values, table.decisions, table.attributes)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    def _column_indices(self, names) -> list[int]:
-        if not names:
-            raise ParameterError("attribute subset must be non-empty")
-        idx = []
-        for name in names:
-            if name not in self.attributes:
-                raise ParameterError(f"unknown attribute {name!r}")
-            idx.append(self.attributes.index(name))
-        return idx
 
 
 _CODE_LIMIT = 1 << 62
@@ -124,56 +101,68 @@ def _positive_region_size(granules: _Granules, cols) -> int:
     return int((blocks.count_t + blocks.count_f)[pure].sum())
 
 
-def degree_of_dependency(system: InformationSystem, subset) -> float:
+def _require_categorical(table) -> None:
+    # pattern codes need cells in {1..4}, which only the categorical table enforces
+    if not isinstance(table, CategoricalTable):
+        raise ValidationError(
+            f"rough-set operators need a CategoricalTable, got {type(table).__name__}"
+        )
+
+
+def degree_of_dependency(table: CategoricalTable, subset) -> float:
     """|positive region of the decision partition| / |universe|."""
-    cols = system._column_indices(tuple(subset))
-    granules = _row_granules(system.values, system.decisions)
-    return _positive_region_size(granules, cols) / system.n_rows
+    _require_categorical(table)
+    subset = tuple(subset)
+    if not subset:
+        raise ParameterError("attribute subset must be non-empty")
+    for name in subset:
+        if name not in table.attributes:
+            raise ParameterError(f"unknown attribute {name!r}")
+    cols = [table.attributes.index(name) for name in subset]
+    granules = _row_granules(table.values, table.decisions)
+    return _positive_region_size(granules, cols) / table.n_rows
 
 
-def reduct_search(system: InformationSystem) -> ReductionResult:
+def reduct_search(table: CategoricalTable) -> ReductionResult:
     """Greedy backward elimination preserving the full-set degree of dependency.
 
-    At each step every single-attribute removal is evaluated; among removals
-    that keep the positive region intact, the highest-indexed attribute is
-    dropped (so low-indexed attributes survive ties).  The loop stops when no
-    removal preserves dependency, which also certifies superset-minimality.
+    Each step scans every single-attribute removal once; among removals that
+    keep the positive region intact, the highest-indexed attribute is dropped
+    (so low-indexed attributes survive ties).  The search stops when no
+    removal preserves dependency, which also certifies superset-minimality,
+    or when one attribute is left; the scan that stops it gives
+    `gamma_without_kept`.
     """
-    if len(system.attributes) < 2:
+    _require_categorical(table)
+    names = table.attributes
+    if len(names) < 2:
         raise ParameterError("reduct search needs at least 2 attributes")
-    granules = _row_granules(system.values, system.decisions)
-    n = system.n_rows
-    all_cols = list(range(len(system.attributes)))
-    full = _positive_region_size(granules, all_cols)
+    granules = _row_granules(table.values, table.decisions)
+    n = table.n_rows
+    kept = list(range(len(names)))
+    full = _positive_region_size(granules, kept)
     if full == 0:
         raise DependencyDegenerateError(
             "degree of dependency of the full attribute set is 0; reduct undefined"
         )
-    kept = list(all_cols)
-    trace: list[tuple[str, float]] = []
-    while len(kept) > 1:
-        removable = None
-        for j in kept:
-            others = [c for c in kept if c != j]
-            if _positive_region_size(granules, others) == full:
-                removable = j  # ascending scan: ends at the highest preserving index
-        if removable is None:
+    eliminated = []
+    while True:
+        without = {
+            j: _positive_region_size(granules, [c for c in kept if c != j]) for j in kept
+        }
+        preserving = [j for j in kept if without[j] == full]
+        if len(kept) == 1 or not preserving:
             break
-        kept.remove(removable)
-        trace.append((system.attributes[removable], full / n))
-    gamma_without = {}
-    for j in kept:
-        others = [c for c in kept if c != j]
-        gamma_without[system.attributes[j]] = (
-            _positive_region_size(granules, others) / n
-        )
+        dropped = preserving[-1]  # kept ascends: the highest preserving index
+        kept.remove(dropped)
+        eliminated.append(names[dropped])
     return ReductionResult(
         method="rs",
-        kept=tuple(system.attributes[j] for j in kept),
+        kept=tuple(names[j] for j in kept),
         diagnostics={
             "gamma_full": full / n,
             "gamma_reduct": full / n,
-            "eliminated": tuple(name for name, _ in trace),
-            "gamma_without_kept": gamma_without,
+            "eliminated": tuple(eliminated),
+            "gamma_without_kept": {names[j]: without[j] / n for j in kept},
         },
     )

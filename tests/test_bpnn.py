@@ -232,7 +232,9 @@ class TestEvaluate:
     def test_counts_sum(self, rng):
         model = self._constant_one_model()
         test = make_table(rng.normal(size=(17, 2)), rng.integers(0, 2, 17))
-        assert bpnn.evaluate(model, test).total == 17
+        result = bpnn.evaluate(model, test)
+        counts = (result.true_healthy, result.false_healthy, result.true_faulty, result.false_faulty)
+        assert sum(counts) == 17
 
     def test_empty_test_rejected(self):
         model = self._constant_one_model()

@@ -182,6 +182,12 @@ class TestTopRanked:
         granules = _granules([(1,), (2,)], [1, 2], [0, 2])
         assert _ranked(granules) == [(2,), (1,)]
 
+    def test_equal_ranks_compare_equal(self):
+        # 14*14/24 and 21*21/54 are both 49/6, so count_t 21 goes first
+        granules = _granules([(1,), (2,)], [14, 21], [10, 33])
+        assert _ranks(granules)[0] == _ranks(granules)[1]
+        assert _ranked(granules) == [(2,), (1,)]
+
     def test_saturation(self, rng):
         granules = _of(_random_table(rng))
         order = _rank_order(granules)

@@ -207,17 +207,17 @@ class TestBitIdentity:
         model = _rnn_model(rng, 10, (20, 30), connection)
         ref_out, ref_gl, ref_gu, _, _ = _ref_rnn_forward(model, xl, xu)
         assert np.any(ref_gl == ref_gu) and np.any(ref_gl != ref_gu)
-        rows = rnn.RoughBuffers(model, xl, xu, backward=True)
+        rows = rnn.RoughBuffers(model, xl, xu, d, backward=True)
         for _ in range(3):
-            err, grads = rnn._gradients(model, rows, d)
+            err, grads = rnn._gradients(model, rows)
             ref_err, ref_grads = _ref_rnn_gradients(model, xl, xu, d)
             assert err == ref_err
             assert grads.keys() == ref_grads.keys() == model.params.keys()
             for name, want in ref_grads.items():
                 assert np.array_equal(grads[name], want), name
-        val = rnn.RoughBuffers(model, xl[:40], xu[:40])
+        val = rnn.RoughBuffers(model, xl[:40], xu[:40], d[:40])
         want = float(np.mean((ref_out[:40] - d[:40]) ** 2))
-        assert rnn._error(model, val, d[:40]) == want
+        assert rnn._error(model, val) == want
 
 
 class TestGroupedRows:
@@ -235,10 +235,10 @@ class TestGroupedRows:
         model = _rnn_model(rng, 10, (20, 30), connection)
         ref_out, ref_gl, ref_gu, _, _ = _ref_rnn_forward(model, xl, xu)
         assert np.any(ref_gl == ref_gu) and np.any(ref_gl != ref_gu)
-        rows = rnn.RoughBuffers(model, xl, xu, backward=True)
+        rows = rnn.RoughBuffers(model, xl, xu, d, backward=True)
         assert rows.n == 120 and rows.xl.shape[0] == rows.gl.shape[0] == patterns
         for _ in range(2):
-            err, grads = rnn._gradients(model, rows, d)
+            err, grads = rnn._gradients(model, rows)
             ref_err, ref_grads = _ref_rnn_gradients(model, xl, xu, d)
             assert err == pytest.approx(ref_err, rel=1e-12, abs=0)
             assert grads.keys() == ref_grads.keys()
@@ -247,9 +247,9 @@ class TestGroupedRows:
             for name, want in ref_grads.items():
                 scale = 1e-12 * np.abs(want).max()
                 np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=scale, err_msg=name)
-        val = rnn.RoughBuffers(model, xl[:40], xu[:40])
+        val = rnn.RoughBuffers(model, xl[:40], xu[:40], d[:40])
         want = float(np.mean((ref_out[:40] - d[:40]) ** 2))
-        assert rnn._error(model, val, d[:40]) == pytest.approx(want, rel=1e-12, abs=0)
+        assert rnn._error(model, val) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_one_gas_fold_holds_at_most_four_rows(self):
         gas = synth_generate(1600, 0.5, 0.25, seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgareduce import pca
-from dgareduce.dataset import Scaler, standardize
+from dgareduce.dataset import Scaler, standardize, synth_generate
 from dgareduce.errors import ParameterError, ShapeError, ValidationError
 
 from conftest import make_table
@@ -63,6 +63,14 @@ class TestEigendecompose:
         np.testing.assert_allclose(
             e.eigenvectors[:, 0], [1 / np.sqrt(2)] * 2, atol=1e-12
         )
+
+    def test_null_direction_is_exactly_zero(self):
+        # synthetic tcg is the sum of the six combustibles: the covariance is
+        # singular, and its tenth eigenvalue would read as rounding noise
+        std, _ = standardize(synth_generate(600, 0.5, 0.25, seed=3))
+        e = pca.eigendecompose(pca.covariance(std))
+        assert e.eigenvalues[9] == 0.0 and e.proportions[9] == 0.0
+        assert (e.eigenvalues[:9] > 0.01).all()
 
     def test_correlation_trace(self, rng):
         table = make_table(rng.normal(size=(60, 7)), rng.integers(0, 2, 60))

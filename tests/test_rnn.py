@@ -268,7 +268,7 @@ class TestGradients:
             if np.abs(gu - gl).min() <= 1e-6:
                 continue
             targets = rng.integers(0, 2, 4).astype(float)
-            _, grads = rnn._gradients(model, rnn.RoughBuffers(model, xl, xu, backward=True), targets)
+            _, grads = rnn._gradients(model, rnn.RoughBuffers(model, xl, xu, targets, backward=True))
             h = 1e-5
             for field in ("lower_w", "upper_w"):
                 w = getattr(model, field)
@@ -277,11 +277,11 @@ class TestGradients:
                     w_mut = w.copy()
                     w_mut[idx] = orig + h
                     setattr(model, field, w_mut)
-                    e_plus = rnn._error(model, rnn.RoughBuffers(model, xl, xu), targets)
+                    e_plus = rnn._error(model, rnn.RoughBuffers(model, xl, xu, targets))
                     w_mut = w.copy()
                     w_mut[idx] = orig - h
                     setattr(model, field, w_mut)
-                    e_minus = rnn._error(model, rnn.RoughBuffers(model, xl, xu), targets)
+                    e_minus = rnn._error(model, rnn.RoughBuffers(model, xl, xu, targets))
                     setattr(model, field, w)
                     numeric = (e_plus - e_minus) / (2 * h)
                     analytic = grads[field][idx]

@@ -1,7 +1,8 @@
 """Indiscernibility partitions, dependency, and the reduct search, checked
 against brute-force oracles on small tables."""
 
-from itertools import combinations
+from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dgareduce import roughset
 from dgareduce.dataset import CategoricalTable
-from dgareduce.errors import DependencyDegenerateError, ParameterError
+from dgareduce.errors import DependencyDegenerateError, ParameterError, ValidationError
 from dgareduce.roughset import (
     InformationSystem,
     degree_of_dependency,
@@ -18,7 +20,7 @@ from dgareduce.roughset import (
     reduct_search,
 )
 
-from conftest import make_categorical
+from conftest import make_categorical, make_gas_table
 
 
 def brute_dependency(system: InformationSystem, names) -> float:
@@ -78,8 +80,7 @@ def repetitive_tables(draw):
 
 def equivalence_classes(table, names=("a1",)) -> list[tuple[int, ...]]:
     """The blocks of equal pattern codes over the named columns, as sorted row tuples."""
-    system = InformationSystem.from_table(table)
-    codes = pattern_codes(system.values, system._column_indices(names))
+    codes = pattern_codes(table.values, [table.attributes.index(n) for n in names])
     blocks, inverse = np.unique(codes, return_inverse=True)
     return sorted(tuple(np.flatnonzero(inverse == b).tolist()) for b in range(len(blocks)))
 
@@ -251,3 +252,46 @@ class TestReductSearch:
         text = result.to_text()
         assert "kept = a1" in text
         assert "gamma_full = 1" in text
+
+
+class TestCategoricalTableInput:
+    """The operators take any `CategoricalTable`; `InformationSystem` is the
+    same table, and every other table type is refused."""
+
+    def test_plain_table_matches_information_system(self, rng):
+        for _ in range(20):
+            n, m = int(rng.integers(4, 12)), int(rng.integers(2, 5))
+            table = make_categorical(
+                rng.integers(1, 4, size=(m, n)).tolist(), rng.integers(0, 2, n)
+            )
+            system = InformationSystem.from_table(table)
+            assert isinstance(system, CategoricalTable)
+            names = table.attributes[: int(rng.integers(1, m + 1))]
+            assert degree_of_dependency(table, names) == degree_of_dependency(system, names)
+            try:
+                result = reduct_search(table)
+            except DependencyDegenerateError:
+                with pytest.raises(DependencyDegenerateError):
+                    reduct_search(system)
+                continue
+            assert result.to_text() == reduct_search(system).to_text()
+
+    def test_gas_table_is_refused(self):
+        gas = make_gas_table(n_rows=4)
+        with pytest.raises(ValidationError):
+            reduct_search(gas)
+        with pytest.raises(ValidationError):
+            degree_of_dependency(gas, gas.attributes[:1])
+
+    def test_all_kept_costs_one_scan(self):
+        # decision = parity of a1 + a2 + a3: every removal loses the whole
+        # positive region, so the full set plus one scan of m removals is all
+        rows = np.array(list(product((1, 2), repeat=3)))
+        table = CategoricalTable(rows, rows.sum(axis=1) % 2, ("a1", "a2", "a3"))
+        with mock.patch.object(
+            roughset, "_positive_region_size", wraps=roughset._positive_region_size
+        ) as counted:
+            result = reduct_search(table)
+        assert result.kept == ("a1", "a2", "a3")
+        assert result.diagnostics["gamma_without_kept"] == {"a1": 0.0, "a2": 0.0, "a3": 0.0}
+        assert counted.call_count == 3 + 1
