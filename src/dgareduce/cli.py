@@ -2,6 +2,10 @@
 reduction, single-classifier training, the full experiment matrix, and report
 format conversion.
 
+The commands that fit a reducer or a classifier (`reduce`, `train`, `matrix`)
+read their settings from one INI config through `_config_from_ini`; without
+`--config`, `reduce` and `train` run at the `ExperimentConfig` defaults.
+
 Exit codes: 0 on success, 2 on a configuration error, 3 when any matrix cell
 failed.
 """
@@ -15,7 +19,7 @@ from dataclasses import replace
 
 import click
 
-from . import dtree, pipeline
+from . import pipeline
 from .dataset import discretize as discretize_table, load_csv, synth_generate, write_csv
 from .errors import ConfigError, DgaError
 
@@ -66,36 +70,17 @@ def discretize(path, out):
 
 @main.command()
 @click.option("--in", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(["pca", "rs", "gr", "dt"]), required=True)
-@click.option("--components", default=_CONFIG.pca_components, show_default=True,
-              help="PCA components kept.")
-@click.option("--threshold", default=None, type=float, help="PCA cumulative proportion %.")
-@click.option("--chunk-size", default=_CONFIG.gr_chunk_size, show_default=True,
-              help="Granular chunk size.")
-@click.option("--carry", default=_CONFIG.gr_carry, show_default=True,
-              help="Granules carried per chunk.")
-@click.option("--criterion", type=click.Choice(list(dtree.CRITERIA)),
-              default=_CONFIG.dt_criterion, show_default=True)
-@click.option("--min-rows", default=_CONFIG.dt_min_rows, show_default=True)
-@click.option("--prune-fraction", default=_CONFIG.dt_prune_fraction, show_default=True)
-@click.option("--seed", default=_CONFIG.seed, show_default=True)
+@click.option("--method", type=click.Choice(pipeline.PREPROCESSORS[1:]), required=True)
+@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
-def reduce(path, method, components, threshold, chunk_size, carry, criterion,
-           min_rows, prune_fraction, seed, out):
-    """Run one attribute-reduction method and print or save its result."""
+def reduce(path, method, config_path, out):
+    """Run one attribute-reduction method and print or save its result.
+
+    The config's [pca], [gr] and [dt] sections set the reducer; its
+    [experiment] seed seeds dt's grow/prune split."""
     try:
-        table = load_csv(path)
-        cfg = pipeline.ExperimentConfig(
-            pca_components=None if threshold is not None else components,
-            pca_threshold=threshold,
-            gr_chunk_size=chunk_size,
-            gr_carry=carry,
-            dt_criterion=criterion,
-            dt_min_rows=min_rows,
-            dt_prune_fraction=prune_fraction,
-            seed=seed,
-        )
-        reducer = pipeline.fit_reducer(table, method, cfg, seed)
+        cfg = _config_from_ini(config_path) if config_path else _CONFIG
+        reducer = pipeline.fit_reducer(load_csv(path), method, cfg, cfg.seed)
     except DgaError as exc:
         _fail_config(str(exc))
     text = reducer.result.to_text()
@@ -142,7 +127,7 @@ def train(path, clf, config_path, seed, model_out):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--json-out", default=None, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
+@click.option("--format", "fmt", type=click.Choice(pipeline.REPORT_FORMATS),
               default="table", show_default=True)
 def matrix(config_path, json_out, fmt):
     """Run the preprocessor x classifier experiment matrix from an INI config."""
@@ -165,7 +150,7 @@ def matrix(config_path, json_out, fmt):
 
 @main.command()
 @click.option("--in", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
+@click.option("--format", "fmt", type=click.Choice(pipeline.REPORT_FORMATS),
               default="table", show_default=True)
 def report(path, fmt):
     """Re-render a saved JSON report in another format."""

@@ -466,13 +466,23 @@ def run_matrix(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(tuple(rows), cfg.seed, _settings_summary(cfg))
 
 
-_TABLE_HEADER = (
-    "Preprocessor",
-    "Classifier",
-    "k-Folds",
-    "Average Accuracy (%)",
-    "Average Training Time(s)",
-    "Kept",
+REPORT_FORMATS = ("table", "json", "csv")
+
+# One entry per report column, in CSV order: the CSV name, the table header
+# (None for a CSV-only column) and the cell text of a row.
+_COLUMNS = (
+    ("preprocessor", "Preprocessor", lambda r: r.preprocessor),
+    ("classifier", "Classifier", lambda r: r.classifier),
+    ("folds", "k-Folds", lambda r: str(r.folds)),
+    ("accuracy_mean", "Average Accuracy (%)", lambda r: "%.1f" % r.accuracy_mean),
+    ("accuracy_std", None, lambda r: "%.3f" % r.accuracy_std),
+    ("time_mean", "Average Training Time(s)", lambda r: "%.2f" % r.time_mean),
+    ("kept", "Kept", lambda r: r.kept),
+    ("stop_reasons", None,
+     lambda r: ";".join(f"{k}:{v}" for k, v in sorted(r.stop_reasons.items()))),
+    ("warnings", None, lambda r: "|".join(r.warnings)),
+    ("failed", None, lambda r: str(int(r.failed))),
+    ("error", None, lambda r: r.error or ""),
 )
 
 
@@ -480,63 +490,25 @@ def emit_report(report: ExperimentReport, format: str = "table") -> str:
     """Render a report as an aligned table, JSON, or CSV."""
     if not report.rows:
         raise ParameterError("report has no rows")
+    if format not in REPORT_FORMATS:
+        raise ParameterError(f"unknown report format {format!r}")
     if format == "json":
         return json.dumps(report.to_dict(), indent=2)
     if format == "csv":
         buf = io.StringIO()
         writer = _csv.writer(buf)
-        writer.writerow(
-            [
-                "preprocessor",
-                "classifier",
-                "folds",
-                "accuracy_mean",
-                "accuracy_std",
-                "time_mean",
-                "kept",
-                "stop_reasons",
-                "warnings",
-                "failed",
-                "error",
-            ]
-        )
+        writer.writerow(name for name, _, _ in _COLUMNS)
         for r in report.rows:
-            writer.writerow(
-                [
-                    r.preprocessor,
-                    r.classifier,
-                    r.folds,
-                    "%.1f" % r.accuracy_mean,
-                    "%.3f" % r.accuracy_std,
-                    "%.2f" % r.time_mean,
-                    r.kept,
-                    ";".join(f"{k}:{v}" for k, v in sorted(r.stop_reasons.items())),
-                    "|".join(r.warnings),
-                    int(r.failed),
-                    r.error or "",
-                ]
-            )
+            writer.writerow(cell(r) for _, _, cell in _COLUMNS)
         return buf.getvalue()
-    if format != "table":
-        raise ParameterError(f"unknown report format {format!r}")
-    cells = [_TABLE_HEADER]
+    shown = [(name, header) for name, header, _ in _COLUMNS if header]
+    cells = [[header for _, header in shown]]
     for r in report.rows:
+        text = {name: cell(r) for name, _, cell in _COLUMNS}
         if r.failed:
-            cells.append(
-                (r.preprocessor, r.classifier, str(r.folds), "FAILED", "-", r.error or "")
-            )
-        else:
-            cells.append(
-                (
-                    r.preprocessor,
-                    r.classifier,
-                    str(r.folds),
-                    "%.1f" % r.accuracy_mean,
-                    "%.2f" % r.time_mean,
-                    r.kept,
-                )
-            )
-    widths = [max(len(row[i]) for row in cells) for i in range(len(_TABLE_HEADER))]
+            text.update(accuracy_mean="FAILED", time_mean="-", kept=r.error or "")
+        cells.append([text[name] for name, _ in shown])
+    widths = [max(map(len, column)) for column in zip(*cells)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))
     if report.settings:

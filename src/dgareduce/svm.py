@@ -71,17 +71,23 @@ def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"row widths differ: {a.shape[1]} vs {b.shape[1]}")
-    dots = a @ b.T
+    k = a @ b.T  # each kernel works in place on the dot products
     if kernel.kind == "linear":
-        return dots
+        return k
     if kernel.kind == "polynomial":
-        return (dots + kernel.coef) ** int(kernel.degree)
+        k += kernel.coef
+        k **= int(kernel.degree)
+        return k
     if kernel.kind == "rbf":
-        sq = np.maximum(
-            (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * dots, 0.0
-        )
-        return np.exp(-kernel.gamma * sq)
-    return np.tanh(kernel.scale * dots + kernel.offset)
+        k *= 2.0
+        sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+        np.subtract(sq, k, out=k)
+        np.maximum(k, 0, out=k)
+        k *= -kernel.gamma
+        return np.exp(k, out=k)
+    k *= kernel.scale
+    k += kernel.offset
+    return np.tanh(k, out=k)
 
 
 @dataclass
@@ -255,6 +261,8 @@ def save_model(model: SvmModel, path) -> None:
         "c": model.c,
         "bias": model.bias,
         "converged": int(model.converged),
+        "sweeps": model.sweeps,
+        "training_kkt_rate": model.training_kkt_rate,
         "labels": model.support_labels,
         "alphas": model.support_alphas,
         "indices": model.support_indices,
@@ -285,7 +293,7 @@ def load_model(path) -> SvmModel:
         support_alphas=support["alphas"],
         support_indices=f.arrays({"indices": n}, np.int64)["indices"],
         converged=bool(f.get("converged", int)),
-        sweeps=0,
-        training_kkt_rate=1.0,
+        sweeps=f.get("sweeps", int),
+        training_kkt_rate=f.get("training_kkt_rate", float),
         scaler=f.scaler(vectors.shape[-1]),
     )

@@ -12,7 +12,7 @@ from dgareduce import svm
 from dgareduce.bpnn import MlpConfig
 from dgareduce.cli import _config_from_ini, main
 from dgareduce.dataset import load_csv
-from dgareduce.pipeline import ExperimentConfig, SynthSpec
+from dgareduce.pipeline import ExperimentConfig, SynthSpec, fit_reducer
 from dgareduce.svm import Kernel
 
 
@@ -57,6 +57,23 @@ folds_svm = 2
 max_passes = 10
 """
 
+REDUCE_INI = """
+[experiment]
+seed = 5
+
+[pca]
+threshold = 90
+
+[gr]
+chunk_size = 40
+carry = 3
+
+[dt]
+criterion = gain
+min_rows = 4
+prune_fraction = 0.2
+"""
+
 BAD_INI = """
 [experiment]
 preprocessors = rs,warp-drive
@@ -97,15 +114,32 @@ class TestReduce:
         assert result.exit_code == 0
         assert "kept =" in result.output
 
+    @pytest.mark.parametrize("method", ["pca", "rs", "gr", "dt"])
+    def test_config_sets_the_reducer(self, tmp_path, method):
+        src = tmp_path / "src.csv"
+        _invoke("synth", "-n", "300", "--seed", "2", "--noise", "0.6", "--out", str(src))
+        ini = tmp_path / "reduce.ini"
+        ini.write_text(REDUCE_INI)
+        cfg = _config_from_ini(ini)
+        expected = fit_reducer(load_csv(src), method, cfg, cfg.seed).result.to_text()
+        result = _invoke("reduce", "--in", str(src), "--method", method, "--config", str(ini))
+        assert result.exit_code == 0, result.output
+        assert result.output == expected
+
+    def test_bad_config_exit_2(self, tmp_path):
+        src = tmp_path / "src.csv"
+        _invoke("synth", "-n", "60", "--out", str(src))
+        ini = tmp_path / "bad.ini"
+        ini.write_text(BAD_INI)
+        result = _invoke("reduce", "--in", str(src), "--method", "rs", "--config", str(ini))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"config error: {ini}: unknown method name"), result.stderr
+
     def test_option_defaults_are_the_config_defaults(self):
         cfg = ExperimentConfig()
         for command, fields in {
             "synth": {"rows": "synth.n", "fault_ratio": "synth.fault_ratio",
                       "noise": "synth.noise"},
-            "reduce": {"components": "pca_components", "chunk_size": "gr_chunk_size",
-                       "carry": "gr_carry", "criterion": "dt_criterion",
-                       "min_rows": "dt_min_rows", "prune_fraction": "dt_prune_fraction",
-                       "seed": "seed"},
         }.items():
             defaults = {p.name: p.default for p in main.commands[command].params}
             for option, field in fields.items():

@@ -214,6 +214,57 @@ class TestEmitReport:
         line = text.splitlines()[1]
         assert line.startswith("none,bpnn,15,91.6,")
 
+    def _two_row_report(self):
+        ok = CellResult(
+            preprocessor="rs",
+            classifier="svm",
+            folds=8,
+            accuracy_mean=93.456,
+            accuracy_std=1.2345,
+            time_mean=0.0123,
+            kept="ethane,methane",
+            stop_reasons={"max-passes": 1, "converged": 7},
+            warnings=("tol halved | twice", "slow"),
+            fold_accuracies=(93.0,),
+        )
+        failed = CellResult(
+            preprocessor="dt",
+            classifier="rnn",
+            folds=15,
+            accuracy_mean=0.0,
+            accuracy_std=0.0,
+            time_mean=0.0,
+            kept="",
+            failed=True,
+            error='fold 2 stage train: ParameterError: bad "x", y',
+        )
+        settings = (("kernel", "rbf(gamma=0.5)"), ("svm_c", "10"))
+        return ExperimentReport((ok, failed), seed=3, settings=settings)
+
+    def test_table_golden_text(self):
+        rule = "-" * 46
+        assert emit_report(self._two_row_report(), "table") == (
+            "Preprocessor  Classifier  k-Folds  Average Accuracy (%)  "
+            "Average Training Time(s)  Kept\n"
+            "------------  ----------  -------  --------------------  "
+            f"------------------------  {rule}\n"
+            "rs            svm         8        93.5                  "
+            "0.01                      ethane,methane\n"
+            "dt            rnn         15       FAILED                "
+            '-                         fold 2 stage train: ParameterError: bad "x", y\n'
+            "\n"
+            "settings: kernel=rbf(gamma=0.5)  svm_c=10\n"
+        )
+
+    def test_csv_golden_text(self):
+        assert emit_report(self._two_row_report(), "csv") == (
+            "preprocessor,classifier,folds,accuracy_mean,accuracy_std,time_mean,kept,"
+            "stop_reasons,warnings,failed,error\r\n"
+            'rs,svm,8,93.5,1.234,0.01,"ethane,methane",converged:7;max-passes:1,'
+            "tol halved | twice|slow,0,\r\n"
+            'dt,rnn,15,0.0,0.000,0.00,,,,1,"fold 2 stage train: ParameterError: bad ""x"", y"\r\n'
+        )
+
     def test_json_round_trip(self):
         report = self._single_row_report()
         parsed = ExperimentReport.from_dict(json.loads(emit_report(report, "json")))

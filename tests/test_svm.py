@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgareduce import pipeline, svm
-from dgareduce.dataset import kfold, standardize
+from dgareduce.dataset import kfold, standardize, synth_generate
 from dgareduce.errors import ParameterError, ShapeError
 from dgareduce.svm import Kernel, check_kkt, kernel_matrix, train_smo
 
@@ -283,3 +283,13 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             svm.decision_scores(model, probe), svm.decision_scores(loaded, probe)
         )
+
+    def test_round_trip_keeps_solver_record(self, tmp_path):
+        table, _ = standardize(synth_generate(200, 0.5, 1.5, 1))
+        model = train_smo(table, Kernel.rbf(0.5), max_passes=1)
+        record = (model.converged, model.sweeps, model.training_kkt_rate)
+        assert record[:2] == (False, 1) and record[2] < 1.0
+        path = tmp_path / "svm.txt"
+        svm.save_model(model, path)
+        loaded = svm.load_model(path)
+        assert (loaded.converged, loaded.sweeps, loaded.training_kkt_rate) == record
