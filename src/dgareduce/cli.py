@@ -46,7 +46,7 @@ def _fail_config(message: str):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def synth(rows, fault_ratio, noise, seed, informative, out):
     """Write a synthetic gas table as CSV."""
-    gases = tuple(informative.split(",")) if informative else None
+    gases = None if informative is None else _names(informative)
     try:
         table = synth_generate(rows, fault_ratio, noise, seed, informative=gases)
     except DgaError as exc:
@@ -163,23 +163,33 @@ def report(path, fmt):
     click.echo(text, nl=False)
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """The non-empty names of a comma list, stripped."""
+    return tuple(name for name in (v.strip() for v in text.split(",")) if name)
+
+
 def _config_from_ini(path) -> pipeline.ExperimentConfig:
     """Build an ExperimentConfig from flat key = value sections.
 
     Every key that is absent, or present with an empty value, keeps the
     default of the config field it sets.  The one exception is `[data]
-    informative`: absent, every gas is informative; empty, none is.
+    informative`: absent, every gas is informative; empty, none is.  A
+    section or key that sets no field is an error.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    known = {}
+
     def given(section, prefix="", **getters):
         """The section's non-empty keys among `getters`, each read by its
-        getter and keyed by `prefix` + key."""
+        getter and keyed by `prefix` + key; every key of `getters` is a
+        known key of the section."""
+        known.setdefault(section, set()).update(getters)
         return {
             prefix + key: get(section, key)
             for key, get in getters.items()
@@ -193,16 +203,18 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
     text, integer, real = parser.get, parser.getint, parser.getfloat
     try:
         fields = {}
-        source = parser.get("data", "source", fallback="") or "synth"
+        synth = given(
+            "data", source=text, path=text, n=integer, fault_ratio=real, noise=real,
+            informative=lambda s, k: _names(text(s, k)),
+        )
+        source, csv_path = synth.pop("source", "synth"), synth.pop("path", "")
+        if parser.has_option("data", "informative"):
+            synth.setdefault("informative", ())
         if source == "csv":
-            fields["csv_path"] = parser.get("data", "path", fallback="")
-            if not fields["csv_path"]:
+            fields["csv_path"] = csv_path
+            if not csv_path:
                 raise ConfigError("[data] path is required when source = csv")
         elif source == "synth":
-            synth = given("data", n=integer, fault_ratio=real, noise=real)
-            if parser.has_option("data", "informative"):
-                gases = listed("data", "informative")
-                synth["informative"] = tuple(g for g in gases if g)
             fields["synth"] = replace(default.synth, **synth)
         else:
             raise ConfigError(f"[data] source must be synth or csv, got {source!r}")
@@ -233,6 +245,12 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
         fields["kernel"] = replace(default.kernel, **kernel)
         fields.update(given("svm", "svm_", c=real, tol=real, max_passes=integer))
         fields.update(given("rnn", "rnn_", connection=text))
+        for section in parser.sections():
+            if section not in known:
+                raise ConfigError(f"unknown section [{section}]")
+            for key in parser.options(section):
+                if key not in known[section]:
+                    raise ConfigError(f"unknown key [{section}] {key}")
         return replace(default, **fields)
     except (ConfigError, ValueError, KeyError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -271,8 +271,8 @@ def write_model(path, kind: str, fields: dict, scaler: Scaler | None = None) -> 
 
     Strings are written as they are.  Numbers, tuples and arrays are comma
     lists (arrays flattened) with numbers at %.17g, so a file reloads to
-    exactly the same values; each 2-D array gets a `key.shape = rows,cols`
-    line before its values.
+    exactly the same values; each array of 2 or more dimensions gets a
+    `key.shape = a,b,...` line before its values.
     """
     if scaler is not None:
         fields = dict(
@@ -283,8 +283,8 @@ def write_model(path, kind: str, fields: dict, scaler: Scaler | None = None) -> 
         )
     lines = [f"kind = {kind}"]
     for key, value in fields.items():
-        if np.ndim(value) == 2:
-            lines.append(f"{key}.shape = {value.shape[0]},{value.shape[1]}")
+        if np.ndim(value) >= 2:
+            lines.append(f"{key}.shape = " + ",".join(map(str, np.shape(value))))
         if not isinstance(value, str):
             value = ",".join(v if isinstance(v, str) else "%.17g" % v for v in np.ravel(value))
         lines.append(f"{key} = {value}")

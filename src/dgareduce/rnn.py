@@ -5,12 +5,14 @@ point network).
 
 Each rough unit computes nets from the lower and upper input bounds through
 its own channel weights, applies the activation, and emits the element-wise
-min as the lower output and max as the upper output.  The shared stack is
-the point network's stack (`bpnn.LayerBuffers`, `bpnn._forward` and
-`bpnn._backward`) run with the two outputs as its two channels.  At an exact
-activation tie the gradient of both the min and max nodes flows to both
-branches, which keeps the two channels identical whenever their inputs and
-weights are identical.
+min as the lower output and max as the upper output.  Like the stack's
+buffers, every rough-layer parameter and buffer has a leading channel axis of
+2 (lower, then upper), so each connection is one batched matmul over both
+channels.  The shared stack is the point network's stack
+(`bpnn.LayerBuffers`, `bpnn._forward` and `bpnn._backward`) run with the two
+outputs as its two channels.  At an exact activation tie the gradient of
+both the min and max nodes flows to both branches, which keeps the two
+channels identical whenever their inputs and weights are identical.
 
 Rows with the same category pattern get the same (lower, upper) input, so a
 block of rows holds few distinct interval rows: a one-gas cell at most 4, a
@@ -20,14 +22,14 @@ once per distinct row, and training weights each one by its row count (see
 
 As in the point network, a training owns its buffers (`RoughBuffers`, which
 hold the stack's two-channel `LayerBuffers`), one set for the training rows
-and one for the validation rows, rewritten in place by every epoch.  With h1
-the first hidden width, the training set holds (2 * h1 + 4 * sum(hidden) + 10)
-float64 per distinct row and the validation set (2 * h1 + 2 * sum(hidden) + 8),
-plus h1 each for the full connection's cross nets and, when rows repeat, a
-copy of the distinct rows' bounds; each set also keeps one int64 group index
+and one for the validation rows, rewritten in place by every epoch.  With m
+the input width and h1 the first hidden width, the training set holds
+(2 * m + 2 * h1 + 4 * sum(hidden) + 10) float64 per distinct row and the
+validation set (2 * m + 2 * h1 + 2 * sum(hidden) + 8), plus 2 * h1 each for
+the full connection's cross nets; each set also keeps one int64 group index
 per row.  At hidden (20, 30) the training set of a one-gas cell's 2 distinct
 rows takes 4 KB plus 10 KB of indices, and that of 240 distinct rows 0.5 MB,
-where 1,318 rows held one each would take 2.6 MB.
+where 1,318 rows held one each would take 2.8 MB.
 """
 
 from __future__ import annotations
@@ -147,14 +149,12 @@ def _check_aligned(categories: CategoricalTable, standardized: Table) -> None:
 
 @dataclass
 class RnnModel:
-    """Channel weights for the rough first layer plus the shared stack."""
+    """The rough first layer's weights plus the shared stack.  Each rough
+    parameter holds the lower channel, then the upper, on a leading axis."""
 
-    lower_w: np.ndarray
-    lower_b: np.ndarray
-    upper_w: np.ndarray
-    upper_b: np.ndarray
-    lower_cross: np.ndarray | None  # full connection only
-    upper_cross: np.ndarray | None
+    rough_w: np.ndarray  # (2, h1, width)
+    rough_b: np.ndarray  # (2, h1)
+    rough_cross: np.ndarray | None  # (2, h1, width), full connection only
     shared_weights: list[np.ndarray]
     shared_biases: list[np.ndarray]
     input_width: int
@@ -165,17 +165,11 @@ class RnnModel:
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        """The rough first layer's channel parameters, then the shared stack's
-        layers named as in the point network (`w1`, `b1`, ...)."""
-        named = {
-            "lower_w": self.lower_w,
-            "lower_b": self.lower_b,
-            "upper_w": self.upper_w,
-            "upper_b": self.upper_b,
-        }
+        """The rough first layer's parameters, then the shared stack's layers
+        named as in the point network (`w1`, `b1`, ...)."""
+        named = {"rough_w": self.rough_w, "rough_b": self.rough_b}
         if self.connection == "full":
-            named["lower_cross"] = self.lower_cross
-            named["upper_cross"] = self.upper_cross
+            named["rough_cross"] = self.rough_cross
         return {**named, **layer_params(self.shared_weights, self.shared_biases, start=1)}
 
 
@@ -184,21 +178,23 @@ class RoughBuffers:
     allocated once and rewritten by every pass over those rows.
 
     The block is held as its distinct (lower, upper) rows, matched bit for
-    bit and kept in order of first occurrence: `xl`/`xu` hold one row per
-    group, `inverse` maps each of the `n` rows to its group and `counts`
-    holds each group's row count.  Every other array has one row per group.
-    Given the rows' 0/1 `targets`, it keeps each group's target sum s
-    (`target_sum`), mean target (`target_mean`) and s * (1 - mean target)
-    (`target_sq_dev`, the group's sum of squared target deviations), which
-    stay fixed for the whole training.
+    bit and kept in order of first occurrence: `x` stacks their lower and
+    upper bounds as the rough layer's two input channels, `inverse` maps
+    each of the `n` rows to its group and `counts` holds each group's row
+    count.  Every other array has one row per group.  Given the rows' 0/1
+    `targets`, it keeps each group's target sum s (`target_sum`), mean
+    target (`target_mean`) and s * (1 - mean target) (`target_sq_dev`, the
+    group's sum of squared target deviations), which stay fixed for the
+    whole training.
 
-    Forward passes fill `gl`/`gu` (the rough layer's channel nets, then
-    their tanh) and write the rough layer's min and max outputs into the two
-    channels of `stack`, the point network's buffers (`bpnn.LayerBuffers`)
-    for the shared layers.  With `backward`, a gradient step also fills the
-    stack's deltas, including the delta at its input, the tie masks and one
-    gradient per parameter name.  It reuses the activations it no longer
-    needs as scratch, so after a step they no longer hold a forward pass.
+    Forward passes fill `nets` (the rough layer's lower and upper channel
+    nets, then their tanh) and write the rough layer's min and max outputs
+    into the two channels of `stack`, the point network's buffers
+    (`bpnn.LayerBuffers`) for the shared layers.  With `backward`, a
+    gradient step also fills the stack's deltas, including the delta at its
+    input, the tie masks `ties` and one gradient per parameter name.  It
+    reuses the activations it no longer needs as scratch, so after a step
+    they no longer hold a forward pass.
     """
 
     def __init__(self, model: RnnModel, xl: np.ndarray, xu: np.ndarray,
@@ -211,16 +207,15 @@ class RoughBuffers:
             self.target_sum = np.bincount(self.inverse, weights=targets, minlength=g)
             self.target_mean = self.target_sum / self.counts
             self.target_sq_dev = (1.0 - self.target_mean) * self.target_sum
-        self.xl, self.xu = (xl, xu) if g == self.n else (xl[firsts], xu[firsts])
-        first = model.hidden[0]
-        self.gl, self.gu = np.empty((g, first)), np.empty((g, first))
-        self.cross = np.empty((g, first)) if model.connection == "full" else None
+        self.x = np.stack((xl[firsts], xu[firsts]))
+        shape = (2, g, model.hidden[0])
+        self.nets = np.empty(shape)
+        self.cross = np.empty(shape) if model.connection == "full" else None
         self.stack = LayerBuffers(
-            np.empty((2, g, first)), model.shared_weights, backward, input_delta=backward
+            np.empty(shape), model.shared_weights, backward, input_delta=backward
         )
         if backward:
-            self.up_or_tie = np.empty((g, first), dtype=bool)
-            self.low_or_tie = np.empty((g, first), dtype=bool)
+            self.ties = np.empty(shape, dtype=bool)
             shared = layer_params(self.stack.grads_w, self.stack.grads_b, start=1)
             self.grads = {
                 name: shared[name] if name in shared else np.empty_like(p)
@@ -241,32 +236,26 @@ def _distinct_rows(xl: np.ndarray, xu: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _rough_nets(model: RnnModel, rows: RoughBuffers) -> None:
-    """The first layer's lower/upper channel nets, written into rows.gl / rows.gu."""
-    xl, xu, zl, zu = rows.xl, rows.xu, rows.gl, rows.gu
-    if model.connection == "excitatory":
-        np.matmul(xl, model.lower_w.T, out=zl)
-        np.matmul(xu, model.upper_w.T, out=zu)
-    elif model.connection == "inhibitory":
-        np.matmul(xu, model.lower_w.T, out=zl)
-        np.negative(zl, out=zl)
-        np.matmul(xl, model.upper_w.T, out=zu)
-        np.negative(zu, out=zu)
+    """The first layer's lower and upper channel nets, written into rows.nets."""
+    x, nets = rows.x, rows.nets
+    rough_w = model.rough_w.transpose(0, 2, 1)
+    if model.connection == "inhibitory":
+        np.matmul(x[::-1], rough_w, out=nets)
+        np.negative(nets, out=nets)
     else:
-        np.matmul(xl, model.lower_w.T, out=zl)
-        zl += np.matmul(xu, model.lower_cross.T, out=rows.cross)
-        np.matmul(xu, model.upper_w.T, out=zu)
-        zu += np.matmul(xl, model.upper_cross.T, out=rows.cross)
-    zl += model.lower_b
-    zu += model.upper_b
+        np.matmul(x, rough_w, out=nets)
+    if model.connection == "full":
+        nets += np.matmul(x[::-1], model.rough_cross.transpose(0, 2, 1), out=rows.cross)
+    nets += model.rough_b[:, None, :]
 
 
 def _forward(model: RnnModel, rows: RoughBuffers) -> np.ndarray:
     """The logsig output column over the rows, as a view into `rows`."""
     _rough_nets(model, rows)
-    gl, gu = np.tanh(rows.gl, out=rows.gl), np.tanh(rows.gu, out=rows.gu)
+    nets = np.tanh(rows.nets, out=rows.nets)
     low, up = rows.stack.acts[0]
-    np.minimum(gl, gu, out=low)
-    np.maximum(gl, gu, out=up)
+    np.minimum(*nets, out=low)
+    np.maximum(*nets, out=up)
     return _stack_forward(model.shared_weights, model.shared_biases, rows.stack)
 
 
@@ -291,34 +280,26 @@ def _gradients(model: RnnModel, rows: RoughBuffers):
     stack.resid -= rows.target_sum
     _stack_backward(model.shared_weights, stack, rows.n)
     err = _grouped_mean_square(rows, out)
-    grads = rows.grads
-    # the deltas now sit at the min / max node outputs; at a tie both flow
-    # to both branches: d_gu = d_up*(up|tie) + d_low*(low|tie), and
-    # d_gl = d_up*(low|tie) + d_low*(up|tie), where up|tie is not gl > gu
-    gl, gu = rows.gl, rows.gu
+    grads, x, nets, ties = rows.grads, rows.x, rows.nets, rows.ties
+    # the deltas now sit at the min / max node outputs.  ties[c] marks where
+    # channel c holds the max, ties included; a channel takes the max node's
+    # delta there and the min node's where the other channel holds the max,
+    # so at a tie both: d_z = d_up * ties + d_low * ties[::-1]
+    np.logical_not(np.greater(nets[::-1], nets, out=ties), out=ties)
     d_low, d_up = stack.input_delta
-    up, low = rows.up_or_tie, rows.low_or_tie
-    np.logical_not(np.greater(gl, gu, out=up), out=up)
-    np.logical_not(np.greater(gu, gl, out=low), out=low)
-    d_zu = np.multiply(d_up, up, out=stack.acts[0][0])
-    d_zu += np.multiply(d_low, low, out=stack.acts[0][1])
-    d_zl = d_up
-    d_zl *= low
-    d_low *= up
-    d_zl += d_low
-    d_zu *= _tanh_slope(gu)
-    d_zl *= _tanh_slope(gl)
+    d_z = np.multiply(d_low, ties[::-1], out=stack.acts[0])
+    np.multiply(d_up, ties[0], out=d_low)
+    d_up *= ties[1]
+    d_z += stack.input_delta
+    d_z *= _tanh_slope(nets)
+    d_zt = d_z.transpose(0, 2, 1)
     if model.connection == "inhibitory":
-        np.negative(np.matmul(d_zl.T, rows.xu, out=grads["lower_w"]), out=grads["lower_w"])
-        np.negative(np.matmul(d_zu.T, rows.xl, out=grads["upper_w"]), out=grads["upper_w"])
+        np.negative(np.matmul(d_zt, x[::-1], out=grads["rough_w"]), out=grads["rough_w"])
     else:
-        np.matmul(d_zl.T, rows.xl, out=grads["lower_w"])
-        np.matmul(d_zu.T, rows.xu, out=grads["upper_w"])
-    np.sum(d_zl, axis=0, out=grads["lower_b"])
-    np.sum(d_zu, axis=0, out=grads["upper_b"])
+        np.matmul(d_zt, x, out=grads["rough_w"])
+    np.sum(d_z, axis=1, out=grads["rough_b"])
     if model.connection == "full":
-        np.matmul(d_zl.T, rows.xu, out=grads["lower_cross"])
-        np.matmul(d_zu.T, rows.xl, out=grads["upper_cross"])
+        np.matmul(d_zt, x[::-1], out=grads["rough_cross"])
     return err, grads
 
 
@@ -362,18 +343,14 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
     rng = np.random.default_rng(cfg.seed)
     sizes = (rows.n_attributes,) + cfg.hidden + (1,)
     weights, biases = init_layers(sizes, rng)
-    cross_l = cross_u = None
+    rough_cross = None
     if connection == "full":
         bound = 1.0 / np.sqrt(rows.n_attributes)
-        cross_l = rng.uniform(-bound, bound, size=weights[0].shape)
-        cross_u = rng.uniform(-bound, bound, size=weights[0].shape)
+        rough_cross = rng.uniform(-bound, bound, size=(2,) + weights[0].shape)
     model = RnnModel(
-        lower_w=weights[0],
-        lower_b=biases[0],
-        upper_w=weights[0].copy(),
-        upper_b=biases[0].copy(),
-        lower_cross=cross_l,
-        upper_cross=cross_u,
+        rough_w=np.stack((weights[0], weights[0])),
+        rough_b=np.stack((biases[0], biases[0])),
+        rough_cross=rough_cross,
         shared_weights=weights[1:],
         shared_biases=biases[1:],
         input_width=rows.n_attributes,
@@ -420,19 +397,16 @@ def load_model(path) -> RnnModel:
     if connection not in CONNECTIONS:
         raise ParameterError(f"{path}: connection must be one of {CONNECTIONS}")
     shapes = layer_shapes(input_width, hidden)
-    first = {"w": shapes.pop("w0"), "b": shapes.pop("b0")}
-    rough = {f"{side}_{kind}": first[kind] for side in ("lower", "upper") for kind in "wb"}
+    w0, b0 = (2,) + shapes.pop("w0"), (2,) + shapes.pop("b0")
+    rough = {"rough_w": w0, "rough_b": b0}
     if connection == "full":
-        rough.update(lower_cross=first["w"], upper_cross=first["w"])
+        rough["rough_cross"] = w0
     params = f.arrays({**rough, **shapes})
     shared = range(1, len(hidden) + 1)
     return RnnModel(
-        lower_w=params["lower_w"],
-        lower_b=params["lower_b"],
-        upper_w=params["upper_w"],
-        upper_b=params["upper_b"],
-        lower_cross=params.get("lower_cross"),
-        upper_cross=params.get("upper_cross"),
+        rough_w=params["rough_w"],
+        rough_b=params["rough_b"],
+        rough_cross=params.get("rough_cross"),
         shared_weights=[params[f"w{i}"] for i in shared],
         shared_biases=[params[f"b{i}"] for i in shared],
         input_width=input_width,

@@ -315,9 +315,8 @@ def test_criterion_08_rnn():
         sizes = (m,) + (h,) + (1,)
         weights, biases = bpnn.init_layers(sizes, rng)
         model = rnn.RnnModel(
-            lower_w=weights[0] * rng.normal(scale=2), lower_b=biases[0],
-            upper_w=weights[0] * rng.normal(scale=2), upper_b=biases[0],
-            lower_cross=None, upper_cross=None,
+            rough_w=np.stack((weights[0] * rng.normal(scale=2), weights[0] * rng.normal(scale=2))),
+            rough_b=np.stack((biases[0], biases[0])), rough_cross=None,
             shared_weights=weights[1:], shared_biases=biases[1:],
             input_width=m, hidden=(h,), connection="excitatory",
             trace=bpnn.TrainingTrace(stop_reason="t"),
@@ -326,7 +325,7 @@ def test_criterion_08_rnn():
         spread = np.abs(rng.normal(size=(100, m)))
         rows = rnn.RoughBuffers(model, mid - spread, mid + spread)
         rnn._forward(model, rows)
-        gl, gu = rows.gl, rows.gu
+        gl, gu = rows.nets
         assert np.all(np.maximum(gl, gu) - np.minimum(gl, gu) >= 0.0)
         checked += gl.size
     assert checked >= 10_000

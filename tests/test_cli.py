@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from dgareduce import svm
 from dgareduce.bpnn import MlpConfig
 from dgareduce.cli import _config_from_ini, main
-from dgareduce.dataset import load_csv
+from dgareduce.dataset import load_csv, synth_generate, write_csv
 from dgareduce.pipeline import ExperimentConfig, SynthSpec, fit_reducer
 from dgareduce.svm import Kernel
 
@@ -93,6 +93,15 @@ class TestSynth:
         out = tmp_path / "data.csv"
         result = _invoke("synth", "-n", "4", "--out", str(out))
         assert result.exit_code == 2
+
+    def test_empty_informative_means_no_informative_gas(self, tmp_path):
+        """As `[data] informative =` does in the INI."""
+        out, want = tmp_path / "data.csv", tmp_path / "want.csv"
+        result = _invoke("synth", "-n", "40", "--seed", "3", "--informative", "", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        spec = SynthSpec()
+        write_csv(synth_generate(40, spec.fault_ratio, spec.noise, 3, informative=()), want)
+        assert out.read_text() == want.read_text()
 
 
 class TestDiscretize:
@@ -322,6 +331,27 @@ class TestConfigFromIni:
         result = _invoke("matrix", "--config", str(ini))
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith(f"config error: {ini}: {message}"), result.stderr
+        assert "Average Accuracy (%)" not in result.output
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[bpnn]\nepoch = 1\n", "unknown key [bpnn] epoch"),
+            ("[experiment]\nfold_bpnn = 2\n", "unknown key [experiment] fold_bpnn"),
+            ("[svmm]\nc = 1\n", "unknown section [svmm]"),
+        ],
+        ids=["bpnn-key", "experiment-key", "section"],
+    )
+    def test_unknown_key_or_section_exit_2(self, tmp_path, text, message):
+        """Added to the small matrix config, so a typo that were read would
+        still run fast."""
+        ini = tmp_path / "exp.ini"
+        header = text.partition("\n")[0] + "\n"
+        merged = MATRIX_INI.replace(header, text) if header in MATRIX_INI else MATRIX_INI + text
+        ini.write_text(merged)
+        result = _invoke("matrix", "--config", str(ini))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: {ini}: {message}\n"
         assert "Average Accuracy (%)" not in result.output
 
     def test_every_key_sets_its_field(self, tmp_path):

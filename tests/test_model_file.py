@@ -18,8 +18,9 @@ LOADERS = {
 }
 
 
-def _saved(kind, path):
-    """A small fitted model of `kind`, with a scaler, written to `path`."""
+def _saved(kind, path, connection="full"):
+    """A small fitted model of `kind`, with a scaler, written to `path`;
+    returns the model."""
     rng = np.random.default_rng(3)
     table = make_table(rng.normal(size=(30, 3)), np.arange(30) % 2)
     std, scaler = standardize(table)
@@ -28,11 +29,12 @@ def _saved(kind, path):
         model, save = bpnn.train(std, cfg), bpnn.save_model
     elif kind == "rnn":
         iv = IntervalTable(std.values - 0.1, std.values + 0.1, std.decisions, std.attributes)
-        model, save = rnn.train(iv, cfg, connection="full"), rnn.save_model
+        model, save = rnn.train(iv, cfg, connection=connection), rnn.save_model
     else:
         model, save = svm.train_smo(std, svm.Kernel.rbf(0.5), max_passes=5), svm.save_model
     model.scaler = scaler
     save(model, path)
+    return model
 
 
 @pytest.mark.parametrize("kind", LOADERS)
@@ -55,12 +57,17 @@ def test_malformed_files_raise_parameter_error(kind, tmp_path):
         LOADERS[kind](path)
 
 
-def test_rnn_full_connection_round_trips(tmp_path):
+@pytest.mark.parametrize("connection", rnn.CONNECTIONS)
+def test_rnn_round_trips(connection, tmp_path):
     path = tmp_path / "rnn.txt"
-    _saved("rnn", path)
+    saved = _saved("rnn", path, connection)
     loaded = rnn.load_model(path)
-    assert loaded.connection == "full"
-    assert loaded.lower_cross.shape == loaded.lower_w.shape
+    assert loaded.connection == connection
+    assert loaded.rough_w.shape == (2, 4, 3)
+    assert loaded.params.keys() == saved.params.keys()
+    for name, p in saved.params.items():
+        assert np.array_equal(loaded.params[name], p), name
+    assert (loaded.rough_cross is None) == (connection != "full")
     assert loaded.scaler is not None
 
 
@@ -100,8 +107,8 @@ def _write_fields(path, fields):
     [
         ("bpnn", "b0"),
         ("bpnn", "w1"),
-        ("rnn", "lower_b"),
-        ("rnn", "upper_w"),
+        ("rnn", "rough_b"),
+        ("rnn", "rough_w"),
         ("rnn", "b1"),
         # one entry per support vector
         ("svm", "labels"),
@@ -117,10 +124,10 @@ def test_network_array_of_wrong_length_raises(kind, key, tmp_path):
     path = tmp_path / f"{kind}.txt"
     _saved(kind, path)
     fields = _fields(path)
-    if f"{key}.shape" in fields:  # drop one row, keeping the array's own shape line true
-        rows, cols = (int(v) for v in fields[f"{key}.shape"].split(","))
-        fields[f"{key}.shape"] = f"{rows - 1},{cols}"
-        fields[key] = ",".join(fields[key].split(",")[cols:])
+    if f"{key}.shape" in fields:  # drop one slice, keeping the array's own shape line true
+        first, *rest = (int(v) for v in fields[f"{key}.shape"].split(","))
+        fields[f"{key}.shape"] = ",".join(map(str, [first - 1] + rest))
+        fields[key] = ",".join(fields[key].split(",")[int(np.prod(rest)):])
     else:
         fields[key] = ",".join(fields[key].split(",")[:-1])
     _write_fields(path, fields)

@@ -45,15 +45,17 @@ def _ref_batch_gradients(weights, biases, x, targets):
 
 
 def _ref_rough_nets(model, xl, xu):
+    (lower_w, upper_w), (lower_b, upper_b) = model.rough_w, model.rough_b
     if model.connection == "excitatory":
-        zl = xl @ model.lower_w.T + model.lower_b
-        zu = xu @ model.upper_w.T + model.upper_b
+        zl = xl @ lower_w.T + lower_b
+        zu = xu @ upper_w.T + upper_b
     elif model.connection == "inhibitory":
-        zl = -(xu @ model.lower_w.T) + model.lower_b
-        zu = -(xl @ model.upper_w.T) + model.upper_b
+        zl = -(xu @ lower_w.T) + lower_b
+        zu = -(xl @ upper_w.T) + upper_b
     else:
-        zl = xl @ model.lower_w.T + xu @ model.lower_cross.T + model.lower_b
-        zu = xu @ model.upper_w.T + xl @ model.upper_cross.T + model.upper_b
+        lower_cross, upper_cross = model.rough_cross
+        zl = xl @ lower_w.T + xu @ lower_cross.T + lower_b
+        zu = xu @ upper_w.T + xl @ upper_cross.T + upper_b
     return zl, zu
 
 
@@ -100,14 +102,12 @@ def _ref_rnn_gradients(model, xl, xu, targets):
     d_zu = d_gu * (1.0 - gu**2)
     d_zl = d_gl * (1.0 - gl**2)
     if model.connection == "inhibitory":
-        grads["lower_w"], grads["upper_w"] = -(d_zl.T @ xu), -(d_zu.T @ xl)
+        grads["rough_w"] = np.stack((-(d_zl.T @ xu), -(d_zu.T @ xl)))
     else:
-        grads["lower_w"], grads["upper_w"] = d_zl.T @ xl, d_zu.T @ xu
-    grads["lower_b"] = d_zl.sum(axis=0)
-    grads["upper_b"] = d_zu.sum(axis=0)
+        grads["rough_w"] = np.stack((d_zl.T @ xl, d_zu.T @ xu))
+    grads["rough_b"] = np.stack((d_zl.sum(axis=0), d_zu.sum(axis=0)))
     if model.connection == "full":
-        grads["lower_cross"] = d_zl.T @ xu
-        grads["upper_cross"] = d_zu.T @ xl
+        grads["rough_cross"] = np.stack((d_zl.T @ xu, d_zu.T @ xl))
     return err, grads
 
 
@@ -120,12 +120,9 @@ def _rnn_model(rng, width, hidden, connection):
     weights, biases = bpnn.init_layers(sizes, rng)
     cross = rng.normal(scale=0.3, size=weights[0].shape) if connection == "full" else None
     return RnnModel(
-        lower_w=weights[0],
-        lower_b=biases[0],
-        upper_w=weights[0].copy(),
-        upper_b=biases[0].copy(),
-        lower_cross=cross,
-        upper_cross=None if cross is None else cross.copy(),
+        rough_w=np.stack((weights[0], weights[0])),
+        rough_b=np.stack((biases[0], biases[0])),
+        rough_cross=None if cross is None else np.stack((cross, cross)),
         shared_weights=weights[1:],
         shared_biases=biases[1:],
         input_width=width,
@@ -236,7 +233,7 @@ class TestGroupedRows:
         ref_out, ref_gl, ref_gu, _, _ = _ref_rnn_forward(model, xl, xu)
         assert np.any(ref_gl == ref_gu) and np.any(ref_gl != ref_gu)
         rows = rnn.RoughBuffers(model, xl, xu, d, backward=True)
-        assert rows.n == 120 and rows.xl.shape[0] == rows.gl.shape[0] == patterns
+        assert rows.n == 120 and rows.x.shape[1] == rows.nets.shape[1] == patterns
         for _ in range(2):
             err, grads = rnn._gradients(model, rows)
             ref_err, ref_grads = _ref_rnn_gradients(model, xl, xu, d)
@@ -262,7 +259,7 @@ class TestGroupedRows:
         model = _rnn_model(np.random.default_rng(0), 1, (20, 30), "full")
         rows = rnn.RoughBuffers(model, iv.lower, iv.upper, backward=True)
         assert rows.n == 1600 and rows.counts.sum() == 1600
-        assert rows.xl.shape[0] == rows.gl.shape[0] == rows.stack.input_delta[0].shape[0] <= 4
+        assert rows.x.shape[1] == rows.nets.shape[1] == rows.stack.input_delta.shape[1] <= 4
 
 
 class TestRepeatTraining:

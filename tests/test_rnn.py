@@ -38,12 +38,9 @@ def _degenerate(table: Table) -> IntervalTable:
 
 def _model_from_mlp(mlp: bpnn.MlpModel, connection="excitatory") -> RnnModel:
     return RnnModel(
-        lower_w=mlp.weights[0].copy(),
-        lower_b=mlp.biases[0].copy(),
-        upper_w=mlp.weights[0].copy(),
-        upper_b=mlp.biases[0].copy(),
-        lower_cross=None,
-        upper_cross=None,
+        rough_w=np.stack((mlp.weights[0], mlp.weights[0])),
+        rough_b=np.stack((mlp.biases[0], mlp.biases[0])),
+        rough_cross=None,
         shared_weights=[w.copy() for w in mlp.weights[1:]],
         shared_biases=[b.copy() for b in mlp.biases[1:]],
         input_width=mlp.input_width,
@@ -63,7 +60,7 @@ def _channel_outputs(model: RnnModel, xl, xu):
     """The rough first layer's tanh outputs (gl, gu) of a forward pass."""
     rows = rnn.RoughBuffers(model, xl, xu)
     rnn._forward(model, rows)
-    return rows.gl, rows.gu
+    return rows.nets
 
 
 class TestIntervalize:
@@ -270,23 +267,22 @@ class TestGradients:
             targets = rng.integers(0, 2, 4).astype(float)
             _, grads = rnn._gradients(model, rnn.RoughBuffers(model, xl, xu, targets, backward=True))
             h = 1e-5
-            for field in ("lower_w", "upper_w"):
-                w = getattr(model, field)
-                for idx in np.ndindex(w.shape):
-                    orig = w[idx]
-                    w_mut = w.copy()
-                    w_mut[idx] = orig + h
-                    setattr(model, field, w_mut)
-                    e_plus = rnn._error(model, rnn.RoughBuffers(model, xl, xu, targets))
-                    w_mut = w.copy()
-                    w_mut[idx] = orig - h
-                    setattr(model, field, w_mut)
-                    e_minus = rnn._error(model, rnn.RoughBuffers(model, xl, xu, targets))
-                    setattr(model, field, w)
-                    numeric = (e_plus - e_minus) / (2 * h)
-                    analytic = grads[field][idx]
-                    scale = max(abs(numeric), abs(analytic), 1e-8)
-                    assert abs(numeric - analytic) / scale <= 1e-4
+            w = model.rough_w  # both channels, lower first
+            for idx in np.ndindex(w.shape):
+                orig = w[idx]
+                w_mut = w.copy()
+                w_mut[idx] = orig + h
+                model.rough_w = w_mut
+                e_plus = rnn._error(model, rnn.RoughBuffers(model, xl, xu, targets))
+                w_mut = w.copy()
+                w_mut[idx] = orig - h
+                model.rough_w = w_mut
+                e_minus = rnn._error(model, rnn.RoughBuffers(model, xl, xu, targets))
+                model.rough_w = w
+                numeric = (e_plus - e_minus) / (2 * h)
+                analytic = grads["rough_w"][idx]
+                scale = max(abs(numeric), abs(analytic), 1e-8)
+                assert abs(numeric - analytic) / scale <= 1e-4
 
 
 class TestTrain:
@@ -307,10 +303,9 @@ class TestTrain:
         point = bpnn.train(table, cfg)
         s_r = rnn.scores(rough, _degenerate(table))
         assert np.array_equal(s_r, bpnn.scores(point, table.values))
-        assert np.array_equal(rough.lower_w, point.weights[0])
-        assert np.array_equal(rough.upper_w, point.weights[0])
-        assert np.array_equal(rough.lower_b, point.biases[0])
-        assert np.array_equal(rough.upper_b, point.biases[0])
+        for side in (0, 1):
+            assert np.array_equal(rough.rough_w[side], point.weights[0])
+            assert np.array_equal(rough.rough_b[side], point.biases[0])
         shared = rough.shared_weights + rough.shared_biases
         for got, want in zip(shared, point.weights[1:] + point.biases[1:], strict=True):
             assert np.array_equal(got, want)
@@ -353,8 +348,7 @@ class TestTrain:
         cfg = MlpConfig(epochs=30, hidden=(3,), seed=11)
         a = rnn.train(table, cfg)
         b = rnn.train(table, cfg)
-        assert np.array_equal(a.lower_w, b.lower_w)
-        assert np.array_equal(a.upper_w, b.upper_w)
+        assert np.array_equal(a.rough_w, b.rough_w)
         assert a.trace.train_errors == b.trace.train_errors
 
     def test_connection_modes_run(self):
