@@ -56,7 +56,7 @@ class MlpConfig:
     learning_rate: float = 0.05
     hidden: tuple[int, ...] = (20, 30)
     goal: float = 1e-5
-    ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
+    ratios: tuple[float, float] = (0.7, 0.15)
     max_fail: int = 6
     seed: int = 0
 
@@ -69,16 +69,22 @@ class MlpConfig:
             raise ParameterError("learning rate must be positive")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ParameterError("hidden layer sizes must all be at least 1")
-        if len(self.ratios) != 3 or any(r < 0 for r in self.ratios):
-            raise ParameterError("ratios must be three non-negative numbers")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ParameterError(f"ratios must sum to 1, got {self.ratios}")
+        if len(self.ratios) != 2 or any(r < 0 for r in self.ratios):
+            raise ParameterError(f"ratios must be two non-negative numbers, got {self.ratios}")
         if self.ratios[0] <= 0:
             raise ParameterError("training ratio must be positive")
         if self.max_fail < 1:
             raise ParameterError("max_fail must be at least 1")
         if self.goal < 0:
             raise ParameterError("goal must be non-negative")
+
+    @property
+    def shares(self) -> tuple[float, float]:
+        """The training and validation shares of a training's rows: the two
+        relative sizes of `ratios`, scaled to sum to 1."""
+        t, v = self.ratios
+        total = t + v
+        return t / total, v / total
 
 
 @dataclass
@@ -307,12 +313,12 @@ def descend(params: dict, gradients, val_error, cfg: MlpConfig, trace: TrainingT
 def train(data: Table, cfg: MlpConfig) -> MlpModel:
     """Full-batch gradient descent (see `descend`) from seeded initial weights.
 
-    The seeded split carves train/validation/test parts from `data` by
-    cfg.ratios (zero ratios give empty parts).  Whenever a validation part
-    exists, the returned weights are the ones from the epoch with the lowest
-    validation error.
+    The seeded split carves training and validation parts from `data` by
+    cfg.shares (a zero validation ratio gives an empty part).  Whenever a
+    validation part exists, the returned weights are the ones from the epoch
+    with the lowest validation error.
     """
-    train_idx, val_idx, _ = split_indices(data.n_rows, cfg.ratios, cfg.seed)
+    train_idx, val_idx = split_indices(data.n_rows, cfg.shares, cfg.seed)
     x_train = data.values[train_idx]
     d_train = data.decisions[train_idx].astype(float)
     x_val = data.values[val_idx]
@@ -337,34 +343,19 @@ def train(data: Table, cfg: MlpConfig) -> MlpModel:
     return model
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Accuracy percentage plus the four confusion counts (positive = healthy)."""
-
-    accuracy: float
-    true_healthy: int
-    false_healthy: int
-    true_faulty: int
-    false_faulty: int
+def percent_correct(predicted: np.ndarray, actual: np.ndarray) -> float:
+    """The percentage of rows whose predicted class (0/1 or False/True) is
+    the actual one."""
+    hits = int(np.count_nonzero(np.equal(predicted, actual)))
+    return 100.0 * hits / len(actual)
 
 
-def confusion(predicted: np.ndarray, actual: np.ndarray) -> EvalResult:
-    predicted = np.asarray(predicted, dtype=np.int64)
-    actual = np.asarray(actual, dtype=np.int64)
-    th = int(np.sum((predicted == 1) & (actual == 1)))
-    fh = int(np.sum((predicted == 1) & (actual == 0)))
-    tf = int(np.sum((predicted == 0) & (actual == 0)))
-    ff = int(np.sum((predicted == 0) & (actual == 1)))
-    return EvalResult(100.0 * (th + tf) / len(actual), th, fh, tf, ff)
-
-
-def evaluate(model: MlpModel, test: Table) -> EvalResult:
-    """Accuracy and confusion counts on a table standardized with the
-    training parameters."""
+def evaluate(model: MlpModel, test: Table) -> float:
+    """Accuracy percentage on a table standardized with the training
+    parameters."""
     if test.n_rows == 0:
         raise ParameterError("empty test set")
-    predicted = (scores(model, test.values) >= 0.5).astype(np.int64)
-    return confusion(predicted, test.decisions)
+    return percent_correct(scores(model, test.values) >= 0.5, test.decisions)
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -178,7 +178,7 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8-sig"):
             raise ConfigError(f"cannot read config file {path}")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc

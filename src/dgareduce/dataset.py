@@ -190,7 +190,7 @@ def load_csv(path) -> GasTable:
     returned table.  Negative concentrations and decisions outside {0, 1} are
     hard errors, not drops.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -67,7 +67,7 @@ class ExperimentConfig:
     folds_svm: int = 8
     folds_rnn: int = 15
     mlp: bpnn.MlpConfig = bpnn.MlpConfig()
-    kernel: svm.Kernel = svm.Kernel.rbf(0.5)
+    kernel: svm.Kernel = svm.Kernel("rbf", gamma=0.5)
     svm_c: float = 10.0
     svm_tol: float = 1e-3
     svm_max_passes: int = 100
@@ -112,7 +112,7 @@ class ExperimentConfig:
             raise ConfigError(f"svm_c must be positive, got {self.svm_c}")
         if not self.svm_tol > 0:
             raise ConfigError(f"svm_tol must be positive, got {self.svm_tol}")
-        for name in ("gr_chunk_size", "gr_carry", "svm_max_passes"):
+        for name in ("gr_chunk_size", "gr_carry", "svm_max_passes", "dt_min_rows"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -238,13 +238,6 @@ class CellResult:
         return cls(**{key: deep_tuple(value) for key, value in raw.items()})
 
 
-def _renormalized(mlp: bpnn.MlpConfig, seed: int) -> bpnn.MlpConfig:
-    """Train/val ratios renormalized over the CV remainder; internal test 0."""
-    t, v, _ = mlp.ratios
-    total = t + v
-    return replace(mlp, seed=seed, ratios=(t / total, v / total, 0.0))
-
-
 MODELS = {"bpnn": bpnn, "svm": svm, "rnn": rnn}
 
 
@@ -295,12 +288,12 @@ def fit_classifier(classifier, cfg, train_raw: Table, mlp: bpnn.MlpConfig) -> Fi
 def _train_eval(classifier, cfg, train_raw, test_raw, fold_seed):
     """Train one classifier on a reduced fold; returns (accuracy, seconds,
     stop reason)."""
-    fitted = fit_classifier(classifier, cfg, train_raw, _renormalized(cfg.mlp, fold_seed))
+    fitted = fit_classifier(classifier, cfg, train_raw, replace(cfg.mlp, seed=fold_seed))
     model = fitted.model
-    result = MODELS[classifier].evaluate(model, fitted.inputs(test_raw))
+    accuracy = MODELS[classifier].evaluate(model, fitted.inputs(test_raw))
     if classifier == "svm":
-        return result.accuracy, fitted.seconds, "converged" if model.converged else "max-passes"
-    return result.accuracy, fitted.seconds, model.trace.stop_reason
+        return accuracy, fitted.seconds, "converged" if model.converged else "max-passes"
+    return accuracy, fitted.seconds, model.trace.stop_reason
 
 
 @contextmanager

@@ -40,15 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpnn import (
-    EvalResult,
     LayerBuffers,
     MlpConfig,
     TrainingTrace,
-    confusion,
     descend,
     init_layers,
     layer_params,
     layer_shapes,
+    percent_correct,
     _backward as _stack_backward,
     _forward as _stack_forward,
     _tanh_slope,
@@ -334,7 +333,7 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
             "every input interval is degenerate; training as a point network",
             NoUncertaintyWarning,
         )
-    train_idx, val_idx, _ = split_indices(len(rows), cfg.ratios, cfg.seed)
+    train_idx, val_idx = split_indices(len(rows), cfg.shares, cfg.seed)
     xl_train, xu_train = rows.lower[train_idx], rows.upper[train_idx]
     d_train = rows.decisions[train_idx].astype(float)
     xl_val, xu_val = rows.lower[val_idx], rows.upper[val_idx]
@@ -372,12 +371,11 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
     return model
 
 
-def evaluate(model: RnnModel, test: IntervalTable) -> EvalResult:
-    """Accuracy and confusion counts over interval rows."""
+def evaluate(model: RnnModel, test: IntervalTable) -> float:
+    """Accuracy percentage over interval rows."""
     if len(test) == 0:
         raise ParameterError("empty test set")
-    predicted = (scores(model, test) >= 0.5).astype(np.int64)
-    return confusion(predicted, test.decisions)
+    return percent_correct(scores(model, test) >= 0.5, test.decisions)
 
 
 def save_model(model: RnnModel, path) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpnn import confusion
+from .bpnn import percent_correct
 from .dataset import ModelFile, Scaler, Table, write_model
 from .errors import ParameterError, ShapeError
 
@@ -32,7 +32,7 @@ _TAU = 1e-12  # curvature floor for pairs whose kernel distance is not positive
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel specification; use the class methods to build one."""
+    """Kernel specification: its `kind` and that kind's parameters."""
 
     kind: str
     degree: int = 3
@@ -48,22 +48,6 @@ class Kernel:
             raise ParameterError("rbf gamma must be positive")
         if self.kind == "polynomial" and (self.degree < 1 or self.degree != int(self.degree)):
             raise ParameterError("polynomial degree must be a positive integer")
-
-    @classmethod
-    def linear(cls) -> "Kernel":
-        return cls("linear")
-
-    @classmethod
-    def polynomial(cls, degree: int, coef: float = 1.0) -> "Kernel":
-        return cls("polynomial", degree=degree, coef=coef)
-
-    @classmethod
-    def rbf(cls, gamma: float) -> "Kernel":
-        return cls("rbf", gamma=gamma)
-
-    @classmethod
-    def sigmoid(cls, scale: float, offset: float = 0.0) -> "Kernel":
-        return cls("sigmoid", scale=scale, offset=offset)
 
 
 def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,12 +225,11 @@ def train_smo(
     )
 
 
-def evaluate(model: SvmModel, test: Table):
-    """Accuracy percentage and confusion counts; see bpnn.EvalResult."""
+def evaluate(model: SvmModel, test: Table) -> float:
+    """Accuracy percentage on a standardized table."""
     if test.n_rows == 0:
         raise ParameterError("empty test set")
-    predicted = (decision_scores(model, test.values) >= 0).astype(np.int64)
-    return confusion(predicted, test.decisions)
+    return percent_correct(decision_scores(model, test.values) >= 0, test.decisions)
 
 
 def save_model(model: SvmModel, path) -> None:

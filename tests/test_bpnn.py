@@ -132,7 +132,7 @@ class TestGradients:
 class TestTrain:
     def test_goal_stop_at_first_epoch(self, rng):
         table = make_table(rng.normal(size=(20, 3)), rng.integers(0, 2, 20))
-        cfg = MlpConfig(epochs=50, hidden=(4,), goal=10.0, ratios=(0.8, 0.2, 0.0), seed=1)
+        cfg = MlpConfig(epochs=50, hidden=(4,), goal=10.0, ratios=(0.8, 0.2), seed=1)
         model = bpnn.train(table, cfg)
         assert model.trace.stop_reason == "goal"
         assert model.trace.epochs_run == 1
@@ -141,7 +141,7 @@ class TestTrain:
         table = make_table(rng.normal(size=(40, 4)), rng.integers(0, 2, 40))
         cfg = MlpConfig(
             epochs=3000, learning_rate=0.9, hidden=(12,), goal=1e-12,
-            ratios=(0.5, 0.5, 0.0), max_fail=6, seed=0,
+            ratios=(0.5, 0.5), max_fail=6, seed=0,
         )
         model = bpnn.train(table, cfg)
         trace = model.trace
@@ -150,7 +150,7 @@ class TestTrain:
         assert (diffs > 0).all()
         assert trace.best_epoch == int(np.argmin(trace.val_errors)) + 1
         # the restored weights reproduce the minimum validation error
-        val_idx = split_indices(40, cfg.ratios, cfg.seed)[1]
+        val_idx = split_indices(40, cfg.shares, cfg.seed)[1]
         out = bpnn.scores(model, table.values[val_idx])
         err = float(np.mean((out - table.decisions[val_idx]) ** 2))
         assert err == pytest.approx(min(trace.val_errors), abs=1e-15)
@@ -161,7 +161,7 @@ class TestTrain:
         for seed in range(10):
             cfg = MlpConfig(
                 epochs=5000, learning_rate=0.5, hidden=(2,), goal=1e-9,
-                ratios=(1.0, 0.0, 0.0), seed=seed,
+                ratios=(1.0, 0.0), seed=seed,
             )
             model = bpnn.train(table, cfg)
             pred = (bpnn.scores(model, table.values) >= 0.5).astype(int)
@@ -180,13 +180,13 @@ class TestTrain:
 
     def test_divergence_raises_with_epoch(self):
         table = Table(np.array([[np.nan], [np.nan], [np.nan]]), [0, 1, 0], ("x",))
-        cfg = MlpConfig(epochs=10, hidden=(2,), ratios=(1.0, 0.0, 0.0), seed=0)
+        cfg = MlpConfig(epochs=10, hidden=(2,), ratios=(1.0, 0.0), seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             bpnn.train(table, cfg)
 
     def test_split_sizes_validated(self, rng):
         table = make_table(rng.normal(size=(3, 2)), [0, 1, 0])
-        cfg = MlpConfig(epochs=5, hidden=(2,), ratios=(0.9, 0.05, 0.05), seed=0)
+        cfg = MlpConfig(epochs=5, hidden=(2,), ratios=(0.9, 0.05), seed=0)
         with pytest.raises(ParameterError):
             bpnn.train(table, cfg)
 
@@ -198,6 +198,10 @@ class TestTrain:
         with pytest.raises(ParameterError):
             MlpConfig(hidden=())
 
+    def test_shares_scale_the_two_ratios_to_one(self):
+        assert MlpConfig().shares == (0.7 / 0.85, 0.15 / 0.85)
+        assert MlpConfig(ratios=(2, 0)).shares == (1.0, 0.0)
+
 
 class TestEvaluate:
     def _constant_one_model(self):
@@ -207,16 +211,12 @@ class TestEvaluate:
     def test_all_healthy_hundred(self, rng):
         model = self._constant_one_model()
         test = make_table(rng.normal(size=(10, 2)), np.ones(10, dtype=int))
-        result = bpnn.evaluate(model, test)
-        assert result.accuracy == 100.0
-        assert result.true_healthy == 10
+        assert bpnn.evaluate(model, test) == 100.0
 
     def test_all_faulty_zero(self, rng):
         model = self._constant_one_model()
         test = make_table(rng.normal(size=(10, 2)), np.zeros(10, dtype=int))
-        result = bpnn.evaluate(model, test)
-        assert result.accuracy == 0.0
-        assert result.false_healthy == 10
+        assert bpnn.evaluate(model, test) == 0.0
 
     def test_label_flip_complements_accuracy(self, rng):
         model = _tiny_model(
@@ -225,16 +225,9 @@ class TestEvaluate:
         )
         values = rng.normal(size=(20, 2))
         d = rng.integers(0, 2, 20)
-        a = bpnn.evaluate(model, make_table(values, d)).accuracy
-        b = bpnn.evaluate(model, make_table(values, 1 - d)).accuracy
+        a = bpnn.evaluate(model, make_table(values, d))
+        b = bpnn.evaluate(model, make_table(values, 1 - d))
         assert a + b == pytest.approx(100.0)
-
-    def test_counts_sum(self, rng):
-        model = self._constant_one_model()
-        test = make_table(rng.normal(size=(17, 2)), rng.integers(0, 2, 17))
-        result = bpnn.evaluate(model, test)
-        counts = (result.true_healthy, result.false_healthy, result.true_faulty, result.false_faulty)
-        assert sum(counts) == 17
 
     def test_empty_test_rejected(self):
         model = self._constant_one_model()

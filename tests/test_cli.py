@@ -302,6 +302,12 @@ class TestConfigFromIni:
         text = "".join(f"[{section}]\n" for section in self.SECTIONS)
         assert self._parsed(tmp_path, text) == ExperimentConfig()
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """Windows Notepad saves UTF-8 with a leading byte-order mark."""
+        marked = tmp_path / "marked.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + REDUCE_INI.encode())
+        assert _config_from_ini(marked) == self._parsed(tmp_path, REDUCE_INI)
+
     def test_one_bpnn_key_keeps_other_defaults(self, tmp_path):
         cfg = self._parsed(tmp_path, "[bpnn]\nepochs = 7\n")
         assert cfg.mlp == replace(MlpConfig(), epochs=7)
@@ -316,9 +322,11 @@ class TestConfigFromIni:
             ("gr", "chunk_size", "0", "gr_chunk_size must be at least 1"),
             ("gr", "carry", "0", "gr_carry must be at least 1"),
             ("svm", "max_passes", "0", "svm_max_passes must be at least 1"),
+            ("dt", "min_rows", "0", "dt_min_rows must be at least 1"),
+            ("bpnn", "ratios", "0.7,0.15,0.15", "ratios must be two non-negative numbers"),
         ],
         ids=["components=0", "components=11", "threshold=150", "chunk_size=0", "carry=0",
-             "max_passes=0"],
+             "max_passes=0", "min_rows=0", "three-ratios"],
     )
     def test_out_of_range_value_exit_2_before_any_cell(
         self, tmp_path, section, key, value, message
@@ -364,7 +372,7 @@ class TestConfigFromIni:
             "[gr]\nchunk_size = 50\ncarry = 2\n"
             "[dt]\ncriterion = gain\nmin_rows = 4\nprune_fraction = 0.2\n"
             "[bpnn]\nepochs = 7\nlearning_rate = 0.1\nhidden = 8\ngoal = 0.01\n"
-            "ratios = 0.6,0.4,0\nmax_fail = 3\n"
+            "ratios = 0.6,0.4\nmax_fail = 3\n"
             "[svm]\nkernel = polynomial\ndegree = 2\ncoef = 0.5\ngamma = 0.7\nscale = 2\n"
             "offset = 0.3\nc = 5\ntol = 0.01\nmax_passes = 12\n"
             "[rnn]\nconnection = full\n",
@@ -387,7 +395,7 @@ class TestConfigFromIni:
             dt_prune_fraction=0.2,
             mlp=MlpConfig(
                 epochs=7, learning_rate=0.1, hidden=(8,), goal=0.01,
-                ratios=(0.6, 0.4, 0.0), max_fail=3,
+                ratios=(0.6, 0.4), max_fail=3,
             ),
             kernel=Kernel("polynomial", degree=2, coef=0.5, gamma=0.7, scale=2.0, offset=0.3),
             svm_c=5.0,

@@ -153,6 +153,16 @@ class TestLoadCsv:
         assert first.read_text() == second.read_text()
         assert np.array_equal(table.decisions, reloaded.decisions)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark."""
+        plain = tmp_path / "plain.csv"
+        write_csv(synth_generate(20, 0.5, 0.3, seed=3), plain)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        first, second = load_csv(plain), load_csv(marked)
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.decisions, second.decisions)
+
 
 def reference_load(path):
     """The row-at-a-time loader that `load_csv` must agree with."""

@@ -31,7 +31,7 @@ def _saved(kind, path, connection="full"):
         iv = IntervalTable(std.values - 0.1, std.values + 0.1, std.decisions, std.attributes)
         model, save = rnn.train(iv, cfg, connection=connection), rnn.save_model
     else:
-        model, save = svm.train_smo(std, svm.Kernel.rbf(0.5), max_passes=5), svm.save_model
+        model, save = svm.train_smo(std, svm.Kernel("rbf", gamma=0.5), max_passes=5), svm.save_model
     model.scaler = scaler
     save(model, path)
     return model
@@ -73,7 +73,7 @@ def test_rnn_round_trips(connection, tmp_path):
 
 def test_svm_without_support_vectors_loads(tmp_path):
     model = svm.SvmModel(
-        kernel=svm.Kernel.rbf(0.5),
+        kernel=svm.Kernel("rbf", gamma=0.5),
         c=1.0,
         bias=0.25,
         support_vectors=np.zeros((0, 3)),

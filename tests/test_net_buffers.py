@@ -277,10 +277,10 @@ class TestRepeatTraining:
 
     EARLY_STOP = MlpConfig(
         epochs=400, learning_rate=0.9, hidden=(20, 30), goal=1e-12,
-        ratios=(0.5, 0.5, 0.0), max_fail=3, seed=2,
+        ratios=(0.5, 0.5), max_fail=3, seed=2,
     )
     NO_VALIDATION = MlpConfig(
-        epochs=30, hidden=(20, 30), ratios=(1.0, 0.0, 0.0), seed=4,
+        epochs=30, hidden=(20, 30), ratios=(1.0, 0.0), seed=4,
     )
 
     @pytest.mark.parametrize("cfg", [EARLY_STOP, NO_VALIDATION], ids=["early-stop", "no-val"])
@@ -305,7 +305,7 @@ class TestRepeatTraining:
 # -- allocation --------------------------------------------------------------
 
 ALLOCATION_LIMIT = 256 * 1024
-README_CFG = MlpConfig(epochs=1, hidden=(20, 30), ratios=(0.7, 0.15, 0.15), seed=0)
+README_CFG = MlpConfig(epochs=1, hidden=(20, 30), ratios=(0.7, 0.15), seed=0)
 
 
 def _descent_closures(module, monkeypatch, *args):
@@ -333,10 +333,10 @@ def _step_peak(gradients, val_error) -> int:
 
 
 class TestAllocation:
-    """At 1,600 rows (1,120 train, 240 validation), width 10 and hidden
+    """At 1,600 rows (1,318 train, 282 validation), width 10 and hidden
     (20, 30), one warmed-up gradient step plus one validation error peaks
-    below 256 KB of fresh memory: less than one 1,120 x 30 float64
-    activation (269 KB), so no row-sized array is allocated per epoch."""
+    below 256 KB of fresh memory: less than one 1,318 x 30 float64
+    activation (316 KB), so no row-sized array is allocated per epoch."""
 
     def test_bpnn_step_peak(self, monkeypatch):
         table = _net_data(n=1600)

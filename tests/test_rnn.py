@@ -310,8 +310,8 @@ class TestTrain:
         for got, want in zip(shared, point.weights[1:] + point.biases[1:], strict=True):
             assert np.array_equal(got, want)
         assert rough.trace.train_errors == point.trace.train_errors
-        acc_r = rnn.evaluate(rough, _degenerate(table)).accuracy
-        assert acc_r == bpnn.evaluate(point, table).accuracy
+        acc_r = rnn.evaluate(rough, _degenerate(table))
+        assert acc_r == bpnn.evaluate(point, table)
 
     def test_separable_interval_seed_sweep(self):
         table = self._separable_intervals()
@@ -319,7 +319,7 @@ class TestTrain:
         for seed in range(10):
             cfg = MlpConfig(
                 epochs=1000, learning_rate=0.5, hidden=(4,), goal=1e-9,
-                ratios=(1.0, 0.0, 0.0), seed=seed,
+                ratios=(1.0, 0.0), seed=seed,
             )
             model = rnn.train(table, cfg)
             pred = (rnn.scores(model, table) >= 0.5).astype(int)
@@ -334,7 +334,7 @@ class TestTrain:
         )
         cfg = MlpConfig(
             epochs=3000, learning_rate=0.9, hidden=(12,), goal=1e-12,
-            ratios=(0.5, 0.5, 0.0), max_fail=6, seed=0,
+            ratios=(0.5, 0.5), max_fail=6, seed=0,
         )
         model = rnn.train(iv, cfg)
         trace = model.trace
@@ -371,7 +371,7 @@ class TestTrain:
         iv = Intervalizer.fit(cats, std).apply(cats, std)
         cfg = MlpConfig(epochs=150, hidden=(6,), seed=0)
         model = rnn.train(iv, cfg)
-        assert rnn.evaluate(model, iv).accuracy >= 90.0
+        assert rnn.evaluate(model, iv) >= 90.0
 
 
 class TestSaveLoad:
