@@ -182,6 +182,8 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     known = {}
 

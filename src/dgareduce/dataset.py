@@ -9,8 +9,10 @@ the immutable table types defined here.
 from __future__ import annotations
 
 import csv
+import re
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, compress, count
 
 import numpy as np
 
@@ -186,39 +188,30 @@ def load_csv(path) -> GasTable:
     """Read a gas table from CSV, dropping rows with empty or non-numeric cells.
 
     The header must name the ten attributes plus ``decision`` in canonical
-    order (case-insensitive).  The number of dropped rows is recorded on the
-    returned table.  Negative concentrations and decisions outside {0, 1} are
-    hard errors, not drops.
+    order (case-insensitive).  A row is dropped when it does not have eleven
+    cells, when ``float()`` rejects one of its cells (quotes around a number
+    are fine) or when a cell is not finite; the number of dropped rows is
+    recorded on the returned table.  Negative concentrations and decisions
+    outside {0, 1} are hard errors, not drops; their messages number rows by
+    CSV record, the header being record 1.  A file that is not UTF-8 text is
+    a SchemaError.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        names = tuple(h.strip().lower() for h in header)
-        if names != _CSV_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {','.join(_CSV_HEADER)}, got {','.join(names)}"
-            )
-        width = len(_CSV_HEADER)
-        cells, lines, dropped = array("d"), array("q"), 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                dropped += 1
-                continue
-            try:
-                parsed = list(map(float, row))
-            except ValueError:
-                dropped += 1
-                continue
-            cells.extend(parsed)
-            lines.append(lineno)
-    data = np.frombuffer(cells, dtype=float).reshape(-1, width)
-    finite = np.isfinite(data).all(axis=1)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise SchemaError(f"{path}: file is empty")
+            names = tuple(h.strip().lower() for h in header)
+            if names != _CSV_HEADER:
+                raise SchemaError(
+                    f"{path}: expected header {','.join(_CSV_HEADER)}, got {','.join(names)}"
+                )
+            parsed, numbers, dropped = _read_rows(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    finite = np.isfinite(parsed).all(axis=1)
     dropped += int((~finite).sum())
-    data, lines = data[finite], np.frombuffer(lines, dtype=np.int64)[finite]
-    values, decision = data[:, :-1], data[:, -1]
+    values, decision, lines = parsed[finite, :-1], parsed[finite, -1], numbers[finite]
     negative = (values < 0).any(axis=1)
     bad = negative | ((decision != 0) & (decision != 1))
     if bad.any():
@@ -226,23 +219,112 @@ def load_csv(path) -> GasTable:
         if negative[first]:
             raise ValidationError(f"{path}: negative concentration in row {lines[first]}")
         raise ValidationError(f"{path}: decision must be 0 or 1 in row {lines[first]}")
-    if not len(data):
+    if not len(values):
         raise EmptyDatasetError(f"{path}: no usable rows")
-    return GasTable(
-        np.ascontiguousarray(values),
-        decision.astype(np.int64),
-        ATTRIBUTES,
-        dropped_rows=dropped,
+    return GasTable(values, decision.astype(np.int64), ATTRIBUTES, dropped_rows=dropped)
+
+
+#: Characters of CSV text `load_csv` reads at a time.
+_CHUNK_CHARS = 1 << 16
+
+# Eleven cells made only of digits, signs, points and exponent marks, none
+# empty.  On such cells np.loadtxt either fails or parses as float() does:
+# both end in PyOS_string_to_double, and only float() takes underscores or
+# non-ASCII digits, which no such cell holds.
+_NUMBER_CELL = "[-+.0-9eE]+"
+_PLAIN_ROW = re.compile(
+    rf"{_NUMBER_CELL}(?:,{_NUMBER_CELL}){{{len(_CSV_HEADER) - 1}}}\r?\n?"
+)
+
+
+def _read_rows(fh):
+    """The rows after the header: (cells, record numbers, dropped rows).
+
+    Up to the first line holding a quote every line is one record, parsed
+    chunk by chunk in `_parse_lines`.  From that line on, a quoted cell may
+    span lines, so csv.reader parses the rest of the file.
+    """
+    cells, kept, dropped, record = array("d"), array("q"), 0, 2
+    while lines := fh.readlines(_CHUNK_CHARS):
+        if '"' in "".join(lines):
+            quote = next(i for i, line in enumerate(lines) if '"' in line)
+            dropped += _parse_lines(lines[:quote], record, cells, kept)
+            rest = csv.reader(chain(lines[quote:], fh))
+            dropped += _parse_records(rest, count(record + quote), cells, kept)
+            break
+        dropped += _parse_lines(lines, record, cells, kept)
+        record += len(lines)
+    data = np.frombuffer(cells).reshape(-1, len(_CSV_HEADER))
+    return data, np.frombuffer(kept, np.int64), dropped
+
+
+def _parse_lines(lines, first, cells, kept) -> int:
+    """Append the rows of lines without quotes, one record each and numbered
+    from `first`, to `cells` and `kept`; return the number dropped.
+
+    The `_PLAIN_ROW` lines go to one np.loadtxt call, the others to
+    `_parse_records`; if np.loadtxt rejects a cell ("1e", "1..2"), all the
+    lines go to `_parse_records`.
+    """
+    numbers = np.arange(first, first + len(lines), dtype=np.int64)
+    plain = np.fromiter(map(bool, map(_PLAIN_ROW.fullmatch, lines)), bool, len(lines))
+    fast = np.empty((0, len(_CSV_HEADER)))
+    if plain.any():
+        try:
+            fast = np.loadtxt(list(compress(lines, plain)), delimiter=",", ndmin=2)
+        except ValueError:
+            plain[:] = False
+    if plain.all():
+        cells.frombytes(fast.tobytes())
+        kept.frombytes(numbers.tobytes())
+        return 0
+    slow, slow_numbers = array("d"), array("q")
+    dropped = _parse_records(
+        csv.reader(compress(lines, ~plain)), numbers[~plain], slow, slow_numbers
     )
+    rows = np.concatenate([fast, np.frombuffer(slow).reshape(-1, len(_CSV_HEADER))])
+    numbers = np.concatenate([numbers[plain], np.frombuffer(slow_numbers, np.int64)])
+    order = np.argsort(numbers, kind="stable")
+    cells.frombytes(rows[order].tobytes())
+    kept.frombytes(numbers[order].tobytes())
+    return dropped
+
+
+def _parse_records(records, numbers, cells, kept) -> int:
+    """Append each csv.reader record that has eleven cells, all taken by
+    float(), to `cells` and its number to `kept`; return the number dropped."""
+    dropped = 0
+    for row, number in zip(records, numbers):
+        if len(row) != len(_CSV_HEADER):
+            dropped += 1
+            continue
+        try:
+            parsed = list(map(float, row))
+        except ValueError:
+            dropped += 1
+            continue
+        cells.extend(parsed)
+        kept.append(number)
+    return dropped
+
+
+#: Rows `write_csv` formats at a time.
+_WRITE_ROWS = 512
 
 
 def write_csv(table: Table, path) -> None:
-    """Write a table as CSV with values at 9 significant digits."""
+    """Write a table as CSV with values at 9 significant digits.
+
+    The bytes are those csv.writer writes: CRLF line ends, and quotes only
+    in a header name that needs them, never around a number.
+    """
+    row = ",".join(["%.9g"] * table.n_attributes + ["%d"]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.attributes + ("decision",))
-        for row, d in zip(table.values, table.decisions):
-            writer.writerow(["%.9g" % v for v in row] + [str(int(d))])
+        csv.writer(fh).writerow(table.attributes + ("decision",))
+        for start in range(0, table.n_rows, _WRITE_ROWS):
+            stop = start + _WRITE_ROWS
+            block = np.column_stack((table.values[start:stop], table.decisions[start:stop]))
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

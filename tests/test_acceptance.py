@@ -370,8 +370,9 @@ def test_criterion_09_end_to_end_directional():
         assert not row.failed, row.error
         assert row.accuracy_mean >= 90.0, (row.preprocessor, row.classifier, row.accuracy_mean)
     # (c) reduced-attribute training is faster than full-attribute training
-    # for both gradient-descent classifiers (3 repetitions, 10% slack);
-    # early stopping disabled so measured time reflects per-epoch cost
+    # for both gradient-descent classifiers (10% slack); each side is the
+    # fastest of 5 trainings, since on a shared machine other load only ever
+    # adds time; early stopping disabled so measured time reflects per-epoch cost
     fixed = bpnn.MlpConfig(
         epochs=60, hidden=(64,), learning_rate=0.05, goal=0.0,
         ratios=(1.0, 0.0), seed=1,
@@ -396,7 +397,7 @@ def test_criterion_09_end_to_end_directional():
         return time.perf_counter() - start
 
     for seconds in (bpnn_seconds, rnn_seconds):
-        times = {m: np.mean([seconds(reduced[m]) for _ in range(3)]) for m in reduced}
+        times = {m: min(seconds(reduced[m]) for _ in range(5)) for m in reduced}
         for method in ("pca", "rs", "gr", "dt"):
             assert times[method] < times["none"] * 1.10, (seconds.__name__, method, times)
     budget.done(9, "kept sets informative, 15 cells >= 90%, reduced training faster")

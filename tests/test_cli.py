@@ -270,6 +270,42 @@ class TestMatrix:
         assert "Average Accuracy (%)" not in result.output
 
 
+class TestNotUtf8:
+    """A UTF-16 CSV or INI (a spreadsheet's "Unicode Text" export) is a
+    configuration error naming the file, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "args, bad",
+        [
+            (("discretize", "--in", "{u16_csv}", "--out", "{tmp}/cat.csv"), "u16_csv"),
+            (("reduce", "--in", "{u16_csv}", "--method", "rs"), "u16_csv"),
+            (("reduce", "--in", "{csv}", "--method", "rs", "--config", "{u16_ini}"), "u16_ini"),
+            (("train", "--in", "{u16_csv}", "--clf", "svm"), "u16_csv"),
+            (("train", "--in", "{csv}", "--clf", "svm", "--config", "{u16_ini}"), "u16_ini"),
+            (("matrix", "--config", "{u16_ini}"), "u16_ini"),
+            (("matrix", "--config", "{csv_source_ini}"), "u16_csv"),
+        ],
+        ids=["discretize", "reduce", "reduce-config", "train", "train-config", "matrix",
+             "matrix-csv-source"],
+    )
+    def test_exit_2_naming_the_file(self, tmp_path, args, bad):
+        files = {"tmp": tmp_path}
+        for name in ("csv", "u16_csv", "u16_ini", "csv_source_ini"):
+            files[name] = tmp_path / name.replace("_", ".")
+        write_csv(synth_generate(40, 0.5, 0.2, seed=3), files["csv"])
+        files["u16_csv"].write_text(files["csv"].read_text(), encoding="utf-16")
+        files["u16_ini"].write_text(MATRIX_INI, encoding="utf-16")
+        files["csv_source_ini"].write_text(
+            "[data]\nsource = csv\npath = %s\n\n[experiment]\npreprocessors = rs\n"
+            "classifiers = svm\n" % files["u16_csv"]
+        )
+        result = _invoke(*(arg.format(**files) for arg in args))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"config error: {files[bad]}: not UTF-8 text (")
+        assert "Traceback" not in result.output
+
+
 class TestReport:
     def test_reformat_round_trip(self, tmp_path):
         ini = tmp_path / "exp.ini"

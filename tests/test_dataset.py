@@ -163,6 +163,14 @@ class TestLoadCsv:
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.decisions, second.decisions)
 
+    def test_not_utf8_after_the_first_chunk(self, tmp_path):
+        """A Latin-1 byte far into the file, where a chunked read meets it."""
+        text = "\n".join([HEADER] + [SAMPLE_ROW] * 2000 + [SAMPLE_ROW.replace("43", "4µ3")])
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((text + "\n").encode("latin-1"))
+        with pytest.raises(SchemaError, match=f"^{path}: not UTF-8 text"):
+            load_csv(path)
+
 
 def reference_load(path):
     """The row-at-a-time loader that `load_csv` must agree with."""
@@ -193,7 +201,14 @@ def reference_load(path):
     return np.array(rows, dtype=float), np.array(decisions, dtype=np.int64), dropped
 
 
-_SPOILED = st.sampled_from(["", "n/a", "nan", "inf", "-inf", '"7"', "1e3"] + ["-1.5"] * 4)
+# Cells float() and np.loadtxt may judge differently ("1_0", " 7"), cells
+# that only look like numbers ("1e", "1..2"), and quoted cells, one of them
+# spanning lines ("7\n" is a number to float()).
+_SPOILED = st.sampled_from(
+    ["", "n/a", "nan", "inf", "-inf", '"7"', "1e3", " 7", "1_0", "+5", ".5", "5.", "1e", "-",
+     ".", "1..2", "Infinity", "1e999", '"7\n"', '"1\r\n2"']
+    + ["-1.5"] * 4
+)
 _CELL = st.floats(0, 1e5, allow_nan=False).map(repr) | _SPOILED
 _DECISION = st.sampled_from(["0", "1", "1.0", "-0.0"] * 4 + ["2", "-1", "nan"])
 
@@ -214,30 +229,127 @@ _LINE = st.one_of(
     ),
     st.lists(_CELL, min_size=0, max_size=12).map(",".join),
 )
+_ENDING = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 class TestLoadCsvMatchesReference:
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(_LINE, max_size=12))
-    def test_same_rows_drops_and_errors(self, tmp_path_factory, lines):
+    @given(st.lists(st.tuples(_LINE, _ENDING), max_size=12), st.booleans())
+    def test_same_rows_drops_and_errors(self, tmp_path_factory, lines, final_newline):
+        text = HEADER + "\r\n" + "".join(line + end for line, end in lines)
+        if lines and not final_newline:
+            text = text[: -len(lines[-1][1])]
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        path.write_text("\n".join([HEADER] + lines) + "\n")
+        path.write_bytes(text.encode())
+        _assert_same_outcome(path)
 
-        def outcome(load):
+    def test_rows_keep_file_order_across_parse_paths(self, tmp_path):
+        """Rows float() takes but the plain-row check does not (" 7",
+        "1_0") sit between rows np.loadtxt parses, in one chunk."""
+        rows = _numbered_rows(5)
+        rows[1] = rows[1].replace("242", " 242")
+        rows[3] = rows[3].replace("242", "2_42")
+        table = _assert_same_outcome(_write(tmp_path, "\n".join([HEADER] + rows) + "\n"))
+        assert table.column("acetylene").tolist() == [0, 1, 2, 3, 4]
+
+    def test_chunks_fallback_and_quote_switch(self, tmp_path, monkeypatch):
+        """Chunks of a line or two: chunks of plain rows, a chunk whose
+        plain-looking cell np.loadtxt rejects, then the line with the first
+        quote, after which no line goes through `_parse_lines`.  Rows are
+        distinct, and a negative row before or after the quote checks the
+        record numbers."""
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 60)
+        chunks, rejected = [], []
+        parse_lines, loadtxt = dataset._parse_lines, np.loadtxt
+
+        def spy_parse_lines(lines, first, cells, kept):
+            chunks.append(range(first, first + len(lines)))
+            return parse_lines(lines, first, cells, kept)
+
+        def spy_loadtxt(lines, **kwargs):
             try:
-                return load(path)
-            except DgaError as exc:
-                return type(exc).__name__, str(exc)
+                return loadtxt(lines, **kwargs)
+            except ValueError:
+                rejected.append(lines)
+                raise
 
-        expected = outcome(reference_load)
-        got = outcome(load_csv)
-        if isinstance(got, GasTable):
-            assert isinstance(expected[0], np.ndarray)
-            assert np.array_equal(got.values, expected[0])
-            assert np.array_equal(got.decisions, expected[1])
-            assert got.dropped_rows == expected[2]
-        else:
-            assert got == expected
+        monkeypatch.setattr(dataset, "_parse_lines", spy_parse_lines)
+        monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
+        rows = _numbered_rows(8)
+        spoiled = SAMPLE_ROW.replace("2055", "20..55")
+        quoted = SAMPLE_ROW.replace("2055", '"2055\n"')
+        lines = rows[:3] + [spoiled, "", rows[3], quoted] + rows[4:]
+        table = _assert_same_outcome(_write(tmp_path, "\n".join([HEADER] + lines) + "\n"))
+        assert (table.n_rows, table.dropped_rows) == (9, 2)
+        assert len(chunks) >= 3
+        assert rejected and all(spoiled + "\n" in lines for lines in rejected)
+        assert max(c.stop for c in chunks) == 2 + lines.index(quoted)
+        negative = SAMPLE_ROW.replace("43", "-43")
+        for at in (5, len(lines)):
+            text = "\n".join([HEADER] + lines[:at] + [negative] + lines[at:]) + "\n"
+            assert _assert_same_outcome(_write(tmp_path, text))[0] == "ValidationError"
+
+
+def _numbered_rows(n):
+    """`n` copies of SAMPLE_ROW with acetylene 0, 1, ..., n - 1."""
+    return [f"{i}," + SAMPLE_ROW.split(",", 1)[1] for i in range(n)]
+
+
+def _assert_same_outcome(path):
+    """Assert that `load_csv` and `reference_load` return the same rows,
+    decisions and drop count, or raise the same error; return the table."""
+
+    def outcome(load):
+        try:
+            return load(path)
+        except DgaError as exc:
+            return type(exc).__name__, str(exc)
+
+    expected = outcome(reference_load)
+    got = outcome(load_csv)
+    if isinstance(got, GasTable):
+        assert isinstance(expected[0], np.ndarray)
+        assert np.array_equal(got.values, expected[0])
+        assert np.array_equal(got.decisions, expected[1])
+        assert got.dropped_rows == expected[2]
+    else:
+        assert got == expected
+    return got
+
+
+def reference_write(table, path):
+    """The csv.writer loop whose bytes `write_csv` must reproduce."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.attributes + ("decision",))
+        for row, d in zip(table.values, table.decisions):
+            writer.writerow(["%.9g" % v for v in row] + [str(int(d))])
+
+
+def _exponent_table():
+    values = np.full((4, len(ATTRIBUTES)), 1e-7)
+    values[1] = 1.5e12
+    values[2] = [0.0, 5e-324, 1e300, 123456789.5, 1e16, 2.5e-5, 1e-4, 99999.99999, 7.0, 1e9]
+    return GasTable(values, [0, 1, 0, 1], ATTRIBUTES)
+
+
+class TestWriteCsvMatchesReference:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: synth_generate(300, 0.4, 0.5, seed=4),
+            lambda: discretize(synth_generate(300, 0.4, 0.5, seed=4)),
+            lambda: standardize(synth_generate(50, 0.4, 0.5, seed=4))[0],
+            _exponent_table,
+            lambda: synth_generate(2 * dataset._WRITE_ROWS + 7, 0.5, 0.3, seed=5),
+        ],
+        ids=["gas", "categorical", "standardized", "exponent-form", "several-blocks"],
+    )
+    def test_same_bytes(self, tmp_path, make):
+        table = make()
+        write_csv(table, tmp_path / "got.csv")
+        reference_write(table, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestStandardize:
