@@ -12,7 +12,7 @@ import csv
 import re
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count
+from itertools import chain
 
 import numpy as np
 
@@ -206,12 +206,13 @@ def load_csv(path) -> GasTable:
                 raise SchemaError(
                     f"{path}: expected header {','.join(_CSV_HEADER)}, got {','.join(names)}"
                 )
-            parsed, numbers, dropped = _read_rows(fh)
+            parsed = _read_rows(fh)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     finite = np.isfinite(parsed).all(axis=1)
-    dropped += int((~finite).sum())
-    values, decision, lines = parsed[finite, :-1], parsed[finite, -1], numbers[finite]
+    dropped = int((~finite).sum())
+    values, decision = parsed[finite, :-1], parsed[finite, -1]
+    lines = np.flatnonzero(finite) + 2
     negative = (values < 0).any(axis=1)
     bad = negative | ((decision != 0) & (decision != 1))
     if bad.any():
@@ -237,75 +238,55 @@ _PLAIN_ROW = re.compile(
 )
 
 
-def _read_rows(fh):
-    """The rows after the header: (cells, record numbers, dropped rows).
+def _read_rows(fh) -> np.ndarray:
+    """The rows after the header, one per CSV record, so that row i is
+    record i + 2; a record that is not eleven numbers is a row of NaNs.
 
     Up to the first line holding a quote every line is one record, parsed
     chunk by chunk in `_parse_lines`.  From that line on, a quoted cell may
     span lines, so csv.reader parses the rest of the file.
     """
-    cells, kept, dropped, record = array("d"), array("q"), 0, 2
+    cells = array("d")
     while lines := fh.readlines(_CHUNK_CHARS):
         if '"' in "".join(lines):
             quote = next(i for i, line in enumerate(lines) if '"' in line)
-            dropped += _parse_lines(lines[:quote], record, cells, kept)
-            rest = csv.reader(chain(lines[quote:], fh))
-            dropped += _parse_records(rest, count(record + quote), cells, kept)
+            _parse_lines(lines[:quote], cells)
+            _parse_records(csv.reader(chain(lines[quote:], fh)), cells)
             break
-        dropped += _parse_lines(lines, record, cells, kept)
-        record += len(lines)
-    data = np.frombuffer(cells).reshape(-1, len(_CSV_HEADER))
-    return data, np.frombuffer(kept, np.int64), dropped
+        _parse_lines(lines, cells)
+    return np.frombuffer(cells).reshape(-1, len(_CSV_HEADER))
 
 
-def _parse_lines(lines, first, cells, kept) -> int:
-    """Append the rows of lines without quotes, one record each and numbered
-    from `first`, to `cells` and `kept`; return the number dropped.
+def _parse_lines(lines, cells) -> None:
+    """Append the rows of `lines`, which hold no quote and so one record
+    each, to `cells`.
 
-    The `_PLAIN_ROW` lines go to one np.loadtxt call, the others to
-    `_parse_records`; if np.loadtxt rejects a cell ("1e", "1..2"), all the
-    lines go to `_parse_records`.
+    When every line is a `_PLAIN_ROW`, one np.loadtxt call parses the chunk.
+    Otherwise, or when np.loadtxt rejects a cell ("1e", "1..2"),
+    `_parse_records` parses the whole chunk.
     """
-    numbers = np.arange(first, first + len(lines), dtype=np.int64)
-    plain = np.fromiter(map(bool, map(_PLAIN_ROW.fullmatch, lines)), bool, len(lines))
-    fast = np.empty((0, len(_CSV_HEADER)))
-    if plain.any():
+    if lines and all(map(_PLAIN_ROW.fullmatch, lines)):
         try:
-            fast = np.loadtxt(list(compress(lines, plain)), delimiter=",", ndmin=2)
+            cells.frombytes(np.loadtxt(lines, delimiter=",", ndmin=2).tobytes())
+            return
         except ValueError:
-            plain[:] = False
-    if plain.all():
-        cells.frombytes(fast.tobytes())
-        kept.frombytes(numbers.tobytes())
-        return 0
-    slow, slow_numbers = array("d"), array("q")
-    dropped = _parse_records(
-        csv.reader(compress(lines, ~plain)), numbers[~plain], slow, slow_numbers
-    )
-    rows = np.concatenate([fast, np.frombuffer(slow).reshape(-1, len(_CSV_HEADER))])
-    numbers = np.concatenate([numbers[plain], np.frombuffer(slow_numbers, np.int64)])
-    order = np.argsort(numbers, kind="stable")
-    cells.frombytes(rows[order].tobytes())
-    kept.frombytes(numbers[order].tobytes())
-    return dropped
+            pass
+    _parse_records(csv.reader(lines), cells)
 
 
-def _parse_records(records, numbers, cells, kept) -> int:
-    """Append each csv.reader record that has eleven cells, all taken by
-    float(), to `cells` and its number to `kept`; return the number dropped."""
-    dropped = 0
-    for row, number in zip(records, numbers):
-        if len(row) != len(_CSV_HEADER):
-            dropped += 1
-            continue
-        try:
-            parsed = list(map(float, row))
-        except ValueError:
-            dropped += 1
-            continue
+def _parse_records(records, cells) -> None:
+    """Append each csv.reader record to `cells` as one row: its eleven cells
+    through float(), or NaNs when it has another number of cells or float()
+    rejects one of them."""
+    unusable = [np.nan] * len(_CSV_HEADER)
+    for row in records:
+        parsed = unusable
+        if len(row) == len(_CSV_HEADER):
+            try:
+                parsed = list(map(float, row))
+            except ValueError:
+                pass
         cells.extend(parsed)
-        kept.append(number)
-    return dropped
 
 
 #: Rows `write_csv` formats at a time.
