@@ -14,6 +14,11 @@ held for the length of the training.  Every in-place operation keeps the
 order of the allocating formulas, so results are bit-identical to them
 (tests/test_net_buffers.py keeps those formulas as the reference).
 
+A training also keeps its parameters in one flat float64 vector, of which
+the model's weight and bias arrays are views, and its gradients in another
+laid out the same way, so a descent step, snapshot or restore is one
+vector operation.
+
 The buffers carry a leading channel axis.  The point network runs one
 channel; the rough network (`rnn`) runs its shared layers here as two, the
 min and max outputs of its rough layer.  The output is the logsig of the
@@ -22,6 +27,7 @@ channels' mean output net, so one channel gives the plain network exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +139,24 @@ def layer_shapes(input_width: int, hidden) -> dict[str, tuple[int, ...]]:
     return layer_params(list(zip(sizes[1:], sizes[:-1])), [(size,) for size in sizes[1:]])
 
 
+def carve(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of the vector `flat`, one per named shape, laid end to end in
+    order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+def flat_copy(named: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The named arrays copied end to end into one float64 vector, and their
+    views of it."""
+    flat = np.concatenate([a.ravel() for a in named.values()])
+    return flat, carve(flat, {name: a.shape for name, a in named.items()})
+
+
 def init_layers(sizes, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Uniform +-1/sqrt(fan-in) weights and biases, drawn layer by layer."""
     weights, biases = [], []
@@ -152,10 +176,14 @@ class LayerBuffers:
     then each layer's output.  With `backward`, a gradient step also fills
     `deltas` (each layer's output delta) and the weight and bias gradients,
     and it turns each hidden activation into its tanh slope in place; with
-    `input_delta` it also fills the delta at the stack's input.
+    `input_delta` it also fills the delta at the stack's input.  The
+    gradients are views (`grads_w`, `grads_b`) of the vector `flat_grads`,
+    laid out as `layer_params` names them; pass `flat_grads` to have them
+    written into a larger vector, or leave it None to allocate one.
     """
 
-    def __init__(self, x: np.ndarray, weights, backward: bool = False, input_delta: bool = False):
+    def __init__(self, x: np.ndarray, weights, backward: bool = False, input_delta: bool = False,
+                 flat_grads: np.ndarray | None = None):
         x = x if x.ndim == 3 else x[None]
         channels, n = x.shape[:2]
         widths = [w.shape[0] for w in weights]
@@ -166,9 +194,17 @@ class LayerBuffers:
         if backward:
             self.deltas = [np.empty((channels, n, k)) for k in widths]
             self.input_delta = np.empty_like(x) if input_delta else None
-            self.channel_grads = [np.empty((channels,) + w.shape) for w in weights]
-            self.grads_w = [g[0] for g in self.channel_grads]
-            self.grads_b = [np.empty(k) for k in widths]
+            shapes = layer_params([w.shape for w in weights], [(k,) for k in widths])
+            if flat_grads is None:
+                flat_grads = np.empty(sum(map(math.prod, shapes.values())))
+            self.flat_grads = flat_grads
+            views = list(carve(flat_grads, shapes).values())
+            self.grads_w, self.grads_b = views[0::2], views[1::2]
+            # one channel's matmul writes its gradient in place; more are added after
+            self.channel_grads = [
+                g[None] if channels == 1 else np.empty((channels,) + g.shape)
+                for g in self.grads_w
+            ]
 
 
 def _add_channels(a: np.ndarray) -> np.ndarray:
@@ -190,7 +226,8 @@ def _forward(weights, biases, rows: LayerBuffers) -> np.ndarray:
         if layer < last:
             np.tanh(z, out=z)
     out = _add_channels(acts[-1])
-    out *= 1.0 / acts[-1].shape[0]
+    if acts[-1].shape[0] > 1:
+        out *= 1.0 / acts[-1].shape[0]
     _logsig_inplace(out, rows.expo, rows.negative)
     return out[:, 0]
 
@@ -212,7 +249,7 @@ def _output_delta(a: np.ndarray, resid: np.ndarray, n: int, delta: np.ndarray, s
 
 def _mean_square(resid: np.ndarray) -> float:
     np.square(resid, out=resid)
-    return float(np.mean(resid))
+    return float(np.add.reduce(resid)) / resid.size
 
 
 def scores(model: MlpModel, values: np.ndarray) -> np.ndarray:
@@ -231,19 +268,22 @@ def _backward(weights, rows: LayerBuffers, n: int) -> None:
     acts, deltas = rows.acts, rows.deltas
     delta = deltas[-1]
     _output_delta(acts[-1][0], rows.resid, n, delta[0], rows.expo)
-    share = 1.0 / delta.shape[0]
-    for c in range(1, delta.shape[0]):
-        np.multiply(share, delta[0], out=delta[c])
-    delta[0] *= share
+    if delta.shape[0] > 1:
+        share = 1.0 / delta.shape[0]
+        for c in range(1, delta.shape[0]):
+            np.multiply(share, delta[0], out=delta[c])
+        delta[0] *= share
     for layer in range(len(weights) - 1, -1, -1):
-        np.matmul(delta.transpose(0, 2, 1), acts[layer], out=rows.channel_grads[layer])
-        _add_channels(rows.channel_grads[layer])
+        channel_grads = rows.channel_grads[layer]
+        np.matmul(delta.transpose(0, 2, 1), acts[layer], out=channel_grads)
+        if channel_grads.shape[0] > 1:
+            np.add.reduce(channel_grads, axis=0, out=rows.grads_w[layer])
         below = deltas[layer - 1] if layer > 0 else rows.input_delta
         if below is not None:
             np.matmul(delta, weights[layer], out=below)
             if layer > 0:
                 below *= _tanh_slope(acts[layer])
-        np.sum(_add_channels(delta), axis=0, out=rows.grads_b[layer])
+        np.add.reduce(_add_channels(delta), axis=0, out=rows.grads_b[layer])
         delta = below
 
 
@@ -260,36 +300,36 @@ def _mse(weights, biases, rows: LayerBuffers, targets) -> float:
     return _mean_square(rows.resid)
 
 
-def descend(params: dict, gradients, val_error, cfg: MlpConfig, trace: TrainingTrace) -> None:
-    """Full-batch gradient descent on the named `params`, updated in place,
-    with goal / early-stop / epoch-budget exits recorded on `trace`.
+def descend(params: np.ndarray, gradients, val_error, cfg: MlpConfig, trace: TrainingTrace) -> None:
+    """Full-batch gradient descent on the flat parameter vector `params`,
+    updated in place, with goal / early-stop / epoch-budget exits recorded
+    on `trace`.
 
-    `gradients()` returns the training error and one gradient per parameter
-    name; descend scales those gradient arrays in place by the learning rate,
-    so they must be rewritten by the next call.  `val_error()` returns the
-    validation error; pass None when there is no validation part.  With one,
-    the parameters end at the epoch with the lowest validation error, kept in
-    snapshot arrays allocated once.
+    `gradients()` returns the training error, a Python float, and the flat
+    gradient vector laid out as `params`; descend scales that vector in
+    place by the learning rate, so it must be rewritten by the next call.
+    `val_error()` returns the validation error; pass None when there is no
+    validation part.  With one, the parameters end at the epoch with the
+    lowest validation error, kept in a snapshot vector allocated once.
     """
-    best_val = np.inf
-    best = {name: np.empty_like(p) for name, p in params.items()}
+    best_val = math.inf
+    best = np.empty_like(params)
     strikes = 0
     trace.stop_reason = STOP_EPOCHS
     for epoch in range(1, cfg.epochs + 1):
         err, grads = gradients()
-        if not np.isfinite(err):
+        if not math.isfinite(err):
             raise TrainingDivergedError(f"non-finite training error at epoch {epoch}")
         trace.train_errors.append(err)
         if val_error is not None:
             val_err = val_error()
-            if not np.isfinite(val_err):
+            if not math.isfinite(val_err):
                 raise TrainingDivergedError(f"non-finite validation error at epoch {epoch}")
             trace.val_errors.append(val_err)
             if val_err < best_val:
                 best_val = val_err
                 trace.best_epoch = epoch
-                for name, p in params.items():
-                    np.copyto(best[name], p)
+                np.copyto(best, params)
             if epoch > 1 and trace.val_errors[-1] > trace.val_errors[-2]:
                 strikes += 1
             else:
@@ -300,14 +340,12 @@ def descend(params: dict, gradients, val_error, cfg: MlpConfig, trace: TrainingT
         if val_error is not None and strikes >= cfg.max_fail:
             trace.stop_reason = STOP_EARLY
             break
-        for name, p in params.items():
-            grads[name] *= cfg.learning_rate
-            p -= grads[name]
+        grads *= cfg.learning_rate
+        params -= grads
     if val_error is None:
         trace.best_epoch = trace.epochs_run
     else:
-        for name, p in params.items():
-            np.copyto(p, best[name])
+        np.copyto(params, best)
 
 
 def train(data: Table, cfg: MlpConfig) -> MlpModel:
@@ -325,21 +363,23 @@ def train(data: Table, cfg: MlpConfig) -> MlpModel:
     d_val = data.decisions[val_idx].astype(float)
 
     sizes = (data.n_attributes,) + cfg.hidden + (1,)
-    weights, biases = init_layers(sizes, np.random.default_rng(cfg.seed))
+    params, named = flat_copy(layer_params(*init_layers(sizes, np.random.default_rng(cfg.seed))))
+    layers = range(len(cfg.hidden) + 1)
+    weights = [named[f"w{i}"] for i in layers]
+    biases = [named[f"b{i}"] for i in layers]
     model = MlpModel(weights, biases, data.n_attributes, cfg.hidden, TrainingTrace())
 
     train_rows = LayerBuffers(x_train, weights, backward=True)
     val_rows = LayerBuffers(x_val, weights)
-    grads = layer_params(train_rows.grads_w, train_rows.grads_b)
 
     def gradients():
         err, _, _ = batch_gradients(weights, biases, train_rows, d_train)
-        return err, grads
+        return err, train_rows.flat_grads
 
     def val_error():
         return _mse(weights, biases, val_rows, d_val)
 
-    descend(model.params, gradients, val_error if val_idx.size else None, cfg, model.trace)
+    descend(params, gradients, val_error if val_idx.size else None, cfg, model.trace)
     return model
 
 

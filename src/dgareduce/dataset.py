@@ -193,8 +193,9 @@ def load_csv(path) -> GasTable:
     are fine) or when a cell is not finite; the number of dropped rows is
     recorded on the returned table.  Negative concentrations and decisions
     outside {0, 1} are hard errors, not drops; their messages number rows by
-    CSV record, the header being record 1.  A file that is not UTF-8 text is
-    a SchemaError.
+    CSV record, the header being record 1.  A file that is not UTF-8 text,
+    or that csv.reader rejects (a cell longer than `csv.field_size_limit()`,
+    say), is a SchemaError.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -209,6 +210,8 @@ def load_csv(path) -> GasTable:
             parsed = _read_rows(fh)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: unreadable CSV ({exc})") from None
     finite = np.isfinite(parsed).all(axis=1)
     dropped = int((~finite).sum())
     values, decision = parsed[finite, :-1], parsed[finite, -1]

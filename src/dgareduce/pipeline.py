@@ -5,10 +5,21 @@ accuracy and average training time.
 Preprocessors fit once on the whole table by default (the historical
 protocol); `strict_no_leakage` refits them per fold on the training portion
 only.  Classifier-side standardization and interval-cell fitting always use
-the training portion.  The global seed expands into per-cell and per-fold
-seeds through numpy SeedSequence spawn keys: data uses key (0,), cell
-(preprocessor, classifier) uses (1, pre_index, clf_index), and fold f inside a
-cell appends f.
+the training portion.  The global seed expands into child seeds through numpy
+SeedSequence spawn keys: data uses key (0,); a preprocessor's fit uses
+(1, pre_index), so the three classifiers of one preprocessor see one fit and
+one kept set; a classifier's fold plan uses (1, 0, clf_index) and its fold f
+(1, 0, clf_index, f), so the five preprocessors of one classifier train and
+test on the same folds with the same network seeds.  A strict-mode fit on
+fold f of a classifier uses (1, pre_index, clf_index, f).
+
+Within one `run_matrix` call the cells share their work (`SharedWork`): each
+preprocessor is fitted once, and a training whose classifier, fold and
+reduced column names another cell has already trained is that same
+computation, so the cell reuses its accuracy, seconds, stop reason and
+warnings and names that cell's preprocessor in `same_training_as`.  pca
+columns are projections, never shared.  Every non-`none` row is paired fold
+by fold with the `none` row of its classifier (`paired_against`).
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 import csv as _csv
 import io
 import json
+import math
 import time
 import warnings
 from contextlib import contextmanager
@@ -27,6 +39,7 @@ from . import bpnn, dtree, granular, pca, rnn, svm
 from .dataset import (
     ATTRIBUTES,
     Discretizer,
+    FoldPlan,
     GasTable,
     Table,
     kfold,
@@ -127,6 +140,23 @@ def derive_seed(root: int, *key: int) -> int:
     return int(np.random.SeedSequence(root, spawn_key=tuple(key)).generate_state(1)[0])
 
 
+def reducer_seed(cfg: ExperimentConfig, preprocessor: str) -> int:
+    """The seed of a preprocessor's whole-table fit, shared by its classifiers."""
+    return derive_seed(cfg.seed, 1, PREPROCESSORS.index(preprocessor))
+
+
+def fold_plan(table: Table, cfg: ExperimentConfig, classifier: str) -> FoldPlan:
+    """The classifier's fold plan, shared by every preprocessor."""
+    seed = derive_seed(cfg.seed, 1, 0, CLASSIFIERS.index(classifier))
+    return kfold(table, cfg.folds_for(classifier), seed)
+
+
+def fold_seed(cfg: ExperimentConfig, classifier: str, fold: int) -> int:
+    """The seed of a classifier's training on one fold, shared by every
+    preprocessor."""
+    return derive_seed(cfg.seed, 1, 0, CLASSIFIERS.index(classifier), fold)
+
+
 def resolve_data(cfg: ExperimentConfig) -> GasTable:
     if cfg.csv_path is not None:
         return load_csv(cfg.csv_path)
@@ -209,7 +239,13 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
 
 @dataclass(frozen=True)
 class CellResult:
-    """One preprocessor x classifier report row."""
+    """One preprocessor x classifier report row.
+
+    `same_training_as` names the preprocessors whose trainings this row
+    reused (see `SharedWork`); `time_mean` then holds those trainings'
+    measured seconds.  The paired fields, from `fold_deltas` on, compare
+    the row fold by fold with the `none` row of its classifier and are
+    empty on `none` rows (see `paired_against`)."""
 
     preprocessor: str
     classifier: str
@@ -224,6 +260,15 @@ class CellResult:
     error: str | None = None
     fold_accuracies: tuple[float, ...] = ()
     fold_diagnostics: tuple = ()
+    same_training_as: str = ""
+    fold_deltas: tuple[float, ...] = ()
+    delta_mean: float | None = None
+    wins: int | None = None
+    ties: int | None = None
+    losses: int | None = None
+    sign_p: float | None = None
+    corrected_t: float | None = None
+    t_df: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -285,10 +330,10 @@ def fit_classifier(classifier, cfg, train_raw: Table, mlp: bpnn.MlpConfig) -> Fi
     return FittedClassifier(model, seconds, cells)
 
 
-def _train_eval(classifier, cfg, train_raw, test_raw, fold_seed):
+def _train_eval(classifier, cfg, train_raw, test_raw, seed):
     """Train one classifier on a reduced fold; returns (accuracy, seconds,
     stop reason)."""
-    fitted = fit_classifier(classifier, cfg, train_raw, replace(cfg.mlp, seed=fold_seed))
+    fitted = fit_classifier(classifier, cfg, train_raw, replace(cfg.mlp, seed=seed))
     model = fitted.model
     accuracy = MODELS[classifier].evaluate(model, fitted.inputs(test_raw))
     if classifier == "svm":
@@ -305,41 +350,86 @@ def _recording(caught: list[str]):
     caught.extend(str(n.message) for n in notes)
 
 
+@dataclass(frozen=True)
+class _Training:
+    """One fold's training: its accuracy, measured seconds, stop reason and
+    warnings, and the preprocessor of the cell that ran it."""
+
+    accuracy: float
+    seconds: float
+    reason: str
+    warnings: tuple[str, ...]
+    preprocessor: str
+
+
+@dataclass
+class SharedWork:
+    """The work the cells of one `run_matrix` call share; a fresh one per call.
+
+    `fits` maps a preprocessor to its whole-table fit, the table it reduced
+    to and the fit's warnings, or to the exception the fit raised.
+    `trainings` maps (classifier, fold, reduced column names) to a
+    `_Training`: on one table, under the shared fold plans and fold seeds,
+    that key fixes every input of the training.
+    """
+
+    fits: dict = field(default_factory=dict)
+    trainings: dict = field(default_factory=dict)
+
+    def fit(self, cfg: ExperimentConfig, table: Table, preprocessor: str):
+        """The preprocessor's shared fit, made on first use: (reducer,
+        reduced table, warnings).  A failed fit raises on every use."""
+        if preprocessor not in self.fits:
+            caught: list[str] = []
+            try:
+                with _recording(caught):
+                    reducer = fit_reducer(table, preprocessor, cfg, reducer_seed(cfg, preprocessor))
+                    self.fits[preprocessor] = (reducer, reducer.transform(table), tuple(caught))
+            except Exception as exc:
+                self.fits[preprocessor] = exc
+        entry = self.fits[preprocessor]
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
+
+
 def run_cell(
     cfg: ExperimentConfig,
     preprocessor: str,
     classifier: str,
     table: GasTable | None = None,
+    shared: SharedWork | None = None,
 ) -> CellResult:
-    """Cross-validated run of one preprocessor x classifier pair."""
+    """Cross-validated run of one preprocessor x classifier pair, reusing the
+    fit and trainings in `shared` (the other cells of one matrix)."""
     if preprocessor not in PREPROCESSORS or classifier not in CLASSIFIERS:
         raise ConfigError(f"unknown cell {preprocessor} x {classifier}")
     if table is None:
         table = resolve_data(cfg)
-    pre_index = PREPROCESSORS.index(preprocessor)
-    clf_index = CLASSIFIERS.index(classifier)
-    cell_seed = derive_seed(cfg.seed, 1, pre_index, clf_index)
+    if shared is None:
+        shared = SharedWork()
     k = cfg.folds_for(classifier)
     stage = "fold-plan"
     fold = -1
     caught: list[str] = []
     try:
-        plan = kfold(table, k, cell_seed)
+        plan = fold_plan(table, cfg, classifier)
         if not cfg.strict_no_leakage:
             stage = "preprocess"
-            with _recording(caught):
-                reducer = fit_reducer(table, preprocessor, cfg, cell_seed)
-                reduced_all = reducer.transform(table)
-        accuracies, times, reasons = [], [], {}
-        diagnostics = []
+            reducer, reduced_all, fit_warnings = shared.fit(cfg, table, preprocessor)
+            caught.extend(fit_warnings)
+        trainings, diagnostics = [], []
         for fold in range(k):
-            fold_seed = derive_seed(cfg.seed, 1, pre_index, clf_index, fold)
             train_idx = plan.train_indices(fold)
             test_idx = plan.test_indices(fold)
             if cfg.strict_no_leakage:
                 stage = "preprocess"
+                strict_seed = derive_seed(
+                    cfg.seed, 1, PREPROCESSORS.index(preprocessor),
+                    CLASSIFIERS.index(classifier), fold,
+                )
                 with _recording(caught):
-                    reducer = fit_reducer(table.take(train_idx), preprocessor, cfg, fold_seed)
+                    reducer = fit_reducer(table.take(train_idx), preprocessor, cfg, strict_seed)
                 train_raw = reducer.transform(table.take(train_idx))
                 test_raw = reducer.transform(table.take(test_idx))
                 diagnostics.append(_reducer_fingerprint(reducer))
@@ -347,13 +437,19 @@ def run_cell(
                 train_raw = reduced_all.take(train_idx)
                 test_raw = reduced_all.take(test_idx)
             stage = "train"
-            with _recording(caught):
-                acc, seconds, reason = _train_eval(
-                    classifier, cfg, train_raw, test_raw, fold_seed
-                )
-            accuracies.append(acc)
-            times.append(seconds)
-            reasons[reason] = reasons.get(reason, 0) + 1
+            key = None if preprocessor == "pca" else (classifier, fold, train_raw.attributes)
+            trained = shared.trainings.get(key)
+            if trained is None:
+                notes: list[str] = []
+                with _recording(notes):
+                    outcome = _train_eval(
+                        classifier, cfg, train_raw, test_raw, fold_seed(cfg, classifier, fold)
+                    )
+                trained = _Training(*outcome, tuple(notes), preprocessor)
+                if key is not None:
+                    shared.trainings[key] = trained
+            caught.extend(trained.warnings)
+            trainings.append(trained)
     except Exception as exc:  # a failure of any kind fails this cell only
         where = "global" if fold < 0 else f"fold {fold}"
         return CellResult(
@@ -367,18 +463,25 @@ def run_cell(
             failed=True,
             error=f"{where} stage {stage}: {type(exc).__name__}: {exc}",
         )
+    accuracies = [t.accuracy for t in trainings]
+    reasons: dict[str, int] = {}
+    for t in trainings:
+        reasons[t.reason] = reasons.get(t.reason, 0) + 1
     return CellResult(
         preprocessor=preprocessor,
         classifier=classifier,
         folds=k,
         accuracy_mean=float(np.mean(accuracies)),
         accuracy_std=float(np.std(accuracies)),
-        time_mean=float(np.mean(times)),
+        time_mean=float(np.mean([t.seconds for t in trainings])),
         kept=reducer.kept_label,
         stop_reasons=reasons,
         warnings=tuple(dict.fromkeys(caught)),
         fold_accuracies=tuple(accuracies),
         fold_diagnostics=tuple(diagnostics),
+        same_training_as=",".join(
+            dict.fromkeys(t.preprocessor for t in trainings if t.preprocessor != preprocessor)
+        ),
     )
 
 
@@ -445,21 +548,78 @@ def _settings_summary(cfg: ExperimentConfig) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(pairs.items()))
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p of `wins` against `losses`, ties dropped:
+    the chance that a fair coin splits wins + losses tosses at least this
+    unevenly."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def corrected_t(deltas, test_train_ratio: float) -> float | None:
+    """Nadeau and Bengio's corrected resampled t of k per-fold differences,
+    mean / sqrt((1/k + n_test/n_train) * sample variance), on k - 1 degrees
+    of freedom (Nadeau & Bengio, Machine Learning 2003).  None when the
+    differences do not vary, where t is undefined."""
+    d = np.asarray(deltas, dtype=float)
+    variance = float(np.var(d, ddof=1))
+    if variance == 0.0:
+        return None
+    return float(np.mean(d)) / math.sqrt((1.0 / d.size + test_train_ratio) * variance)
+
+
+def paired_against(row: CellResult, none_row: CellResult) -> CellResult:
+    """`row` with its per-fold accuracy differences from `none_row`, the
+    `none` row of its classifier on the same test folds, and their mean,
+    wins / ties / losses, sign-test p and corrected t."""
+    deltas = [a - b for a, b in zip(row.fold_accuracies, none_row.fold_accuracies)]
+    k = len(deltas)
+    wins = sum(d > 0 for d in deltas)
+    losses = sum(d < 0 for d in deltas)
+    return replace(
+        row,
+        fold_deltas=tuple(deltas),
+        delta_mean=float(np.mean(deltas)),
+        wins=wins,
+        ties=k - wins - losses,
+        losses=losses,
+        sign_p=sign_test_p(wins, losses),
+        # every row is tested once, so n_test / n_train = (n / k) / (n - n / k)
+        corrected_t=corrected_t(deltas, 1.0 / (k - 1)),
+        t_df=k - 1,
+    )
+
+
 def run_matrix(cfg: ExperimentConfig) -> ExperimentReport:
-    """All requested cells, independent, in deterministic order."""
+    """All requested cells in deterministic order, sharing one `SharedWork`,
+    with every non-`none` row paired against its classifier's `none` row."""
     table = resolve_data(cfg)
-    rows = []
-    for pre in PREPROCESSORS:
-        if pre not in cfg.preprocessors:
-            continue
-        for clf in CLASSIFIERS:
-            if clf not in cfg.classifiers:
-                continue
-            rows.append(run_cell(cfg, pre, clf, table=table))
+    shared = SharedWork()
+    rows = [
+        run_cell(cfg, pre, clf, table=table, shared=shared)
+        for pre in PREPROCESSORS
+        if pre in cfg.preprocessors
+        for clf in CLASSIFIERS
+        if clf in cfg.classifiers
+    ]
+    base = {r.classifier: r for r in rows if r.preprocessor == "none" and not r.failed}
+    rows = [
+        paired_against(r, base[r.classifier])
+        if r.preprocessor != "none" and not r.failed and r.classifier in base
+        else r
+        for r in rows
+    ]
     return ExperimentReport(tuple(rows), cfg.seed, _settings_summary(cfg))
 
 
 REPORT_FORMATS = ("table", "json", "csv")
+
+
+def _text(form: str, value) -> str:
+    """`value` in `form`, or blank when there is none."""
+    return "" if value is None else form % value
+
 
 # One entry per report column, in CSV order: the CSV name, the table header
 # (None for a CSV-only column) and the cell text of a row.
@@ -469,6 +629,7 @@ _COLUMNS = (
     ("folds", "k-Folds", lambda r: str(r.folds)),
     ("accuracy_mean", "Average Accuracy (%)", lambda r: "%.1f" % r.accuracy_mean),
     ("accuracy_std", None, lambda r: "%.3f" % r.accuracy_std),
+    ("delta_mean", "Delta vs none", lambda r: _text("%+.2f", r.delta_mean)),
     ("time_mean", "Average Training Time(s)", lambda r: "%.2f" % r.time_mean),
     ("kept", "Kept", lambda r: r.kept),
     ("stop_reasons", None,
@@ -476,6 +637,14 @@ _COLUMNS = (
     ("warnings", None, lambda r: "|".join(r.warnings)),
     ("failed", None, lambda r: str(int(r.failed))),
     ("error", None, lambda r: r.error or ""),
+    ("same_training_as", None, lambda r: r.same_training_as),
+    ("fold_deltas", None, lambda r: ";".join("%.6g" % d for d in r.fold_deltas)),
+    ("wins", None, lambda r: _text("%d", r.wins)),
+    ("ties", None, lambda r: _text("%d", r.ties)),
+    ("losses", None, lambda r: _text("%d", r.losses)),
+    ("sign_p", None, lambda r: _text("%.4g", r.sign_p)),
+    ("corrected_t", None, lambda r: _text("%.4g", r.corrected_t)),
+    ("t_df", None, lambda r: _text("%d", r.t_df)),
 )
 
 

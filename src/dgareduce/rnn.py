@@ -43,7 +43,9 @@ from .bpnn import (
     LayerBuffers,
     MlpConfig,
     TrainingTrace,
+    carve,
     descend,
+    flat_copy,
     init_layers,
     layer_params,
     layer_shapes,
@@ -191,7 +193,9 @@ class RoughBuffers:
     into the two channels of `stack`, the point network's buffers
     (`bpnn.LayerBuffers`) for the shared layers.  With `backward`, a
     gradient step also fills the stack's deltas, including the delta at its
-    input, the tie masks `ties` and one gradient per parameter name.  It
+    input, the tie masks `ties` and one gradient per parameter name
+    (`grads`), each a view of the vector `flat_grads`, laid out as
+    `model.params`; the stack writes its gradients into the tail.  It
     reuses the activations it no longer needs as scratch, so after a step
     they no longer hold a forward pass.
     """
@@ -210,16 +214,18 @@ class RoughBuffers:
         shape = (2, g, model.hidden[0])
         self.nets = np.empty(shape)
         self.cross = np.empty(shape) if model.connection == "full" else None
-        self.stack = LayerBuffers(
-            np.empty(shape), model.shared_weights, backward, input_delta=backward
-        )
+        stack_grads = None
         if backward:
             self.ties = np.empty(shape, dtype=bool)
-            shared = layer_params(self.stack.grads_w, self.stack.grads_b, start=1)
-            self.grads = {
-                name: shared[name] if name in shared else np.empty_like(p)
-                for name, p in model.params.items()
-            }
+            params = model.params
+            self.flat_grads = np.empty(sum(p.size for p in params.values()))
+            self.grads = carve(self.flat_grads, {name: p.shape for name, p in params.items()})
+            rough = sum(p.size for name, p in params.items() if name.startswith("rough_"))
+            stack_grads = self.flat_grads[rough:]
+        self.stack = LayerBuffers(
+            np.empty(shape), model.shared_weights, backward, input_delta=backward,
+            flat_grads=stack_grads,
+        )
 
 
 def _distinct_rows(xl: np.ndarray, xu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +302,7 @@ def _gradients(model: RnnModel, rows: RoughBuffers):
         np.negative(np.matmul(d_zt, x[::-1], out=grads["rough_w"]), out=grads["rough_w"])
     else:
         np.matmul(d_zt, x, out=grads["rough_w"])
-    np.sum(d_z, axis=1, out=grads["rough_b"])
+    np.add.reduce(d_z, axis=1, out=grads["rough_b"])
     if model.connection == "full":
         np.matmul(d_zt, x[::-1], out=grads["rough_cross"])
     return err, grads
@@ -315,7 +321,7 @@ def _grouped_mean_square(rows: RoughBuffers, out: np.ndarray) -> float:
     np.square(resid, out=resid)
     resid *= rows.counts
     resid += rows.target_sq_dev
-    return float(np.sum(resid)) / rows.n
+    return float(np.add.reduce(resid)) / rows.n
 
 
 def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -> RnnModel:
@@ -342,16 +348,21 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
     rng = np.random.default_rng(cfg.seed)
     sizes = (rows.n_attributes,) + cfg.hidden + (1,)
     weights, biases = init_layers(sizes, rng)
-    rough_cross = None
+    rough = {
+        "rough_w": np.stack((weights[0], weights[0])),
+        "rough_b": np.stack((biases[0], biases[0])),
+    }
     if connection == "full":
         bound = 1.0 / np.sqrt(rows.n_attributes)
-        rough_cross = rng.uniform(-bound, bound, size=(2,) + weights[0].shape)
+        rough["rough_cross"] = rng.uniform(-bound, bound, size=(2,) + weights[0].shape)
+    params, named = flat_copy({**rough, **layer_params(weights[1:], biases[1:], start=1)})
+    shared = range(1, len(cfg.hidden) + 1)
     model = RnnModel(
-        rough_w=np.stack((weights[0], weights[0])),
-        rough_b=np.stack((biases[0], biases[0])),
-        rough_cross=rough_cross,
-        shared_weights=weights[1:],
-        shared_biases=biases[1:],
+        rough_w=named["rough_w"],
+        rough_b=named["rough_b"],
+        rough_cross=named.get("rough_cross"),
+        shared_weights=[named[f"w{i}"] for i in shared],
+        shared_biases=[named[f"b{i}"] for i in shared],
         input_width=rows.n_attributes,
         hidden=cfg.hidden,
         connection=connection,
@@ -362,12 +373,13 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
     val_rows = RoughBuffers(model, xl_val, xu_val, d_val)
 
     def gradients():
-        return _gradients(model, train_rows)
+        err, _ = _gradients(model, train_rows)
+        return err, train_rows.flat_grads
 
     def val_error():
         return _error(model, val_rows)
 
-    descend(model.params, gradients, val_error if val_idx.size else None, cfg, model.trace)
+    descend(params, gradients, val_error if val_idx.size else None, cfg, model.trace)
     return model
 
 

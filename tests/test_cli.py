@@ -306,6 +306,31 @@ class TestNotUtf8:
         assert "Traceback" not in result.output
 
 
+class TestOversizedCell:
+    """A cell longer than csv.field_size_limit() that is not a number makes
+    csv.reader fail; that is a configuration error naming the file."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("discretize", "--in", "{csv}", "--out", "{tmp}/cat.csv"),
+            ("reduce", "--in", "{csv}", "--method", "rs"),
+            ("train", "--in", "{csv}", "--clf", "svm"),
+        ],
+        ids=["discretize", "reduce", "train"],
+    )
+    def test_exit_2_naming_the_file(self, tmp_path, args):
+        path = tmp_path / "big.csv"
+        write_csv(synth_generate(40, 0.5, 0.2, seed=3), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("x" * 200_000 + ",1,1,1,1,1,1,1,1,1,1\n")
+        result = _invoke(*(arg.format(csv=path, tmp=tmp_path) for arg in args))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"config error: {path}: unreadable CSV (field larger")
+        assert "Traceback" not in result.output
+
+
 class TestReport:
     def test_reformat_round_trip(self, tmp_path):
         ini = tmp_path / "exp.ini"

@@ -1,6 +1,7 @@
 """Experiment harness: cells, matrix, reports, seeds, and the leakage canary."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,18 +156,151 @@ class TestRunMatrix:
             assert set(row.kept.split(",")) <= set(ATTRIBUTES)
 
 
+class TestSharedWork:
+    """One fit per preprocessor, one fold plan per classifier, and each
+    distinct training once per `run_matrix` call."""
+
+    NOISY = dict(
+        synth=SynthSpec(n=200, noise=0.9, informative=("hydrogen", "methane", "ethylene")),
+        folds_bpnn=2,
+        folds_svm=2,
+        folds_rnn=2,
+        mlp=bpnn.MlpConfig(epochs=2, hidden=(2,)),
+        svm_max_passes=5,
+    )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_of_one_preprocessor_share_kept(self, seed):
+        # at this noise the three dt fits kept different gases when each
+        # cell seeded its own fit
+        report = run_matrix(quick_config(**self.NOISY, seed=seed))
+        kept = {}
+        for row in report.rows:
+            kept.setdefault(row.preprocessor, set()).add(row.kept)
+        assert all(len(labels) == 1 for labels in kept.values()), kept
+
+    def test_cells_of_one_classifier_share_test_folds(self, monkeypatch):
+        """The table rows each training is tested on, recovered from the
+        reduced test rows, depend on the classifier and fold only."""
+        cfg = quick_config(mlp=bpnn.MlpConfig(epochs=2, hidden=(2,)))
+        table = pipeline.resolve_data(cfg)
+        projected = fit_reducer(table, "pca", cfg, pipeline.reducer_seed(cfg, "pca"))
+        projected = projected.transform(table).values
+        tested = {}
+        real = pipeline._train_eval
+
+        def spy(classifier, cfg, train_raw, test_raw, seed):
+            if test_raw.attributes[0].startswith("pc"):
+                gaps = np.abs(test_raw.values[:, None, :] - projected[None]).max(axis=2)
+                rows = gaps.argmin(axis=1)
+                assert np.allclose(test_raw.values, projected[rows])
+            else:
+                index = {
+                    tuple(v): i for i, v in enumerate(table.select(test_raw.attributes).values)
+                }
+                rows = [index[tuple(v)] for v in test_raw.values]
+            fold = sum(1 for key in tested if key[:2] == (classifier, test_raw.attributes))
+            tested.setdefault((classifier, test_raw.attributes, fold), sorted(rows))
+            return real(classifier, cfg, train_raw, test_raw, seed)
+
+        monkeypatch.setattr(pipeline, "_train_eval", spy)
+        run_matrix(cfg)
+        for clf in pipeline.CLASSIFIERS:
+            for fold in range(cfg.folds_for(clf)):
+                seen = [rows for key, rows in tested.items() if key[0] == clf and key[2] == fold]
+                assert len(seen) >= 2 and all(rows == seen[0] for rows in seen), (clf, fold)
+
+    def test_matrix_rows_equal_standalone_cells(self):
+        cfg = quick_config()
+        table = pipeline.resolve_data(cfg)
+        report = run_matrix(cfg)
+        assert any(r.same_training_as for r in report.rows)
+        timing = {"time_mean": 0.0, "same_training_as": ""}
+        for row in report.rows:
+            alone = run_cell(cfg, row.preprocessor, row.classifier, table=table)
+            if row.preprocessor != "none":
+                base = run_cell(cfg, "none", row.classifier, table=table)
+                alone = pipeline.paired_against(alone, base)
+            assert replace(row, **timing) == replace(alone, **timing)
+
+    def test_train_eval_once_per_distinct_key(self, monkeypatch):
+        cfg = quick_config(mlp=bpnn.MlpConfig(epochs=2, hidden=(2,)))
+        calls = []
+        real = pipeline._train_eval
+
+        def counting(classifier, cfg, train_raw, test_raw, seed):
+            # the seed stands for (classifier, fold); pca alone names pc1, pc2, ...
+            calls.append((classifier, seed, train_raw.attributes))
+            return real(classifier, cfg, train_raw, test_raw, seed)
+
+        monkeypatch.setattr(pipeline, "_train_eval", counting)
+        for _ in range(2):
+            calls.clear()
+            report = run_matrix(cfg)
+            assert len(calls) == len(set(calls))
+            reused = [r for r in report.rows if r.same_training_as]
+            assert reused  # rs, gr and dt keep the same gas on this table
+            trainings = sum(r.folds for r in report.rows)
+            assert len(calls) == trainings - sum(r.folds for r in reused)
+        for row in reused:
+            assert row.time_mean > 0.0
+
+    def test_none_rows_pinned(self):
+        # fold accuracies of the none rows, as computed before the fold plans
+        # were shared: the none cells kept their seeds
+        report = run_matrix(quick_config(preprocessors=("none",)))
+        assert {r.classifier: r.fold_accuracies for r in report.rows} == {
+            "bpnn": (97.5, 100.0, 100.0),
+            "svm": (100.0, 100.0, 100.0),
+            "rnn": (85.0, 65.0, 57.5),
+        }
+
+
+class TestPairedDelta:
+    def test_corrected_t_by_hand(self):
+        # mean 2, sample variance 10/4, k = 5, n_test / n_train = 1/4:
+        # t = 2 / sqrt((1/5 + 1/4) * 2.5) = 2 / sqrt(1.125)
+        t = pipeline.corrected_t((1.0, 2.0, 3.0, 4.0, 0.0), 0.25)
+        assert t == pytest.approx(1.8856180831641267, rel=1e-12)
+        assert pipeline.corrected_t((1.0, 1.0, 1.0), 0.5) is None
+
+    def test_sign_test_exact(self):
+        assert pipeline.sign_test_p(4, 0) == 2 / 16
+        assert pipeline.sign_test_p(3, 1) == 2 * 5 / 16
+        assert pipeline.sign_test_p(0, 0) == 1.0
+        assert pipeline.sign_test_p(2, 2) == 1.0
+
+    def test_paired_against_none(self):
+        base = CellResult("none", "svm", 5, 0.0, 0.0, 0.0, "",
+                          fold_accuracies=(90.0, 90.0, 90.0, 90.0, 90.0))
+        row = CellResult("rs", "svm", 5, 0.0, 0.0, 0.0, "",
+                         fold_accuracies=(91.0, 92.0, 93.0, 94.0, 90.0))
+        paired = pipeline.paired_against(row, base)
+        assert paired.fold_deltas == (1.0, 2.0, 3.0, 4.0, 0.0)
+        assert (paired.delta_mean, paired.wins, paired.ties, paired.losses) == (2.0, 4, 1, 0)
+        assert paired.sign_p == 0.125
+        assert paired.t_df == 4
+        assert paired.corrected_t == pytest.approx(1.8856180831641267, rel=1e-12)
+
+    def test_matrix_pairs_reduced_rows_only(self):
+        report = run_matrix(quick_config(classifiers=("svm",)))
+        for row in report.rows:
+            if row.preprocessor == "none":
+                assert row.fold_deltas == () and row.delta_mean is None
+            else:
+                assert len(row.fold_deltas) == row.folds and row.t_df == row.folds - 1
+        text = emit_report(report, "table")
+        assert "Delta vs none" in text
+
+
 class TestLeakageCanary:
     def test_strict_mode_ignores_test_fold_sentinel(self):
         base = synth_generate(90, 0.5, 0.25, seed=31)
         cfg = quick_config(strict_no_leakage=True, classifiers=("svm",), folds_svm=3)
-        from dgareduce.dataset import GasTable, kfold
-        from dgareduce.pipeline import CLASSIFIERS, PREPROCESSORS
+        from dgareduce.dataset import GasTable
 
+        plan = pipeline.fold_plan(base, cfg, "svm")
         for method in ("pca", "rs", "dt", "gr"):
-            cell_seed = derive_seed(
-                cfg.seed, 1, PREPROCESSORS.index(method), CLASSIFIERS.index("svm")
-            )
-            plan = kfold(base, 3, cell_seed)
             poisoned_values = base.values.copy()
             poisoned_values[plan.test_indices(0)] = 1e9  # out-of-range sentinel
             poisoned = GasTable(poisoned_values, base.decisions, base.attributes)
@@ -226,6 +360,15 @@ class TestEmitReport:
             stop_reasons={"max-passes": 1, "converged": 7},
             warnings=("tol halved | twice", "slow"),
             fold_accuracies=(93.0,),
+            same_training_as="none",
+            fold_deltas=(2.0, -1.0, 0.0),
+            delta_mean=1.0 / 3.0,
+            wins=1,
+            ties=1,
+            losses=1,
+            sign_p=1.0,
+            corrected_t=0.2582,
+            t_df=2,
         )
         failed = CellResult(
             preprocessor="dt",
@@ -244,13 +387,13 @@ class TestEmitReport:
     def test_table_golden_text(self):
         rule = "-" * 46
         assert emit_report(self._two_row_report(), "table") == (
-            "Preprocessor  Classifier  k-Folds  Average Accuracy (%)  "
+            "Preprocessor  Classifier  k-Folds  Average Accuracy (%)  Delta vs none  "
             "Average Training Time(s)  Kept\n"
-            "------------  ----------  -------  --------------------  "
+            "------------  ----------  -------  --------------------  -------------  "
             f"------------------------  {rule}\n"
-            "rs            svm         8        93.5                  "
+            "rs            svm         8        93.5                  +0.33          "
             "0.01                      ethane,methane\n"
-            "dt            rnn         15       FAILED                "
+            "dt            rnn         15       FAILED                               "
             '-                         fold 2 stage train: ParameterError: bad "x", y\n'
             "\n"
             "settings: kernel=rbf(gamma=0.5)  svm_c=10\n"
@@ -258,11 +401,13 @@ class TestEmitReport:
 
     def test_csv_golden_text(self):
         assert emit_report(self._two_row_report(), "csv") == (
-            "preprocessor,classifier,folds,accuracy_mean,accuracy_std,time_mean,kept,"
-            "stop_reasons,warnings,failed,error\r\n"
-            'rs,svm,8,93.5,1.234,0.01,"ethane,methane",converged:7;max-passes:1,'
-            "tol halved | twice|slow,0,\r\n"
-            'dt,rnn,15,0.0,0.000,0.00,,,,1,"fold 2 stage train: ParameterError: bad ""x"", y"\r\n'
+            "preprocessor,classifier,folds,accuracy_mean,accuracy_std,delta_mean,time_mean,"
+            "kept,stop_reasons,warnings,failed,error,same_training_as,fold_deltas,wins,ties,"
+            "losses,sign_p,corrected_t,t_df\r\n"
+            'rs,svm,8,93.5,1.234,+0.33,0.01,"ethane,methane",converged:7;max-passes:1,'
+            "tol halved | twice|slow,0,,none,2;-1;0,1,1,1,1,0.2582,2\r\n"
+            "dt,rnn,15,0.0,0.000,,0.00,,,,1,"
+            '"fold 2 stage train: ParameterError: bad ""x"", y",,,,,,,,\r\n'
         )
 
     def test_json_round_trip(self):
