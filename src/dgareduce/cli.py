@@ -77,10 +77,11 @@ def reduce(path, method, config_path, out):
     """Run one attribute-reduction method and print or save its result.
 
     The config's [pca], [gr] and [dt] sections set the reducer; its
-    [experiment] seed seeds dt's grow/prune split."""
+    [experiment] seed seeds dt's grow/prune split as the matrix does."""
     try:
         cfg = _config_from_ini(config_path) if config_path else _CONFIG
-        reducer = pipeline.fit_reducer(load_csv(path), method, cfg, cfg.seed)
+        seed = pipeline.reducer_seed(cfg, method)  # as the matrix seeds this fit
+        reducer = pipeline.fit_reducer(load_csv(path), method, cfg, seed)
     except DgaError as exc:
         _fail_config(str(exc))
     text = reducer.result.to_text()

@@ -460,19 +460,16 @@ class Discretizer:
     def apply(self, table: Table) -> CategoricalTable:
         if table.attributes != self.attributes:
             raise ShapeError("table attributes do not match the fitted discretizer")
-        out = np.empty_like(table.values, dtype=np.int64)
-        for j, name in enumerate(self.attributes):
-            col = table.values[:, j]
-            if name in CATEGORY_BOUNDS:
-                t1, t2, t3 = CATEGORY_BOUNDS[name]
-                out[:, j] = 1 + (col > t1) + (col > t2) + (col > t3)
-            else:
-                lo, hi = self.spans[j]
-                if hi > lo:
-                    u = np.clip((col - lo) / (hi - lo), 0.0, 1.0)
-                else:
-                    u = np.zeros_like(col)
-                out[:, j] = 1 + (u > 0.25) + (u > 0.5) + (u > 0.75)
+        # min-max columns become their clipped u; then one whole-table compare per cut
+        minmax = [j for j, a in enumerate(self.attributes) if a not in CATEGORY_BOUNDS]
+        x = table.values.copy() if minmax else table.values
+        for j in minmax:
+            lo, hi = self.spans[j]
+            x[:, j] = np.clip((x[:, j] - lo) / (hi - lo), 0.0, 1.0) if hi > lo else 0.0
+        cuts = np.array([CATEGORY_BOUNDS.get(a, (0.25, 0.5, 0.75)) for a in self.attributes])
+        out = np.ones(x.shape, dtype=np.int8)
+        for cut in cuts.T:
+            out += (x > cut).view(np.int8)
         return CategoricalTable(out, table.decisions, self.attributes)
 
 

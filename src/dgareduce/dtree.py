@@ -1,6 +1,7 @@
 """C4.5-style decision trees on discretized tables, used as attribute selectors.
 
-Split scores are information gain or gain ratio in bits; pruning is
+Split scores are information gain or gain ratio in bits, read off one joint
+count of (value, decision) per candidate column and node; pruning is
 reduced-error against a held-out validation table.  The tree itself is never
 the final classifier here: after pruning, the attributes appearing as split
 nodes form the reduction result.
@@ -57,13 +58,18 @@ def entropy(class_counts) -> float:
 
 
 def _gain(column, decisions) -> tuple[float, float, float]:
-    """H(decision), H(column) and the information gain of `column`, in bits."""
-    h_y = entropy(_class_counts(decisions))
-    uniques, counts = np.unique(column, return_counts=True)
-    conditional = 0.0
-    for v, n_v in zip(uniques, counts):
-        conditional += (n_v / len(column)) * entropy(_class_counts(decisions[column == v]))
-    return h_y, entropy(counts), float(h_y - conditional)
+    """H(decision), H(column) and the information gain of `column`, in bits,
+    read off one joint count: `joint[2 * v + d]` rows take value v and
+    decision d.  The entropies run on its Python ints in ascending value order."""
+    joint = np.bincount(column * 2 + decisions, minlength=10)
+    pairs = joint.reshape(-1, 2)[:, ::-1].tolist()  # (count_t, count_f) per value
+    sizes = [t + f for t, f in pairs]
+    h_y = entropy(map(sum, zip(*pairs)))
+    n, conditional = sum(sizes), 0.0
+    for (t, f), n_v in zip(pairs, sizes):
+        if n_v:
+            conditional += (n_v / n) * entropy((t, f))
+    return h_y, entropy(sizes), h_y - conditional
 
 
 def _class_counts(decisions) -> tuple[int, int]:
@@ -122,7 +128,7 @@ def _grow(values, decisions, attributes, criterion, min_rows, rows, available) -
             int(v),
             _grow(values, decisions, attributes, criterion, min_rows, rows[col == v], remaining),
         )
-        for v in np.unique(col)
+        for v in np.flatnonzero(np.bincount(col))
     )
     return Internal(attributes[best_j], children, majority, count_t, count_f)
 

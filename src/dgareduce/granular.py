@@ -5,7 +5,10 @@ A granule is one condition-value pattern with its decision counts count_t
 (rows with decision 1) and count_f (rows with decision 0); its rank is
 count_t * proportion, with proportion count_t / (count_t + count_f).
 Granules are counted, merged and ranked as arrays grouped by
-`roughset._group`, the grouping routine the reduct search uses too.
+`roughset._group`, the grouping routine the reduct search uses too.  One
+grouping keyed on chunk x radix + code granulates every chunk, one lexsort
+ranks them chunk by chunk, and one more grouping merges the kept granules:
+that equals merging chunk by chunk, as a chunk's carry depends on it alone.
 """
 
 from __future__ import annotations
@@ -15,16 +18,17 @@ import numpy as np
 from .dataset import CategoricalTable
 from .errors import ParameterError
 from .reduction import ReductionResult
-from .roughset import _group, _Granules, pattern_codes, reduct_search
+from .roughset import _CODE_LIMIT, _group, _Granules, pattern_codes, reduct_search
 
 
-def _rank_order(granules: _Granules) -> np.ndarray:
+def _rank_order(granules: _Granules, *outer) -> np.ndarray:
     """Indices of the highest-ranked granules first; rank ties order by
-    count_t descending, remaining ties by pattern."""
+    count_t descending, remaining ties by pattern.  `outer` keys (each
+    granule's chunk, say) sort before the rank, the last most significant."""
     t = granules.count_t
     # count_t * proportion as one division, so equal ranks compare equal
     rank = t * t / (t + granules.count_f)
-    return np.lexsort((granules.codes, -t, -rank))
+    return np.lexsort((granules.codes, -t, -rank, *outer))
 
 
 def _expand(granules: _Granules, attributes) -> CategoricalTable:
@@ -54,24 +58,24 @@ def incremental_rank_reduce(
     if carry < 1:
         raise ParameterError("carry must be at least 1")
     values, decisions = table.values, table.decisions
+    n_chunks = -(-table.n_rows // chunk_size)
     codes = pattern_codes(values, range(table.n_attributes))
-
-    def chunk(start):
-        rows = slice(start, start + chunk_size)
-        return _group(codes[rows], values[rows], decisions[rows], 1 - decisions[rows])
-
-    starts = range(0, table.n_rows, chunk_size)
-    accumulated = chunk(0)
-    for start in starts[1:]:
-        ranked = chunk(start)
-        carried = _rank_order(ranked)[:carry]
-        accumulated = _group(
-            *(np.concatenate((a, r[carried])) for a, r in zip(accumulated, ranked))
-        )
+    radix = int(codes.max(initial=0)) + 1
+    if n_chunks * radix > _CODE_LIMIT:  # the chunk-major key would overflow
+        uniques, codes = np.unique(codes, return_inverse=True)
+        radix = len(uniques)
+    chunk = np.arange(table.n_rows) // chunk_size
+    # one granule per (chunk, pattern) in chunk-major order, patterns = first rows
+    granules = _group(chunk * radix + codes, np.arange(table.n_rows), decisions, 1 - decisions)
+    in_chunk = chunk[granules.patterns]  # ascending, as in the rank order below
+    place = np.arange(len(in_chunk)) - np.searchsorted(in_chunk, in_chunk)  # rank in chunk
+    carried = _rank_order(granules, in_chunk)[(in_chunk == 0) | (place < carry)]
+    t, f, rows = granules.count_t[carried], granules.count_f[carried], granules.patterns[carried]
+    accumulated = _group(codes[rows], values[rows], t, f)
     expanded = _expand(accumulated, table.attributes)
     reduct = reduct_search(expanded)
     diagnostics = {
-        "chunks": len(starts),
+        "chunks": n_chunks,
         "chunk_size": chunk_size,
         "carry": carry,
         "granules": len(accumulated.codes),

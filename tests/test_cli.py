@@ -12,7 +12,7 @@ from dgareduce import svm
 from dgareduce.bpnn import MlpConfig
 from dgareduce.cli import _config_from_ini, main
 from dgareduce.dataset import load_csv, synth_generate, write_csv
-from dgareduce.pipeline import ExperimentConfig, SynthSpec, fit_reducer
+from dgareduce.pipeline import ExperimentConfig, SynthSpec, fit_reducer, reducer_seed
 from dgareduce.svm import Kernel
 
 
@@ -74,6 +74,21 @@ min_rows = 4
 prune_fraction = 0.2
 """
 
+DT_MATRIX_INI = """
+[data]
+source = csv
+path = {path}
+
+[experiment]
+preprocessors = dt
+classifiers = svm
+seed = 3
+folds_svm = 2
+
+[svm]
+max_passes = 5
+"""
+
 BAD_INI = """
 [experiment]
 preprocessors = rs,warp-drive
@@ -130,10 +145,28 @@ class TestReduce:
         ini = tmp_path / "reduce.ini"
         ini.write_text(REDUCE_INI)
         cfg = _config_from_ini(ini)
-        expected = fit_reducer(load_csv(src), method, cfg, cfg.seed).result.to_text()
+        seed = reducer_seed(cfg, method)
+        expected = fit_reducer(load_csv(src), method, cfg, seed).result.to_text()
         result = _invoke("reduce", "--in", str(src), "--method", method, "--config", str(ini))
         assert result.exit_code == 0, result.output
         assert result.output == expected
+
+    def test_dt_keeps_the_matrix_rows_gases(self, tmp_path):
+        """`reduce --method dt` and the matrix's dt rows fit with one seed: on
+        this table a fit seeded with `[experiment] seed` itself kept
+        tcg,methane,hydrogen,carbon_monoxide."""
+        src = tmp_path / "src.csv"
+        _invoke("synth", "-n", "400", "--seed", "1", "--noise", "0.9",
+                "--informative", "hydrogen,methane,ethylene", "--out", str(src))
+        ini = tmp_path / "dt.ini"
+        ini.write_text(DT_MATRIX_INI.format(path=src))
+        reduced = _invoke("reduce", "--in", str(src), "--method", "dt", "--config", str(ini))
+        assert reduced.exit_code == 0, reduced.output
+        out = tmp_path / "report.json"
+        assert _invoke("matrix", "--config", str(ini), "--json-out", str(out)).exit_code == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert f"kept = {row['kept']}\n" in reduced.output
+        assert row["kept"] == "tcg,methane,ethylene,carbon_dioxide"
 
     def test_bad_config_exit_2(self, tmp_path):
         src = tmp_path / "src.csv"

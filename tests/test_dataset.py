@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgareduce import dataset
+from dgareduce import dataset, pca
 from dgareduce.dataset import (
     ATTRIBUTES,
     COMBUSTIBLES,
@@ -430,6 +430,65 @@ class TestDiscretize:
     def test_row_count_preserved(self):
         table = synth_generate(30, 0.5, 0.1, seed=1)
         assert discretize(table).n_rows == table.n_rows
+
+
+# The per-column formula that the whole-table compares against a cut matrix
+# replace, kept here as the oracle.
+def reference_discretize(disc, table):
+    out = np.empty_like(table.values, dtype=np.int64)
+    for j, name in enumerate(disc.attributes):
+        col = table.values[:, j]
+        if name in dataset.CATEGORY_BOUNDS:
+            t1, t2, t3 = dataset.CATEGORY_BOUNDS[name]
+            out[:, j] = 1 + (col > t1) + (col > t2) + (col > t3)
+        else:
+            lo, hi = disc.spans[j]
+            u = np.clip((col - lo) / (hi - lo), 0.0, 1.0) if hi > lo else np.zeros_like(col)
+            out[:, j] = 1 + (u > 0.25) + (u > 0.5) + (u > 0.75)
+    return out
+
+
+def _assert_discretizes_like_reference(fitted_on, table):
+    disc = Discretizer.fit(fitted_on)
+    cats = disc.apply(table)
+    assert cats.values.dtype == np.int64
+    np.testing.assert_array_equal(cats.values, reference_discretize(disc, table))
+
+
+def _gas_values(seed, n_fit, n, quarters):
+    """Cells anywhere in 0..12000, a third of them moved onto one of their
+    column's cuts.  With `quarters`, the min-max columns take the quarter
+    points of a fitted span of exactly 0..100, where u sits on a cut."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 12000.0, size=(n, len(ATTRIBUTES)))
+    values[:, ::2] = np.round(values[:, ::2])
+    for j, name in enumerate(ATTRIBUTES):
+        cuts = dataset.CATEGORY_BOUNDS.get(name)
+        if cuts is None and quarters:
+            values[:, j] = rng.choice([0.0, 25.0, 50.0, 75.0, 100.0], n)
+            values[0, j], values[n_fit - 1, j] = 0.0, 100.0
+        elif cuts is not None:
+            on_cut = rng.random(n) < 1 / 3
+            values[on_cut, j] = rng.choice(cuts, int(on_cut.sum()))
+    return values
+
+
+class TestDiscretizeMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 12), st.booleans(),
+           st.booleans())
+    def test_fitted_rows_and_rows_past_the_span(self, seed, n_fit, n_more, quarters, constant):
+        values = _gas_values(seed, n_fit, n_fit + n_more, quarters)
+        if constant:  # hi == lo on a min-max column
+            values[:n_fit, ATTRIBUTES.index("oxygen")] = values[0, ATTRIBUTES.index("oxygen")]
+        table = GasTable(values, np.arange(len(values)) % 2, ATTRIBUTES)
+        _assert_discretizes_like_reference(table.take(np.arange(n_fit)), table)
+
+    @pytest.mark.parametrize("n_fit", [300, 120])
+    def test_pca_projected_table(self, n_fit):
+        table = synth_generate(300, 0.5, 0.4, seed=3)
+        projected = pca.project(table, pca.fit_projection(table, fixed_count=3))
+        _assert_discretizes_like_reference(projected.take(np.arange(n_fit)), projected)
 
 
 class TestKfold:

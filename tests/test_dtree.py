@@ -144,6 +144,24 @@ class TestBuildTree:
         kept_b = select_attributes(build_tree(shuffled)).kept
         assert kept_a == kept_b
 
+    @pytest.mark.parametrize("criterion", dtree.CRITERIA)
+    def test_column_with_one_value_in_a_node_is_skipped(self, criterion):
+        # a1 splits the root; under a1 = 1, a2 takes the value 1 only (H = 0,
+        # so its gain ratio is 0 / 0) and a3 decides the rows
+        a1 = [1, 1, 1, 1, 2, 2, 2, 2]
+        a2 = [1, 1, 1, 1, 2, 3, 2, 3]
+        a3 = [1, 2, 1, 2, 1, 1, 1, 1]
+        table = make_categorical([a1, a2, a3], [0, 1, 0, 1, 1, 1, 1, 1])
+        tree = build_tree(table, criterion=criterion)
+        assert tree == oracle_grow(
+            table.values, table.decisions, table.attributes, criterion, 2,
+            np.arange(8), (0, 1, 2),
+        )
+        assert tree.attribute == "a1"
+        (_, left), _ = tree.children
+        assert left.attribute == "a3"
+        assert dtree._gain(np.array(a2[:4]), table.decisions[:4])[1] == 0.0
+
     def test_criterion_validation(self):
         with pytest.raises(ParameterError):
             build_tree(_xor_table(), criterion="gini")

@@ -9,9 +9,12 @@ rank ties order by count_t descending, remaining ties by pattern.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgareduce.errors import DependencyDegenerateError, ParameterError
 from dgareduce.granular import _expand, _rank_order, incremental_rank_reduce
+from dgareduce.reduction import ReductionResult
 from dgareduce.roughset import (
     InformationSystem,
     _group,
@@ -253,3 +256,76 @@ class TestIncrementalRankReduce:
         # at most the first chunk's granules plus one per later chunk survive
         assert result.diagnostics["granules"] <= 10 + 5
         assert result.diagnostics["rows_absorbed"] < 60
+
+
+# The chunk-by-chunk loop that the single chunk-major grouping replaces, kept
+# here as the oracle: granulate a chunk, rank it, carry its top granules into
+# the accumulated set, regroup, and go on to the next chunk.
+def oracle_rank_reduce(table, chunk_size, carry):
+    values, decisions = table.values, table.decisions
+    codes = pattern_codes(values, range(table.n_attributes))
+
+    def chunk(start):
+        rows = slice(start, start + chunk_size)
+        return _group(codes[rows], values[rows], decisions[rows], 1 - decisions[rows])
+
+    starts = range(0, table.n_rows, chunk_size)
+    accumulated = chunk(0)
+    for start in starts[1:]:
+        ranked = chunk(start)
+        carried = np.array(_oracle_order(ranked)[:carry], dtype=np.int64)
+        accumulated = _merge(accumulated, _Granules(*(a[carried] for a in ranked)))
+    expanded = _expand(accumulated, table.attributes)
+    reduct = reduct_search(expanded)
+    diagnostics = {
+        "chunks": len(starts),
+        "chunk_size": chunk_size,
+        "carry": carry,
+        "granules": len(accumulated.codes),
+        "rows_absorbed": accumulated.rows,
+        "expanded_rows": expanded.n_rows,
+    }
+    diagnostics.update(reduct.diagnostics)
+    return ReductionResult(method="gr", kept=reduct.kept, diagnostics=diagnostics)
+
+
+def _outcome(reduce, table, chunk_size, carry):
+    try:
+        return reduce(table, chunk_size, carry)
+    except (DependencyDegenerateError, ParameterError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def chunked_tables(draw):
+    """A table, a chunk size of 1, below, at or above its row count (so the
+    last chunk may be partial), and a carry from 1 past a chunk's granules."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(2, 4))
+    high = draw(st.integers(1, 4))  # few values repeat patterns inside a chunk
+    values = draw(st.lists(st.integers(1, high), min_size=n * m, max_size=n * m))
+    decisions = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    table = make_categorical(np.reshape(values, (m, n)).tolist(), decisions)
+    chunk_size = draw(st.one_of(st.just(1), st.integers(1, n), st.just(n), st.integers(n + 1, 60)))
+    return table, chunk_size, draw(st.integers(1, chunk_size + 2))
+
+
+class TestChunkMajorGroupingMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(chunked_tables())
+    def test_kept_and_diagnostics(self, case):
+        table, chunk_size, carry = case
+        got = _outcome(incremental_rank_reduce, table, chunk_size, carry)
+        assert got == _outcome(oracle_rank_reduce, table, chunk_size, carry)
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 7])
+    def test_codes_past_the_key_range_rank_densely(self, rng, chunk_size):
+        # 30 columns code up to 4**30 - 1 = 2**60 - 1, so several chunks times
+        # that radix passes 2**62 and a chunk-major key would wrap around int64
+        columns = rng.integers(1, 5, size=(30, 40))
+        columns[0, :20] = 4
+        table = make_categorical(columns.tolist(), rng.integers(0, 2, 40))
+        codes = pattern_codes(table.values, range(30))
+        assert -(-40 // chunk_size) * (int(codes.max()) + 1) > 2**62
+        got = _outcome(incremental_rank_reduce, table, chunk_size, 2)
+        assert got == _outcome(oracle_rank_reduce, table, chunk_size, 2)

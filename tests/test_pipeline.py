@@ -462,3 +462,57 @@ class TestFitReducer:
         reducer = fit_reducer(table, "rs", quick_config(), seed=0)
         out = reducer.transform(table)
         assert out.attributes == reducer.result.kept
+
+
+# Kept sets and diagnostics of the rs, gr and dt fits on one 20k-row noisy
+# table, as the per-column discretize, the chunk-by-chunk gr loop and the
+# per-value dt masks computed them; the whole-array fits must match exactly.
+GOLDEN_20K = {
+    "rs": (
+        ("acetylene", "carbon_dioxide", "carbon_monoxide", "ethane", "ethylene", "hydrogen",
+         "methane", "nitrogen", "oxygen", "tcg"),
+        {"gamma_full": 0.9971, "gamma_reduct": 0.9971, "eliminated": (),
+         "gamma_without_kept": {
+             "acetylene": 0.98945, "carbon_dioxide": 0.9943, "carbon_monoxide": 0.9942,
+             "ethane": 0.9757, "ethylene": 0.9911, "hydrogen": 0.983, "methane": 0.98915,
+             "nitrogen": 0.99375, "oxygen": 0.99475, "tcg": 0.96905}},
+    ),
+    "gr": (
+        ("acetylene", "ethane", "methane"),
+        {"chunks": 80, "chunk_size": 250, "carry": 1, "granules": 220, "rows_absorbed": 554,
+         "expanded_rows": 220, "gamma_full": 1.0, "gamma_reduct": 1.0,
+         "eliminated": ("tcg", "oxygen", "nitrogen", "hydrogen", "ethylene",
+                        "carbon_monoxide", "carbon_dioxide"),
+         "gamma_without_kept": {"acetylene": 0.5681818181818182, "ethane": 0.6863636363636364,
+                                "methane": 0.5590909090909091}},
+    ),
+    "gr-997-20": (
+        ("carbon_dioxide", "carbon_monoxide", "ethane", "hydrogen", "methane", "nitrogen",
+         "tcg"),
+        {"chunks": 21, "chunk_size": 997, "carry": 20, "granules": 729, "rows_absorbed": 3065,
+         "expanded_rows": 730, "gamma_full": 0.9972602739726028,
+         "gamma_reduct": 0.9972602739726028, "eliminated": ("oxygen", "ethylene", "acetylene"),
+         "gamma_without_kept": {
+             "carbon_dioxide": 0.9958904109589041, "carbon_monoxide": 0.9917808219178083,
+             "ethane": 0.9794520547945206, "hydrogen": 0.9931506849315068,
+             "methane": 0.9863013698630136, "nitrogen": 0.9931506849315068,
+             "tcg": 0.9328767123287671}},
+    ),
+    "dt": (
+        ("acetylene", "ethane", "tcg", "methane"),
+        {"depth": {"acetylene": 0, "ethane": 1, "methane": 3, "tcg": 1},
+         "splits": {"acetylene": 1, "ethane": 1, "methane": 1, "tcg": 4}},
+    ),
+}
+
+
+class TestReducerGolden:
+    def test_20k_rows_at_noise_0_9(self):
+        table = synth_generate(20_000, 0.5, 0.9, seed=18)
+        cfg = ExperimentConfig(seed=18)
+        for name, (kept, diagnostics) in GOLDEN_20K.items():
+            method, *gr = name.split("-")
+            fit_cfg = replace(cfg, gr_chunk_size=int(gr[0]), gr_carry=int(gr[1])) if gr else cfg
+            seed = pipeline.reducer_seed(cfg, method)
+            result = fit_reducer(table, method, fit_cfg, seed).result
+            assert (result.kept, result.diagnostics) == (kept, diagnostics), name
