@@ -26,15 +26,26 @@ from .errors import ConfigError, DgaError
 _CONFIG = pipeline.ExperimentConfig()
 
 
-@click.group()
-def main():
-    """Transformer-bushing fault detection from dissolved gas analysis:
-    attribute reducers, classifiers, and a cross-validated experiment matrix."""
-
-
 def _fail_config(message: str):
     click.echo(f"config error: {message}", err=True)
     sys.exit(2)
+
+
+class _Commands(click.Group):
+    """The command group: a DgaError from any command is a configuration
+    error, exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DgaError as exc:
+            _fail_config(str(exc))
+
+
+@click.group(cls=_Commands)
+def main():
+    """Transformer-bushing fault detection from dissolved gas analysis:
+    attribute reducers, classifiers, and a cross-validated experiment matrix."""
 
 
 @main.command()
@@ -47,10 +58,7 @@ def _fail_config(message: str):
 def synth(rows, fault_ratio, noise, seed, informative, out):
     """Write a synthetic gas table as CSV."""
     gases = None if informative is None else _names(informative)
-    try:
-        table = synth_generate(rows, fault_ratio, noise, seed, informative=gases)
-    except DgaError as exc:
-        _fail_config(str(exc))
+    table = synth_generate(rows, fault_ratio, noise, seed, informative=gases)
     write_csv(table, out)
     click.echo(f"wrote {table.n_rows} rows to {out}")
 
@@ -60,10 +68,7 @@ def synth(rows, fault_ratio, noise, seed, informative, out):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def discretize(path, out):
     """Discretize a gas table into categories 1..4 and write it as CSV."""
-    try:
-        table = load_csv(path)
-    except DgaError as exc:
-        _fail_config(str(exc))
+    table = load_csv(path)
     write_csv(discretize_table(table), out)
     click.echo(f"wrote {table.n_rows} discretized rows to {out}")
 
@@ -78,12 +83,9 @@ def reduce(path, method, config_path, out):
 
     The config's [pca], [gr] and [dt] sections set the reducer; its
     [experiment] seed seeds dt's grow/prune split as the matrix does."""
-    try:
-        cfg = _config_from_ini(config_path) if config_path else _CONFIG
-        seed = pipeline.reducer_seed(cfg, method)  # as the matrix seeds this fit
-        reducer = pipeline.fit_reducer(load_csv(path), method, cfg, seed)
-    except DgaError as exc:
-        _fail_config(str(exc))
+    cfg = _config_from_ini(config_path) if config_path else _CONFIG
+    seed = pipeline.reducer_seed(cfg, method)  # as the matrix seeds this fit
+    reducer = pipeline.fit_reducer(load_csv(path), method, cfg, seed)
     text = reducer.result.to_text()
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -101,15 +103,12 @@ def reduce(path, method, config_path, out):
 @click.option("--model-out", default=None, type=click.Path(dir_okay=False))
 def train(path, clf, config_path, seed, model_out):
     """Train one classifier on a CSV table (standardized internally)."""
-    try:
-        cfg = _config_from_ini(config_path) if config_path else _CONFIG
-        mlp = replace(cfg.mlp, seed=seed)
-        fitted = pipeline.fit_classifier(clf, cfg, load_csv(path), mlp)
-        model = fitted.model
-        if model_out:
-            pipeline.MODELS[clf].save_model(model, model_out)
-    except DgaError as exc:
-        _fail_config(str(exc))
+    cfg = _config_from_ini(config_path) if config_path else _CONFIG
+    mlp = replace(cfg.mlp, seed=seed)
+    fitted = pipeline.fit_classifier(clf, cfg, load_csv(path), mlp)
+    model = fitted.model
+    if model_out:
+        pipeline.MODELS[clf].save_model(model, model_out)
     if clf == "svm":
         click.echo(
             f"trained {clf}: converged={model.converged} sweeps={model.sweeps} "
@@ -132,13 +131,10 @@ def train(path, clf, config_path, seed, model_out):
               default="table", show_default=True)
 def matrix(config_path, json_out, fmt):
     """Run the preprocessor x classifier experiment matrix from an INI config."""
-    try:
-        cfg = _config_from_ini(config_path)
-    except (ConfigError, DgaError, ValueError) as exc:
-        _fail_config(str(exc))
+    cfg = _config_from_ini(config_path)
     try:
         report = pipeline.run_matrix(cfg)  # each cell contains its own errors
-    except (DgaError, OSError) as exc:
+    except OSError as exc:
         _fail_config(str(exc))
     click.echo(pipeline.emit_report(report, fmt), nl=False)
     if json_out:

@@ -9,7 +9,6 @@ the immutable table types defined here.
 from __future__ import annotations
 
 import csv
-import re
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -80,9 +79,12 @@ class Table:
     values: np.ndarray
     decisions: np.ndarray
     attributes: tuple[str, ...]
+    kept_kinds = ""  # dtype kinds of `values` kept as given; others become float64
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        values = np.atleast_2d(self.values)
+        if values.dtype.kind not in self.kept_kinds:
+            values = np.asarray(values, dtype=float)
         decisions = np.asarray(self.decisions, dtype=np.int64).ravel()
         if values.shape[0] != decisions.shape[0]:
             raise ShapeError(
@@ -151,14 +153,15 @@ class GasTable(Table):
 class CategoricalTable(Table):
     """Same shape as a GasTable with every condition cell in {1, 2, 3, 4}."""
 
+    kept_kinds = "biu"  # integer cells are checked as they are, not through float64
+
     def __post_init__(self):
         super().__post_init__()
-        values = self.values
-        if values.size and (
-            (values != np.floor(values)).any() or values.min() < 1 or values.max() > 4
-        ):
+        cells = self.values
+        integral = cells.dtype.kind != "f" or (cells == np.floor(cells)).all()
+        if cells.size and not (integral and 1 <= cells.min() and cells.max() <= 4):
             raise ValidationError("categorical cells must be integers in {1, 2, 3, 4}")
-        object.__setattr__(self, "values", _freeze(values.astype(np.int64)))
+        object.__setattr__(self, "values", _freeze(cells.astype(np.int64)))
 
 
 @dataclass(frozen=True)
@@ -231,15 +234,6 @@ def load_csv(path) -> GasTable:
 #: Characters of CSV text `load_csv` reads at a time.
 _CHUNK_CHARS = 1 << 16
 
-# Eleven cells made only of digits, signs, points and exponent marks, none
-# empty.  On such cells np.loadtxt either fails or parses as float() does:
-# both end in PyOS_string_to_double, and only float() takes underscores or
-# non-ASCII digits, which no such cell holds.
-_NUMBER_CELL = "[-+.0-9eE]+"
-_PLAIN_ROW = re.compile(
-    rf"{_NUMBER_CELL}(?:,{_NUMBER_CELL}){{{len(_CSV_HEADER) - 1}}}\r?\n?"
-)
-
 
 def _read_rows(fh) -> np.ndarray:
     """The rows after the header, one per CSV record, so that row i is
@@ -264,14 +258,20 @@ def _parse_lines(lines, cells) -> None:
     """Append the rows of `lines`, which hold no quote and so one record
     each, to `cells`.
 
-    When every line is a `_PLAIN_ROW`, one np.loadtxt call parses the chunk.
-    Otherwise, or when np.loadtxt rejects a cell ("1e", "1..2"),
-    `_parse_records` parses the whole chunk.
+    np.loadtxt with `comments=None` reads a number as float() does (both
+    end in PyOS_string_to_double); its result is kept when it holds eleven
+    numbers for each line.  A chunk of white space, on which it warns, one
+    holding U+001C to U+001F, which it strips as white space and float()
+    does not, and one with a cell it rejects ("1e", "1_0") go whole to
+    `_parse_records` instead.
     """
-    if lines and all(map(_PLAIN_ROW.fullmatch, lines)):
+    text = "".join(lines)
+    if text.strip() and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
         try:
-            cells.frombytes(np.loadtxt(lines, delimiter=",", ndmin=2).tobytes())
-            return
+            parsed = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+            if parsed.shape == (len(lines), len(_CSV_HEADER)):
+                cells.frombytes(parsed.tobytes())
+                return
         except ValueError:
             pass
     _parse_records(csv.reader(lines), cells)

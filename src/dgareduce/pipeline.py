@@ -17,9 +17,10 @@ Within one `run_matrix` call the cells share their work (`SharedWork`): each
 preprocessor is fitted once, and a training whose classifier, fold and
 reduced column names another cell has already trained is that same
 computation, so the cell reuses its accuracy, seconds, stop reason and
-warnings and names that cell's preprocessor in `same_training_as`.  pca
-columns are projections, never shared.  Every non-`none` row is paired fold
-by fold with the `none` row of its classifier (`paired_against`).
+warnings and names that cell's preprocessor in `same_training_as`.  pca's
+columns are named pc1..pcp, which no selection of the ten gases carries, so
+no other preprocessor meets its trainings.  Every non-`none` row is paired
+fold by fold with the `none` row of its classifier (`paired_against`).
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def run_cell(
                 train_raw = reduced_all.take(train_idx)
                 test_raw = reduced_all.take(test_idx)
             stage = "train"
-            key = None if preprocessor == "pca" else (classifier, fold, train_raw.attributes)
+            key = (classifier, fold, train_raw.attributes)
             trained = shared.trainings.get(key)
             if trained is None:
                 notes: list[str] = []
@@ -446,8 +447,7 @@ def run_cell(
                         classifier, cfg, train_raw, test_raw, fold_seed(cfg, classifier, fold)
                     )
                 trained = _Training(*outcome, tuple(notes), preprocessor)
-                if key is not None:
-                    shared.trainings[key] = trained
+                shared.trainings[key] = trained
             caught.extend(trained.warnings)
             trainings.append(trained)
     except Exception as exc:  # a failure of any kind fails this cell only

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dgareduce import dataset, pca
 from dgareduce.dataset import (
     ATTRIBUTES,
     COMBUSTIBLES,
+    CategoricalTable,
     Discretizer,
     GasTable,
     Scaler,
@@ -201,12 +203,12 @@ def reference_load(path):
     return np.array(rows, dtype=float), np.array(decisions, dtype=np.int64), dropped
 
 
-# Cells float() and np.loadtxt may judge differently ("1_0", " 7"), cells
-# that only look like numbers ("1e", "1..2"), and quoted cells, one of them
-# spanning lines ("7\n" is a number to float()).
+# Cells float() and np.loadtxt may judge differently ("1_0", "\u0661", "5#x",
+# "\x1c5"), cells that only look like numbers ("1e", "1..2"), and quoted
+# cells, one of them spanning lines ("7\n" is a number to float()).
 _SPOILED = st.sampled_from(
     ["", "n/a", "nan", "inf", "-inf", '"7"', "1e3", " 7", "1_0", "+5", ".5", "5.", "1e", "-",
-     ".", "1..2", "Infinity", "1e999", '"7\n"', '"1\r\n2"']
+     ".", "1..2", "Infinity", "1e999", '"7\n"', '"1\r\n2"', "\xa05", "\u0661", "5#x", "\x1c5"]
     + ["-1.5"] * 4
 )
 _CELL = st.floats(0, 1e5, allow_nan=False).map(repr) | _SPOILED
@@ -244,14 +246,56 @@ class TestLoadCsvMatchesReference:
         _assert_same_outcome(path)
 
     def test_rows_keep_file_order_across_parse_paths(self, tmp_path):
-        """Rows float() takes but the plain-row check does not (" 7",
-        "1_0") sit between plain rows in one chunk, which then goes to
-        csv.reader whole."""
+        """A row float() takes but np.loadtxt rejects ("1_0") sits between
+        plain rows in one chunk, which then goes to csv.reader whole."""
         rows = _numbered_rows(5)
         rows[1] = rows[1].replace("242", " 242")
         rows[3] = rows[3].replace("242", "2_42")
         table = _assert_same_outcome(_write(tmp_path, "\n".join([HEADER] + rows) + "\n"))
         assert table.column("acetylene").tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("cell", [" 5", "5 ", "\t5", "\xa05", "NaN", "-infinity"])
+    def test_cells_float_takes_go_through_loadtxt(self, tmp_path, monkeypatch, cell):
+        """Cells padded with white space, or naming a non-finite value, are
+        read by np.loadtxt as float() reads them; the chunk never falls back
+        to csv.reader."""
+        fallbacks = []
+        monkeypatch.setattr(dataset, "_parse_records", lambda records, cells: fallbacks.append(1))
+        rows = _numbered_rows(3)
+        rows[1] = rows[1].replace("242", cell)
+        path = tmp_path / "data.csv"
+        path.write_bytes("\n".join([HEADER] + rows + [""]).encode())
+        table = _assert_same_outcome(path)
+        assert table.n_rows + table.dropped_rows == 3
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("last", ["5#x", "0#x", "\x1c1", "1\x1d", "\x1e0", "0\x1f"])
+    def test_last_cell_only_loadtxt_could_read_drops_the_row(self, tmp_path, last):
+        """np.loadtxt would read these cells as numbers: "#" starts a comment
+        under its default `comments`, and U+001C..U+001F are white space to
+        it.  To float() they are no numbers.  The cell is the row's last, so
+        a comment would leave eleven cells."""
+        row = SAMPLE_ROW.rsplit(",", 1)[0] + "," + last
+        table = _assert_same_outcome(_write(tmp_path, "\n".join([HEADER, SAMPLE_ROW, row]) + "\n"))
+        assert (table.n_rows, table.dropped_rows) == (1, 1)
+
+    @pytest.mark.parametrize("width", [10, 12])
+    def test_rows_of_one_wrong_width_are_all_dropped(self, tmp_path, width):
+        """np.loadtxt takes any width every line shares; only eleven is a
+        row."""
+        cells = (SAMPLE_ROW.split(",") * 2)[:width]
+        text = "\n".join([HEADER] + [",".join(cells)] * 11) + "\n"
+        assert _assert_same_outcome(_write(tmp_path, text))[0] == "EmptyDatasetError"
+
+    def test_chunk_of_blank_lines_is_silent(self, tmp_path, monkeypatch):
+        """A chunk made only of blank lines, on which np.loadtxt would warn,
+        loads without a warning; each blank line is a dropped record."""
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 1)
+        text = "\n".join([HEADER, SAMPLE_ROW, "", "", "\r", SAMPLE_ROW]) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = _assert_same_outcome(_write(tmp_path, text))
+        assert (table.n_rows, table.dropped_rows) == (2, 3)
 
     def test_chunks_fallback_and_quote_switch(self, tmp_path, monkeypatch):
         """Chunks of a line or two: chunks of plain rows, a chunk whose
@@ -627,6 +671,23 @@ class TestTableTypes:
         part = table.take([0, 2])
         assert isinstance(part, GasTable)
         assert part.n_rows == 2
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[[1, 2.5]], [[1, np.nan]], [[0, 2]], [[1, 5]], [[np.inf, 1]], [[1, None]],
+         np.array([[0, 2]], np.int8), np.array([[1, 5]], np.uint8)],
+    )
+    def test_categorical_cells_outside_1_to_4_rejected(self, cells):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="categorical cells"):
+                CategoricalTable(cells, [0], ("a", "b"))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, float])
+    def test_categorical_cells_become_frozen_int64(self, dtype):
+        table = CategoricalTable(np.array([[1, 4], [2, 3]], dtype=dtype), [0, 1], ("a", "b"))
+        assert table.values.dtype == np.int64 and not table.values.flags.writeable
+        assert table.values.tolist() == [[1, 4], [2, 3]]
 
     def test_scaler_roundtrip_fields(self):
         scaler = Scaler(np.array([1.0]), np.array([2.0]), np.array([False]))
