@@ -270,7 +270,7 @@ def _parse_lines(lines, cells) -> None:
         try:
             parsed = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
             if parsed.shape == (len(lines), len(_CSV_HEADER)):
-                cells.frombytes(parsed.tobytes())
+                cells.frombytes(memoryview(parsed).cast("B"))
                 return
         except ValueError:
             pass

@@ -1,12 +1,23 @@
 """Soft-margin kernel SVM trained by sequential minimal optimization.
 
 Decisions {0, 1} map to labels {-1, +1} inside this module only.  The solver
-keeps the dual gradient G = Q alpha - 1 as one vector over the precomputed
-kernel.  Each update takes i as the maximal violator in I_up and j in I_low
-by the second-order gain -b^2/a (Fan, Chen & Lin, JMLR 2005, the LIBSVM
-rule), moves the pair by the clipped two-variable step, and updates G from
-kernel rows i and j: O(n) numpy work and no Python loop over rows.  The
-choice is deterministic, so the solver takes no seed.
+keeps the dual gradient G = Q alpha - 1 as one vector.  Each update takes i
+as the maximal violator in I_up and j in I_low by the second-order gain
+-b^2/a (Fan, Chen & Lin, JMLR 2005, the LIBSVM rule), moves the pair by the
+clipped two-variable step, and updates G from kernel rows i and j: O(n)
+numpy work and no Python loop over rows.  The choice is deterministic, so
+the solver takes no seed.
+
+No n x n kernel is built.  `_KernelRows` computes a block of consecutive
+kernel rows the first time one of its rows is read and keeps blocks, least
+recently used first out, within `_CACHE_BYTES` (a bounded row cache as in
+LIBSVM; Chang & Lin, ACM TIST 2011), so training memory is bounded and a fit
+that reads few rows computes few.  Every block holds at least two rows:
+OpenBLAS computes a one-row product by gemv, which rounds differently from
+the gemm of a larger one, while blocks of two rows or more, and the square
+diagonal blocks the curvatures come from, equal the matching part of
+`kernel_matrix(kernel, x, x)` bit for bit.  The margins of the stop check
+and of the final model come from the gradient, y (G + 1).
 
 The stop is the violation gap m(alpha) - M(alpha) of Keerthi et al. (2001).
 Once it is at most a threshold (`tol` at the start), the bias is averaged
@@ -18,6 +29,7 @@ updates, so one pass updates as many multipliers as there are rows.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +40,8 @@ from .errors import ParameterError, ShapeError
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 _TAU = 1e-12  # curvature floor for pairs whose kernel distance is not positive
+_BLOCK_BYTES = 1 << 16  # about this many bytes of kernel rows per block
+_CACHE_BYTES = 256 << 20  # kernel row blocks kept during one training
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,9 @@ class Kernel:
 
 
 def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel values of every row of `a` against every row of `b`, as an
+    (len(a), len(b)) array; a 1-D input counts as one row.  Raises
+    ShapeError when the row widths differ."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
@@ -138,6 +155,47 @@ def _pair_step(alphas, y, c, i, j, step) -> float:
     return step
 
 
+def _blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of `size` rows over n >= 2 rows;
+    a one-row remainder joins the block before it."""
+    starts = list(range(0, n - 1, size))
+    return list(zip(starts, starts[1:] + [n]))
+
+
+class _KernelRows:
+    """Rows of `kernel_matrix(kernel, x, x)`, computed a block of rows at a
+    time on first use and kept, least recently used first out, within
+    `_CACHE_BYTES`.  A block holds about `_BLOCK_BYTES`, and never one row."""
+
+    def __init__(self, kernel: Kernel, x: np.ndarray):
+        self.kernel, self.x = kernel, x
+        self.size = max(2, _BLOCK_BYTES // (8 * len(x)))
+        self.blocks = _blocks(len(x), self.size)
+        self.cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+
+    def diagonal(self) -> np.ndarray:
+        """The kernel's diagonal, from the square diagonal block of each block."""
+        x = self.x
+        return np.concatenate(
+            [np.diagonal(kernel_matrix(self.kernel, x[s:e], x[s:e])) for s, e in self.blocks]
+        )
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        b = min(i // self.size, len(self.blocks) - 1)
+        start, stop = self.blocks[b]
+        rows = self.cache.get(b)
+        if rows is None:
+            rows = kernel_matrix(self.kernel, self.x[start:stop], self.x)
+            while self.cache and self.nbytes + rows.nbytes > _CACHE_BYTES:
+                self.nbytes -= self.cache.popitem(last=False)[1].nbytes
+            self.cache[b] = rows
+            self.nbytes += rows.nbytes
+        else:
+            self.cache.move_to_end(b)
+        return rows[i - start]
+
+
 def train_smo(
     data: Table,
     kernel: Kernel,
@@ -163,8 +221,8 @@ def train_smo(
     if n < 2 or len(np.unique(y)) < 2:
         raise ParameterError("training data must contain both classes")
     x = data.values
-    k = kernel_matrix(kernel, x, x)
-    diag = np.diagonal(k).copy()
+    rows = _KernelRows(kernel, x)
+    diag = rows.diagonal()
     positive = y > 0
     alphas = np.zeros(n)
     grad = -np.ones(n)  # Q alpha - 1 with all alphas zero
@@ -190,7 +248,7 @@ def train_smo(
         i = int(np.argmax(np.where(up, score, -np.inf)))
         gain = score[i] - score  # b of the pair (i, t); its maximum over I_low is m - M
         if np.max(np.where(low, gain, -np.inf)) <= threshold:
-            raw = k @ (alphas * y)
+            raw = y * (grad + 1.0)  # K (alphas * y), as grad = y * raw - 1
             bias = finalize_bias(raw)
             if _kkt_ok(alphas, y * (raw + bias), c, tol).all():
                 converged = True
@@ -199,14 +257,15 @@ def train_smo(
         candidates = low & (gain > 0)
         if updates >= budget or not candidates.any():
             break
-        curve = diag[i] + diag - 2.0 * k[i]
+        k_i = rows[i]
+        curve = diag[i] + diag - 2.0 * k_i
         curve = np.where(curve > 0, curve, _TAU)
         j = int(np.argmin(np.where(candidates, -gain * gain / curve, np.inf)))
         step = _pair_step(alphas, y, c, i, j, gain[j] / curve[j])
-        grad += step * y * (k[i] - k[j])
+        grad += step * y * (k_i - rows[j])
         updates += 1
 
-    raw = k @ (alphas * y)
+    raw = y * (grad + 1.0)
     if not converged:
         bias = finalize_bias(raw)
     kkt_rate = float(np.mean(_kkt_ok(alphas, y * (raw + bias), c, tol)))

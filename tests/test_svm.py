@@ -1,5 +1,7 @@
 """Kernels, SMO training, KKT conditions, prediction, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,27 @@ def brute_margin_2d(values, labels, angles=3600):
             gap = lo - hi
             best = max(best, gap)
     return best
+
+
+KERNELS = (
+    Kernel("linear"),
+    Kernel("polynomial", degree=3),
+    Kernel("rbf", gamma=0.5),
+    Kernel("sigmoid", scale=0.2),
+)
+
+
+def criterion9_fold(method):
+    """Standardized training rows (480) of fold 0 of 5 of a 600-row
+    criterion-9 table, after the `method` reducer."""
+    cfg = pipeline.ExperimentConfig(
+        synth=pipeline.SynthSpec(n=600, informative=("hydrogen", "methane", "ethylene")),
+        seed=0,
+    )
+    table = pipeline.resolve_data(cfg)
+    reduced = pipeline.fit_reducer(table, method, cfg, 0).transform(table)
+    train, _ = standardize(reduced.take(kfold(reduced, 5, 0).train_indices(0)))
+    return train
 
 
 def pair(kernel, x, y):
@@ -190,13 +213,7 @@ class TestSolver:
     def test_pca_fold_of_criterion9_table_converges(self):
         # the first-violator solver stopped at max_passes on this fold with
         # KKT at 95.6 %
-        cfg = pipeline.ExperimentConfig(
-            synth=pipeline.SynthSpec(n=600, informative=("hydrogen", "methane", "ethylene")),
-            seed=0,
-        )
-        table = pipeline.resolve_data(cfg)
-        reduced = pipeline.fit_reducer(table, "pca", cfg, 0).transform(table)
-        train, _ = standardize(reduced.take(kfold(reduced, 5, 0).train_indices(0)))
+        train = criterion9_fold("pca")
         model = train_smo(train, Kernel("rbf", gamma=0.5), c=10.0, tol=1e-3, max_passes=50)
         assert model.converged
         assert model.sweeps <= 50
@@ -223,6 +240,66 @@ class TestSolver:
             assert model.sweeps == -(-len(updates) // per_pass)
         assert model.converged  # the 100-pass budget is enough here
 
+    @pytest.mark.parametrize("fold", ["pca", "noisy"])
+    def test_evicting_blocks_changes_nothing(self, fold, monkeypatch):
+        table = criterion9_fold("pca") if fold == "pca" else self._noisy(81)
+        n = table.n_rows
+        size = 17 if fold == "pca" else 4  # 480 = 28 * 17 + 4, 81 = 20 * 4 + 1
+
+        def fit():
+            return train_smo(table, Kernel("rbf", gamma=0.5), c=10.0, max_passes=50)
+
+        free = fit()
+        starts = []
+        real = svm.kernel_matrix
+
+        def spy(kernel, a, b):
+            if len(b) == n:  # a block of rows, not a diagonal block
+                starts.append(a.ctypes.data)
+            return real(kernel, a, b)
+
+        monkeypatch.setattr(svm, "kernel_matrix", spy)
+        monkeypatch.setattr(svm, "_BLOCK_BYTES", 8 * n * size)
+        monkeypatch.setattr(svm, "_CACHE_BYTES", 2 * 8 * n * (size + 1))  # two blocks
+        tight = fit()
+        assert len(starts) > len(set(starts))  # some block was evicted and built again
+        assert np.array_equal(tight.support_alphas, free.support_alphas)
+        assert np.array_equal(tight.support_indices, free.support_indices)
+        assert (tight.sweeps, tight.converged, tight.bias) == (
+            free.sweeps,
+            free.converged,
+            free.bias,
+        )
+
+    @pytest.mark.parametrize("n,size", [(35, None), (5, 2), (41, 20)])
+    def test_no_kernel_block_of_one_row(self, n, size, monkeypatch):
+        # OpenBLAS computes a one-row product by gemv, which rounds unlike gemm
+        if size is not None:  # n = 2 * size + 1 leaves a one-row remainder
+            monkeypatch.setattr(svm, "_BLOCK_BYTES", 8 * n * size)
+        rows = []
+        real = svm.kernel_matrix
+
+        def spy(kernel, a, b):
+            rows.append(len(a))
+            return real(kernel, a, b)
+
+        monkeypatch.setattr(svm, "kernel_matrix", spy)
+        train_smo(self._noisy(n), Kernel("rbf", gamma=0.5), c=10.0)
+        assert rows and min(rows) >= 2
+        assert max(rows) == (n if size is None else size + 1)
+
+    def test_training_never_holds_an_n_by_n_kernel(self, monkeypatch):
+        monkeypatch.setattr(svm, "_CACHE_BYTES", 1 << 20)
+        n = 3000
+        table = self._noisy(n)
+        tracemalloc.start()
+        try:
+            train_smo(table, Kernel("rbf", gamma=0.5), c=10.0, max_passes=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # an eighth of the kernel, n * n * 8 bytes (72 MB)
+
     def test_reruns_identical(self):
         table = self._noisy(80)
         a = train_smo(table, Kernel("rbf", gamma=0.5), c=10.0)
@@ -231,6 +308,30 @@ class TestSolver:
         assert np.array_equal(a.support_indices, b.support_indices)
         assert a.bias == b.bias
         assert a.sweeps == b.sweeps
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("n,size", [(2, 5), (5, 2), (6, 2), (7, 3), (8, 3), (480, 17)])
+    def test_blocks_cover_rows_with_two_or_more_each(self, n, size):
+        blocks = svm._blocks(n, size)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(2 <= stop - start <= size + 1 for start, stop in blocks)
+        assert all(start == b * size for b, (start, _) in enumerate(blocks))
+
+    @pytest.mark.parametrize("width", [1, 3, 10])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_blocks_equal_the_full_kernel_bit_for_bit(self, kernel, width):
+        # train_smo relies on this BLAS behaviour for results that do not
+        # depend on the block size or the cache budget
+        x = np.ascontiguousarray(criterion9_fold("none").values[:, :width])
+        full = kernel_matrix(kernel, x, x)
+        for size in (2, 17):
+            for start, stop in svm._blocks(len(x), size):
+                block = x[start:stop]
+                assert np.array_equal(kernel_matrix(kernel, block, x), full[start:stop])
+                square = kernel_matrix(kernel, block, block)
+                assert np.array_equal(np.diagonal(square), np.diagonal(full)[start:stop])
 
 
 class TestPredict:
