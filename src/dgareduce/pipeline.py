@@ -13,14 +13,16 @@ one kept set; a classifier's fold plan uses (1, 0, clf_index) and its fold f
 test on the same folds with the same network seeds.  A strict-mode fit on
 fold f of a classifier uses (1, pre_index, clf_index, f).
 
-Within one `run_matrix` call the cells share their work (`SharedWork`): each
-preprocessor is fitted once, and a training whose classifier, fold and
-reduced column names another cell has already trained is that same
-computation, so the cell reuses its accuracy, seconds, stop reason and
-warnings and names that cell's preprocessor in `same_training_as`.  pca's
-columns are named pc1..pcp, which no selection of the ten gases carries, so
-no other preprocessor meets its trainings.  Every non-`none` row is paired
-fold by fold with the `none` row of its classifier (`paired_against`).
+Within one `run_matrix` call the cells share their work through one memo,
+`SharedWork.once`, keyed by a classifier (its fold plan), a fit's spawn key
+(a fitted reducer) or a training's classifier, fold and reduced column
+names: a cell whose training another cell already ran reuses its accuracy,
+seconds, stop reason and warnings and names that cell's preprocessor in
+`same_training_as`.  pca's columns are named pc1..pcp, which no selection of
+the ten gases carries, so no other preprocessor meets its trainings.  A
+row's kept set lists each fold's distinct kept set in fold order: one set
+under the whole-table fit.  Every non-`none` row is paired fold by fold with
+the `none` row of its classifier (`paired_against`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import json
 import math
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -141,9 +142,16 @@ def derive_seed(root: int, *key: int) -> int:
     return int(np.random.SeedSequence(root, spawn_key=tuple(key)).generate_state(1)[0])
 
 
+def fit_key(preprocessor: str) -> tuple[int, ...]:
+    """The spawn key of a preprocessor's whole-table fit, (1, pre_index); a
+    strict fit on fold f of a classifier extends it to (1, pre_index,
+    clf_index, f)."""
+    return (1, PREPROCESSORS.index(preprocessor))
+
+
 def reducer_seed(cfg: ExperimentConfig, preprocessor: str) -> int:
     """The seed of a preprocessor's whole-table fit, shared by its classifiers."""
-    return derive_seed(cfg.seed, 1, PREPROCESSORS.index(preprocessor))
+    return derive_seed(cfg.seed, *fit_key(preprocessor))
 
 
 def fold_plan(table: Table, cfg: ExperimentConfig, classifier: str) -> FoldPlan:
@@ -342,55 +350,34 @@ def _train_eval(classifier, cfg, train_raw, test_raw, seed):
     return accuracy, fitted.seconds, model.trace.stop_reason
 
 
-@contextmanager
-def _recording(caught: list[str]):
-    """Record every warning the block raises, appending its message to `caught`."""
-    with warnings.catch_warnings(record=True) as notes:
-        warnings.simplefilter("always")
-        yield
-    caught.extend(str(n.message) for n in notes)
-
-
-@dataclass(frozen=True)
-class _Training:
-    """One fold's training: its accuracy, measured seconds, stop reason and
-    warnings, and the preprocessor of the cell that ran it."""
-
-    accuracy: float
-    seconds: float
-    reason: str
-    warnings: tuple[str, ...]
-    preprocessor: str
-
-
 @dataclass
 class SharedWork:
     """The work the cells of one `run_matrix` call share; a fresh one per call.
 
-    `fits` maps a preprocessor to its whole-table fit, the table it reduced
-    to and the fit's warnings, or to the exception the fit raised.
-    `trainings` maps (classifier, fold, reduced column names) to a
-    `_Training`: on one table, under the shared fold plans and fold seeds,
-    that key fixes every input of the training.
+    `memo` maps a key to what `once` computed for it.  A key is what fixes
+    the computation's inputs on one table: a classifier for its fold plan; a
+    fit's spawn key for a fitted reducer (the reducer, never the table it
+    reduces to); (classifier, fold, reduced column names) for a training,
+    under the shared fold plans and seeds.
     """
 
-    fits: dict = field(default_factory=dict)
-    trainings: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)
 
-    def fit(self, cfg: ExperimentConfig, table: Table, preprocessor: str):
-        """The preprocessor's shared fit, made on first use: (reducer,
-        reduced table, warnings).  A failed fit raises on every use."""
-        if preprocessor not in self.fits:
-            caught: list[str] = []
-            try:
-                with _recording(caught):
-                    reducer = fit_reducer(table, preprocessor, cfg, reducer_seed(cfg, preprocessor))
-                    self.fits[preprocessor] = (reducer, reducer.transform(table), tuple(caught))
-            except Exception as exc:
-                self.fits[preprocessor] = exc
-        entry = self.fits[preprocessor]
-        if isinstance(entry, Exception):
-            raise entry
+    def once(self, key, preprocessor: str, compute):
+        """`compute()` on the first use of `key`, under warning capture, run
+        for `preprocessor`'s cell.  Every use returns (result, warnings, that
+        preprocessor), or raises the exception the first use raised."""
+        if key not in self.memo:
+            with warnings.catch_warnings(record=True) as notes:
+                warnings.simplefilter("always")
+                try:
+                    result = compute()
+                except Exception as exc:
+                    result = exc
+            self.memo[key] = (result, tuple(str(n.message) for n in notes), preprocessor)
+        entry = self.memo[key]
+        if isinstance(entry[0], Exception):
+            raise entry[0]
         return entry
 
 
@@ -402,7 +389,9 @@ def run_cell(
     shared: SharedWork | None = None,
 ) -> CellResult:
     """Cross-validated run of one preprocessor x classifier pair, reusing the
-    fit and trainings in `shared` (the other cells of one matrix)."""
+    fold plan, fits and trainings in `shared` (the other cells of one
+    matrix).  A strict fit sees its fold's training rows only; otherwise
+    every fold shares the whole-table fit."""
     if preprocessor not in PREPROCESSORS or classifier not in CLASSIFIERS:
         raise ConfigError(f"unknown cell {preprocessor} x {classifier}")
     if table is None:
@@ -410,48 +399,41 @@ def run_cell(
     if shared is None:
         shared = SharedWork()
     k = cfg.folds_for(classifier)
+    strict = cfg.strict_no_leakage
     stage = "fold-plan"
     fold = -1
     caught: list[str] = []
+    reducers, trainings = [], []
     try:
-        plan = fold_plan(table, cfg, classifier)
-        if not cfg.strict_no_leakage:
-            stage = "preprocess"
-            reducer, reduced_all, fit_warnings = shared.fit(cfg, table, preprocessor)
-            caught.extend(fit_warnings)
-        trainings, diagnostics = [], []
+        plan, _, _ = shared.once(classifier, preprocessor, lambda: fold_plan(table, cfg, classifier))
         for fold in range(k):
-            train_idx = plan.train_indices(fold)
-            test_idx = plan.test_indices(fold)
-            if cfg.strict_no_leakage:
-                stage = "preprocess"
-                strict_seed = derive_seed(
-                    cfg.seed, 1, PREPROCESSORS.index(preprocessor),
-                    CLASSIFIERS.index(classifier), fold,
-                )
-                with _recording(caught):
-                    reducer = fit_reducer(table.take(train_idx), preprocessor, cfg, strict_seed)
-                train_raw = reducer.transform(table.take(train_idx))
-                test_raw = reducer.transform(table.take(test_idx))
-                diagnostics.append(_reducer_fingerprint(reducer))
-            else:
-                train_raw = reduced_all.take(train_idx)
-                test_raw = reduced_all.take(test_idx)
+            stage = "preprocess"
+            train_rows = table.take(plan.train_indices(fold))
+            key, fitted_rows = fit_key(preprocessor), table
+            if strict:  # this fold's own fit, on its training rows alone
+                key, fitted_rows = key + (CLASSIFIERS.index(classifier), fold), train_rows
+            reducer, notes, _ = shared.once(
+                key,
+                preprocessor,
+                lambda: fit_reducer(fitted_rows, preprocessor, cfg, derive_seed(cfg.seed, *key)),
+            )
+            caught.extend(notes)
+            reducers.append(reducer)
+            train_raw = reducer.transform(train_rows)
+            test_raw = reducer.transform(table.take(plan.test_indices(fold)))
             stage = "train"
-            key = (classifier, fold, train_raw.attributes)
-            trained = shared.trainings.get(key)
-            if trained is None:
-                notes: list[str] = []
-                with _recording(notes):
-                    outcome = _train_eval(
-                        classifier, cfg, train_raw, test_raw, fold_seed(cfg, classifier, fold)
-                    )
-                trained = _Training(*outcome, tuple(notes), preprocessor)
-                shared.trainings[key] = trained
-            caught.extend(trained.warnings)
-            trainings.append(trained)
+            (accuracy, seconds, reason), notes, source = shared.once(
+                (classifier, fold, train_raw.attributes),
+                preprocessor,
+                lambda: _train_eval(
+                    classifier, cfg, train_raw, test_raw, fold_seed(cfg, classifier, fold)
+                ),
+            )
+            caught.extend(notes)
+            trainings.append((accuracy, seconds, reason, source))
     except Exception as exc:  # a failure of any kind fails this cell only
-        where = "global" if fold < 0 else f"fold {fold}"
+        # the whole-table fit is one fit for every fold
+        where = "global" if fold < 0 or (stage == "preprocess" and not strict) else f"fold {fold}"
         return CellResult(
             preprocessor=preprocessor,
             classifier=classifier,
@@ -463,25 +445,20 @@ def run_cell(
             failed=True,
             error=f"{where} stage {stage}: {type(exc).__name__}: {exc}",
         )
-    accuracies = [t.accuracy for t in trainings]
-    reasons: dict[str, int] = {}
-    for t in trainings:
-        reasons[t.reason] = reasons.get(t.reason, 0) + 1
+    accuracies, seconds, reasons, sources = zip(*trainings)
     return CellResult(
         preprocessor=preprocessor,
         classifier=classifier,
         folds=k,
         accuracy_mean=float(np.mean(accuracies)),
         accuracy_std=float(np.std(accuracies)),
-        time_mean=float(np.mean([t.seconds for t in trainings])),
-        kept=reducer.kept_label,
-        stop_reasons=reasons,
+        time_mean=float(np.mean(seconds)),
+        kept=";".join(dict.fromkeys(r.kept_label for r in reducers)),
+        stop_reasons={reason: reasons.count(reason) for reason in dict.fromkeys(reasons)},
         warnings=tuple(dict.fromkeys(caught)),
-        fold_accuracies=tuple(accuracies),
-        fold_diagnostics=tuple(diagnostics),
-        same_training_as=",".join(
-            dict.fromkeys(t.preprocessor for t in trainings if t.preprocessor != preprocessor)
-        ),
+        fold_accuracies=accuracies,
+        fold_diagnostics=tuple(map(_reducer_fingerprint, reducers)) if strict else (),
+        same_training_as=",".join(dict.fromkeys(s for s in sources if s != preprocessor)),
     )
 
 

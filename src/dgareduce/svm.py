@@ -14,10 +14,11 @@ recently used first out, within `_CACHE_BYTES` (a bounded row cache as in
 LIBSVM; Chang & Lin, ACM TIST 2011), so training memory is bounded and a fit
 that reads few rows computes few.  Every block holds at least two rows:
 OpenBLAS computes a one-row product by gemv, which rounds differently from
-the gemm of a larger one, while blocks of two rows or more, and the square
-diagonal blocks the curvatures come from, equal the matching part of
-`kernel_matrix(kernel, x, x)` bit for bit.  The margins of the stop check
-and of the final model come from the gradient, y (G + 1).
+the gemm of a larger one.  The curvatures come from square blocks of
+`_DIAGONAL_ROWS` rows along the diagonal.  Rounding can still depend on the
+block size, so blocks need not equal `kernel_matrix(kernel, x, x)` bit for
+bit; a fit is deterministic and does not depend on `_CACHE_BYTES`.  The
+margins of the stop check and of the final model come from y (G + 1).
 
 The stop is the violation gap m(alpha) - M(alpha) of Keerthi et al. (2001).
 Once it is at most a threshold (`tol` at the start), the bias is averaged
@@ -41,6 +42,7 @@ from .errors import ParameterError, ShapeError
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 _TAU = 1e-12  # curvature floor for pairs whose kernel distance is not positive
 _BLOCK_BYTES = 1 << 16  # about this many bytes of kernel rows per block
+_DIAGONAL_ROWS = 64  # rows of each square block the diagonal comes from
 _CACHE_BYTES = 256 << 20  # kernel row blocks kept during one training
 
 
@@ -175,10 +177,13 @@ class _KernelRows:
         self.nbytes = 0
 
     def diagonal(self) -> np.ndarray:
-        """The kernel's diagonal, from the square diagonal block of each block."""
+        """The kernel's diagonal, from square blocks of `_DIAGONAL_ROWS` rows."""
         x = self.x
         return np.concatenate(
-            [np.diagonal(kernel_matrix(self.kernel, x[s:e], x[s:e])) for s, e in self.blocks]
+            [
+                np.diagonal(kernel_matrix(self.kernel, x[s:e], x[s:e]))
+                for s, e in _blocks(len(x), _DIAGONAL_ROWS)
+            ]
         )
 
     def __getitem__(self, i: int) -> np.ndarray:

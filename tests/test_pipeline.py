@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dgareduce import bpnn, pipeline
-from dgareduce.dataset import synth_generate
+from dgareduce.dataset import Table, synth_generate
 from dgareduce.errors import ConfigError, ParameterError
 from dgareduce.pipeline import (
     CellResult,
@@ -102,18 +102,21 @@ class TestRunMatrix:
         assert cols_a == cols_b
 
     def test_failed_cell_isolation(self):
-        cfg = quick_config(
-            synth=SynthSpec(n=40, fault_ratio=0.5, noise=0.0, informative=()),
-            preprocessors=("none", "rs"),
-            classifiers=("svm",),
-            folds_svm=2,
-        )
-        report = run_matrix(cfg)
-        by_pre = {r.preprocessor: r for r in report.rows}
-        assert by_pre["rs"].failed
-        assert "stage preprocess" in by_pre["rs"].error
-        assert not by_pre["none"].failed
-        assert report.any_failed
+        # the whole-table fit serves every fold; a strict fit serves one
+        for strict, where in ((False, "global"), (True, "fold 0")):
+            cfg = quick_config(
+                synth=SynthSpec(n=40, fault_ratio=0.5, noise=0.0, informative=()),
+                preprocessors=("none", "rs"),
+                classifiers=("svm",),
+                folds_svm=2,
+                strict_no_leakage=strict,
+            )
+            report = run_matrix(cfg)
+            by_pre = {r.preprocessor: r for r in report.rows}
+            assert by_pre["rs"].failed
+            assert by_pre["rs"].error.startswith(f"{where} stage preprocess: DependencyDegenerate")
+            assert not by_pre["none"].failed
+            assert report.any_failed
 
     def test_non_package_error_fails_only_its_cells(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -210,8 +213,9 @@ class TestSharedWork:
                 seen = [rows for key, rows in tested.items() if key[0] == clf and key[2] == fold]
                 assert len(seen) >= 2 and all(rows == seen[0] for rows in seen), (clf, fold)
 
-    def test_matrix_rows_equal_standalone_cells(self):
-        cfg = quick_config()
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matrix_rows_equal_standalone_cells(self, strict):
+        cfg = quick_config(strict_no_leakage=strict)
         table = pipeline.resolve_data(cfg)
         report = run_matrix(cfg)
         assert any(r.same_training_as for r in report.rows)
@@ -222,6 +226,34 @@ class TestSharedWork:
                 base = run_cell(cfg, "none", row.classifier, table=table)
                 alone = pipeline.paired_against(alone, base)
             assert replace(row, **timing) == replace(alone, **timing)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_fit_reducer_once_per_spawn_key(self, strict, monkeypatch):
+        cfg = quick_config(strict_no_leakage=strict, mlp=bpnn.MlpConfig(epochs=2, hidden=(2,)))
+        calls = []
+        real = pipeline.fit_reducer
+
+        def counting(table, method, cfg, seed):
+            calls.append((method, table.n_rows, seed))
+            return real(table, method, cfg, seed)
+
+        monkeypatch.setattr(pipeline, "fit_reducer", counting)
+        shared = pipeline.SharedWork()
+        table = pipeline.resolve_data(cfg)
+        for pre in pipeline.PREPROCESSORS:
+            for clf in pipeline.CLASSIFIERS:
+                assert not run_cell(cfg, pre, clf, table=table, shared=shared).failed
+        assert len(calls) == len(set(calls))
+        if strict:  # one fit per (preprocessor, classifier, fold), on training rows
+            assert len(calls) == 5 * sum(map(cfg.folds_for, pipeline.CLASSIFIERS))
+            assert all(n < table.n_rows for _, n, _ in calls)
+        else:
+            assert calls == [
+                (pre, table.n_rows, pipeline.reducer_seed(cfg, pre))
+                for pre in pipeline.PREPROCESSORS
+            ]
+        # the memo keeps fitted reducers, not the tables they reduce to
+        assert not any(isinstance(entry[0], Table) for entry in shared.memo.values())
 
     def test_train_eval_once_per_distinct_key(self, monkeypatch):
         cfg = quick_config(mlp=bpnn.MlpConfig(epochs=2, hidden=(2,)))
@@ -291,6 +323,27 @@ class TestPairedDelta:
                 assert len(row.fold_deltas) == row.folds and row.t_df == row.folds - 1
         text = emit_report(report, "table")
         assert "Delta vs none" in text
+
+
+class TestStrictKept:
+    def test_kept_lists_each_folds_kept_set(self):
+        cfg = ExperimentConfig(
+            synth=SynthSpec(n=300, noise=0.9, informative=("hydrogen", "methane", "ethylene")),
+            classifiers=("svm",),
+            folds_svm=5,
+            svm_max_passes=50,
+            strict_no_leakage=True,
+            seed=3,
+        )
+        for row in run_matrix(cfg).rows:
+            assert not row.failed, row.error
+            if row.preprocessor in ("none", "pca"):
+                assert ";" not in row.kept
+                continue
+            labels = [",".join(diagnostic[1:]) for diagnostic in row.fold_diagnostics]
+            # at this noise each fold's rs, gr and dt fit keeps its own gases
+            assert len(set(labels)) == 5, row.preprocessor
+            assert row.kept == ";".join(labels)
 
 
 class TestLeakageCanary:
