@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -72,6 +72,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _trusted(cls, **fields):
+    """A `cls` table of fields that already pass its checks, built without
+    running them; its arrays must already have the dtype and shape that
+    __post_init__ gives, and are frozen here."""
+    table = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(table, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class Table:
     """Immutable numeric table: condition values, decisions, attribute names."""
@@ -94,7 +104,7 @@ class Table:
             raise ShapeError(
                 f"{values.shape[1]} columns but {len(self.attributes)} attribute names"
             )
-        bad = ~np.isin(decisions, (DECISION_FAULTY, DECISION_HEALTHY))
+        bad = (decisions < DECISION_FAULTY) | (decisions > DECISION_HEALTHY)  # on int64: not in {0, 1}
         if bad.any():
             raise ValidationError(
                 f"decision must be 0 or 1; row {int(np.flatnonzero(bad)[0])} is not"
@@ -125,9 +135,11 @@ class Table:
         return Table(self.values[:, idx], self.decisions, tuple(names))
 
     def take(self, rows) -> "Table":
-        """Row subset, preserving the concrete table type."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return replace(self, values=self.values[rows], decisions=self.decisions[rows])
+        """Row subset, preserving the concrete table type.  Rows of a valid
+        table are valid, so the subset is not checked again."""
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        subset = {"values": self.values[rows], "decisions": self.decisions[rows]}
+        return _trusted(type(self), **{**vars(self), **subset})
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +240,8 @@ def load_csv(path) -> GasTable:
         raise ValidationError(f"{path}: decision must be 0 or 1 in row {lines[first]}")
     if not len(values):
         raise EmptyDatasetError(f"{path}: no usable rows")
-    return GasTable(values, decision.astype(np.int64), ATTRIBUTES, dropped_rows=dropped)
+    fields = dict(values=values, decisions=decision.astype(np.int64), dropped_rows=dropped)
+    return _trusted(GasTable, attributes=ATTRIBUTES, **fields)  # its checks were made above
 
 
 #: Characters of CSV text `load_csv` reads at a time.

@@ -1,12 +1,21 @@
 """Soft-margin kernel SVM trained by sequential minimal optimization.
 
-Decisions {0, 1} map to labels {-1, +1} inside this module only.  The solver
-keeps the dual gradient G = Q alpha - 1 as one vector.  Each update takes i
-as the maximal violator in I_up and j in I_low by the second-order gain
--b^2/a (Fan, Chen & Lin, JMLR 2005, the LIBSVM rule), moves the pair by the
-clipped two-variable step, and updates G from kernel rows i and j: O(n)
-numpy work and no Python loop over rows.  The choice is deterministic, so
-the solver takes no seed.
+Decisions {0, 1} map to labels {-1, +1} inside this module only.  Each
+update takes i as the maximal violator in I_up and j in I_low by the
+second-order gain -b^2/a (Fan, Chen & Lin, JMLR 2005, the LIBSVM rule) and
+moves the pair by the clipped two-variable step.  The choice is
+deterministic, so the solver takes no seed.
+
+Across updates the solver carries three vectors: score = -y G, with G =
+Q alpha - 1 the dual gradient, and I_up and I_low as float masks (0 or -inf
+for I_up, inf or 0 for I_low, so one add or one minimum applies them).  An
+update changes score by -step (k_i - k_j) from kernel rows i and j, and the
+masks only at i and j, which it rewrites from the two new multipliers: a
+fixed number of O(n) numpy calls and no Python loop over rows.  Carrying
+score in place of G is exact.  G += (step y)(k_i - k_j) scales by step y =
++-step, and rounding commutes with negation, so -y G after it is score -
+step (k_i - k_j) as rounded, and G is -y score.  Only the sign of a zero
+can differ, which no comparison sees and G + 1 removes.
 
 No n x n kernel is built.  `_KernelRows` computes a block of consecutive
 kernel rows the first time one of its rows is read and keeps blocks, least
@@ -144,17 +153,24 @@ def check_kkt(model: SvmModel, table: Table, tol: float = 1e-3) -> float:
     return float(np.mean(_kkt_ok(alphas, margins, model.c, tol)))
 
 
-def _pair_step(alphas, y, c, i, j, step) -> float:
-    """Move alpha_i by +y_i t and alpha_j by -y_j t, which keeps y . alpha
-    fixed, with t the largest value up to `step` that keeps both in [0, c].
-    Returns t; a multiplier that reaches its bound is set to it exactly."""
-    moves = ((i, y[i]), (j, -y[j]))
-    rooms = [c - alphas[t] if sign > 0 else alphas[t] for t, sign in moves]
-    step = min(step, *rooms)
-    for (t, sign), room in zip(moves, rooms):
-        bound = c if sign > 0 else 0.0
-        alphas[t] = bound if step == room else min(max(alphas[t] + sign * step, 0.0), c)
-    return step
+def _pair_step(alpha_i, alpha_j, sign_i, sign_j, c, step):
+    """Move alpha_i by sign_i t and alpha_j by sign_j t, with t the largest
+    value up to `step` that keeps both in [0, c]; the SMO pair has sign_i =
+    y_i and sign_j = -y_j, which keeps y . alpha fixed.  Works on Python
+    floats and returns t and the two new multipliers; one that reaches its
+    bound is set to it exactly."""
+    room_i = c - alpha_i if sign_i > 0 else alpha_i
+    room_j = c - alpha_j if sign_j > 0 else alpha_j
+    step = min(step, room_i, room_j)
+    if step == room_i:
+        alpha_i = c if sign_i > 0 else 0.0
+    else:
+        alpha_i = min(max(alpha_i + sign_i * step, 0.0), c)
+    if step == room_j:
+        alpha_j = c if sign_j > 0 else 0.0
+    else:
+        alpha_j = min(max(alpha_j + sign_j * step, 0.0), c)
+    return step, alpha_i, alpha_j
 
 
 def _blocks(n: int, size: int) -> list[tuple[int, int]]:
@@ -211,6 +227,9 @@ def train_smo(
     """Sequential minimal optimization on a standardized table.
 
     Each update moves the pair chosen by the second-order working-set rule.
+    The state carried from update to update is -y G and the I_up and I_low
+    masks (see the module docstring); both are exact, so every choice is
+    the one a solver recomputing them from G each update would make.
     Once the violation gap m - M is at most the gap threshold (`tol` at the
     start), the bias is set and every row is checked against KKT; a failed
     check halves the threshold and the updates go on.  The budget is
@@ -228,9 +247,13 @@ def train_smo(
     x = data.values
     rows = _KernelRows(kernel, x)
     diag = rows.diagonal()
-    positive = y > 0
+    signs = y.tolist()
     alphas = np.zeros(n)
-    grad = -np.ones(n)  # Q alpha - 1 with all alphas zero
+    score = y.copy()  # -y G, with G = Q alpha - 1 = -1 at alpha = 0
+    up = np.where(y > 0, 0.0, -np.inf)  # I_up at alpha = 0: 0 on it, -inf off it
+    low = np.where(y > 0, 0.0, np.inf)  # I_low at alpha = 0: inf on it, 0 off it
+    top, gain, curve, pair_gain, work = (np.empty(n) for _ in range(5))
+    flat = np.empty(n, dtype=bool)
     bias = 0.0
     per_pass = (n + 1) // 2
     budget = max_passes * per_pass
@@ -246,31 +269,47 @@ def train_smo(
         return float(np.mean(y[pick] - raw[pick]))
 
     while True:
-        score = -y * grad
-        below_c, above_0 = alphas < c, alphas > 0
-        up = np.where(positive, below_c, above_0)
-        low = np.where(positive, above_0, below_c)
-        i = int(np.argmax(np.where(up, score, -np.inf)))
-        gain = score[i] - score  # b of the pair (i, t); its maximum over I_low is m - M
-        if np.max(np.where(low, gain, -np.inf)) <= threshold:
-            raw = y * (grad + 1.0)  # K (alphas * y), as grad = y * raw - 1
+        np.add(score, up, out=top)  # score on I_up, -inf off it
+        i = int(top.argmax())
+        np.subtract(score.item(i), score, out=gain)  # b of the pair (i, t)
+        np.maximum(gain, 0.0, out=gain)
+        np.minimum(gain, low, out=gain)  # max(b, 0) on I_low, 0 off it
+        gap = np.maximum.reduce(gain)  # max(m - M, 0), which meets threshold > 0 as m - M does
+        if gap <= threshold:
+            raw = y * (-y * score + 1.0)  # K (alphas * y), as G = y * raw - 1
             bias = finalize_bias(raw)
             if _kkt_ok(alphas, y * (raw + bias), c, tol).all():
                 converged = True
                 break
             threshold /= 2.0
-        candidates = low & (gain > 0)
-        if updates >= budget or not candidates.any():
+        if updates >= budget or not gap > 0:  # no t in I_low with b > 0
             break
         k_i = rows[i]
-        curve = diag[i] + diag - 2.0 * k_i
-        curve = np.where(curve > 0, curve, _TAU)
-        j = int(np.argmin(np.where(candidates, -gain * gain / curve, np.inf)))
-        step = _pair_step(alphas, y, c, i, j, gain[j] / curve[j])
-        grad += step * y * (k_i - rows[j])
+        np.add(diag, diag.item(i), out=curve)
+        np.multiply(k_i, 2.0, out=work)
+        curve -= work
+        np.less_equal(curve, 0.0, out=flat)
+        np.putmask(curve, flat, _TAU)  # a of the pair (i, t), _TAU where not positive
+        np.multiply(gain, gain, out=pair_gain)
+        pair_gain /= curve  # b^2 / a on the candidates (I_low, b > 0), 0 elsewhere
+        j = int(pair_gain.argmax())  # the first minimum of -b^2 / a over the candidates
+        if not pair_gain.item(j) > 0:  # unless every candidate's b^2 / a underflowed to 0
+            j = int(np.argmax(gain > 0))
+        step, alpha_i, alpha_j = _pair_step(
+            alphas.item(i), alphas.item(j), signs[i], -signs[j], c, gain.item(j) / curve.item(j)
+        )
+        np.subtract(k_i, rows[j], out=work)
+        work *= step
+        score -= work  # G += step y (k_i - k_j), negated exactly
         updates += 1
+        for t, alpha in ((i, alpha_i), (j, alpha_j)):
+            alphas[t] = alpha
+            below_c, above_0 = alpha < c, alpha > 0
+            in_up, in_low = (below_c, above_0) if signs[t] > 0 else (above_0, below_c)
+            up[t] = 0.0 if in_up else -np.inf
+            low[t] = np.inf if in_low else 0.0
 
-    raw = y * (grad + 1.0)
+    raw = y * (-y * score + 1.0)
     if not converged:
         bias = finalize_bias(raw)
     kkt_rate = float(np.mean(_kkt_ok(alphas, y * (raw + bias), c, tol)))

@@ -672,6 +672,26 @@ class TestTableTypes:
         assert isinstance(part, GasTable)
         assert part.n_rows == 2
 
+    def test_unchecked_tables_equal_checked_ones(self, tmp_path):
+        # load_csv and take build their tables without running the checks again
+        table = load_csv(_write(tmp_path, f"{HEADER}\n{SAMPLE_ROW}\n1,2\n{SAMPLE_ROW[:-1]}1\n"))
+        rows = [1, 0, 1]
+        pairs = [
+            (table, GasTable(table.values.copy(), [0, 1], ATTRIBUTES, dropped_rows=1)),
+            (table.take(rows), GasTable(table.values[rows], [1, 0, 1], ATTRIBUTES, 1)),
+        ]
+        cats = discretize(table)
+        pairs.append((cats.take(rows), CategoricalTable(cats.values[rows], [1, 0, 1], ATTRIBUTES)))
+        for got, checked in pairs:
+            assert type(got) is type(checked) and vars(got).keys() == vars(checked).keys()
+            for name, want in vars(checked).items():
+                value = getattr(got, name)
+                if isinstance(want, np.ndarray):
+                    assert value.dtype == want.dtype and np.array_equal(value, want)
+                    assert not value.flags.writeable
+                else:
+                    assert value == want
+
     @pytest.mark.parametrize(
         "cells",
         [[[1, 2.5]], [[1, np.nan]], [[0, 2]], [[1, 5]], [[np.inf, 1]], [[1, None]],

@@ -1,5 +1,6 @@
 """Kernels, SMO training, KKT conditions, prediction, persistence."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -310,6 +311,135 @@ class TestSolver:
         assert np.array_equal(a.support_indices, b.support_indices)
         assert a.bias == b.bias
         assert a.sweeps == b.sweeps
+
+
+def _reference_pair_step(alphas, y, c, i, j, step) -> float:
+    """The pair step of the solver that recomputed its state every update."""
+    moves = ((i, y[i]), (j, -y[j]))
+    rooms = [c - alphas[t] if sign > 0 else alphas[t] for t, sign in moves]
+    step = min(step, *rooms)
+    for (t, sign), room in zip(moves, rooms):
+        bound = c if sign > 0 else 0.0
+        alphas[t] = bound if step == room else min(max(alphas[t] + sign * step, 0.0), c)
+    return step
+
+
+def reference_smo(data, kernel, c=10.0, tol=1e-3, max_passes=100):
+    """Oracle: the SMO loop that rebuilt -y G, I_up and I_low from the whole
+    gradient G on every update.  `train_smo` must return the same model bit
+    for bit."""
+    y = data.decisions.astype(float) * 2.0 - 1.0
+    n = data.n_rows
+    x = data.values
+    rows = svm._KernelRows(kernel, x)
+    diag = rows.diagonal()
+    positive = y > 0
+    alphas = np.zeros(n)
+    grad = -np.ones(n)  # Q alpha - 1 with all alphas zero
+    bias = 0.0
+    per_pass = (n + 1) // 2
+    budget = max_passes * per_pass
+    threshold = tol
+    updates = 0
+    converged = False
+
+    def finalize_bias(raw):
+        free = (alphas > 1e-12) & (alphas < c - 1e-12)
+        pick = free if free.any() else alphas > 1e-12
+        if not pick.any():
+            return bias
+        return float(np.mean(y[pick] - raw[pick]))
+
+    while True:
+        score = -y * grad
+        below_c, above_0 = alphas < c, alphas > 0
+        up = np.where(positive, below_c, above_0)
+        low = np.where(positive, above_0, below_c)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        gain = score[i] - score  # b of the pair (i, t); its maximum over I_low is m - M
+        if np.max(np.where(low, gain, -np.inf)) <= threshold:
+            raw = y * (grad + 1.0)  # K (alphas * y), as grad = y * raw - 1
+            bias = finalize_bias(raw)
+            if svm._kkt_ok(alphas, y * (raw + bias), c, tol).all():
+                converged = True
+                break
+            threshold /= 2.0
+        candidates = low & (gain > 0)
+        if updates >= budget or not candidates.any():
+            break
+        k_i = rows[i]
+        curve = diag[i] + diag - 2.0 * k_i
+        curve = np.where(curve > 0, curve, svm._TAU)
+        j = int(np.argmin(np.where(candidates, -gain * gain / curve, np.inf)))
+        step = _reference_pair_step(alphas, y, c, i, j, gain[j] / curve[j])
+        grad += step * y * (k_i - rows[j])
+        updates += 1
+
+    raw = y * (grad + 1.0)
+    if not converged:
+        bias = finalize_bias(raw)
+    kkt_rate = float(np.mean(svm._kkt_ok(alphas, y * (raw + bias), c, tol)))
+    keep = alphas > 1e-12
+    return svm.SvmModel(
+        kernel=kernel,
+        c=c,
+        bias=bias,
+        support_vectors=x[keep].copy(),
+        support_labels=y[keep].copy(),
+        support_alphas=alphas[keep].copy(),
+        support_indices=np.flatnonzero(keep),
+        converged=converged,
+        sweeps=-(-updates // per_pass),
+        training_kkt_rate=kkt_rate,
+    )
+
+
+def assert_same_model(got, want):
+    for field in dataclasses.fields(svm.SvmModel):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def oracle_table(n, width):
+    """n rows of `width` normal columns; the decision follows the first
+    column through noise, and rows 0 and 1 hold one class each."""
+    local = np.random.default_rng(1000 * n + width)
+    values = local.normal(size=(n, width))
+    d = (values[:, 0] + 0.8 * local.normal(size=n) > 0).astype(int)
+    d[:2] = (0, 1)
+    return make_table(values, d)
+
+
+class TestMatchesReferenceSolver:
+    @pytest.mark.parametrize("n,width", [(2, 1), (3, 2), (41, 3), (81, 10), (300, 3), (601, 10)])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_every_model_field_bit_for_bit(self, kernel, n, width):
+        table = oracle_table(n, width)
+        for c in (0.5, 10.0, 1000.0):
+            for max_passes in (1, 2, 50):
+                for tol in (1e-3, 1e-7):
+                    args = (table, kernel, c, tol, max_passes)
+                    assert_same_model(train_smo(*args), reference_smo(*args))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_near_duplicate_rows(self, kernel):
+        # pairs of rows 1e-9 apart and exact repeats give curvatures at or
+        # below 0, which take _TAU, and positive ones below _TAU, which do not
+        local = np.random.default_rng(0)
+        base = local.normal(size=(20, 2))
+        values = np.vstack([base, base + 1e-9 * local.normal(size=base.shape), base])
+        table = make_table(values, (values[:, 0] + 0.8 * local.normal(size=60) > 0).astype(int))
+        for c in (0.5, 10.0, 1000.0):
+            args = (table, kernel, c, 1e-3, 50)
+            assert_same_model(train_smo(*args), reference_smo(*args))
+
+    def test_pca_fold_of_criterion9_table(self):
+        train = criterion9_fold("pca")
+        args = (train, Kernel("rbf", gamma=0.5), 10.0, 1e-3, 50)
+        assert_same_model(train_smo(*args), reference_smo(*args))
 
 
 class TestKernelRows:
