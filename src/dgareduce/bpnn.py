@@ -71,18 +71,24 @@ class MlpConfig:
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         if self.epochs < 1:
             raise ParameterError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ParameterError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ParameterError("hidden layer sizes must all be at least 1")
-        if len(self.ratios) != 2 or any(r < 0 for r in self.ratios):
-            raise ParameterError(f"ratios must be two non-negative numbers, got {self.ratios}")
+        if len(self.ratios) != 2 or not all(0 <= r < math.inf for r in self.ratios):
+            raise ParameterError(
+                f"ratios must be two non-negative numbers, both finite, got {self.ratios}"
+            )
         if self.ratios[0] <= 0:
             raise ParameterError("training ratio must be positive")
         if self.max_fail < 1:
             raise ParameterError("max_fail must be at least 1")
-        if self.goal < 0:
-            raise ParameterError("goal must be non-negative")
+        if not 0 <= self.goal < math.inf:
+            raise ParameterError(f"goal must be non-negative and finite, got {self.goal}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def shares(self) -> tuple[float, float]:

@@ -170,8 +170,9 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
 
     Every key that is absent, or present with an empty value, keeps the
     default of the config field it sets.  The one exception is `[data]
-    informative`: absent, every gas is informative; empty, none is.  A
-    section or key that sets no field is an error.
+    informative`: absent, every gas is informative; empty, none is.  `[data]
+    path` sets `csv_path`, so a table is read from that CSV.  A section or
+    key that sets no field is an error.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -201,22 +202,14 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
     default = _CONFIG
     text, integer, real = parser.get, parser.getint, parser.getfloat
     try:
-        fields = {}
+        fields = given("data", "csv_", path=text)
         synth = given(
-            "data", source=text, path=text, n=integer, fault_ratio=real, noise=real,
+            "data", n=integer, fault_ratio=real, noise=real,
             informative=lambda s, k: _names(text(s, k)),
         )
-        source, csv_path = synth.pop("source", "synth"), synth.pop("path", "")
         if parser.has_option("data", "informative"):
             synth.setdefault("informative", ())
-        if source == "csv":
-            fields["csv_path"] = csv_path
-            if not csv_path:
-                raise ConfigError("[data] path is required when source = csv")
-        elif source == "synth":
-            fields["synth"] = replace(default.synth, **synth)
-        else:
-            raise ConfigError(f"[data] source must be synth or csv, got {source!r}")
+        fields["synth"] = replace(default.synth, **synth)
         fields.update(
             given(
                 "experiment", preprocessors=listed, classifiers=listed, seed=integer,
@@ -225,8 +218,8 @@ def _config_from_ini(path) -> pipeline.ExperimentConfig:
             )
         )
         fields.update(given("pca", "pca_", components=integer, threshold=real))
-        if "pca_threshold" in fields:
-            fields["pca_components"] = None
+        if "pca_threshold" in fields:  # in place of the default count, not a given one
+            fields.setdefault("pca_components", None)
         fields.update(given("gr", "gr_", chunk_size=integer, carry=integer))
         fields.update(given("dt", "dt_", criterion=text, min_rows=integer, prune_fraction=real))
         fields["mlp"] = replace(

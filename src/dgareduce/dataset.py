@@ -578,6 +578,8 @@ def synth_generate(
         raise ParameterError("fault_ratio must be in (0, 1)")
     if noise < 0:
         raise ParameterError("noise must be non-negative")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     drawable = tuple(a for a in ATTRIBUTES if a != "tcg")
     if informative is not None:
         informative = tuple(informative)

@@ -33,7 +33,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class SynthSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a matrix run needs, with fixed-parameter defaults so every
-    cell trains its classifiers under identical settings."""
+    cell trains its classifiers under identical settings.  A `csv_path`
+    reads the table from that CSV, and `synth` then keeps its defaults."""
 
     csv_path: str | None = None
     synth: SynthSpec = SynthSpec()
@@ -98,6 +99,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.csv_path is not None:
+            changed = [
+                f.name for f in fields(SynthSpec) if getattr(self.synth, f.name) != f.default
+            ]
+            if changed:
+                raise ConfigError(f"csv_path takes no synth settings, got {', '.join(changed)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "preprocessors", tuple(self.preprocessors))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         unknown = [p for p in self.preprocessors if p not in PREPROCESSORS]
@@ -475,13 +484,10 @@ def _reducer_fingerprint(reducer: FittedReducer):
 
 
 def _kernel_label(kernel: svm.Kernel) -> str:
-    if kernel.kind == "linear":
-        return "linear"
-    if kernel.kind == "polynomial":
-        return f"polynomial(degree={kernel.degree},coef={kernel.coef:g})"
-    if kernel.kind == "rbf":
-        return f"rbf(gamma={kernel.gamma:g})"
-    return f"sigmoid(scale={kernel.scale:g},offset={kernel.offset:g})"
+    """The kind, then the parameters it reads, e.g. `rbf(gamma=0.5)`."""
+    names = svm.KERNEL_PARAMS[kernel.kind]
+    params = ",".join(f"{name}={getattr(kernel, name):g}" for name in names)
+    return f"{kernel.kind}({params})" if params else kernel.kind
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ updates, so one pass updates as many multipliers as there are rows.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -48,7 +50,14 @@ from .bpnn import percent_correct
 from .dataset import ModelFile, Scaler, Table, write_model
 from .errors import ParameterError, ShapeError
 
-KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
+# Each kernel kind and the `Kernel` parameters it reads, in label order.
+KERNEL_PARAMS = {
+    "linear": (),
+    "polynomial": ("degree", "coef"),
+    "rbf": ("gamma",),
+    "sigmoid": ("scale", "offset"),
+}
+KERNEL_KINDS = tuple(KERNEL_PARAMS)
 _TAU = 1e-12  # curvature floor for pairs whose kernel distance is not positive
 _BLOCK_BYTES = 1 << 16  # about this many bytes of kernel rows per block
 _DIAGONAL_ROWS = 64  # rows of each square block the diagonal comes from
@@ -69,10 +78,17 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ParameterError(f"kernel kind must be one of {KERNEL_KINDS}")
-        if self.kind == "rbf" and self.gamma <= 0:
-            raise ParameterError("rbf gamma must be positive")
+        if self.kind == "rbf" and not self.gamma > 0:
+            raise ParameterError(f"rbf gamma must be positive, got {self.gamma}")
+        for param in _PARAM_FIELDS:
+            value = getattr(self, param.name)
+            if not math.isfinite(value):
+                raise ParameterError(f"kernel {param.name} must be finite, got {value}")
         if self.kind == "polynomial" and (self.degree < 1 or self.degree != int(self.degree)):
             raise ParameterError("polynomial degree must be a positive integer")
+
+
+_PARAM_FIELDS = dataclasses.fields(Kernel)[1:]  # every field after `kind`
 
 
 def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,14 +275,6 @@ def train_smo(
     budget = max_passes * per_pass
     threshold = tol
     updates = 0
-    converged = False
-
-    def finalize_bias(raw: np.ndarray) -> float:
-        free = (alphas > 1e-12) & (alphas < c - 1e-12)
-        pick = free if free.any() else alphas > 1e-12
-        if not pick.any():
-            return bias
-        return float(np.mean(y[pick] - raw[pick]))
 
     while True:
         np.add(score, up, out=top)  # score on I_up, -inf off it
@@ -275,15 +283,20 @@ def train_smo(
         np.maximum(gain, 0.0, out=gain)
         np.minimum(gain, low, out=gain)  # max(b, 0) on I_low, 0 off it
         gap = np.maximum.reduce(gain)  # max(m - M, 0), which meets threshold > 0 as m - M does
-        if gap <= threshold:
-            raw = y * (-y * score + 1.0)  # K (alphas * y), as G = y * raw - 1
-            bias = finalize_bias(raw)
-            if _kkt_ok(alphas, y * (raw + bias), c, tol).all():
-                converged = True
+        final = updates >= budget or not gap > 0  # budget spent, or no t in I_low with b > 0
+        if gap <= threshold or final:
+            # the bias over unbound support vectors (else all of them) and
+            # the KKT check; y - score is y (G + 1) = K (alphas * y) exactly
+            raw = y - score
+            free = (alphas > 1e-12) & (alphas < c - 1e-12)
+            pick = free if free.any() else alphas > 1e-12
+            if pick.any():
+                bias = float(np.mean(y[pick] - raw[pick]))
+            kkt = _kkt_ok(alphas, y * (raw + bias), c, tol)
+            converged = gap <= threshold and bool(kkt.all())
+            if converged or final:
                 break
             threshold /= 2.0
-        if updates >= budget or not gap > 0:  # no t in I_low with b > 0
-            break
         k_i = rows[i]
         np.add(diag, diag.item(i), out=curve)
         np.multiply(k_i, 2.0, out=work)
@@ -309,10 +322,6 @@ def train_smo(
             up[t] = 0.0 if in_up else -np.inf
             low[t] = np.inf if in_low else 0.0
 
-    raw = y * (-y * score + 1.0)
-    if not converged:
-        bias = finalize_bias(raw)
-    kkt_rate = float(np.mean(_kkt_ok(alphas, y * (raw + bias), c, tol)))
     keep = alphas > 1e-12
     return SvmModel(
         kernel=kernel,
@@ -324,7 +333,7 @@ def train_smo(
         support_indices=np.flatnonzero(keep),
         converged=converged,
         sweeps=-(-updates // per_pass),
-        training_kkt_rate=kkt_rate,
+        training_kkt_rate=float(np.mean(kkt)),
     )
 
 
@@ -339,11 +348,7 @@ def save_model(model: SvmModel, path) -> None:
     kern = model.kernel
     fields = {
         "kernel": kern.kind,
-        "degree": kern.degree,
-        "coef": kern.coef,
-        "gamma": kern.gamma,
-        "scale": kern.scale,
-        "offset": kern.offset,
+        **{param.name: getattr(kern, param.name) for param in _PARAM_FIELDS},
         "c": model.c,
         "bias": model.bias,
         "converged": int(model.converged),
@@ -361,11 +366,7 @@ def load_model(path) -> SvmModel:
     f = ModelFile(path, "svm")
     kernel = Kernel(
         f.get("kernel"),
-        degree=f.get("degree", int),
-        coef=f.get("coef", float),
-        gamma=f.get("gamma", float),
-        scale=f.get("scale", float),
-        offset=f.get("offset", float),
+        **{param.name: f.get(param.name, type(param.default)) for param in _PARAM_FIELDS},
     )
     vectors = f.array("support_vectors")
     n = vectors.shape[:1]  # one label, alpha and index per support vector

@@ -198,6 +198,23 @@ class TestTrain:
         with pytest.raises(ParameterError):
             MlpConfig(hidden=())
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"learning_rate": math.nan}, "learning rate must be positive"),
+            ({"learning_rate": math.inf}, "learning rate must be positive"),
+            ({"goal": math.nan}, "goal must be non-negative"),
+            ({"goal": math.inf}, "goal must be non-negative"),
+            ({"ratios": (math.nan, 0.15)}, "ratios must be two non-negative numbers"),
+            ({"ratios": (0.7, math.inf)}, "ratios must be two non-negative numbers"),
+            ({"seed": -1}, "seed must be non-negative"),
+        ],
+        ids=["lr-nan", "lr-inf", "goal-nan", "goal-inf", "ratio-nan", "ratio-inf", "seed"],
+    )
+    def test_non_finite_or_negative_seed_rejected(self, setting, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            MlpConfig(**setting)
+
     def test_shares_scale_the_two_ratios_to_one(self):
         assert MlpConfig().shares == (0.7 / 0.85, 0.15 / 0.85)
         assert MlpConfig(ratios=(2, 0)).shares == (1.0, 0.0)

@@ -1,7 +1,7 @@
 """Command-line behaviour: subcommands, config files, exit codes."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -22,7 +22,6 @@ def _invoke(*args):
 
 MATRIX_INI = """
 [data]
-source = synth
 n = 80
 fault_ratio = 0.5
 noise = 0.2
@@ -41,7 +40,6 @@ max_passes = 30
 
 FAILING_INI = """
 [data]
-source = synth
 n = 40
 fault_ratio = 0.5
 noise = 0.0
@@ -76,7 +74,6 @@ prune_fraction = 0.2
 
 DT_MATRIX_INI = """
 [data]
-source = csv
 path = {path}
 
 [experiment]
@@ -108,6 +105,11 @@ class TestSynth:
         out = tmp_path / "data.csv"
         result = _invoke("synth", "-n", "4", "--out", str(out))
         assert result.exit_code == 2
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        result = _invoke("synth", "--seed", "-1", "--out", str(tmp_path / "data.csv"))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "config error: seed must be non-negative, got -1\n"
 
     def test_empty_informative_means_no_informative_gas(self, tmp_path):
         """As `[data] informative =` does in the INI."""
@@ -199,6 +201,13 @@ class TestTrain:
         assert result.exit_code == 0
         assert "kind = svm" in model.read_text()
 
+    def test_negative_seed_exit_2(self, tmp_path):
+        src = tmp_path / "src.csv"
+        _invoke("synth", "-n", "50", "--seed", "4", "--out", str(src))
+        result = _invoke("train", "--in", str(src), "--clf", "bpnn", "--seed", "-1")
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "config error: seed must be non-negative, got -1\n"
+
 
 class TestMatrix:
     def test_runs_and_writes_json(self, tmp_path):
@@ -265,12 +274,42 @@ class TestMatrix:
             assert result.exit_code == 2, result.output
             assert result.stderr.startswith(f"config error: {ini}: {message}"), result.stderr
 
+    def test_negative_seed_exit_2_before_any_cell(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(MATRIX_INI.replace("seed = 5", "seed = -1"))
+        result = _invoke("matrix", "--config", str(ini))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: {ini}: seed must be non-negative, got -1\n"
+        assert "Average Accuracy (%)" not in result.output
+
+    @pytest.mark.parametrize("setting", ["n = 60", "noise = 0.3", "informative ="])
+    def test_synth_setting_next_to_path_exit_2_before_any_cell(self, tmp_path, setting):
+        rows = tmp_path / "rows.csv"
+        _invoke("synth", "-n", "60", "--seed", "8", "--out", str(rows))
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[data]\npath = {rows}\n{setting}\n" + MATRIX_INI.partition("\n\n")[2])
+        result = _invoke("matrix", "--config", str(ini))
+        assert result.exit_code == 2, result.output
+        name = setting.partition(" ")[0]
+        message = f"csv_path takes no synth settings, got {name}"
+        assert result.stderr == f"config error: {ini}: {message}\n"
+        assert "Average Accuracy (%)" not in result.output
+
+    def test_both_pca_settings_exit_2(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(MATRIX_INI + "\n[pca]\ncomponents = 2\nthreshold = 90\n")
+        result = _invoke("matrix", "--config", str(ini))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"config error: {ini}: set exactly one of pca_components / pca_threshold\n"
+        )
+
     def test_csv_data_source(self, tmp_path):
         src = tmp_path / "rows.csv"
         _invoke("synth", "-n", "60", "--seed", "8", "--out", str(src))
         ini = tmp_path / "exp.ini"
         ini.write_text(
-            "[data]\nsource = csv\npath = %s\n\n"
+            "[data]\npath = %s\n\n"
             "[experiment]\npreprocessors = rs\nclassifiers = svm\n"
             "seed = 3\nfolds_svm = 2\n\n[svm]\nmax_passes = 20\n" % src
         )
@@ -283,8 +322,8 @@ class TestMatrix:
         [
             ("informative = hydrogen,bogus", "not a generable gas: 'bogus'"),
             ("n = 5", "n must be at least 10"),
-            ("source = csv\npath = {tmp}/missing.csv", "No such file or directory"),
-            ("source = csv\npath = {tmp}/header.csv", "no usable rows"),
+            ("path = {tmp}/missing.csv", "No such file or directory"),
+            ("path = {tmp}/header.csv", "no usable rows"),
         ],
         ids=["unknown-gas", "too-few-rows", "missing-csv", "header-only-csv"],
     )
@@ -329,7 +368,7 @@ class TestNotUtf8:
         files["u16_csv"].write_text(files["csv"].read_text(), encoding="utf-16")
         files["u16_ini"].write_text(MATRIX_INI, encoding="utf-16")
         files["csv_source_ini"].write_text(
-            "[data]\nsource = csv\npath = %s\n\n[experiment]\npreprocessors = rs\n"
+            "[data]\npath = %s\n\n[experiment]\npreprocessors = rs\n"
             "classifiers = svm\n" % files["u16_csv"]
         )
         result = _invoke(*(arg.format(**files) for arg in args))
@@ -384,6 +423,74 @@ class TestReport:
             assert result.stderr.startswith(f"config error: {out}: "), result.stderr
 
 
+def _settings(cfg: ExperimentConfig) -> dict:
+    """Every setting of `cfg` by field path, nested configs flattened
+    (`synth.n`, `mlp.epochs`, `kernel.gamma`)."""
+    flat = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            flat.update((f"{f.name}.{g.name}", getattr(value, g.name)) for g in fields(value))
+        else:
+            flat[f.name] = value
+    return flat
+
+
+# The INI section of each nested config, and the fields that the README's
+# naming rule does not place: set by another key, or by no INI key at all.
+NESTED_SECTIONS = {"synth": "data", "mlp": "bpnn", "kernel": "svm"}
+OTHER_KEYS = {"csv_path": ("data", "path"), "kernel.kind": ("svm", "kernel"), "mlp.seed": None}
+# Non-default values of the settings that are not plain numbers, bools or
+# number lists; the others are derived from their defaults.
+OTHER_VALUES = {
+    "csv_path": "rows.csv",
+    "preprocessors": "rs",
+    "classifiers": "svm",
+    "pca_threshold": "90",
+    "dt_criterion": "gain",
+    "rnn_connection": "full",
+    "synth.informative": "hydrogen",
+    "kernel.kind": "linear",
+}
+
+
+def _ini_key(path: str):
+    """The (section, key) that sets the setting at `path`, by the README's
+    naming rule: a nested config's fields in its section, a field prefixed
+    by a section name in that section, every other field in [experiment]."""
+    if path in OTHER_KEYS:
+        return OTHER_KEYS[path]
+    outer, _, inner = path.partition(".")
+    if inner:
+        return NESTED_SECTIONS[outer], inner
+    section, _, key = path.partition("_")
+    if section in ("pca", "gr", "dt", "svm", "rnn"):
+        return section, key
+    return "experiment", path
+
+
+def _other_value(path: str, default) -> str:
+    """INI text for a valid value of the setting other than `default`."""
+    if path in OTHER_VALUES:
+        return OTHER_VALUES[path]
+    if isinstance(default, bool):
+        return str(not default).lower()
+    if isinstance(default, tuple):
+        return ",".join(_other_value(path, v) for v in default)
+    if isinstance(default, int):
+        return str(default + 1)
+    return repr(default / 2 if default else 0.5)
+
+
+def _one_key_inis():
+    """(path, INI text) for every setting an INI key sets."""
+    for path, default in _settings(ExperimentConfig()).items():
+        where = _ini_key(path)
+        if where is not None:
+            section, key = where
+            yield path, f"[{section}]\n{key} = {_other_value(path, default)}\n"
+
+
 class TestConfigFromIni:
     SECTIONS = ("data", "experiment", "pca", "gr", "dt", "bpnn", "svm", "rnn")
 
@@ -418,9 +525,13 @@ class TestConfigFromIni:
             ("svm", "max_passes", "0", "svm_max_passes must be at least 1"),
             ("dt", "min_rows", "0", "dt_min_rows must be at least 1"),
             ("bpnn", "ratios", "0.7,0.15,0.15", "ratios must be two non-negative numbers"),
+            ("bpnn", "learning_rate", "nan", "learning rate must be positive"),
+            ("bpnn", "goal", "inf", "goal must be non-negative"),
+            ("svm", "gamma", "inf", "kernel gamma must be finite"),
         ],
         ids=["components=0", "components=11", "threshold=150", "chunk_size=0", "carry=0",
-             "max_passes=0", "min_rows=0", "three-ratios"],
+             "max_passes=0", "min_rows=0", "three-ratios", "learning_rate=nan", "goal=inf",
+             "gamma=inf"],
     )
     def test_out_of_range_value_exit_2_before_any_cell(
         self, tmp_path, section, key, value, message
@@ -441,8 +552,9 @@ class TestConfigFromIni:
             ("[bpnn]\nepoch = 1\n", "unknown key [bpnn] epoch"),
             ("[experiment]\nfold_bpnn = 2\n", "unknown key [experiment] fold_bpnn"),
             ("[svmm]\nc = 1\n", "unknown section [svmm]"),
+            ("[data]\nsource = csv\n", "unknown key [data] source"),
         ],
-        ids=["bpnn-key", "experiment-key", "section"],
+        ids=["bpnn-key", "experiment-key", "section", "data-source"],
     )
     def test_unknown_key_or_section_exit_2(self, tmp_path, text, message):
         """Added to the small matrix config, so a typo that were read would
@@ -462,7 +574,7 @@ class TestConfigFromIni:
             "[data]\nn = 300\nfault_ratio = 0.4\nnoise = 0.1\ninformative = hydrogen, methane\n"
             "[experiment]\npreprocessors = rs,dt\nclassifiers = svm\nseed = 9\n"
             "strict_no_leakage = yes\nfolds_bpnn = 3\nfolds_svm = 4\nfolds_rnn = 5\n"
-            "[pca]\ncomponents = 2\nthreshold = 90\n"
+            "[pca]\ncomponents = 2\n"
             "[gr]\nchunk_size = 50\ncarry = 2\n"
             "[dt]\ncriterion = gain\nmin_rows = 4\nprune_fraction = 0.2\n"
             "[bpnn]\nepochs = 7\nlearning_rate = 0.1\nhidden = 8\ngoal = 0.01\n"
@@ -480,8 +592,7 @@ class TestConfigFromIni:
             folds_bpnn=3,
             folds_svm=4,
             folds_rnn=5,
-            pca_components=None,
-            pca_threshold=90.0,
+            pca_components=2,
             gr_chunk_size=50,
             gr_carry=2,
             dt_criterion="gain",
@@ -497,3 +608,14 @@ class TestConfigFromIni:
             svm_max_passes=12,
             rnn_connection="full",
         )
+        threshold = self._parsed(tmp_path, "[pca]\nthreshold = 90\n")
+        assert threshold == ExperimentConfig(pca_components=None, pca_threshold=90.0)
+
+    @pytest.mark.parametrize("path, text", [pytest.param(*p, id=p[0]) for p in _one_key_inis()])
+    def test_one_key_sets_one_setting(self, tmp_path, path, text):
+        """Each setting has its own key: a key alone changes its setting and
+        nothing else, save that `[pca] threshold` replaces the default
+        `components`.  A setting added without a key fails here."""
+        got, default = _settings(self._parsed(tmp_path, text)), _settings(ExperimentConfig())
+        changed = {name for name in default if got[name] != default[name]}
+        assert changed == ({path, "pca_components"} if path == "pca_threshold" else {path})

@@ -609,6 +609,10 @@ class TestSplitIndices:
 
 
 class TestSynthGenerate:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="^seed must be non-negative, got -1$"):
+            synth_generate(100, 0.5, 0.2, seed=-1)
+
     def test_ratio_forced(self):
         table = synth_generate(100, 0.5, 0.2, seed=0)
         assert int((table.decisions == 0).sum()) == 50

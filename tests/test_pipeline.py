@@ -490,6 +490,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(folds_svm=1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            ExperimentConfig(seed=-1)
+
+    def test_csv_path_takes_no_synth_setting(self):
+        """A synth field at its default is not a setting; any other value
+        next to a csv_path is, and the error names it."""
+        assert ExperimentConfig(csv_path="rows.csv", synth=SynthSpec()).csv_path == "rows.csv"
+        message = "^csv_path takes no synth settings, got n, informative$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(csv_path="rows.csv", synth=SynthSpec(n=60, informative=()))
+
     def test_unknown_classifier_method_names(self):
         with pytest.raises(ConfigError, match="rnn_connection"):
             ExperimentConfig(rnn_connection="bogus")

@@ -97,6 +97,33 @@ class TestKernels:
         with pytest.raises(ParameterError):
             Kernel("cosine")
 
+    @pytest.mark.parametrize(
+        "kind, setting, message",
+        [
+            ("rbf", {"gamma": np.nan}, "rbf gamma must be positive"),
+            ("rbf", {"gamma": np.inf}, "kernel gamma must be finite"),
+            ("polynomial", {"degree": np.inf}, "kernel degree must be finite"),
+            ("polynomial", {"coef": np.nan}, "kernel coef must be finite"),
+            ("sigmoid", {"scale": np.inf}, "kernel scale must be finite"),
+            ("sigmoid", {"offset": -np.inf}, "kernel offset must be finite"),
+        ],
+        ids=["gamma-nan", "gamma-inf", "degree-inf", "coef-nan", "scale-inf", "offset-inf"],
+    )
+    def test_non_finite_parameter_rejected(self, kind, setting, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            Kernel(kind, **setting)
+
+    def test_label_names_the_parameters_each_kind_reads(self):
+        labels = [
+            pipeline._kernel_label(Kernel(kind, degree=2, coef=0.5, gamma=0.7, scale=0.3,
+                                          offset=-0.2))
+            for kind in svm.KERNEL_KINDS
+        ]
+        assert labels == [
+            "linear", "polynomial(degree=2,coef=0.5)", "rbf(gamma=0.7)",
+            "sigmoid(scale=0.3,offset=-0.2)",
+        ]
+
 
 class TestAnalyticTwoPoint:
     def _model(self):
@@ -526,6 +553,20 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             svm.decision_scores(model, probe), svm.decision_scores(loaded, probe)
         )
+
+    @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
+    def test_round_trip_keeps_every_kernel_field(self, tmp_path, kind):
+        """Every field, whether or not `kind` reads it, at a value other than
+        its default."""
+        changed = {"degree": 2, "coef": 0.5, "gamma": 0.7, "scale": 0.3, "offset": -0.2}
+        kernel = Kernel(kind, **changed)
+        defaults = Kernel(kind)
+        assert all(getattr(defaults, name) != value for name, value in changed.items())
+        assert set(changed) == {f.name for f in dataclasses.fields(Kernel)} - {"kind"}
+        table, _ = standardize(synth_generate(40, 0.5, 0.5, 2))
+        path = tmp_path / "svm.txt"
+        svm.save_model(train_smo(table, kernel, max_passes=5), path)
+        assert svm.load_model(path).kernel == kernel
 
     def test_round_trip_keeps_solver_record(self, tmp_path):
         table, _ = standardize(synth_generate(200, 0.5, 1.5, 1))
