@@ -14,15 +14,15 @@ test on the same folds with the same network seeds.  A strict-mode fit on
 fold f of a classifier uses (1, pre_index, clf_index, f).
 
 Within one `run_matrix` call the cells share their work through one memo,
-`SharedWork.once`, keyed by a classifier (its fold plan), a fit's spawn key
-(a fitted reducer) or a training's classifier, fold and reduced column
-names: a cell whose training another cell already ran reuses its accuracy,
-seconds, stop reason and warnings and names that cell's preprocessor in
-`same_training_as`.  pca's columns are named pc1..pcp, which no selection of
-the ten gases carries, so no other preprocessor meets its trainings.  A
-row's kept set lists each fold's distinct kept set in fold order: one set
-under the whole-table fit.  Every non-`none` row is paired fold by fold with
-the `none` row of its classifier (`paired_against`).
+`SharedWork`, keyed by a classifier (its fold plan), a fit's spawn key (a
+fitted reducer) or a training's classifier, fold and reduced column names.
+The matrix plans every cell, runs each distinct training once on the CPUs it
+may use, then assembles the rows: a cell whose training another cell ran
+reuses its accuracy, seconds, stop reason and warnings and names that cell's
+preprocessor in `same_training_as`.  pca's columns are named pc1..pcp, which
+no selection of the ten gases carries.  A row's kept set lists each fold's
+distinct kept set in fold order: one set under the whole-table fit.  Every
+non-`none` row is paired fold by fold with the `none` row of its classifier.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import csv as _csv
 import io
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -359,102 +360,150 @@ def _train_eval(classifier, cfg, train_raw, test_raw, seed):
     return accuracy, fitted.seconds, model.trace.stop_reason
 
 
+def _captured(compute):
+    """(`compute()` or the exception it raised, the warnings' texts)."""
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always")
+        try:
+            result = compute()
+        except Exception as exc:
+            result = exc
+    return result, tuple(str(n.message) for n in notes)
+
+
+def _train_task(task) -> tuple:
+    """`_train_eval` on a fold of `task` = (classifier, cfg, table, fold plan,
+    reducer, fold) under `_captured`, a failure as `Type: message` text.  A
+    task refers to the table, so waiting tasks hold no copies of fold rows."""
+    classifier, cfg, table, plan, reducer, fold = task
+
+    def train():
+        rows = (plan.train_indices(fold), plan.test_indices(fold))
+        train_raw, test_raw = (reducer.transform(table.take(r)) for r in rows)
+        return _train_eval(classifier, cfg, train_raw, test_raw, fold_seed(cfg, classifier, fold))
+
+    outcome, notes = _captured(train)
+    if isinstance(outcome, Exception):
+        outcome = f"{type(outcome).__name__}: {outcome}"
+    return outcome, notes
+
+
+def _blas_threads_setter():
+    """The thread-count setter of the OpenBLAS this process loaded, or None."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        libs = [ctypes.CDLL(path) for path in {ln.split()[-1] for ln in maps if "openblas" in ln}]
+    names = "openblas_set_num_threads scipy_openblas_set_num_threads64_ openblas_set_num_threads64_"
+    return next((getattr(lib, n) for lib in libs for n in names.split() if hasattr(lib, n)), None)
+
+
+def _worker_count(trainings: int) -> int:
+    """One process per CPU in this process's affinity mask, at most one per
+    training; one where workers cannot run one BLAS thread (`_train_all`)."""
+    if not hasattr(os, "sched_getaffinity") or _blas_threads_setter() is None:
+        return 1
+    return min(len(os.sched_getaffinity(0)), trainings)
+
+
+def _train_all(tasks: list, workers: int) -> list:
+    """`_train_task` over `tasks`, in this process or on `workers` forked
+    processes, joined on return.  A dead worker breaks the pool; each
+    training left unfinished reruns alone, so only one that kills its
+    process fails.  Workers run one BLAS thread: idle OpenBLAS threads spin,
+    and 2 workers of 2 threads ran a bpnn training 8x slower on 2 CPUs."""
+    if workers <= 1:
+        return list(map(_train_task, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context, setter, futures = multiprocessing.get_context("fork"), _blas_threads_setter(), []
+    pool = ProcessPoolExecutor(min(workers, len(tasks)), context, initializer=setter, initargs=(1,))
+    with pool:
+        for task in tasks:
+            try:
+                futures.append(pool.submit(_train_task, task))
+            except BrokenProcessPool as exc:  # a worker died while tasks were sent
+                futures.append(exc)
+    got = [f if isinstance(f, BaseException) else f.exception() or f.result() for f in futures]
+    for i, outcome in enumerate(got):
+        if len(tasks) > 1 and isinstance(outcome, BrokenProcessPool):
+            got[i] = _train_all(tasks[i : i + 1], workers)[0]
+    return [(f"{type(o).__name__}: {o}", ()) if isinstance(o, BaseException) else o for o in got]
+
+
 @dataclass
 class SharedWork:
     """The work the cells of one `run_matrix` call share; a fresh one per call.
 
-    `memo` maps a key to what `once` computed for it.  A key is what fixes
-    the computation's inputs on one table: a classifier for its fold plan; a
-    fit's spawn key for a fitted reducer (the reducer, never the table it
-    reduces to); (classifier, fold, reduced column names) for a training,
-    under the shared fold plans and seeds.
+    `memo` maps a key to what was computed for it, with its warnings.  A key
+    fixes the computation's inputs on one table: a classifier its fold plan;
+    a fit's spawn key a fitted reducer (never the table it reduces to);
+    (classifier, fold, reduced column names) a `_train_task` outcome, under
+    the shared fold plans and seeds.  `sources` maps a training's key to the
+    preprocessor of the first cell that used it.
     """
 
     memo: dict = field(default_factory=dict)
+    sources: dict = field(default_factory=dict)
 
-    def once(self, key, preprocessor: str, compute):
-        """`compute()` on the first use of `key`, under warning capture, run
-        for `preprocessor`'s cell.  Every use returns (result, warnings, that
-        preprocessor), or raises the exception the first use raised."""
+    def once(self, key, compute):
+        """`_captured(compute)` on the first use of `key`; every use returns
+        (result, warnings) or raises the exception the first use raised."""
         if key not in self.memo:
-            with warnings.catch_warnings(record=True) as notes:
-                warnings.simplefilter("always")
-                try:
-                    result = compute()
-                except Exception as exc:
-                    result = exc
-            self.memo[key] = (result, tuple(str(n.message) for n in notes), preprocessor)
-        entry = self.memo[key]
-        if isinstance(entry[0], Exception):
-            raise entry[0]
-        return entry
+            self.memo[key] = _captured(compute)
+        result, notes = self.memo[key]
+        if isinstance(result, Exception):
+            raise result
+        return result, notes
 
 
-def run_cell(
-    cfg: ExperimentConfig,
-    preprocessor: str,
-    classifier: str,
-    table: GasTable | None = None,
-    shared: SharedWork | None = None,
-) -> CellResult:
-    """Cross-validated run of one preprocessor x classifier pair, reusing the
-    fold plan, fits and trainings in `shared` (the other cells of one
-    matrix).  A strict fit sees its fold's training rows only; otherwise
-    every fold shares the whole-table fit."""
-    if preprocessor not in PREPROCESSORS or classifier not in CLASSIFIERS:
-        raise ConfigError(f"unknown cell {preprocessor} x {classifier}")
-    if table is None:
-        table = resolve_data(cfg)
-    if shared is None:
-        shared = SharedWork()
-    k = cfg.folds_for(classifier)
+def _plan_cell(cfg, preprocessor, classifier, table, shared) -> tuple[list, str | None]:
+    """A cell's folds as (reducer, fit warnings, training key, task), and the
+    error that stopped them or None.  A strict fit sees its fold's training
+    rows only; otherwise every fold shares the whole-table fit."""
     strict = cfg.strict_no_leakage
-    stage = "fold-plan"
-    fold = -1
-    caught: list[str] = []
-    reducers, trainings = [], []
+    stage, fold, folds = "fold-plan", -1, []
     try:
-        plan, _, _ = shared.once(classifier, preprocessor, lambda: fold_plan(table, cfg, classifier))
-        for fold in range(k):
+        plan, _ = shared.once(classifier, lambda: fold_plan(table, cfg, classifier))
+        for fold in range(cfg.folds_for(classifier)):
             stage = "preprocess"
             train_rows = table.take(plan.train_indices(fold))
             key, fitted_rows = fit_key(preprocessor), table
             if strict:  # this fold's own fit, on its training rows alone
                 key, fitted_rows = key + (CLASSIFIERS.index(classifier), fold), train_rows
-            reducer, notes, _ = shared.once(
+            reducer, notes = shared.once(
                 key,
-                preprocessor,
                 lambda: fit_reducer(fitted_rows, preprocessor, cfg, derive_seed(cfg.seed, *key)),
             )
-            caught.extend(notes)
-            reducers.append(reducer)
-            train_raw = reducer.transform(train_rows)
-            test_raw = reducer.transform(table.take(plan.test_indices(fold)))
-            stage = "train"
-            (accuracy, seconds, reason), notes, source = shared.once(
-                (classifier, fold, train_raw.attributes),
-                preprocessor,
-                lambda: _train_eval(
-                    classifier, cfg, train_raw, test_raw, fold_seed(cfg, classifier, fold)
-                ),
-            )
-            caught.extend(notes)
-            trainings.append((accuracy, seconds, reason, source))
+            training = (classifier, fold, reducer.transform(train_rows).attributes)
+            folds.append((reducer, notes, training, (classifier, cfg, table, plan, reducer, fold)))
     except Exception as exc:  # a failure of any kind fails this cell only
         # the whole-table fit is one fit for every fold
-        where = "global" if fold < 0 or (stage == "preprocess" and not strict) else f"fold {fold}"
-        return CellResult(
-            preprocessor=preprocessor,
-            classifier=classifier,
-            folds=k,
-            accuracy_mean=0.0,
-            accuracy_std=0.0,
-            time_mean=0.0,
-            kept="",
-            failed=True,
-            error=f"{where} stage {stage}: {type(exc).__name__}: {exc}",
-        )
+        where = "global" if fold < 0 or not strict else f"fold {fold}"
+        return folds, f"{where} stage {stage}: {type(exc).__name__}: {exc}"
+    return folds, None
+
+
+def _assemble(cfg, preprocessor, classifier, folds, failure, shared) -> CellResult:
+    """A cell's row from its folds' training outcomes, failed by the first
+    failure in fold order; the folds before it claim `shared.sources`."""
+    caught, trainings = [], []
+    for fold, (_, fit_notes, key, _) in enumerate(folds):
+        source = shared.sources.setdefault(key, preprocessor)
+        outcome, notes = shared.memo[key]
+        if isinstance(outcome, str):
+            failure = f"fold {fold} stage train: {outcome}"
+            break
+        caught += fit_notes + notes
+        trainings.append((*outcome, source))
+    k, strict = cfg.folds_for(classifier), cfg.strict_no_leakage
+    if failure is not None:
+        return CellResult(preprocessor, classifier, k, 0.0, 0.0, 0.0, "", failed=True,
+                          error=failure)
     accuracies, seconds, reasons, sources = zip(*trainings)
+    reducers = [reducer for reducer, *_ in folds]
     return CellResult(
         preprocessor=preprocessor,
         classifier=classifier,
@@ -469,6 +518,32 @@ def run_cell(
         fold_diagnostics=tuple(map(_reducer_fingerprint, reducers)) if strict else (),
         same_training_as=",".join(dict.fromkeys(s for s in sources if s != preprocessor)),
     )
+
+
+def _run_cells(cfg, cells, table, shared, workers) -> list[CellResult]:
+    """Rows of (preprocessor, classifier) `cells`: plan them, run each new
+    training once on `workers(trainings)` processes, then assemble."""
+    plans = [_plan_cell(cfg, pre, clf, table, shared) for pre, clf in cells]
+    tasks = {key: task for folds, _ in plans for *_, key, task in folds if key not in shared.memo}
+    shared.memo.update(zip(tasks, _train_all(list(tasks.values()), workers(len(tasks)))))
+    return [_assemble(cfg, *cell, *plan, shared) for cell, plan in zip(cells, plans)]
+
+
+def run_cell(
+    cfg: ExperimentConfig,
+    preprocessor: str,
+    classifier: str,
+    table: GasTable | None = None,
+    shared: SharedWork | None = None,
+) -> CellResult:
+    """Cross-validated run of one preprocessor x classifier pair in this
+    process, reusing the fold plan, fits and trainings in `shared` (the
+    other cells of one matrix)."""
+    if preprocessor not in PREPROCESSORS or classifier not in CLASSIFIERS:
+        raise ConfigError(f"unknown cell {preprocessor} x {classifier}")
+    table = resolve_data(cfg) if table is None else table
+    shared = SharedWork() if shared is None else shared
+    return _run_cells(cfg, [(preprocessor, classifier)], table, shared, lambda _: 1)[0]
 
 
 def _reducer_fingerprint(reducer: FittedReducer):
@@ -575,17 +650,13 @@ def paired_against(row: CellResult, none_row: CellResult) -> CellResult:
 
 
 def run_matrix(cfg: ExperimentConfig) -> ExperimentReport:
-    """All requested cells in deterministic order, sharing one `SharedWork`,
-    with every non-`none` row paired against its classifier's `none` row."""
+    """All requested cells in deterministic order, sharing one `SharedWork`
+    and `_worker_count` processes, with every non-`none` row paired against
+    its classifier's `none` row."""
     table = resolve_data(cfg)
-    shared = SharedWork()
-    rows = [
-        run_cell(cfg, pre, clf, table=table, shared=shared)
-        for pre in PREPROCESSORS
-        if pre in cfg.preprocessors
-        for clf in CLASSIFIERS
-        if clf in cfg.classifiers
-    ]
+    cells = [(p, c) for p in PREPROCESSORS for c in CLASSIFIERS]
+    cells = [(p, c) for p, c in cells if p in cfg.preprocessors and c in cfg.classifiers]
+    rows = _run_cells(cfg, cells, table, SharedWork(), _worker_count)
     base = {r.classifier: r for r in rows if r.preprocessor == "none" and not r.failed}
     rows = [
         paired_against(r, base[r.classifier])

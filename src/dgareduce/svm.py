@@ -84,8 +84,10 @@ class Kernel:
             value = getattr(self, param.name)
             if not math.isfinite(value):
                 raise ParameterError(f"kernel {param.name} must be finite, got {value}")
-        if self.kind == "polynomial" and (self.degree < 1 or self.degree != int(self.degree)):
-            raise ParameterError("polynomial degree must be a positive integer")
+        if self.degree != int(self.degree) or (self.kind == "polynomial" and self.degree < 1):
+            raise ParameterError(
+                f"kernel degree must be an integer, positive for polynomial, got {self.degree}"
+            )
 
 
 _PARAM_FIELDS = dataclasses.fields(Kernel)[1:]  # every field after `kind`

@@ -268,6 +268,7 @@ class TestMatrix:
             (MATRIX_INI + "\n[rnn]\nconnection = bogus\n", "rnn_connection must be one of"),
             (MATRIX_INI.replace("gamma = 0.5", "gamma = -1"), "rbf gamma must be positive"),
             (MATRIX_INI + "\n[svm]\ngamma = 1\n", "While reading from"),
+            (MATRIX_INI.replace("gamma = 0.5", "gamma = 0.5\ndegree = 2.5"), "invalid literal"),
         ):
             ini.write_text(text)
             result = _invoke("matrix", "--config", str(ini))

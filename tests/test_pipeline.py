@@ -1,12 +1,18 @@
 """Experiment harness: cells, matrix, reports, seeds, and the leakage canary."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgareduce import bpnn, pipeline
+import dgareduce
+from dgareduce import bpnn, pipeline, svm
 from dgareduce.dataset import Table, synth_generate
 from dgareduce.errors import ConfigError, ParameterError
 from dgareduce.pipeline import (
@@ -207,6 +213,7 @@ class TestSharedWork:
             return real(classifier, cfg, train_raw, test_raw, seed)
 
         monkeypatch.setattr(pipeline, "_train_eval", spy)
+        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings: 1)  # spy in-process
         run_matrix(cfg)
         for clf in pipeline.CLASSIFIERS:
             for fold in range(cfg.folds_for(clf)):
@@ -266,6 +273,7 @@ class TestSharedWork:
             return real(classifier, cfg, train_raw, test_raw, seed)
 
         monkeypatch.setattr(pipeline, "_train_eval", counting)
+        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings: 1)  # count in-process
         for _ in range(2):
             calls.clear()
             report = run_matrix(cfg)
@@ -286,6 +294,139 @@ class TestSharedWork:
             "svm": (100.0, 100.0, 100.0),
             "rnn": (85.0, 65.0, 57.5),
         }
+
+
+def _broken_svm(*args, **kwargs):
+    raise np.linalg.LinAlgError("singular kernel")
+
+
+DEGENERATE_RS = dict(
+    synth=SynthSpec(n=40, fault_ratio=0.5, noise=0.0, informative=()),
+    preprocessors=("none", "rs"),
+    classifiers=("svm",),
+    folds_svm=2,
+)
+NETS_AND_SVM = dict(
+    preprocessors=("none", "rs"),
+    classifiers=("bpnn", "svm"),
+    mlp=bpnn.MlpConfig(epochs=5, hidden=(3,)),
+)
+
+
+class TestPooledTrainings:
+    """`run_matrix` runs its distinct trainings on forked workers; the rows
+    are those of the in-process run, and no worker outlives the call."""
+
+    @staticmethod
+    def rows(monkeypatch, cfg, workers):
+        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings: workers)
+        rows = [replace(r, time_mean=0.0) for r in run_matrix(cfg).rows]
+        assert multiprocessing.active_children() == []
+        return rows
+
+    @pytest.mark.parametrize(
+        "overrides, broken",
+        [
+            ({}, False),
+            ({"strict_no_leakage": True}, False),
+            (DEGENERATE_RS, False),
+            ({**DEGENERATE_RS, "strict_no_leakage": True}, False),
+            (NETS_AND_SVM, True),
+        ],
+        ids=["quick", "quick-strict", "degenerate-rs", "degenerate-rs-strict", "svm-linalg-error"],
+    )
+    def test_pooled_rows_equal_in_process_rows(self, monkeypatch, overrides, broken):
+        if broken:
+            monkeypatch.setattr(pipeline.svm, "train_smo", _broken_svm)
+        cfg = quick_config(**overrides)
+        pooled = self.rows(monkeypatch, cfg, 2)
+        assert pooled == self.rows(monkeypatch, cfg, 1)
+        assert any(r.failed for r in pooled) == ("synth" in overrides or broken)
+
+    def test_unpicklable_exception_fails_its_cells(self, monkeypatch):
+        class Unsendable(Exception):  # local, so pickle cannot name it
+            pass
+
+        def broken(*args, **kwargs):
+            raise Unsendable("stays in the worker")
+
+        monkeypatch.setattr(pipeline.svm, "train_smo", broken)
+        for row in self.rows(monkeypatch, quick_config(**NETS_AND_SVM), 2):
+            assert row.failed == (row.classifier == "svm")
+            if row.failed:
+                assert row.error == "fold 0 stage train: Unsendable: stays in the worker"
+
+    def test_dead_worker_fails_only_its_cells(self, monkeypatch):
+        cfg = quick_config(**NETS_AND_SVM)
+        alone = self.rows(monkeypatch, cfg, 1)
+        parent = os.getpid()
+
+        def killer(*args, **kwargs):
+            if os.getpid() == parent:  # never end the test process
+                raise AssertionError("svm trained in-process")
+            os._exit(1)
+
+        monkeypatch.setattr(pipeline.svm, "train_smo", killer)
+        pooled = self.rows(monkeypatch, cfg, 2)
+        for row, expected in zip(pooled, alone, strict=True):
+            if row.classifier == "svm":
+                assert row.failed
+                assert row.error.startswith("fold 0 stage train: BrokenProcessPool: ")
+            else:
+                assert row == expected
+
+
+def test_converged_svm_trainings_satisfy_kkt(monkeypatch):
+    """Every svm training of the benchmark's matrix-c9 configuration, on its
+    three 600-row seed-1 tables, that reports converged satisfies KKT on its
+    training fold.  `run_matrix` trains in workers, which the benchmark's
+    traced `svm-kkt` check cannot see, so the trainings rerun here."""
+    cfg = ExperimentConfig(
+        synth=SynthSpec(n=600, informative=("hydrogen", "methane", "ethylene")),
+        folds_bpnn=5,
+        folds_svm=5,
+        folds_rnn=5,
+        mlp=bpnn.MlpConfig(epochs=150, hidden=(12,), learning_rate=0.05),
+        svm_max_passes=50,
+        gr_chunk_size=250,
+        gr_carry=1,
+    )
+    fits, real = [], svm.train_smo
+
+    def keeping(rows, kernel, **kwargs):
+        model = real(rows, kernel, **kwargs)
+        fits.append((model, rows, kwargs["tol"]))
+        return model
+
+    monkeypatch.setattr(pipeline.svm, "train_smo", keeping)
+    for seed in np.random.SeedSequence(1).generate_state(3):
+        run = replace(cfg, seed=int(seed))
+        table, shared, tasks = pipeline.resolve_data(run), pipeline.SharedWork(), {}
+        for pre in run.preprocessors:
+            folds, failure = pipeline._plan_cell(run, pre, "svm", table, shared)
+            assert failure is None
+            tasks.update((key, task) for *_, key, task in folds)
+        for task in tasks.values():
+            assert not isinstance(pipeline._train_task(task)[0], str)
+    assert any(model.converged for model, _, _ in fits)
+    for n, (model, rows, tol) in enumerate(fits):
+        if model.converged:
+            assert svm.check_kkt(model, rows, tol) == 1.0, n
+
+
+def test_import_loads_no_process_pool():
+    """The benchmark's setup_s times `import dgareduce`; the matrix imports
+    its process pool only when it forks workers."""
+    code = (
+        "import sys, dgareduce; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dgareduce.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestPairedDelta:

@@ -97,6 +97,12 @@ class TestKernels:
         with pytest.raises(ParameterError):
             Kernel("cosine")
 
+    @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
+    def test_non_integer_degree_rejected_for_every_kind(self, kind):
+        # a model file writes degree as an integer, so 2.5 would save but not load
+        with pytest.raises(ParameterError, match="^kernel degree must be an integer"):
+            Kernel(kind, degree=2.5)
+
     @pytest.mark.parametrize(
         "kind, setting, message",
         [
