@@ -99,12 +99,12 @@ def reduce(path, method, config_path, out):
 @click.option("--in", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--clf", type=click.Choice(list(pipeline.CLASSIFIERS)), required=True)
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.option("--seed", default=_CONFIG.mlp.seed, show_default=True)
+@click.option("--seed", type=int, default=None, help="Net seed  [default: [experiment] seed]")
 @click.option("--model-out", default=None, type=click.Path(dir_okay=False))
 def train(path, clf, config_path, seed, model_out):
     """Train one classifier on a CSV table (standardized internally)."""
     cfg = _config_from_ini(config_path) if config_path else _CONFIG
-    mlp = replace(cfg.mlp, seed=seed)
+    mlp = replace(cfg.mlp, seed=cfg.seed if seed is None else seed)
     fitted = pipeline.fit_classifier(clf, cfg, load_csv(path), mlp)
     model = fitted.model
     if model_out:

@@ -9,6 +9,7 @@ the immutable table types defined here.
 from __future__ import annotations
 
 import csv
+import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -473,17 +474,26 @@ class Discretizer:
     def apply(self, table: Table) -> CategoricalTable:
         if table.attributes != self.attributes:
             raise ShapeError("table attributes do not match the fitted discretizer")
-        # min-max columns become their clipped u; then one whole-table compare per cut
-        minmax = [j for j, a in enumerate(self.attributes) if a not in CATEGORY_BOUNDS]
-        x = table.values.copy() if minmax else table.values
-        for j in minmax:
-            lo, hi = self.spans[j]
-            x[:, j] = np.clip((x[:, j] - lo) / (hi - lo), 0.0, 1.0) if hi > lo else 0.0
-        cuts = np.array([CATEGORY_BOUNDS.get(a, (0.25, 0.5, 0.75)) for a in self.attributes])
+        # one whole-table compare per cut, in which min-max columns never pass
+        # their infinite cuts; then each min-max column compares its u, whose
+        # clipping to [0, 1] would change no comparison with a cut inside it
+        never = (math.inf,) * 3
+        cuts = np.array([CATEGORY_BOUNDS.get(a, never) for a in self.attributes])
+        x = table.values
         out = np.ones(x.shape, dtype=np.int8)
         for cut in cuts.T:
             out += (x > cut).view(np.int8)
-        return CategoricalTable(out, table.decisions, self.attributes)
+        for j, attribute in enumerate(self.attributes):
+            lo, hi = self.spans[j]
+            if attribute not in CATEGORY_BOUNDS and hi > lo:  # a constant column stays 1
+                u = (x[:, j] - lo) / (hi - lo)
+                for cut in (0.25, 0.5, 0.75):
+                    out[:, j] += (u > cut).view(np.int8)
+        # cells in 1..4 by construction, and the decisions come from a checked table
+        return _trusted(
+            CategoricalTable, values=out.astype(np.int64), decisions=table.decisions,
+            attributes=self.attributes,
+        )
 
 
 def discretize(table: Table) -> CategoricalTable:

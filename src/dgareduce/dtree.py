@@ -1,10 +1,16 @@
 """C4.5-style decision trees on discretized tables, used as attribute selectors.
 
-Split scores are information gain or gain ratio in bits, read off one joint
-count of (value, decision) per candidate column and node; pruning is
-reduced-error against a held-out validation table.  The tree itself is never
-the final classifier here: after pruning, the attributes appearing as split
-nodes form the reduction result.
+A tree grows, routes and prunes on granules, not rows: the table arrives as
+its `roughset.Partition`, one granule per distinct row pattern with its
+decision counts, and a node holds an array of granule indices.  Split scores
+are information gain or gain ratio in bits, read off one joint count of
+(value, decision) per candidate column and node, weighted by the granules'
+row counts: the same integers a count over the rows gives, so the scores,
+ties, leaves and pruning decisions are those of a tree grown on the rows.
+Pruning is reduced-error against a held-out validation table, whose
+granules come from the same partition.  The tree itself is never the final
+classifier here: after pruning, the attributes appearing as split nodes form
+the reduction result.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 from .dataset import CategoricalTable
 from .errors import DegenerateSelectionWarning, ParameterError, PruneError, PruneSkippedWarning
 from .reduction import ReductionResult
+from .roughset import Partition, _partitioned
 
 CRITERIA = ("gain", "gain_ratio")
 
@@ -57,12 +64,15 @@ def entropy(class_counts) -> float:
     return h
 
 
-def _gain(column, decisions) -> tuple[float, float, float]:
+def _gain(column, count_t, count_f) -> tuple[float, float, float]:
     """H(decision), H(column) and the information gain of `column`, in bits,
-    read off one joint count: `joint[2 * v + d]` rows take value v and
-    decision d.  The entropies run on its Python ints in ascending value order."""
-    joint = np.bincount(column * 2 + decisions, minlength=10)
-    pairs = joint.reshape(-1, 2)[:, ::-1].tolist()  # (count_t, count_f) per value
+    over granules: granule i takes value column[i] in count_t[i] rows of
+    decision 1 and count_f[i] rows of decision 0 (a row is a granule of one).
+    The joint (value, decision) counts are two weighted bincounts, and the
+    entropies run on their Python ints in ascending value order."""
+    t = np.bincount(column, weights=count_t, minlength=5)
+    f = np.bincount(column, weights=count_f, minlength=5)
+    pairs = np.stack((t, f), axis=1).astype(np.int64).tolist()  # (count_t, count_f) per value
     sizes = [t + f for t, f in pairs]
     h_y = entropy(map(sum, zip(*pairs)))
     n, conditional = sum(sizes), 0.0
@@ -72,48 +82,54 @@ def _gain(column, decisions) -> tuple[float, float, float]:
     return h_y, entropy(sizes), h_y - conditional
 
 
-def _class_counts(decisions) -> tuple[int, int]:
-    ones = int(np.sum(decisions))
-    return ones, len(decisions) - ones
-
-
 def _majority(count_t: int, count_f: int) -> int:
     # equal counts fall to the healthy class, same tie side as the classifiers
     return 1 if count_t >= count_f else 0
 
 
+def _present(part: Partition) -> np.ndarray:
+    """Indices of the granules that hold at least one of the partition's rows."""
+    return np.flatnonzero(part.granules.count_t + part.granules.count_f)
+
+
+def _correct(part: Partition, held, decision: int) -> int:
+    """Rows of the granules `held` whose decision is `decision`."""
+    counts = part.granules.count_t if decision else part.granules.count_f
+    return int(counts[held].sum())
+
+
 def build_tree(
-    table: CategoricalTable, criterion: str = "gain_ratio", min_rows: int = 2
+    table: CategoricalTable | Partition, criterion: str = "gain_ratio", min_rows: int = 2
 ) -> TreeNode:
     """Recursive top-down induction, best score first, lowest attribute index
     on ties.
 
     A node becomes a leaf when it is decision-pure, no attributes remain on
     the path, it holds fewer than `min_rows` rows, or no remaining attribute
-    takes two values inside it (no split can partition the rows).
+    takes two values inside it (no split can partition the rows).  A node
+    holds granules, and every count it reads sums their row counts.
     """
     if criterion not in CRITERIA:
         raise ParameterError(f"criterion must be one of {CRITERIA}")
-    if table.n_rows == 0:
+    part = _partitioned(table)
+    if part.n_rows == 0:
         raise ParameterError("cannot build a tree from an empty table")
-    return _grow(
-        table.values, table.decisions, table.attributes, criterion, min_rows,
-        np.arange(table.n_rows), tuple(range(table.n_attributes)),
-    )
+    return _grow(part, criterion, min_rows, _present(part), tuple(range(len(part.attributes))))
 
 
 # The recursive helpers below are module functions, not closures: a closure
 # that calls itself is a reference cycle, and its cells would keep the
 # table-sized arrays alive until the cycle collector next runs.
-def _grow(values, decisions, attributes, criterion, min_rows, rows, available) -> TreeNode:
-    dec = decisions[rows]
-    count_t, count_f = _class_counts(dec)
+def _grow(part: Partition, criterion, min_rows, held, available) -> TreeNode:
+    patterns = part.granules.patterns
+    t, f = part.granules.count_t[held], part.granules.count_f[held]
+    count_t, count_f = int(t.sum()), int(f.sum())
     majority = _majority(count_t, count_f)
-    if count_t == 0 or count_f == 0 or not available or len(rows) < min_rows:
+    if count_t == 0 or count_f == 0 or not available or count_t + count_f < min_rows:
         return Leaf(majority, count_t, count_f)
     best_j, best_score = None, -1.0
     for j in available:
-        _, h_x, gain = _gain(values[rows, j], dec)
+        _, h_x, gain = _gain(patterns[held, j], t, f)
         if h_x == 0:  # one value only: no split can partition the rows
             continue
         score = gain if criterion == "gain" else gain / h_x
@@ -122,71 +138,70 @@ def _grow(values, decisions, attributes, criterion, min_rows, rows, available) -
     if best_j is None:
         return Leaf(majority, count_t, count_f)
     remaining = tuple(j for j in available if j != best_j)
-    col = values[rows, best_j]
+    col = patterns[held, best_j]
     children = tuple(
-        (
-            int(v),
-            _grow(values, decisions, attributes, criterion, min_rows, rows[col == v], remaining),
-        )
+        (int(v), _grow(part, criterion, min_rows, held[col == v], remaining))
         for v in np.flatnonzero(np.bincount(col))
     )
-    return Internal(attributes[best_j], children, majority, count_t, count_f)
+    return Internal(part.attributes[best_j], children, majority, count_t, count_f)
 
 
-def _route(node: TreeNode, rows, values, attributes, out) -> None:
-    """Write the tree's class for each of `rows` into `out`, sending the rows
-    down by column arrays; a value with no child stops at the node's majority
-    class."""
-    out[rows] = node.decision
-    if isinstance(node, Internal):
-        col = values[rows, attributes.index(node.attribute)]
-        for v, child in node.children:
-            _route(child, rows[col == v], values, attributes, out)
+def _hits(node: TreeNode, part: Partition, held) -> int:
+    """Rows of the granules `held` that the subtree at `node` classifies
+    correctly; a value with no child stops at the node's majority class."""
+    if isinstance(node, Leaf):
+        return _correct(part, held, node.decision)
+    col = part.granules.patterns[held, part.attributes.index(node.attribute)]
+    unmatched = np.ones(len(held), dtype=bool)
+    hits = 0
+    for v, child in node.children:
+        reached = col == v
+        unmatched &= ~reached
+        hits += _hits(child, part, held[reached])
+    return hits + _correct(part, held[unmatched], node.decision)
 
 
-def accuracy(node: TreeNode, table: CategoricalTable) -> float:
+def accuracy(node: TreeNode, table: CategoricalTable | Partition) -> float:
     """Fraction of rows the tree classifies correctly."""
-    if table.n_rows == 0:
+    part = _partitioned(table)
+    if part.n_rows == 0:
         raise ParameterError("empty table")
-    predicted = np.empty(table.n_rows, dtype=np.int64)
-    _route(node, np.arange(table.n_rows), table.values, table.attributes, predicted)
-    return int(np.count_nonzero(predicted == table.decisions)) / table.n_rows
+    return _hits(node, part, _present(part)) / part.n_rows
 
 
-def prune(root: TreeNode, validation: CategoricalTable) -> TreeNode:
+def prune(root: TreeNode, validation: CategoricalTable | Partition) -> TreeNode:
     """Reduced-error pruning: bottom-up, collapse a subtree to its majority
     leaf whenever validation accuracy does not decrease."""
-    if validation.n_rows == 0:
+    part = _partitioned(validation)
+    if part.n_rows == 0:
         warnings.warn("empty validation set; prune skipped", PruneSkippedWarning)
         return root
-    pruned, _ = _prune(
-        root, np.arange(validation.n_rows), validation.values, validation.decisions,
-        validation.attributes,
-    )
-    before, after = accuracy(root, validation), accuracy(pruned, validation)
+    pruned, _ = _prune(root, part, _present(part))
+    before, after = accuracy(root, part), accuracy(pruned, part)
     if after < before:
         raise PruneError(f"pruning lowered validation accuracy from {before:.4f} to {after:.4f}")
     return pruned
 
 
-def _prune(node: TreeNode, rows, values, decisions, attributes) -> tuple[TreeNode, int]:
-    """The pruned subtree for the validation `rows` that reach `node`, and
-    its hits on them: the sum of its pruned children's hits, plus the rows
-    whose value has no child scored against the node's majority."""
-    leaf_hits = int(np.count_nonzero(decisions[rows] == node.decision))
+def _prune(node: TreeNode, part: Partition, held) -> tuple[TreeNode, int]:
+    """The pruned subtree for the validation granules `held` that reach
+    `node`, and its hits on their rows: the sum of its pruned children's
+    hits, plus the rows whose value has no child scored against the node's
+    majority."""
+    leaf_hits = _correct(part, held, node.decision)
     if isinstance(node, Leaf):
         return node, leaf_hits
-    col = values[rows, attributes.index(node.attribute)]
-    unmatched = np.ones(len(rows), dtype=bool)
+    col = part.granules.patterns[held, part.attributes.index(node.attribute)]
+    unmatched = np.ones(len(held), dtype=bool)
     subtree_hits = 0
     pruned_children = []
     for v, child in node.children:
         reached = col == v
         unmatched &= ~reached
-        pruned, hits = _prune(child, rows[reached], values, decisions, attributes)
+        pruned, hits = _prune(child, part, held[reached])
         pruned_children.append((v, pruned))
         subtree_hits += hits
-    subtree_hits += int(np.count_nonzero(decisions[rows[unmatched]] == node.decision))
+    subtree_hits += _correct(part, held[unmatched], node.decision)
     if leaf_hits >= subtree_hits:
         return Leaf(node.decision, node.count_t, node.count_f), leaf_hits
     candidate = Internal(

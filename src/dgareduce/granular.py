@@ -5,10 +5,12 @@ A granule is one condition-value pattern with its decision counts count_t
 (rows with decision 1) and count_f (rows with decision 0); its rank is
 count_t * proportion, with proportion count_t / (count_t + count_f).
 Granules are counted, merged and ranked as arrays grouped by
-`roughset._group`, the grouping routine the reduct search uses too.  One
-grouping keyed on chunk x radix + code granulates every chunk, one lexsort
-ranks them chunk by chunk, and one more grouping merges the kept granules:
-that equals merging chunk by chunk, as a chunk's carry depends on it alone.
+`roughset._group`, the grouping routine the reduct search uses too.  The
+table arrives as its `roughset.Partition`, whose row granule index orders
+rows like their pattern codes.  One grouping keyed on chunk x granules +
+index granulates every chunk, one lexsort ranks them chunk by chunk, and one
+more grouping merges the kept granules: that equals merging chunk by chunk,
+as a chunk's carry depends on it alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .dataset import CategoricalTable
 from .errors import ParameterError
 from .reduction import ReductionResult
-from .roughset import _CODE_LIMIT, _group, _Granules, pattern_codes, reduct_search
+from .roughset import Partition, _group, _Granules, _partitioned, reduct_search
 
 
 def _rank_order(granules: _Granules, *outer) -> np.ndarray:
@@ -42,7 +44,7 @@ def _expand(granules: _Granules, attributes) -> CategoricalTable:
 
 
 def incremental_rank_reduce(
-    table: CategoricalTable,
+    table: CategoricalTable | Partition,
     chunk_size: int,
     carry: int,
 ) -> ReductionResult:
@@ -57,22 +59,19 @@ def incremental_rank_reduce(
         raise ParameterError("chunk_size must be at least 1")
     if carry < 1:
         raise ParameterError("carry must be at least 1")
-    values, decisions = table.values, table.decisions
-    n_chunks = -(-table.n_rows // chunk_size)
-    codes = pattern_codes(values, range(table.n_attributes))
-    radix = int(codes.max(initial=0)) + 1
-    if n_chunks * radix > _CODE_LIMIT:  # the chunk-major key would overflow
-        uniques, codes = np.unique(codes, return_inverse=True)
-        radix = len(uniques)
-    chunk = np.arange(table.n_rows) // chunk_size
+    part = _partitioned(table)
+    n, decisions, whole = part.n_rows, part.decisions, part.granules
+    n_chunks = -(-n // chunk_size)
+    chunk = np.arange(n) // chunk_size
     # one granule per (chunk, pattern) in chunk-major order, patterns = first rows
-    granules = _group(chunk * radix + codes, np.arange(table.n_rows), decisions, 1 - decisions)
+    granules = _group(chunk * len(whole.codes) + part.index, np.arange(n), decisions, 1 - decisions)
     in_chunk = chunk[granules.patterns]  # ascending, as in the rank order below
     place = np.arange(len(in_chunk)) - np.searchsorted(in_chunk, in_chunk)  # rank in chunk
     carried = _rank_order(granules, in_chunk)[(in_chunk == 0) | (place < carry)]
-    t, f, rows = granules.count_t[carried], granules.count_f[carried], granules.patterns[carried]
-    accumulated = _group(codes[rows], values[rows], t, f)
-    expanded = _expand(accumulated, table.attributes)
+    t, f = granules.count_t[carried], granules.count_f[carried]
+    kept = part.index[granules.patterns[carried]]
+    accumulated = _group(whole.codes[kept], whole.patterns[kept], t, f)
+    expanded = _expand(accumulated, part.attributes)
     reduct = reduct_search(expanded)
     diagnostics = {
         "chunks": n_chunks,

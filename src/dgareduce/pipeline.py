@@ -34,6 +34,7 @@ import math
 import os
 import time
 import warnings
+import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -53,7 +54,7 @@ from .dataset import (
 )
 from .errors import ConfigError, ParameterError
 from .reduction import ReductionResult
-from .roughset import reduct_search
+from .roughset import Partition, partition, reduct_search
 from .rnn import Intervalizer
 
 PREPROCESSORS = ("none", "pca", "rs", "gr", "dt")
@@ -234,26 +235,42 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
             },
         )
         return FittedReducer("pca", result, projection=proj)
-    categorical = Discretizer.fit(table).apply(table)
+    part = table_partition(table)
     if method == "rs":
-        result = reduct_search(categorical)
+        result = reduct_search(part)
         return FittedReducer("rs", result)
     if method == "gr":
-        result = granular.incremental_rank_reduce(
-            categorical, cfg.gr_chunk_size, cfg.gr_carry
-        )
+        result = granular.incremental_rank_reduce(part, cfg.gr_chunk_size, cfg.gr_carry)
         return FittedReducer("gr", result)
     if method == "dt":
         grow_idx, val_idx = split_indices(
-            categorical.n_rows, (1.0 - cfg.dt_prune_fraction, cfg.dt_prune_fraction), seed
+            part.n_rows, (1.0 - cfg.dt_prune_fraction, cfg.dt_prune_fraction), seed
         )
         tree = dtree.build_tree(
-            categorical.take(grow_idx), criterion=cfg.dt_criterion, min_rows=cfg.dt_min_rows
+            part.take(grow_idx), criterion=cfg.dt_criterion, min_rows=cfg.dt_min_rows
         )
-        tree = dtree.prune(tree, categorical.take(val_idx))
+        tree = dtree.prune(tree, part.take(val_idx))
         result = dtree.select_attributes(tree)
         return FittedReducer("dt", result)
     raise ConfigError(f"unknown preprocessor {method!r}")
+
+
+# Partitions by table object.  Tables are immutable, so a table's partition
+# never goes stale; weak keys drop an entry with its table, and identity keys
+# never match another table, whatever its content.
+_PARTITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def table_partition(table: Table) -> Partition:
+    """The partition (`roughset.partition`) of the table discretized on its
+    own rows, computed once per table object: rs, gr and dt fitted on one
+    table share one discretization and one grouping.  The discretized cells
+    themselves are not kept: the partition holds the granules and each row's
+    granule index, and shares the table's decisions."""
+    part = _PARTITIONS.get(table)
+    if part is None:
+        part = _PARTITIONS[table] = partition(Discretizer.fit(table).apply(table))
+    return part
 
 
 @dataclass(frozen=True)

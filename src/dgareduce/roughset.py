@@ -3,17 +3,22 @@
 The positive-region degree of dependency, and a greedy backward-elimination
 reduct search that keeps removing superfluous attributes while the positive
 region is preserved exactly (integer cardinalities, no tolerance).  Both take
-a `CategoricalTable` and refuse any other table type with `ValidationError`,
-so only cells in {1..4} reach the pattern codes.  `InformationSystem` is the
-same table under its rough-set name.
+a `CategoricalTable`, or its `Partition`, and refuse any other table type with
+`ValidationError`, so only cells in {1..4} reach the pattern codes.
+`InformationSystem` is the same table under its rough-set name.
 
 Every partition is built from pattern codes: a row's values over a column
 subset read as one mixed-radix int64 number (`pattern_codes`), so blocks are
 the distinct codes and their ascending order is the lexicographic order of
 the value tuples.  `_group` sums decision counts per distinct code; it is the
-package's one grouping routine, shared with the granular layer.  The reduct
-search groups the rows into full-pattern granules once, then partitions those
-granules by each column subset and reads purity off the summed counts.
+package's one grouping routine, shared with the granular layer.
+
+`partition` groups a table's rows into full-pattern granules once and keeps
+each row's granule; the reduct search, the granular ranking and the decision
+tree all read a table through that `Partition`, and a row subset's granule
+counts are one bincount over its rows' granule indices.  The reduct search
+partitions the granules by each column subset and reads purity off the
+summed counts.
 """
 
 from __future__ import annotations
@@ -83,10 +88,51 @@ def _group(codes, patterns, count_t, count_f) -> _Granules:
     return _Granules(unique, patterns[first], total(count_t), total(count_f))
 
 
-def _row_granules(values: np.ndarray, decisions: np.ndarray) -> _Granules:
-    """One granule per distinct row of the table, over all its columns."""
-    codes = pattern_codes(values, range(values.shape[1]))
-    return _group(codes, values, decisions, 1 - decisions)
+def _counts(index, decisions, size) -> tuple[np.ndarray, np.ndarray]:
+    """(count_t, count_f) of `size` granules, row i lying in granule index[i]."""
+    count_t = np.bincount(index, weights=decisions, minlength=size).astype(np.int64)
+    return count_t, np.bincount(index, minlength=size) - count_t
+
+
+class Partition(NamedTuple):
+    """A categorical table's rows grouped into full-pattern granules: the
+    `granules`, each row's granule `index` into them, and the rows'
+    `decisions` and the table's `attributes`, so no reducer needs the cells."""
+
+    granules: _Granules
+    index: np.ndarray
+    decisions: np.ndarray
+    attributes: tuple[str, ...]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.index)
+
+    def take(self, rows) -> "Partition":
+        """The partition of a row subset over the same granules, counted by
+        one bincount; a granule that none of `rows` lies in counts 0 rows."""
+        index, decisions = self.index[rows], self.decisions[rows]
+        g = self.granules
+        granules = _Granules(g.codes, g.patterns, *_counts(index, decisions, len(g.codes)))
+        return Partition(granules, index, decisions, self.attributes)
+
+
+def partition(table: CategoricalTable) -> Partition:
+    """One granule per distinct row of the table, over all its columns, in
+    ascending code order, and each row's granule."""
+    _require_categorical(table)
+    codes = pattern_codes(table.values, range(table.n_attributes))
+    unique, index = np.unique(codes, return_inverse=True)
+    patterns = np.empty((len(unique), table.n_attributes), dtype=table.values.dtype)
+    patterns[index] = table.values  # the rows of one granule are equal: any one writes it
+    counts = _counts(index, table.decisions, len(unique))
+    return Partition(
+        _Granules(unique, patterns, *counts), index, table.decisions, table.attributes
+    )
+
+
+def _partitioned(table: CategoricalTable | Partition) -> Partition:
+    return table if isinstance(table, Partition) else partition(table)
 
 
 def _positive_region_size(granules: _Granules, cols) -> int:
@@ -109,21 +155,20 @@ def _require_categorical(table) -> None:
         )
 
 
-def degree_of_dependency(table: CategoricalTable, subset) -> float:
+def degree_of_dependency(table: CategoricalTable | Partition, subset) -> float:
     """|positive region of the decision partition| / |universe|."""
-    _require_categorical(table)
+    part = _partitioned(table)
     subset = tuple(subset)
     if not subset:
         raise ParameterError("attribute subset must be non-empty")
     for name in subset:
-        if name not in table.attributes:
+        if name not in part.attributes:
             raise ParameterError(f"unknown attribute {name!r}")
-    cols = [table.attributes.index(name) for name in subset]
-    granules = _row_granules(table.values, table.decisions)
-    return _positive_region_size(granules, cols) / table.n_rows
+    cols = [part.attributes.index(name) for name in subset]
+    return _positive_region_size(part.granules, cols) / part.n_rows
 
 
-def reduct_search(table: CategoricalTable) -> ReductionResult:
+def reduct_search(table: CategoricalTable | Partition) -> ReductionResult:
     """Greedy backward elimination preserving the full-set degree of dependency.
 
     Each step scans every single-attribute removal once; among removals that
@@ -133,12 +178,10 @@ def reduct_search(table: CategoricalTable) -> ReductionResult:
     or when one attribute is left; the scan that stops it gives
     `gamma_without_kept`.
     """
-    _require_categorical(table)
-    names = table.attributes
+    part = _partitioned(table)
+    names, granules, n = part.attributes, part.granules, part.n_rows
     if len(names) < 2:
         raise ParameterError("reduct search needs at least 2 attributes")
-    granules = _row_granules(table.values, table.decisions)
-    n = table.n_rows
     kept = list(range(len(names)))
     full = _positive_region_size(granules, kept)
     if full == 0:

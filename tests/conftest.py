@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dgareduce.dataset import ATTRIBUTES, CategoricalTable, GasTable, Table
+from dgareduce.roughset import partition
 
 
 def make_gas_table(n_rows=4, decisions=None, **columns) -> GasTable:
@@ -22,6 +23,13 @@ def make_categorical(columns, decisions, names=None) -> CategoricalTable:
     if names is None:
         names = tuple(f"a{i + 1}" for i in range(values.shape[1]))
     return CategoricalTable(values, np.asarray(decisions), tuple(names))
+
+
+def row_granules(values, decisions):
+    """The full-pattern granules of the given rows, as `roughset.partition`
+    groups them."""
+    names = tuple(f"a{i + 1}" for i in range(np.shape(values)[1]))
+    return partition(CategoricalTable(values, decisions, names)).granules
 
 
 def make_table(values, decisions, names=None) -> Table:

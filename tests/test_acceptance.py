@@ -27,13 +27,12 @@ from dgareduce.errors import DependencyDegenerateError, NoUncertaintyWarning
 from dgareduce.roughset import (
     InformationSystem,
     _group,
-    _row_granules,
     degree_of_dependency,
     reduct_search,
 )
 from dgareduce.rnn import IntervalTable, Intervalizer
 
-from conftest import make_categorical, make_gas_table, make_table
+from conftest import make_categorical, make_gas_table, make_table, row_granules
 
 INFORMATIVE = ("hydrogen", "methane", "ethylene")
 
@@ -158,10 +157,10 @@ def test_criterion_04_granular_algebra():
         )
         cut = int(rng.integers(1, n))
         chunks = [
-            _row_granules(table.values[rows], table.decisions[rows])
+            row_granules(table.values[rows], table.decisions[rows])
             for rows in (slice(cut), slice(cut, n))
         ]
-        direct = _row_granules(table.values, table.decisions)
+        direct = row_granules(table.values, table.decisions)
         for first, second in (chunks, chunks[::-1]):
             merged = _group(*(np.concatenate(pair) for pair in zip(first, second)))
             for got, want in zip(merged, direct):
@@ -185,7 +184,7 @@ def test_criterion_04_granular_algebra():
         except DependencyDegenerateError:
             checked += 1
             continue
-        granules = _row_granules(table.values, table.decisions)
+        granules = row_granules(table.values, table.decisions)
         direct = reduct_search(
             InformationSystem.from_table(granular._expand(granules, table.attributes))
         )
@@ -198,7 +197,7 @@ def test_criterion_05_tree_math():
     budget = _Budget(5.0)
     assert dtree.entropy([3, 1]) == pytest.approx(0.811278, abs=1e-6)
     worked = make_categorical([[1, 1, 2, 2]], [0, 1, 1, 1])
-    _, _, gain = dtree._gain(worked.column("a1"), worked.decisions)
+    _, _, gain = dtree._gain(worked.column("a1"), worked.decisions, 1 - worked.decisions)
     assert gain == pytest.approx(0.311278, abs=1e-6)
     xor = make_categorical([[1, 1, 2, 2] * 2, [1, 2, 1, 2] * 2], [0, 1, 1, 0] * 2)
     tree = dtree.build_tree(xor)

@@ -208,6 +208,23 @@ class TestTrain:
         assert result.exit_code == 2, result.output
         assert result.stderr == "config error: seed must be non-negative, got -1\n"
 
+    def test_config_seed_seeds_the_net_and_seed_option_overrides_it(self, tmp_path):
+        src = tmp_path / "src.csv"
+        _invoke("synth", "-n", "60", "--seed", "4", "--out", str(src))
+
+        def final_error(seed_key, *options):
+            ini = tmp_path / f"seed{seed_key}.ini"
+            ini.write_text(f"[experiment]\nseed = {seed_key}\n\n[bpnn]\nepochs = 20\n")
+            result = _invoke(
+                "train", "--in", str(src), "--clf", "bpnn", "--config", str(ini), *options
+            )
+            assert result.exit_code == 0, result.output
+            return result.output.split("final-error=")[1].split()[0]
+
+        assert final_error(5) != final_error(0)
+        assert final_error(0, "--seed", "5") == final_error(5)
+        assert final_error(5, "--seed", "0") == final_error(0)
+
 
 class TestMatrix:
     def test_runs_and_writes_json(self, tmp_path):

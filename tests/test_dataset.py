@@ -493,10 +493,16 @@ def reference_discretize(disc, table):
 
 
 def _assert_discretizes_like_reference(fitted_on, table):
+    """`apply` builds its table unchecked; it equals the checked construction
+    of the reference cells field by field, frozen arrays and dtypes included."""
     disc = Discretizer.fit(fitted_on)
     cats = disc.apply(table)
-    assert cats.values.dtype == np.int64
-    np.testing.assert_array_equal(cats.values, reference_discretize(disc, table))
+    checked = CategoricalTable(reference_discretize(disc, table), table.decisions, disc.attributes)
+    assert type(cats) is CategoricalTable and cats.attributes == checked.attributes
+    for got, want in ((cats.values, checked.values), (cats.decisions, checked.decisions)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
 
 
 def _gas_values(seed, n_fit, n, quarters):

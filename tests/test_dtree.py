@@ -1,6 +1,7 @@
 """Entropy, information gain, tree induction, pruning, attribute selection."""
 
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgareduce import dtree
+from dgareduce.dataset import discretize, split_indices, synth_generate
 from dgareduce.dtree import (
     Internal,
     Leaf,
@@ -23,6 +25,7 @@ from dgareduce.errors import (
     PruneError,
     PruneSkippedWarning,
 )
+from dgareduce.roughset import partition
 
 from conftest import make_categorical
 
@@ -60,7 +63,7 @@ class TestEntropy:
 
 def _gain(table, attribute):
     """H(decision), H(attribute) and the information gain of `attribute`."""
-    return dtree._gain(table.column(attribute), table.decisions)
+    return dtree._gain(table.column(attribute), table.decisions, 1 - table.decisions)
 
 
 class TestInformationGain:
@@ -160,7 +163,7 @@ class TestBuildTree:
         assert tree.attribute == "a1"
         (_, left), _ = tree.children
         assert left.attribute == "a3"
-        assert dtree._gain(np.array(a2[:4]), table.decisions[:4])[1] == 0.0
+        assert dtree._gain(np.array(a2[:4]), table.decisions[:4], 1 - table.decisions[:4])[1] == 0.0
 
     def test_criterion_validation(self):
         with pytest.raises(ParameterError):
@@ -290,20 +293,20 @@ class TestMemory:
 # The row-at-a-time tree code that the column-array router and the bottom-up
 # hit counts replace, kept here as the oracle.
 def oracle_gain(column, decisions):
-    h_y = entropy(dtree._class_counts(decisions))
+    h_y = entropy(_class_counts(decisions))
     conditional = 0.0
     value_counts = []
     for v in np.unique(column):
         mask = column == v
         n_v = int(mask.sum())
         value_counts.append(n_v)
-        conditional += (n_v / len(column)) * entropy(dtree._class_counts(decisions[mask]))
+        conditional += (n_v / len(column)) * entropy(_class_counts(decisions[mask]))
     return h_y, entropy(value_counts), h_y - conditional
 
 
 def oracle_grow(values, decisions, attributes, criterion, min_rows, rows, available):
     dec = decisions[rows]
-    count_t, count_f = dtree._class_counts(dec)
+    count_t, count_f = _class_counts(dec)
     majority = dtree._majority(count_t, count_f)
     if count_t == 0 or count_f == 0 or not available or len(rows) < min_rows:
         return Leaf(majority, count_t, count_f)
@@ -407,3 +410,170 @@ class TestRouterMatchesOracle:
         for node in (tree, pruned):
             for table in (grow, val):
                 assert accuracy(node, table) == oracle_accuracy(node, table)
+
+
+# The row-based tree code that growing and pruning on granule counts
+# replaced, kept verbatim as the reference: a node holds row indices, and its
+# joint count is one bincount over its rows.
+def reference_gain(column, decisions) -> tuple[float, float, float]:
+    joint = np.bincount(column * 2 + decisions, minlength=10)
+    pairs = joint.reshape(-1, 2)[:, ::-1].tolist()  # (count_t, count_f) per value
+    sizes = [t + f for t, f in pairs]
+    h_y = entropy(map(sum, zip(*pairs)))
+    n, conditional = sum(sizes), 0.0
+    for (t, f), n_v in zip(pairs, sizes):
+        if n_v:
+            conditional += (n_v / n) * entropy((t, f))
+    return h_y, entropy(sizes), h_y - conditional
+
+
+def _class_counts(decisions) -> tuple[int, int]:
+    ones = int(np.sum(decisions))
+    return ones, len(decisions) - ones
+
+
+def reference_grow(values, decisions, attributes, criterion, min_rows, rows, available):
+    dec = decisions[rows]
+    count_t, count_f = _class_counts(dec)
+    majority = dtree._majority(count_t, count_f)
+    if count_t == 0 or count_f == 0 or not available or len(rows) < min_rows:
+        return Leaf(majority, count_t, count_f)
+    best_j, best_score = None, -1.0
+    for j in available:
+        _, h_x, gain = reference_gain(values[rows, j], dec)
+        if h_x == 0:  # one value only: no split can partition the rows
+            continue
+        score = gain if criterion == "gain" else gain / h_x
+        if score > best_score + 1e-12:
+            best_j, best_score = j, score
+    if best_j is None:
+        return Leaf(majority, count_t, count_f)
+    remaining = tuple(j for j in available if j != best_j)
+    col = values[rows, best_j]
+    children = tuple(
+        (
+            int(v),
+            reference_grow(
+                values, decisions, attributes, criterion, min_rows, rows[col == v], remaining
+            ),
+        )
+        for v in np.flatnonzero(np.bincount(col))
+    )
+    return Internal(attributes[best_j], children, majority, count_t, count_f)
+
+
+def reference_route(node, rows, values, attributes, out) -> None:
+    out[rows] = node.decision
+    if isinstance(node, Internal):
+        col = values[rows, attributes.index(node.attribute)]
+        for v, child in node.children:
+            reference_route(child, rows[col == v], values, attributes, out)
+
+
+def reference_accuracy(node, table) -> float:
+    predicted = np.empty(table.n_rows, dtype=np.int64)
+    reference_route(node, np.arange(table.n_rows), table.values, table.attributes, predicted)
+    return int(np.count_nonzero(predicted == table.decisions)) / table.n_rows
+
+
+def reference_prune_rows(node, rows, values, decisions, attributes):
+    leaf_hits = int(np.count_nonzero(decisions[rows] == node.decision))
+    if isinstance(node, Leaf):
+        return node, leaf_hits
+    col = values[rows, attributes.index(node.attribute)]
+    unmatched = np.ones(len(rows), dtype=bool)
+    subtree_hits = 0
+    pruned_children = []
+    for v, child in node.children:
+        reached = col == v
+        unmatched &= ~reached
+        pruned, hits = reference_prune_rows(child, rows[reached], values, decisions, attributes)
+        pruned_children.append((v, pruned))
+        subtree_hits += hits
+    subtree_hits += int(np.count_nonzero(decisions[rows[unmatched]] == node.decision))
+    if leaf_hits >= subtree_hits:
+        return Leaf(node.decision, node.count_t, node.count_f), leaf_hits
+    candidate = Internal(
+        node.attribute, tuple(pruned_children), node.decision, node.count_t, node.count_f
+    )
+    return candidate, subtree_hits
+
+
+def reference_build_tree(table, criterion, min_rows):
+    return reference_grow(
+        table.values, table.decisions, table.attributes, criterion, min_rows,
+        np.arange(table.n_rows), tuple(range(table.n_attributes)),
+    )
+
+
+def reference_prune(root, validation):
+    if validation.n_rows == 0:
+        warnings.warn("empty validation set; prune skipped", PruneSkippedWarning)
+        return root
+    pruned, _ = reference_prune_rows(
+        root, np.arange(validation.n_rows), validation.values, validation.decisions,
+        validation.attributes,
+    )
+    return pruned
+
+
+def assert_same_fit(grow, validation, criterion, min_rows):
+    """`build_tree` and `prune` give the reference's trees, and `accuracy`
+    its accuracies, on the tables and on their partitions."""
+    tree = build_tree(grow, criterion=criterion, min_rows=min_rows)
+    assert tree == reference_build_tree(grow, criterion, min_rows)
+    assert build_tree(partition(grow), criterion=criterion, min_rows=min_rows) == tree
+    pruned = prune(tree, validation)
+    assert pruned == reference_prune(tree, validation)
+    assert prune(tree, partition(validation)) == pruned
+    for node in (tree, pruned):
+        for table in (grow, validation):
+            if table.n_rows:
+                assert accuracy(node, table) == reference_accuracy(node, table)
+
+
+MIN_ROWS = (1, 2, 5, 100)
+
+
+class TestGranuleTreeMatchesRowTree:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        grow_and_validation(), st.sampled_from(dtree.CRITERIA), st.sampled_from(MIN_ROWS)
+    )
+    def test_random_tables(self, tables, criterion, min_rows):
+        assert_same_fit(*tables, criterion, min_rows)
+
+    @pytest.mark.parametrize("criterion", dtree.CRITERIA)
+    @pytest.mark.parametrize("min_rows", MIN_ROWS)
+    def test_repeated_and_contradictory_rows(self, rng, criterion, min_rows):
+        # 300 rows over at most 27 patterns: every pattern repeats, and most
+        # carry both decisions; validation values 4 have no child anywhere
+        values = rng.integers(1, 4, size=(3, 300))
+        table = make_categorical(values.tolist(), rng.integers(0, 2, 300))
+        validation_values = rng.integers(1, 5, size=(3, 120))
+        validation = make_categorical(validation_values.tolist(), rng.integers(0, 2, 120))
+        assert_same_fit(table, validation, criterion, min_rows)
+
+    @pytest.mark.parametrize("criterion", dtree.CRITERIA)
+    def test_empty_validation_skips_pruning(self, criterion):
+        grow = _xor_table()
+        empty = grow.take(np.arange(0))
+        tree = build_tree(grow, criterion=criterion)
+        with pytest.warns(PruneSkippedWarning):
+            assert prune(tree, empty) is tree
+        with pytest.warns(PruneSkippedWarning):
+            assert prune(tree, partition(empty)) is tree
+
+    @pytest.mark.parametrize("noise", [0.25, 0.9])
+    def test_bench_sized_table(self, noise):
+        # the reduce path's 40k-row table, split as pipeline.fit_reducer splits it
+        table = discretize(synth_generate(40_000, 0.5, noise, 7))
+        grow_idx, val_idx = split_indices(table.n_rows, (0.85, 0.15), 11)
+        part = partition(table)
+        for criterion in dtree.CRITERIA:
+            grow, validation = table.take(grow_idx), table.take(val_idx)
+            tree = build_tree(part.take(grow_idx), criterion=criterion)
+            assert tree == reference_build_tree(grow, criterion, 2)
+            pruned = prune(tree, part.take(val_idx))
+            assert pruned == reference_prune(tree, validation)
+            assert select_attributes(pruned).kept

@@ -1,5 +1,5 @@
 """Granule counting, merging, ranking, expansion and incremental reduction,
-on the arrays the GR++ reducer runs: `roughset._row_granules` counts a
+on the arrays the GR++ reducer runs: `roughset.partition` counts a
 table's granules, `roughset._group` merges granule sets, `granular._rank_order`
 ranks them and `granular._expand` turns them back into a decision table.
 
@@ -19,7 +19,7 @@ from dgareduce.roughset import (
     InformationSystem,
     _group,
     _Granules,
-    _row_granules,
+    partition,
     pattern_codes,
     reduct_search,
 )
@@ -45,7 +45,7 @@ def _granules(patterns, count_t, count_f, width=1):
 
 
 def _of(table):
-    return _row_granules(table.values, table.decisions)
+    return partition(table).granules
 
 
 def _merge(*parts):

@@ -2,7 +2,7 @@
 
 The oracle is `np.unique(values[:, cols], axis=0)`: blocks numbered in the
 lexicographic order of their value tuples.  The pattern-code partition must
-give the same block ids; `roughset._row_granules` the same granule counts;
+give the same block ids; `roughset.partition` the same granule counts;
 `granular._rank_order` the same ranking as sorting by rank count_t**2 /
 (count_t + count_f), then count_t, then pattern; and the rough-set and
 granular reducers built on them the same kept sets and diagnostics as when
@@ -21,7 +21,7 @@ from dgareduce import granular, roughset
 from dgareduce.dataset import CategoricalTable
 from dgareduce.errors import DgaError, ValidationError
 from dgareduce.granular import incremental_rank_reduce
-from dgareduce.roughset import InformationSystem, _row_granules, pattern_codes, reduct_search
+from dgareduce.roughset import InformationSystem, partition, pattern_codes, reduct_search
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -182,7 +182,7 @@ class TestReducersMatchOracle:
     # rank 1.0 twice: pattern (1,) has count_t 1, pattern (2,) count_t 2 and goes first
     @example(CategoricalTable([[1], [2], [2], [2], [2]], [1, 1, 1, 0, 0], ("a1",)))
     def test_granulate_and_top_ranked(self, table):
-        granules = _row_granules(table.values, table.decisions)
+        granules = partition(table).granules
         counted = [
             (tuple(p), (t, f))
             for p, t, f in zip(

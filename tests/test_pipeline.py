@@ -1,10 +1,13 @@
 """Experiment harness: cells, matrix, reports, seeds, and the leakage canary."""
 
+import gc
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,8 +16,9 @@ import pytest
 
 import dgareduce
 from dgareduce import bpnn, pipeline, svm
-from dgareduce.dataset import Table, synth_generate
+from dgareduce.dataset import Discretizer, Table, discretize, synth_generate
 from dgareduce.errors import ConfigError, ParameterError
+from dgareduce.roughset import partition
 from dgareduce.pipeline import (
     CellResult,
     ExperimentConfig,
@@ -668,6 +672,81 @@ class TestFitReducer:
         reducer = fit_reducer(table, "rs", quick_config(), seed=0)
         out = reducer.transform(table)
         assert out.attributes == reducer.result.kept
+
+
+
+class TestTablePartition:
+    """rs, gr and dt fit from one partition per table object."""
+
+    def test_one_discretization_per_table(self, monkeypatch):
+        calls = []
+        real = Discretizer.fit.__func__
+
+        def counting(cls, table):
+            calls.append(table)
+            return real(cls, table)
+
+        monkeypatch.setattr(Discretizer, "fit", classmethod(counting))
+        table = synth_generate(300, 0.5, 0.5, seed=4)
+        cfg = quick_config()
+        fits = [fit_reducer(table, m, cfg, seed=3).result for m in ("rs", "gr", "dt")]
+        assert calls == [table]
+        # a table of the same content is another table: its own partition, same fits
+        twin = Table(table.values.copy(), table.decisions.copy(), table.attributes)
+        assert [fit_reducer(twin, m, cfg, seed=3).result for m in ("rs", "gr", "dt")] == fits
+        assert calls == [table, twin]
+
+    def test_row_subset_gets_its_own_partition(self):
+        table = synth_generate(400, 0.5, 0.5, seed=6)
+        oxygen = table.column("oxygen")
+        rows = np.flatnonzero(oxygen < np.median(oxygen))  # a narrower min-max span
+        subset = table.take(rows)
+        whole = pipeline.table_partition(table)
+        own = pipeline.table_partition(subset)
+        assert own is not whole
+        expected = partition(discretize(subset))
+        for got, want in zip(own.granules, expected.granules):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(own.index, expected.index)
+        # the whole table's cut of oxygen differs, so its granules would be wrong here
+        assert not np.array_equal(
+            discretize(subset).values, discretize(table).values[rows]
+        )
+
+    def test_strict_fold_fits_partition_their_training_rows(self, monkeypatch):
+        sizes = []
+        real = pipeline.partition
+
+        def counting(categorical):
+            sizes.append(categorical.n_rows)
+            return real(categorical)
+
+        monkeypatch.setattr(pipeline, "partition", counting)
+        cfg = quick_config(strict_no_leakage=True, classifiers=("svm",), folds_svm=3)
+        table = pipeline.resolve_data(cfg)
+        shared = pipeline.SharedWork()
+        for pre in ("rs", "gr", "dt"):
+            assert not run_cell(cfg, pre, "svm", table=table, shared=shared).failed
+        plan = pipeline.fold_plan(table, cfg, "svm")
+        folds = [len(plan.train_indices(f)) for f in range(3)]
+        assert sizes == folds * 3  # one partition per fold fit, never the whole table's
+
+    def test_memo_entry_goes_with_its_table(self):
+        table = synth_generate(200, 0.5, 0.5, seed=8)
+        fit_reducer(table, "rs", quick_config(), seed=0)
+        assert table in pipeline._PARTITIONS
+        entries, alive = len(pipeline._PARTITIONS), weakref.ref(table)
+        del table
+        gc.collect()
+        assert alive() is None
+        assert len(pipeline._PARTITIONS) == entries - 1
+
+    def test_pickled_table_carries_no_partition(self):
+        table = synth_generate(200, 0.5, 0.5, seed=9)
+        size = len(pickle.dumps(table))
+        for method in ("rs", "gr", "dt"):
+            fit_reducer(table, method, quick_config(), seed=0)
+        assert len(pickle.dumps(table)) == size
 
 
 # Kept sets and diagnostics of the rs, gr and dt fits on one 20k-row noisy
