@@ -14,8 +14,9 @@ test on the same folds with the same network seeds.  A strict-mode fit on
 fold f of a classifier uses (1, pre_index, clf_index, f).
 
 Within one `run_matrix` call the cells share their work through one memo,
-`SharedWork`, keyed by a classifier (its fold plan), a fit's spawn key (a
-fitted reducer) or a training's classifier, fold and reduced column names.
+`SharedWork`, keyed by a classifier (its fold plan), the rows a fit reads
+(their partition, shared by rs, gr and dt), a fit's spawn key (a fitted
+reducer) or a training's classifier, fold and reduced column names.
 The matrix plans every cell, runs each distinct training once on the CPUs it
 may use, then assembles the rows: a cell whose training another cell ran
 reuses its accuracy, seconds, stop reason and warnings and names that cell's
@@ -34,7 +35,6 @@ import math
 import os
 import time
 import warnings
-import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -58,6 +58,7 @@ from .roughset import Partition, partition, reduct_search
 from .rnn import Intervalizer
 
 PREPROCESSORS = ("none", "pca", "rs", "gr", "dt")
+PARTITIONED = ("rs", "gr", "dt")  # the reducers that fit from a `table_partition`
 CLASSIFIERS = ("bpnn", "svm", "rnn")
 
 
@@ -214,8 +215,12 @@ class FittedReducer:
         return table.select(self.result.kept)
 
 
-def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> FittedReducer:
-    """Fit one preprocessor on the given rows."""
+def fit_reducer(
+    table: Table, method: str, cfg: ExperimentConfig, seed: int, part: Partition | None = None
+) -> FittedReducer:
+    """Fit one preprocessor on the given rows.  rs, gr and dt read them
+    through their `table_partition`; a caller that fits several of these on
+    the same rows computes it once and passes it as `part`."""
     if method == "none":
         result = ReductionResult("none", tuple(table.attributes))
         return FittedReducer("none", result)
@@ -235,7 +240,7 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
             },
         )
         return FittedReducer("pca", result, projection=proj)
-    part = table_partition(table)
+    part = table_partition(table) if part is None else part
     if method == "rs":
         result = reduct_search(part)
         return FittedReducer("rs", result)
@@ -255,22 +260,11 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
     raise ConfigError(f"unknown preprocessor {method!r}")
 
 
-# Partitions by table object.  Tables are immutable, so a table's partition
-# never goes stale; weak keys drop an entry with its table, and identity keys
-# never match another table, whatever its content.
-_PARTITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def table_partition(table: Table) -> Partition:
     """The partition (`roughset.partition`) of the table discretized on its
-    own rows, computed once per table object: rs, gr and dt fitted on one
-    table share one discretization and one grouping.  The discretized cells
-    themselves are not kept: the partition holds the granules and each row's
-    granule index, and shares the table's decisions."""
-    part = _PARTITIONS.get(table)
-    if part is None:
-        part = _PARTITIONS[table] = partition(Discretizer.fit(table).apply(table))
-    return part
+    own rows: the full-pattern granules and each row's granule index, which
+    is all rs, gr and dt read of the discretized cells."""
+    return partition(Discretizer.fit(table).apply(table))
 
 
 @dataclass(frozen=True)
@@ -458,7 +452,10 @@ class SharedWork:
     fixes the computation's inputs on one table: a classifier its fold plan;
     a fit's spawn key a fitted reducer (never the table it reduces to);
     (classifier, fold, reduced column names) a `_train_task` outcome, under
-    the shared fold plans and seeds.  `sources` maps a training's key to the
+    the shared fold plans and seeds; ("partition", *rows) the
+    `table_partition` of the rows a fit reads, shared by the rs, gr and dt
+    fits on them (rows is () for the whole table, (clf_index, fold) for a
+    strict fit's training rows).  `sources` maps a training's key to the
     preprocessor of the first cell that used it.
     """
 
@@ -487,13 +484,21 @@ def _plan_cell(cfg, preprocessor, classifier, table, shared) -> tuple[list, str 
         for fold in range(cfg.folds_for(classifier)):
             stage = "preprocess"
             train_rows = table.take(plan.train_indices(fold))
-            key, fitted_rows = fit_key(preprocessor), table
+            rows_key, fitted_rows = (), table
             if strict:  # this fold's own fit, on its training rows alone
-                key, fitted_rows = key + (CLASSIFIERS.index(classifier), fold), train_rows
-            reducer, notes = shared.once(
-                key,
-                lambda: fit_reducer(fitted_rows, preprocessor, cfg, derive_seed(cfg.seed, *key)),
-            )
+                rows_key, fitted_rows = (CLASSIFIERS.index(classifier), fold), train_rows
+            key = fit_key(preprocessor) + rows_key
+
+            def fit():
+                part = None
+                if preprocessor in PARTITIONED:  # rs, gr and dt share one per fitted rows
+                    part, _ = shared.once(
+                        ("partition", *rows_key), lambda: table_partition(fitted_rows)
+                    )
+                seed = derive_seed(cfg.seed, *key)
+                return fit_reducer(fitted_rows, preprocessor, cfg, seed, part)
+
+            reducer, notes = shared.once(key, fit)
             training = (classifier, fold, reducer.transform(train_rows).attributes)
             folds.append((reducer, notes, training, (classifier, cfg, table, plan, reducer, fold)))
     except Exception as exc:  # a failure of any kind fails this cell only

@@ -3,8 +3,9 @@
 The positive-region degree of dependency, and a greedy backward-elimination
 reduct search that keeps removing superfluous attributes while the positive
 region is preserved exactly (integer cardinalities, no tolerance).  Both take
-a `CategoricalTable`, or its `Partition`, and refuse any other table type with
-`ValidationError`, so only cells in {1..4} reach the pattern codes.
+a `CategoricalTable`, and the search also its `Partition`; any other table
+type is refused with `ValidationError`, so only cells in {1..4} reach the
+pattern codes.
 `InformationSystem` is the same table under its rough-set name.
 
 Every partition is built from pattern codes: a row's values over a column
@@ -49,18 +50,26 @@ def pattern_codes(values: np.ndarray, cols) -> np.ndarray:
 
     Cells lie in {1..4}, so each column is one base-4 digit and the first
     column is the most significant: ascending codes order the rows like their
-    value tuples.  Before the radix would pass 2**62 the running code is
+    value tuples.  Up to 31 columns code as one product of the rows with a
+    weight per column (4**digit, 0 for a column not in `cols`), which reads
+    no column copy.  Before the radix would pass 2**62 the running code is
     replaced by its dense rank, which keeps that order, so any number of
     columns codes exactly.
     """
     code = np.zeros(values.shape[0], dtype=np.int64)
-    span = 1
-    for c in cols:
-        if span > _CODE_LIMIT // 4:
+    cols, span = list(cols), 1
+    while cols:
+        if span > 1:  # the digits so far fill the radix
             _, code = np.unique(code, return_inverse=True)
             span = int(code.max()) + 1 if code.size else 1
-        code = code * 4 + (values[:, c] - 1)
-        span *= 4
+        k = 1
+        while k < len(cols) and span * 4 ** (k + 1) <= _CODE_LIMIT:
+            k += 1
+        weights = np.zeros(values.shape[1], dtype=np.int64)
+        for digit, c in enumerate(cols[:k]):
+            weights[c] += 4 ** (k - 1 - digit)
+        code = code * 4**k + (values @ weights - weights.sum())
+        cols, span = cols[k:], span * 4**k
     return code
 
 
@@ -155,17 +164,17 @@ def _require_categorical(table) -> None:
         )
 
 
-def degree_of_dependency(table: CategoricalTable | Partition, subset) -> float:
+def degree_of_dependency(table: CategoricalTable, subset) -> float:
     """|positive region of the decision partition| / |universe|."""
-    part = _partitioned(table)
+    _require_categorical(table)
     subset = tuple(subset)
     if not subset:
         raise ParameterError("attribute subset must be non-empty")
     for name in subset:
-        if name not in part.attributes:
+        if name not in table.attributes:
             raise ParameterError(f"unknown attribute {name!r}")
-    cols = [part.attributes.index(name) for name in subset]
-    return _positive_region_size(part.granules, cols) / part.n_rows
+    cols = [table.attributes.index(name) for name in subset]
+    return _positive_region_size(partition(table).granules, cols) / table.n_rows
 
 
 def reduct_search(table: CategoricalTable | Partition) -> ReductionResult:

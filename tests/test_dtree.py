@@ -1,7 +1,6 @@
 """Entropy, information gain, tree induction, pruning, attribute selection."""
 
 import gc
-import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +254,8 @@ class TestPrune:
         with pytest.warns(PruneSkippedWarning):
             pruned = prune(tree, table.take([]))
         assert pruned == tree
+        with pytest.warns(PruneSkippedWarning):
+            assert prune(tree, partition(table.take([]))) is tree
 
 
 class TestSelectAttributes:
@@ -292,6 +293,11 @@ class TestMemory:
 
 # The row-at-a-time tree code that the column-array router and the bottom-up
 # hit counts replace, kept here as the oracle.
+def _class_counts(decisions) -> tuple[int, int]:
+    ones = int(np.sum(decisions))
+    return ones, len(decisions) - ones
+
+
 def oracle_gain(column, decisions):
     h_y = entropy(_class_counts(decisions))
     conditional = 0.0
@@ -392,29 +398,51 @@ def grow_and_validation(draw):
     return table(seen, 40), table([4] * m, 30)
 
 
+# min_rows 5 and 100 stop nodes that hold several granules
+MIN_ROWS = (1, 2, 3, 4, 5, 100)
+
+
+def assert_matches_oracle(grow, val, criterion, min_rows):
+    """`build_tree`, `prune` and `accuracy` agree with the oracle on the
+    tables, and give the same trees on the tables' partitions."""
+    tree = build_tree(grow, criterion=criterion, min_rows=min_rows)
+    assert tree == oracle_grow(
+        grow.values, grow.decisions, grow.attributes, criterion, min_rows,
+        np.arange(grow.n_rows), tuple(range(grow.n_attributes)),
+    )
+    assert build_tree(partition(grow), criterion=criterion, min_rows=min_rows) == tree
+    pruned = prune(tree, val)
+    rows = np.arange(val.n_rows)
+    assert pruned == oracle_prune(tree, rows, val.values, val.decisions, val.attributes)
+    assert prune(tree, partition(val)) == pruned
+    for node in (tree, pruned):
+        for table in (grow, val):
+            assert accuracy(node, table) == oracle_accuracy(node, table)
+
+
 class TestRouterMatchesOracle:
     @settings(max_examples=150, deadline=None)
-    @given(grow_and_validation(), st.sampled_from(dtree.CRITERIA), st.integers(1, 4))
+    @given(grow_and_validation(), st.sampled_from(dtree.CRITERIA), st.sampled_from(MIN_ROWS))
     def test_grow_prune_and_accuracy(self, tables, criterion, min_rows):
         grow, val = tables
-        tree = build_tree(grow, criterion=criterion, min_rows=min_rows)
-        assert tree == oracle_grow(
-            grow.values, grow.decisions, grow.attributes, criterion, min_rows,
-            np.arange(grow.n_rows), tuple(range(grow.n_attributes)),
-        )
+        assert_matches_oracle(grow, val, criterion, min_rows)
         for name in grow.attributes:
             assert _gain(grow, name) == oracle_gain(grow.column(name), grow.decisions)
-        pruned = prune(tree, val)
-        rows = np.arange(val.n_rows)
-        assert pruned == oracle_prune(tree, rows, val.values, val.decisions, val.attributes)
-        for node in (tree, pruned):
-            for table in (grow, val):
-                assert accuracy(node, table) == oracle_accuracy(node, table)
+
+    @pytest.mark.parametrize("criterion", dtree.CRITERIA)
+    @pytest.mark.parametrize("min_rows", MIN_ROWS)
+    def test_repeated_and_contradictory_rows(self, rng, criterion, min_rows):
+        # 300 rows over at most 27 patterns: every pattern repeats, and most
+        # carry both decisions; validation values 4 have no child anywhere
+        grow = make_categorical(rng.integers(1, 4, size=(3, 300)).tolist(), rng.integers(0, 2, 300))
+        val = make_categorical(rng.integers(1, 5, size=(3, 120)).tolist(), rng.integers(0, 2, 120))
+        assert_matches_oracle(grow, val, criterion, min_rows)
 
 
-# The row-based tree code that growing and pruning on granule counts
-# replaced, kept verbatim as the reference: a node holds row indices, and its
-# joint count is one bincount over its rows.
+# The row-based grow and prune that growing and pruning on granule counts
+# replaced, kept verbatim as the reference for a table too large for the
+# oracle: a node holds row indices, and its joint count is one bincount
+# over its rows.
 def reference_gain(column, decisions) -> tuple[float, float, float]:
     joint = np.bincount(column * 2 + decisions, minlength=10)
     pairs = joint.reshape(-1, 2)[:, ::-1].tolist()  # (count_t, count_f) per value
@@ -425,11 +453,6 @@ def reference_gain(column, decisions) -> tuple[float, float, float]:
         if n_v:
             conditional += (n_v / n) * entropy((t, f))
     return h_y, entropy(sizes), h_y - conditional
-
-
-def _class_counts(decisions) -> tuple[int, int]:
-    ones = int(np.sum(decisions))
-    return ones, len(decisions) - ones
 
 
 def reference_grow(values, decisions, attributes, criterion, min_rows, rows, available):
@@ -462,21 +485,7 @@ def reference_grow(values, decisions, attributes, criterion, min_rows, rows, ava
     return Internal(attributes[best_j], children, majority, count_t, count_f)
 
 
-def reference_route(node, rows, values, attributes, out) -> None:
-    out[rows] = node.decision
-    if isinstance(node, Internal):
-        col = values[rows, attributes.index(node.attribute)]
-        for v, child in node.children:
-            reference_route(child, rows[col == v], values, attributes, out)
-
-
-def reference_accuracy(node, table) -> float:
-    predicted = np.empty(table.n_rows, dtype=np.int64)
-    reference_route(node, np.arange(table.n_rows), table.values, table.attributes, predicted)
-    return int(np.count_nonzero(predicted == table.decisions)) / table.n_rows
-
-
-def reference_prune_rows(node, rows, values, decisions, attributes):
+def reference_prune(node, rows, values, decisions, attributes):
     leaf_hits = int(np.count_nonzero(decisions[rows] == node.decision))
     if isinstance(node, Leaf):
         return node, leaf_hits
@@ -487,7 +496,7 @@ def reference_prune_rows(node, rows, values, decisions, attributes):
     for v, child in node.children:
         reached = col == v
         unmatched &= ~reached
-        pruned, hits = reference_prune_rows(child, rows[reached], values, decisions, attributes)
+        pruned, hits = reference_prune(child, rows[reached], values, decisions, attributes)
         pruned_children.append((v, pruned))
         subtree_hits += hits
     subtree_hits += int(np.count_nonzero(decisions[rows[unmatched]] == node.decision))
@@ -499,71 +508,7 @@ def reference_prune_rows(node, rows, values, decisions, attributes):
     return candidate, subtree_hits
 
 
-def reference_build_tree(table, criterion, min_rows):
-    return reference_grow(
-        table.values, table.decisions, table.attributes, criterion, min_rows,
-        np.arange(table.n_rows), tuple(range(table.n_attributes)),
-    )
-
-
-def reference_prune(root, validation):
-    if validation.n_rows == 0:
-        warnings.warn("empty validation set; prune skipped", PruneSkippedWarning)
-        return root
-    pruned, _ = reference_prune_rows(
-        root, np.arange(validation.n_rows), validation.values, validation.decisions,
-        validation.attributes,
-    )
-    return pruned
-
-
-def assert_same_fit(grow, validation, criterion, min_rows):
-    """`build_tree` and `prune` give the reference's trees, and `accuracy`
-    its accuracies, on the tables and on their partitions."""
-    tree = build_tree(grow, criterion=criterion, min_rows=min_rows)
-    assert tree == reference_build_tree(grow, criterion, min_rows)
-    assert build_tree(partition(grow), criterion=criterion, min_rows=min_rows) == tree
-    pruned = prune(tree, validation)
-    assert pruned == reference_prune(tree, validation)
-    assert prune(tree, partition(validation)) == pruned
-    for node in (tree, pruned):
-        for table in (grow, validation):
-            if table.n_rows:
-                assert accuracy(node, table) == reference_accuracy(node, table)
-
-
-MIN_ROWS = (1, 2, 5, 100)
-
-
 class TestGranuleTreeMatchesRowTree:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        grow_and_validation(), st.sampled_from(dtree.CRITERIA), st.sampled_from(MIN_ROWS)
-    )
-    def test_random_tables(self, tables, criterion, min_rows):
-        assert_same_fit(*tables, criterion, min_rows)
-
-    @pytest.mark.parametrize("criterion", dtree.CRITERIA)
-    @pytest.mark.parametrize("min_rows", MIN_ROWS)
-    def test_repeated_and_contradictory_rows(self, rng, criterion, min_rows):
-        # 300 rows over at most 27 patterns: every pattern repeats, and most
-        # carry both decisions; validation values 4 have no child anywhere
-        values = rng.integers(1, 4, size=(3, 300))
-        table = make_categorical(values.tolist(), rng.integers(0, 2, 300))
-        validation_values = rng.integers(1, 5, size=(3, 120))
-        validation = make_categorical(validation_values.tolist(), rng.integers(0, 2, 120))
-        assert_same_fit(table, validation, criterion, min_rows)
-
-    @pytest.mark.parametrize("criterion", dtree.CRITERIA)
-    def test_empty_validation_skips_pruning(self, criterion):
-        grow = _xor_table()
-        empty = grow.take(np.arange(0))
-        tree = build_tree(grow, criterion=criterion)
-        with pytest.warns(PruneSkippedWarning):
-            assert prune(tree, empty) is tree
-        with pytest.warns(PruneSkippedWarning):
-            assert prune(tree, partition(empty)) is tree
-
     @pytest.mark.parametrize("noise", [0.25, 0.9])
     def test_bench_sized_table(self, noise):
         # the reduce path's 40k-row table, split as pipeline.fit_reducer splits it
@@ -571,9 +516,13 @@ class TestGranuleTreeMatchesRowTree:
         grow_idx, val_idx = split_indices(table.n_rows, (0.85, 0.15), 11)
         part = partition(table)
         for criterion in dtree.CRITERIA:
-            grow, validation = table.take(grow_idx), table.take(val_idx)
             tree = build_tree(part.take(grow_idx), criterion=criterion)
-            assert tree == reference_build_tree(grow, criterion, 2)
+            assert tree == reference_grow(
+                table.values, table.decisions, table.attributes, criterion, 2, grow_idx,
+                tuple(range(table.n_attributes)),
+            )
             pruned = prune(tree, part.take(val_idx))
-            assert pruned == reference_prune(tree, validation)
+            assert pruned == reference_prune(
+                tree, val_idx, table.values, table.decisions, table.attributes
+            )[0]
             assert select_attributes(pruned).kept

@@ -1,13 +1,11 @@
 """Experiment harness: cells, matrix, reports, seeds, and the leakage canary."""
 
-import gc
 import json
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,9 +242,9 @@ class TestSharedWork:
         calls = []
         real = pipeline.fit_reducer
 
-        def counting(table, method, cfg, seed):
+        def counting(table, method, cfg, seed, part=None):
             calls.append((method, table.n_rows, seed))
-            return real(table, method, cfg, seed)
+            return real(table, method, cfg, seed, part)
 
         monkeypatch.setattr(pipeline, "fit_reducer", counting)
         shared = pipeline.SharedWork()
@@ -676,9 +674,9 @@ class TestFitReducer:
 
 
 class TestTablePartition:
-    """rs, gr and dt fit from one partition per table object."""
+    """rs, gr and dt fitted on the same rows of one matrix share one partition."""
 
-    def test_one_discretization_per_table(self, monkeypatch):
+    def test_one_discretization_per_fitted_rows(self, monkeypatch):
         calls = []
         real = Discretizer.fit.__func__
 
@@ -687,23 +685,28 @@ class TestTablePartition:
             return real(cls, table)
 
         monkeypatch.setattr(Discretizer, "fit", classmethod(counting))
-        table = synth_generate(300, 0.5, 0.5, seed=4)
-        cfg = quick_config()
-        fits = [fit_reducer(table, m, cfg, seed=3).result for m in ("rs", "gr", "dt")]
+        cfg = quick_config(classifiers=("svm",))
+        table = pipeline.resolve_data(cfg)
+        shared = pipeline.SharedWork()
+        reducers = ("rs", "gr", "dt")
+        cells = [run_cell(cfg, pre, "svm", table=table, shared=shared) for pre in reducers]
         assert calls == [table]
-        # a table of the same content is another table: its own partition, same fits
-        twin = Table(table.values.copy(), table.decisions.copy(), table.attributes)
-        assert [fit_reducer(twin, m, cfg, seed=3).result for m in ("rs", "gr", "dt")] == fits
-        assert calls == [table, twin]
+        # fit_reducer on its own partitions its rows, unless given their partition
+        seeds = [pipeline.reducer_seed(cfg, pre) for pre in reducers]
+        fits = [fit_reducer(table, pre, cfg, seed) for pre, seed in zip(reducers, seeds)]
+        assert calls == [table] * 4
+        part = pipeline.table_partition(table)
+        given = [fit_reducer(table, pre, cfg, seed, part) for pre, seed in zip(reducers, seeds)]
+        assert calls == [table] * 5
+        assert [c.kept for c in cells] == [f.kept_label for f in fits]
+        assert [f.result for f in fits] == [g.result for g in given]
 
     def test_row_subset_gets_its_own_partition(self):
         table = synth_generate(400, 0.5, 0.5, seed=6)
         oxygen = table.column("oxygen")
         rows = np.flatnonzero(oxygen < np.median(oxygen))  # a narrower min-max span
         subset = table.take(rows)
-        whole = pipeline.table_partition(table)
         own = pipeline.table_partition(subset)
-        assert own is not whole
         expected = partition(discretize(subset))
         for got, want in zip(own.granules, expected.granules):
             np.testing.assert_array_equal(got, want)
@@ -728,24 +731,18 @@ class TestTablePartition:
         for pre in ("rs", "gr", "dt"):
             assert not run_cell(cfg, pre, "svm", table=table, shared=shared).failed
         plan = pipeline.fold_plan(table, cfg, "svm")
-        folds = [len(plan.train_indices(f)) for f in range(3)]
-        assert sizes == folds * 3  # one partition per fold fit, never the whole table's
-
-    def test_memo_entry_goes_with_its_table(self):
-        table = synth_generate(200, 0.5, 0.5, seed=8)
-        fit_reducer(table, "rs", quick_config(), seed=0)
-        assert table in pipeline._PARTITIONS
-        entries, alive = len(pipeline._PARTITIONS), weakref.ref(table)
-        del table
-        gc.collect()
-        assert alive() is None
-        assert len(pipeline._PARTITIONS) == entries - 1
+        # one partition per fold's training rows, shared by the fold's three
+        # fits, and never the whole table's
+        assert sizes == [len(plan.train_indices(f)) for f in range(3)]
 
     def test_pickled_table_carries_no_partition(self):
         table = synth_generate(200, 0.5, 0.5, seed=9)
         size = len(pickle.dumps(table))
+        cfg = quick_config(classifiers=("svm",))
+        shared = pipeline.SharedWork()
         for method in ("rs", "gr", "dt"):
-            fit_reducer(table, method, quick_config(), seed=0)
+            fit_reducer(table, method, cfg, seed=0)
+            run_cell(cfg, method, "svm", table=table, shared=shared)
         assert len(pickle.dumps(table)) == size
 
 
