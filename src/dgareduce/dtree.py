@@ -56,6 +56,12 @@ def entropy(class_counts) -> float:
     total = sum(counts)
     if total == 0:
         raise ParameterError("at least one count must be positive")
+    return _bits(counts, total)
+
+
+def _bits(counts, total: int) -> float:
+    """`entropy` of non-negative Python ints `counts` whose sum is `total` > 0,
+    unchecked."""
     h = 0.0
     for c in counts:
         if c:
@@ -69,17 +75,18 @@ def _gain(column, count_t, count_f) -> tuple[float, float, float]:
     over granules: granule i takes value column[i] in count_t[i] rows of
     decision 1 and count_f[i] rows of decision 0 (a row is a granule of one).
     The joint (value, decision) counts are two weighted bincounts, and the
-    entropies run on their Python ints in ascending value order."""
-    t = np.bincount(column, weights=count_t, minlength=5)
-    f = np.bincount(column, weights=count_f, minlength=5)
-    pairs = np.stack((t, f), axis=1).astype(np.int64).tolist()  # (count_t, count_f) per value
-    sizes = [t + f for t, f in pairs]
-    h_y = entropy(map(sum, zip(*pairs)))
-    n, conditional = sum(sizes), 0.0
-    for (t, f), n_v in zip(pairs, sizes):
+    entropies run on their Python ints in ascending value order, through
+    `_bits`, since the counts and their totals are known to be valid here."""
+    t = np.bincount(column, weights=count_t, minlength=5).astype(np.int64).tolist()
+    f = np.bincount(column, weights=count_f, minlength=5).astype(np.int64).tolist()
+    sizes = [a + b for a, b in zip(t, f)]
+    n, n_t = sum(sizes), sum(t)
+    h_y = _bits((n_t, n - n_t), n)
+    conditional = 0.0
+    for a, b, n_v in zip(t, f, sizes):
         if n_v:
-            conditional += (n_v / n) * entropy((t, f))
-    return h_y, entropy(sizes), h_y - conditional
+            conditional += (n_v / n) * _bits((a, b), n_v)
+    return h_y, _bits(sizes, n), h_y - conditional
 
 
 def _majority(count_t: int, count_f: int) -> int:

@@ -18,12 +18,15 @@ Within one `run_matrix` call the cells share their work through one memo,
 (their partition, shared by rs, gr and dt), a fit's spawn key (a fitted
 reducer) or a training's classifier, fold and reduced column names.
 The matrix plans every cell, runs each distinct training once on the CPUs it
-may use, then assembles the rows: a cell whose training another cell ran
-reuses its accuracy, seconds, stop reason and warnings and names that cell's
-preprocessor in `same_training_as`.  pca's columns are named pc1..pcp, which
-no selection of the ten gases carries.  A row's kept set lists each fold's
-distinct kept set in fold order: one set under the whole-table fit.  Every
-non-`none` row is paired fold by fold with the `none` row of its classifier.
+may use, then assembles the rows.  Its forked workers inherit the planned
+trainings, and with them the table, fold plans and reducers, so a training
+reaches a worker as its index in that list.  A cell whose training another
+cell ran reuses its accuracy, seconds, stop reason and warnings and names
+that cell's preprocessor in `same_training_as`.  pca's columns are named
+pc1..pcp, which no selection of the ten gases carries.  A row's kept set
+lists each fold's distinct kept set in fold order: one set under the
+whole-table fit.  Every non-`none` row is paired fold by fold with the
+`none` row of its classifier.
 """
 
 from __future__ import annotations
@@ -384,8 +387,10 @@ def _captured(compute):
 
 def _train_task(task) -> tuple:
     """`_train_eval` on a fold of `task` = (classifier, cfg, table, fold plan,
-    reducer, fold) under `_captured`, a failure as `Type: message` text.  A
-    task refers to the table, so waiting tasks hold no copies of fold rows."""
+    reducer, fold) under `_captured`, a failure as `Type: message` text.  The
+    fold's rows are taken from the table only while the training runs, so a
+    task list costs no copies of fold rows, in this process or in the forked
+    workers that inherit it (`_train_all`)."""
     classifier, cfg, table, plan, reducer, fold = task
 
     def train():
@@ -409,38 +414,63 @@ def _blas_threads_setter():
     return next((getattr(lib, n) for lib in libs for n in names.split() if hasattr(lib, n)), None)
 
 
-def _worker_count(trainings: int) -> int:
+def _worker_count(trainings: int, setter) -> int:
     """One process per CPU in this process's affinity mask, at most one per
-    training; one where workers cannot run one BLAS thread (`_train_all`)."""
-    if not hasattr(os, "sched_getaffinity") or _blas_threads_setter() is None:
+    training; one where workers cannot run one BLAS thread, as without a
+    BLAS thread-count `setter` (`_train_all`)."""
+    if not hasattr(os, "sched_getaffinity") or setter is None:
         return 1
     return min(len(os.sched_getaffinity(0)), trainings)
 
 
-def _train_all(tasks: list, workers: int) -> list:
+# A forked worker's tasks, set by `_start_worker` in the worker alone; the
+# parent never sets it, so each pool's workers see only their own list.
+_worker_tasks: list = []
+
+
+def _start_worker(tasks: list, setter) -> None:
+    """Pool initializer: keep the inherited `tasks` for `_train_index` and
+    run one BLAS thread."""
+    global _worker_tasks
+    _worker_tasks = tasks
+    if setter is not None:
+        setter(1)
+
+
+def _train_index(i: int) -> tuple:
+    """`_train_task` on the worker's task `i`."""
+    return _train_task(_worker_tasks[i])
+
+
+def _train_all(tasks: list, workers: int, setter) -> list:
     """`_train_task` over `tasks`, in this process or on `workers` forked
-    processes, joined on return.  A dead worker breaks the pool; each
-    training left unfinished reruns alone, so only one that kills its
-    process fails.  Workers run one BLAS thread: idle OpenBLAS threads spin,
-    and 2 workers of 2 threads ran a bpnn training 8x slower on 2 CPUs."""
+    processes, joined on return.  The workers inherit `tasks` through fork
+    (`initargs` are not pickled under fork), so a submission sends only a
+    training's index, and the table, fold plans and reducers never cross a
+    pipe.  A dead worker breaks the pool; each training left unfinished
+    reruns alone, so only one that kills its process fails.  Workers run one
+    BLAS thread through `setter`: idle OpenBLAS threads spin, and 2 workers
+    of 2 threads ran a bpnn training 8x slower on 2 CPUs."""
     if workers <= 1:
         return list(map(_train_task, tasks))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    context, setter, futures = multiprocessing.get_context("fork"), _blas_threads_setter(), []
-    pool = ProcessPoolExecutor(min(workers, len(tasks)), context, initializer=setter, initargs=(1,))
+    context, futures = multiprocessing.get_context("fork"), []
+    pool = ProcessPoolExecutor(
+        min(workers, len(tasks)), context, initializer=_start_worker, initargs=(tasks, setter)
+    )
     with pool:
-        for task in tasks:
+        for i in range(len(tasks)):
             try:
-                futures.append(pool.submit(_train_task, task))
+                futures.append(pool.submit(_train_index, i))
             except BrokenProcessPool as exc:  # a worker died while tasks were sent
                 futures.append(exc)
     got = [f if isinstance(f, BaseException) else f.exception() or f.result() for f in futures]
     for i, outcome in enumerate(got):
         if len(tasks) > 1 and isinstance(outcome, BrokenProcessPool):
-            got[i] = _train_all(tasks[i : i + 1], workers)[0]
+            got[i] = _train_all(tasks[i : i + 1], workers, setter)[0]
     return [(f"{type(o).__name__}: {o}", ()) if isinstance(o, BaseException) else o for o in got]
 
 
@@ -542,12 +572,15 @@ def _assemble(cfg, preprocessor, classifier, folds, failure, shared) -> CellResu
     )
 
 
-def _run_cells(cfg, cells, table, shared, workers) -> list[CellResult]:
+def _run_cells(cfg, cells, table, shared, pooled: bool) -> list[CellResult]:
     """Rows of (preprocessor, classifier) `cells`: plan them, run each new
-    training once on `workers(trainings)` processes, then assemble."""
+    training once, on `_worker_count` processes, or in this process unless
+    `pooled`, then assemble.  OpenBLAS is looked up once per call."""
     plans = [_plan_cell(cfg, pre, clf, table, shared) for pre, clf in cells]
     tasks = {key: task for folds, _ in plans for *_, key, task in folds if key not in shared.memo}
-    shared.memo.update(zip(tasks, _train_all(list(tasks.values()), workers(len(tasks)))))
+    setter = _blas_threads_setter() if pooled else None
+    workers = _worker_count(len(tasks), setter)
+    shared.memo.update(zip(tasks, _train_all(list(tasks.values()), workers, setter)))
     return [_assemble(cfg, *cell, *plan, shared) for cell, plan in zip(cells, plans)]
 
 
@@ -565,7 +598,7 @@ def run_cell(
         raise ConfigError(f"unknown cell {preprocessor} x {classifier}")
     table = resolve_data(cfg) if table is None else table
     shared = SharedWork() if shared is None else shared
-    return _run_cells(cfg, [(preprocessor, classifier)], table, shared, lambda _: 1)[0]
+    return _run_cells(cfg, [(preprocessor, classifier)], table, shared, False)[0]
 
 
 def _reducer_fingerprint(reducer: FittedReducer):
@@ -678,7 +711,7 @@ def run_matrix(cfg: ExperimentConfig) -> ExperimentReport:
     table = resolve_data(cfg)
     cells = [(p, c) for p in PREPROCESSORS for c in CLASSIFIERS]
     cells = [(p, c) for p, c in cells if p in cfg.preprocessors and c in cfg.classifiers]
-    rows = _run_cells(cfg, cells, table, SharedWork(), _worker_count)
+    rows = _run_cells(cfg, cells, table, SharedWork(), True)
     base = {r.classifier: r for r in rows if r.preprocessor == "none" and not r.failed}
     rows = [
         paired_against(r, base[r.classifier])

@@ -93,6 +93,20 @@ class TestInformationGain:
             class_entropy, _, gain = _gain(table, "a1")
             assert -1e-12 <= gain <= class_entropy + 1e-12
 
+    def test_granule_counts_match_entropy_formula(self, rng):
+        # `_gain` skips `entropy`'s checks; on the rows its granule counts
+        # stand for, the `entropy`-based reference gives the same bits
+        for _ in range(300):
+            g = int(rng.integers(1, 12))
+            column = rng.integers(0, 5, g)
+            count_t = rng.integers(0, 40, g) * rng.integers(0, 2, g)  # many zeros
+            count_f = rng.integers(0, 40, g) * rng.integers(0, 2, g)
+            if count_t.sum() + count_f.sum() == 0:
+                continue
+            rows = np.concatenate((np.repeat(column, count_t), np.repeat(column, count_f)))
+            decisions = np.repeat([1, 0], (count_t.sum(), count_f.sum()))
+            assert dtree._gain(column, count_t, count_f) == reference_gain(rows, decisions)
+
 
 class TestBuildTree:
     def test_pure_table_single_leaf(self):

@@ -215,7 +215,7 @@ class TestSharedWork:
             return real(classifier, cfg, train_raw, test_raw, seed)
 
         monkeypatch.setattr(pipeline, "_train_eval", spy)
-        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings: 1)  # spy in-process
+        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings, setter: 1)  # spy in-process
         run_matrix(cfg)
         for clf in pipeline.CLASSIFIERS:
             for fold in range(cfg.folds_for(clf)):
@@ -275,7 +275,7 @@ class TestSharedWork:
             return real(classifier, cfg, train_raw, test_raw, seed)
 
         monkeypatch.setattr(pipeline, "_train_eval", counting)
-        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings: 1)  # count in-process
+        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings, setter: 1)  # count in-process
         for _ in range(2):
             calls.clear()
             report = run_matrix(cfg)
@@ -321,7 +321,7 @@ class TestPooledTrainings:
 
     @staticmethod
     def rows(monkeypatch, cfg, workers):
-        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings: workers)
+        monkeypatch.setattr(pipeline, "_worker_count", lambda trainings, setter: workers)
         rows = [replace(r, time_mean=0.0) for r in run_matrix(cfg).rows]
         assert multiprocessing.active_children() == []
         return rows
@@ -376,6 +376,45 @@ class TestPooledTrainings:
                 assert row.error.startswith("fold 0 stage train: BrokenProcessPool: ")
             else:
                 assert row == expected
+
+    def test_unpicklable_task_trains_on_a_worker(self, monkeypatch):
+        """Workers inherit the tasks, so a reducer that cannot be pickled
+        trains there; sent through a pipe, its trainings would fail."""
+        real = pipeline.reduct_search
+
+        def with_lambda(part):
+            result = real(part)
+            return replace(result, diagnostics={**result.diagnostics, "note": lambda: None})
+
+        monkeypatch.setattr(pipeline, "reduct_search", with_lambda)
+        cfg = quick_config(**NETS_AND_SVM)
+        pooled = self.rows(monkeypatch, cfg, 2)
+        assert pooled == self.rows(monkeypatch, cfg, 1)
+        rs_rows = [r for r in pooled if r.preprocessor == "rs"]
+        assert rs_rows and all(not r.failed and not r.same_training_as for r in rs_rows)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(fit_reducer(pipeline.resolve_data(cfg), "rs", cfg, 0))
+
+    def test_consecutive_matrices_train_their_own_tasks(self, monkeypatch):
+        configs = [quick_config(**NETS_AND_SVM, seed=seed) for seed in (3, 4)]
+        pooled = [self.rows(monkeypatch, cfg, 2) for cfg in configs]
+        assert pooled[0] != pooled[1]
+        for cfg, rows in zip(configs, pooled):
+            assert rows == self.rows(monkeypatch, cfg, 1)
+
+    def test_one_blas_lookup_per_matrix(self, monkeypatch):
+        lookups, real = [], pipeline._blas_threads_setter
+
+        def counting():
+            lookups.append(1)
+            return real()
+
+        monkeypatch.setattr(pipeline, "_blas_threads_setter", counting)
+        cfg = quick_config(**NETS_AND_SVM)
+        run_matrix(cfg)
+        assert len(lookups) == 1
+        run_cell(cfg, "none", "svm")  # in this process: no lookup
+        assert len(lookups) == 1
 
 
 def test_converged_svm_trainings_satisfy_kkt(monkeypatch):
