@@ -1,6 +1,7 @@
-"""Experiment harness: run any preprocessor x classifier cell, or the full
-matrix, under stratified cross-validation, and emit report rows with average
-accuracy and average training time.
+"""Experiment harness: run the preprocessor x classifier matrix, or any part
+of it, under stratified cross-validation, and emit report rows with average
+accuracy and average training time.  `run_matrix(cfg, table=None)` is the one
+executor; `run_cell` is a one-cell matrix.
 
 Preprocessors fit once on the whole table by default (the historical
 protocol); `strict_no_leakage` refits them per fold on the training portion
@@ -400,16 +401,26 @@ def _train_task(task) -> tuple:
 
     outcome, notes = _captured(train)
     if isinstance(outcome, Exception):
-        outcome = f"{type(outcome).__name__}: {outcome}"
+        outcome = _failure_text(outcome)
     return outcome, notes
 
 
+def _failure_text(exc: BaseException) -> str:
+    """`Type: message`, how a report row names the exception that failed it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _blas_threads_setter():
-    """The thread-count setter of the OpenBLAS this process loaded, or None."""
+    """The thread-count setter of the OpenBLAS this process loaded, or None,
+    as where /proc/self/maps cannot be read or lists a library since deleted."""
     import ctypes
 
-    with open("/proc/self/maps") as maps:
-        libs = [ctypes.CDLL(path) for path in {ln.split()[-1] for ln in maps if "openblas" in ln}]
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {ln.split()[-1] for ln in maps if "openblas" in ln}
+            libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
     names = "openblas_set_num_threads scipy_openblas_set_num_threads64_ openblas_set_num_threads64_"
     return next((getattr(lib, n) for lib in libs for n in names.split() if hasattr(lib, n)), None)
 
@@ -471,12 +482,12 @@ def _train_all(tasks: list, workers: int, setter) -> list:
     for i, outcome in enumerate(got):
         if len(tasks) > 1 and isinstance(outcome, BrokenProcessPool):
             got[i] = _train_all(tasks[i : i + 1], workers, setter)[0]
-    return [(f"{type(o).__name__}: {o}", ()) if isinstance(o, BaseException) else o for o in got]
+    return [(_failure_text(o), ()) if isinstance(o, BaseException) else o for o in got]
 
 
 @dataclass
 class SharedWork:
-    """The work the cells of one `run_matrix` call share; a fresh one per call.
+    """The work the cells of one `run_matrix` call share; it lives for that call.
 
     `memo` maps a key to what was computed for it, with its warnings.  A key
     fixes the computation's inputs on one table: a classifier its fold plan;
@@ -534,7 +545,7 @@ def _plan_cell(cfg, preprocessor, classifier, table, shared) -> tuple[list, str 
     except Exception as exc:  # a failure of any kind fails this cell only
         # the whole-table fit is one fit for every fold
         where = "global" if fold < 0 or not strict else f"fold {fold}"
-        return folds, f"{where} stage {stage}: {type(exc).__name__}: {exc}"
+        return folds, f"{where} stage {stage}: {_failure_text(exc)}"
     return folds, None
 
 
@@ -570,35 +581,6 @@ def _assemble(cfg, preprocessor, classifier, folds, failure, shared) -> CellResu
         fold_diagnostics=tuple(map(_reducer_fingerprint, reducers)) if strict else (),
         same_training_as=",".join(dict.fromkeys(s for s in sources if s != preprocessor)),
     )
-
-
-def _run_cells(cfg, cells, table, shared, pooled: bool) -> list[CellResult]:
-    """Rows of (preprocessor, classifier) `cells`: plan them, run each new
-    training once, on `_worker_count` processes, or in this process unless
-    `pooled`, then assemble.  OpenBLAS is looked up once per call."""
-    plans = [_plan_cell(cfg, pre, clf, table, shared) for pre, clf in cells]
-    tasks = {key: task for folds, _ in plans for *_, key, task in folds if key not in shared.memo}
-    setter = _blas_threads_setter() if pooled else None
-    workers = _worker_count(len(tasks), setter)
-    shared.memo.update(zip(tasks, _train_all(list(tasks.values()), workers, setter)))
-    return [_assemble(cfg, *cell, *plan, shared) for cell, plan in zip(cells, plans)]
-
-
-def run_cell(
-    cfg: ExperimentConfig,
-    preprocessor: str,
-    classifier: str,
-    table: GasTable | None = None,
-    shared: SharedWork | None = None,
-) -> CellResult:
-    """Cross-validated run of one preprocessor x classifier pair in this
-    process, reusing the fold plan, fits and trainings in `shared` (the
-    other cells of one matrix)."""
-    if preprocessor not in PREPROCESSORS or classifier not in CLASSIFIERS:
-        raise ConfigError(f"unknown cell {preprocessor} x {classifier}")
-    table = resolve_data(cfg) if table is None else table
-    shared = SharedWork() if shared is None else shared
-    return _run_cells(cfg, [(preprocessor, classifier)], table, shared, False)[0]
 
 
 def _reducer_fingerprint(reducer: FittedReducer):
@@ -704,14 +686,22 @@ def paired_against(row: CellResult, none_row: CellResult) -> CellResult:
     )
 
 
-def run_matrix(cfg: ExperimentConfig) -> ExperimentReport:
-    """All requested cells in deterministic order, sharing one `SharedWork`
-    and `_worker_count` processes, with every non-`none` row paired against
-    its classifier's `none` row."""
-    table = resolve_data(cfg)
+def run_matrix(cfg: ExperimentConfig, table: GasTable | None = None) -> ExperimentReport:
+    """All requested cells in deterministic order, on `table` or the
+    configured data, with every non-`none` row paired against its
+    classifier's `none` row.  The cells are planned through one `SharedWork`,
+    each distinct training runs once on `_worker_count` processes (OpenBLAS
+    is looked up once per call), and the rows are assembled from them."""
+    table = resolve_data(cfg) if table is None else table
     cells = [(p, c) for p in PREPROCESSORS for c in CLASSIFIERS]
     cells = [(p, c) for p, c in cells if p in cfg.preprocessors and c in cfg.classifiers]
-    rows = _run_cells(cfg, cells, table, SharedWork(), True)
+    shared = SharedWork()
+    plans = [_plan_cell(cfg, pre, clf, table, shared) for pre, clf in cells]
+    tasks = {key: task for folds, _ in plans for *_, key, task in folds}
+    setter = _blas_threads_setter()
+    outcomes = _train_all(list(tasks.values()), _worker_count(len(tasks), setter), setter)
+    shared.memo.update(zip(tasks, outcomes))
+    rows = [_assemble(cfg, *cell, *plan, shared) for cell, plan in zip(cells, plans)]
     base = {r.classifier: r for r in rows if r.preprocessor == "none" and not r.failed}
     rows = [
         paired_against(r, base[r.classifier])
@@ -720,6 +710,15 @@ def run_matrix(cfg: ExperimentConfig) -> ExperimentReport:
         for r in rows
     ]
     return ExperimentReport(tuple(rows), cfg.seed, _settings_summary(cfg))
+
+
+def run_cell(
+    cfg: ExperimentConfig, preprocessor: str, classifier: str, table: GasTable | None = None
+) -> CellResult:
+    """The row of a one-cell `run_matrix`.  It stays only because the
+    benchmark's tracer wraps it by name."""
+    one = replace(cfg, preprocessors=(preprocessor,), classifiers=(classifier,))
+    return run_matrix(one, table).rows[0]
 
 
 REPORT_FORMATS = ("table", "json", "csv")

@@ -1,5 +1,6 @@
 """Experiment harness: cells, matrix, reports, seeds, and the leakage canary."""
 
+import io
 import json
 import multiprocessing
 import os
@@ -247,11 +248,9 @@ class TestSharedWork:
             return real(table, method, cfg, seed, part)
 
         monkeypatch.setattr(pipeline, "fit_reducer", counting)
-        shared = pipeline.SharedWork()
+        stored = record_memo(monkeypatch)
         table = pipeline.resolve_data(cfg)
-        for pre in pipeline.PREPROCESSORS:
-            for clf in pipeline.CLASSIFIERS:
-                assert not run_cell(cfg, pre, clf, table=table, shared=shared).failed
+        assert not run_matrix(cfg, table).any_failed
         assert len(calls) == len(set(calls))
         if strict:  # one fit per (preprocessor, classifier, fold), on training rows
             assert len(calls) == 5 * sum(map(cfg.folds_for, pipeline.CLASSIFIERS))
@@ -262,7 +261,8 @@ class TestSharedWork:
                 for pre in pipeline.PREPROCESSORS
             ]
         # the memo keeps fitted reducers, not the tables they reduce to
-        assert not any(isinstance(entry[0], Table) for entry in shared.memo.values())
+        assert any(isinstance(result, pipeline.FittedReducer) for result in stored)
+        assert not any(isinstance(result, Table) for result in stored)
 
     def test_train_eval_once_per_distinct_key(self, monkeypatch):
         cfg = quick_config(mlp=bpnn.MlpConfig(epochs=2, hidden=(2,)))
@@ -296,6 +296,19 @@ class TestSharedWork:
             "svm": (100.0, 100.0, 100.0),
             "rnn": (85.0, 65.0, 57.5),
         }
+
+
+def record_memo(monkeypatch) -> list:
+    """Every result `SharedWork.once` returns: what its memo keeps."""
+    stored, real = [], pipeline.SharedWork.once
+
+    def recording(self, key, compute):
+        result, notes = real(self, key, compute)
+        stored.append(result)
+        return result, notes
+
+    monkeypatch.setattr(pipeline.SharedWork, "once", recording)
+    return stored
 
 
 def _broken_svm(*args, **kwargs):
@@ -413,17 +426,44 @@ class TestPooledTrainings:
         cfg = quick_config(**NETS_AND_SVM)
         run_matrix(cfg)
         assert len(lookups) == 1
-        run_cell(cfg, "none", "svm")  # in this process: no lookup
-        assert len(lookups) == 1
+        run_cell(cfg, "none", "svm")  # a one-cell matrix
+        assert len(lookups) == 2
+
+    @pytest.mark.parametrize("maps", ["missing", "deleted"])
+    def test_unreadable_maps_train_in_process(self, monkeypatch, maps):
+        """Without a readable /proc/self/maps, or with an OpenBLAS it lists
+        as deleted, there is no BLAS setter, and the matrix trains in this
+        process."""
+
+        def no_maps(path, *args, **kwargs):
+            if maps == "missing":
+                raise FileNotFoundError(2, "No such file or directory", path)
+            return io.StringIO("7f00-7f10 r-xp 00000000 08:01 42 /lib/libopenblas.so (deleted)\n")
+
+        cfg = quick_config(**NETS_AND_SVM)
+        alone = self.rows(monkeypatch, cfg, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(pipeline, "open", no_maps, raising=False)
+        assert pipeline._blas_threads_setter() is None
+        pids, real = set(), pipeline._train_eval
+
+        def spy(*args):
+            pids.add(os.getpid())
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_train_eval", spy)
+        assert [replace(r, time_mean=0.0) for r in run_matrix(cfg).rows] == alone
+        assert pids == {os.getpid()}
 
 
 def test_converged_svm_trainings_satisfy_kkt(monkeypatch):
     """Every svm training of the benchmark's matrix-c9 configuration, on its
     three 600-row seed-1 tables, that reports converged satisfies KKT on its
     training fold.  `run_matrix` trains in workers, which the benchmark's
-    traced `svm-kkt` check cannot see, so the trainings rerun here."""
+    traced `svm-kkt` check cannot see, so the trainings run in-process here."""
     cfg = ExperimentConfig(
         synth=SynthSpec(n=600, informative=("hydrogen", "methane", "ethylene")),
+        classifiers=("svm",),
         folds_bpnn=5,
         folds_svm=5,
         folds_rnn=5,
@@ -440,15 +480,9 @@ def test_converged_svm_trainings_satisfy_kkt(monkeypatch):
         return model
 
     monkeypatch.setattr(pipeline.svm, "train_smo", keeping)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda trainings, setter: 1)
     for seed in np.random.SeedSequence(1).generate_state(3):
-        run = replace(cfg, seed=int(seed))
-        table, shared, tasks = pipeline.resolve_data(run), pipeline.SharedWork(), {}
-        for pre in run.preprocessors:
-            folds, failure = pipeline._plan_cell(run, pre, "svm", table, shared)
-            assert failure is None
-            tasks.update((key, task) for *_, key, task in folds)
-        for task in tasks.values():
-            assert not isinstance(pipeline._train_task(task)[0], str)
+        assert not run_matrix(replace(cfg, seed=int(seed))).any_failed
     assert any(model.converged for model, _, _ in fits)
     for n, (model, rows, tol) in enumerate(fits):
         if model.converged:
@@ -724,11 +758,10 @@ class TestTablePartition:
             return real(cls, table)
 
         monkeypatch.setattr(Discretizer, "fit", classmethod(counting))
-        cfg = quick_config(classifiers=("svm",))
-        table = pipeline.resolve_data(cfg)
-        shared = pipeline.SharedWork()
         reducers = ("rs", "gr", "dt")
-        cells = [run_cell(cfg, pre, "svm", table=table, shared=shared) for pre in reducers]
+        cfg = quick_config(preprocessors=reducers, classifiers=("svm",))
+        table = pipeline.resolve_data(cfg)
+        cells = run_matrix(cfg, table).rows
         assert calls == [table]
         # fit_reducer on its own partitions its rows, unless given their partition
         seeds = [pipeline.reducer_seed(cfg, pre) for pre in reducers]
@@ -764,11 +797,14 @@ class TestTablePartition:
             return real(categorical)
 
         monkeypatch.setattr(pipeline, "partition", counting)
-        cfg = quick_config(strict_no_leakage=True, classifiers=("svm",), folds_svm=3)
+        cfg = quick_config(
+            strict_no_leakage=True,
+            preprocessors=("rs", "gr", "dt"),
+            classifiers=("svm",),
+            folds_svm=3,
+        )
         table = pipeline.resolve_data(cfg)
-        shared = pipeline.SharedWork()
-        for pre in ("rs", "gr", "dt"):
-            assert not run_cell(cfg, pre, "svm", table=table, shared=shared).failed
+        assert not run_matrix(cfg, table).any_failed
         plan = pipeline.fold_plan(table, cfg, "svm")
         # one partition per fold's training rows, shared by the fold's three
         # fits, and never the whole table's
@@ -777,11 +813,10 @@ class TestTablePartition:
     def test_pickled_table_carries_no_partition(self):
         table = synth_generate(200, 0.5, 0.5, seed=9)
         size = len(pickle.dumps(table))
-        cfg = quick_config(classifiers=("svm",))
-        shared = pipeline.SharedWork()
-        for method in ("rs", "gr", "dt"):
+        cfg = quick_config(preprocessors=("rs", "gr", "dt"), classifiers=("svm",))
+        for method in cfg.preprocessors:
             fit_reducer(table, method, cfg, seed=0)
-            run_cell(cfg, method, "svm", table=table, shared=shared)
+        run_matrix(cfg, table)
         assert len(pickle.dumps(table)) == size
 
 
