@@ -15,7 +15,7 @@ import pytest
 
 import dgareduce
 from dgareduce import bpnn, pipeline, svm
-from dgareduce.dataset import Discretizer, Table, discretize, synth_generate
+from dgareduce.dataset import ATTRIBUTES, Discretizer, Table, discretize, synth_generate
 from dgareduce.errors import ConfigError, ParameterError
 from dgareduce.roughset import partition
 from dgareduce.pipeline import (
@@ -159,7 +159,6 @@ class TestRunMatrix:
     def test_kept_names_are_canonical(self):
         cfg = quick_config(classifiers=("svm",), mlp=bpnn.MlpConfig(epochs=5, hidden=(3,)))
         report = run_matrix(cfg)
-        from dgareduce.dataset import ATTRIBUTES
 
         for row in report.rows:
             if row.failed or row.preprocessor == "pca":
@@ -287,15 +286,38 @@ class TestSharedWork:
         for row in reused:
             assert row.time_mean > 0.0
 
-    def test_none_rows_pinned(self):
-        # fold accuracies of the none rows, as computed before the fold plans
-        # were shared: the none cells kept their seeds
-        report = run_matrix(quick_config(preprocessors=("none",)))
-        assert {r.classifier: r.fold_accuracies for r in report.rows} == {
-            "bpnn": (97.5, 100.0, 100.0),
-            "svm": (100.0, 100.0, 100.0),
-            "rnn": (85.0, 65.0, 57.5),
+    def test_rows_pinned(self):
+        # every row of the quick matrix under both protocols, as computed when
+        # a matrix shared partitions and planned on fold rows: which trainings
+        # the cells share, and what they trained to, stay the same
+        every = ",".join(ATTRIBUTES)
+        nets, svm_ = {"epochs": 3}, {"converged": 3}
+        whole = {
+            ("none", "bpnn"): ((97.5, 100.0, 100.0), every, "", nets),
+            ("none", "svm"): ((100.0, 100.0, 100.0), every, "", svm_),
+            ("none", "rnn"): ((85.0, 65.0, 57.5), every, "", nets),
+            ("pca", "bpnn"): ((32.5, 87.5, 100.0), "pca:p=3", "", nets),
+            ("pca", "svm"): ((100.0, 100.0, 100.0), "pca:p=3", "", svm_),
+            ("pca", "rnn"): ((50.0, 70.0, 72.5), "pca:p=3", "", nets),
         }
+        for pre in ("rs", "gr", "dt"):
+            source = "" if pre == "rs" else "rs"
+            whole[pre, "bpnn"] = ((100.0, 50.0, 77.5), "acetylene", source, nets)
+            whole[pre, "svm"] = ((100.0, 100.0, 100.0), "acetylene", source, svm_)
+            whole[pre, "rnn"] = ((50.0, 50.0, 100.0), "acetylene", source, nets)
+        strict = {
+            **whole,
+            ("pca", "bpnn"): ((25.0, 77.5, 100.0), "pca:p=3", "", nets),
+            ("pca", "rnn"): ((50.0, 70.0, 80.0), "pca:p=3", "", nets),
+        }
+        for protocol, expected in ((False, whole), (True, strict)):
+            report = run_matrix(quick_config(strict_no_leakage=protocol))
+            got = [
+                (r.preprocessor, r.classifier, r.fold_accuracies, r.kept, r.same_training_as,
+                 r.stop_reasons, r.warnings, r.failed)
+                for r in report.rows
+            ]
+            assert got == [(*cell, *row, (), False) for cell, row in expected.items()]
 
 
 def record_memo(monkeypatch) -> list:
