@@ -48,20 +48,9 @@ class Internal:
 TreeNode = Leaf | Internal
 
 
-def entropy(class_counts) -> float:
-    """Shannon entropy in bits; 0*log(0) is 0."""
-    counts = [int(c) for c in class_counts]
-    if any(c < 0 for c in counts):
-        raise ParameterError("counts must be non-negative")
-    total = sum(counts)
-    if total == 0:
-        raise ParameterError("at least one count must be positive")
-    return _bits(counts, total)
-
-
 def _bits(counts, total: int) -> float:
-    """`entropy` of non-negative Python ints `counts` whose sum is `total` > 0,
-    unchecked."""
+    """Shannon entropy in bits of non-negative Python ints `counts` whose sum
+    is `total` > 0, unchecked; 0*log(0) is 0."""
     h = 0.0
     for c in counts:
         if c:

@@ -14,10 +14,10 @@ one kept set; a classifier's fold plan uses (1, 0, clf_index) and its fold f
 test on the same folds with the same network seeds.  A strict-mode fit on
 fold f of a classifier uses (1, pre_index, clf_index, f).
 
-Within one `run_matrix` call the cells share their work through one memo,
-`SharedWork`, keyed by a classifier (its fold plan), the rows a fit reads
-(their partition, shared by rs, gr and dt), a fit's spawn key (a fitted
-reducer) or a training's classifier, fold and reduced column names.
+Within one `run_matrix` call the cells share three things: a classifier's
+fold plan and a fit's reducer, both held in one memo keyed by the classifier
+or the fit's spawn key, and a training, keyed by its classifier, fold and
+reduced column names.  Every rs, gr and dt fit partitions its own rows.
 The matrix plans every cell, runs each distinct training once on the CPUs it
 may use, then assembles the rows.  Its forked workers inherit the planned
 trainings, and with them the table, fold plans and reducers, so a training
@@ -62,7 +62,6 @@ from .roughset import Partition, partition, reduct_search
 from .rnn import Intervalizer
 
 PREPROCESSORS = ("none", "pca", "rs", "gr", "dt")
-PARTITIONED = ("rs", "gr", "dt")  # the reducers that fit from a `table_partition`
 CLASSIFIERS = ("bpnn", "svm", "rnn")
 
 
@@ -209,22 +208,24 @@ class FittedReducer:
             return f"pca:p={self.projection.p}"
         return ",".join(self.result.kept)
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The kept names, which name the columns `transform` returns."""
+        if not self.result.kept:
+            raise ParameterError(f"{self.method} selected no attributes")
+        return self.result.kept
+
     def transform(self, table: Table) -> Table:
         if self.method == "pca":
             return pca.project(table, self.projection)
         if self.method == "none":
             return Table(table.values, table.decisions, table.attributes)
-        if not self.result.kept:
-            raise ParameterError(f"{self.method} selected no attributes")
-        return table.select(self.result.kept)
+        return table.select(self.columns)
 
 
-def fit_reducer(
-    table: Table, method: str, cfg: ExperimentConfig, seed: int, part: Partition | None = None
-) -> FittedReducer:
-    """Fit one preprocessor on the given rows.  rs, gr and dt read them
-    through their `table_partition`; a caller that fits several of these on
-    the same rows computes it once and passes it as `part`."""
+def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> FittedReducer:
+    """Fit one preprocessor on the given rows; rs, gr and dt read them
+    through their `table_partition`."""
     if method == "none":
         result = ReductionResult("none", tuple(table.attributes))
         return FittedReducer("none", result)
@@ -244,7 +245,7 @@ def fit_reducer(
             },
         )
         return FittedReducer("pca", result, projection=proj)
-    part = table_partition(table) if part is None else part
+    part = table_partition(table)
     if method == "rs":
         result = reduct_search(part)
         return FittedReducer("rs", result)
@@ -275,11 +276,11 @@ def table_partition(table: Table) -> Partition:
 class CellResult:
     """One preprocessor x classifier report row.
 
-    `same_training_as` names the preprocessors whose trainings this row
-    reused (see `SharedWork`); `time_mean` then holds those trainings'
-    measured seconds.  The paired fields, from `fold_deltas` on, compare
-    the row fold by fold with the `none` row of its classifier and are
-    empty on `none` rows (see `paired_against`)."""
+    `same_training_as` names the preprocessors of the earlier rows whose
+    trainings this row reused (`_assemble`); `time_mean` then holds those
+    trainings' measured seconds.  The paired fields, from `fold_deltas` on,
+    compare the row fold by fold with the `none` row of its classifier and
+    are empty on `none` rows (see `paired_against`)."""
 
     preprocessor: str
     classifier: str
@@ -417,7 +418,7 @@ def _blas_threads_setter():
 
     try:
         with open("/proc/self/maps") as maps:
-            paths = {ln.split()[-1] for ln in maps if "openblas" in ln}
+            paths = {ln.rstrip("\n").split(maxsplit=5)[5] for ln in maps if "openblas" in ln}
             libs = [ctypes.CDLL(path) for path in paths]
     except OSError:
         return None
@@ -485,62 +486,37 @@ def _train_all(tasks: list, workers: int, setter) -> list:
     return [(_failure_text(o), ()) if isinstance(o, BaseException) else o for o in got]
 
 
-@dataclass
-class SharedWork:
-    """The work the cells of one `run_matrix` call share; it lives for that call.
-
-    `memo` maps a key to what was computed for it, with its warnings.  A key
-    fixes the computation's inputs on one table: a classifier its fold plan;
-    a fit's spawn key a fitted reducer (never the table it reduces to);
-    (classifier, fold, reduced column names) a `_train_task` outcome, under
-    the shared fold plans and seeds; ("partition", *rows) the
-    `table_partition` of the rows a fit reads, shared by the rs, gr and dt
-    fits on them (rows is () for the whole table, (clf_index, fold) for a
-    strict fit's training rows).  `sources` maps a training's key to the
-    preprocessor of the first cell that used it.
-    """
-
-    memo: dict = field(default_factory=dict)
-    sources: dict = field(default_factory=dict)
-
-    def once(self, key, compute):
-        """`_captured(compute)` on the first use of `key`; every use returns
-        (result, warnings) or raises the exception the first use raised."""
-        if key not in self.memo:
-            self.memo[key] = _captured(compute)
-        result, notes = self.memo[key]
-        if isinstance(result, Exception):
-            raise result
-        return result, notes
+def _once(memo: dict, key, compute):
+    """`_captured(compute)` on the first use of `key` in `memo`; every use
+    returns (result, warnings) or raises the exception the first use raised."""
+    if key not in memo:
+        memo[key] = _captured(compute)
+    result, notes = memo[key]
+    if isinstance(result, Exception):
+        raise result
+    return result, notes
 
 
-def _plan_cell(cfg, preprocessor, classifier, table, shared) -> tuple[list, str | None]:
+def _plan_cell(cfg, preprocessor, classifier, table, memo) -> tuple[list, str | None]:
     """A cell's folds as (reducer, fit warnings, training key, task), and the
     error that stopped them or None.  A strict fit sees its fold's training
     rows only; otherwise every fold shares the whole-table fit."""
     strict = cfg.strict_no_leakage
     stage, fold, folds = "fold-plan", -1, []
     try:
-        plan, _ = shared.once(classifier, lambda: fold_plan(table, cfg, classifier))
+        plan, _ = _once(memo, classifier, lambda: fold_plan(table, cfg, classifier))
         for fold in range(cfg.folds_for(classifier)):
             stage = "preprocess"
-            train_rows = table.take(plan.train_indices(fold))
-            rows_key, fitted_rows = (), table
+            key = fit_key(preprocessor)
             if strict:  # this fold's own fit, on its training rows alone
-                rows_key, fitted_rows = (CLASSIFIERS.index(classifier), fold), train_rows
-            key = fit_key(preprocessor) + rows_key
+                key += (CLASSIFIERS.index(classifier), fold)
 
             def fit():
-                part = None
-                if preprocessor in PARTITIONED:  # rs, gr and dt share one per fitted rows
-                    part, _ = shared.once(
-                        ("partition", *rows_key), lambda: table_partition(fitted_rows)
-                    )
-                seed = derive_seed(cfg.seed, *key)
-                return fit_reducer(fitted_rows, preprocessor, cfg, seed, part)
+                rows = table.take(plan.train_indices(fold)) if strict else table
+                return fit_reducer(rows, preprocessor, cfg, derive_seed(cfg.seed, *key))
 
-            reducer, notes = shared.once(key, fit)
-            training = (classifier, fold, reducer.transform(train_rows).attributes)
+            reducer, notes = _once(memo, key, fit)
+            training = (classifier, fold, reducer.columns)
             folds.append((reducer, notes, training, (classifier, cfg, table, plan, reducer, fold)))
     except Exception as exc:  # a failure of any kind fails this cell only
         # the whole-table fit is one fit for every fold
@@ -549,13 +525,14 @@ def _plan_cell(cfg, preprocessor, classifier, table, shared) -> tuple[list, str 
     return folds, None
 
 
-def _assemble(cfg, preprocessor, classifier, folds, failure, shared) -> CellResult:
-    """A cell's row from its folds' training outcomes, failed by the first
-    failure in fold order; the folds before it claim `shared.sources`."""
+def _assemble(cfg, preprocessor, classifier, folds, failure, outcomes, sources) -> CellResult:
+    """A cell's row from its folds' training `outcomes`, failed by the first
+    failure in fold order; the folds before it claim their trainings in
+    `sources` (a training's key -> the first preprocessor to use it)."""
     caught, trainings = [], []
     for fold, (_, fit_notes, key, _) in enumerate(folds):
-        source = shared.sources.setdefault(key, preprocessor)
-        outcome, notes = shared.memo[key]
+        source = sources.setdefault(key, preprocessor)
+        outcome, notes = outcomes[key]
         if isinstance(outcome, str):
             failure = f"fold {fold} stage train: {outcome}"
             break
@@ -689,19 +666,19 @@ def paired_against(row: CellResult, none_row: CellResult) -> CellResult:
 def run_matrix(cfg: ExperimentConfig, table: GasTable | None = None) -> ExperimentReport:
     """All requested cells in deterministic order, on `table` or the
     configured data, with every non-`none` row paired against its
-    classifier's `none` row.  The cells are planned through one `SharedWork`,
+    classifier's `none` row.  The cells are planned through one `_once` memo,
     each distinct training runs once on `_worker_count` processes (OpenBLAS
     is looked up once per call), and the rows are assembled from them."""
     table = resolve_data(cfg) if table is None else table
     cells = [(p, c) for p in PREPROCESSORS for c in CLASSIFIERS]
     cells = [(p, c) for p, c in cells if p in cfg.preprocessors and c in cfg.classifiers]
-    shared = SharedWork()
-    plans = [_plan_cell(cfg, pre, clf, table, shared) for pre, clf in cells]
+    memo: dict = {}  # fold plans and fitted reducers
+    plans = [_plan_cell(cfg, pre, clf, table, memo) for pre, clf in cells]
     tasks = {key: task for folds, _ in plans for *_, key, task in folds}
     setter = _blas_threads_setter()
     outcomes = _train_all(list(tasks.values()), _worker_count(len(tasks), setter), setter)
-    shared.memo.update(zip(tasks, outcomes))
-    rows = [_assemble(cfg, *cell, *plan, shared) for cell, plan in zip(cells, plans)]
+    trainings, sources = dict(zip(tasks, outcomes)), {}
+    rows = [_assemble(cfg, *cell, *plan, trainings, sources) for cell, plan in zip(cells, plans)]
     base = {r.classifier: r for r in rows if r.preprocessor == "none" and not r.failed}
     rows = [
         paired_against(r, base[r.classifier])

@@ -167,9 +167,9 @@ class TestRunMatrix:
             assert set(row.kept.split(",")) <= set(ATTRIBUTES)
 
 
-class TestSharedWork:
-    """One fit per preprocessor, one fold plan per classifier, and each
-    distinct training once per `run_matrix` call."""
+class TestMatrixSharing:
+    """Within one `run_matrix` call: one fold plan per classifier, one fit
+    per spawn key, and each distinct training once."""
 
     NOISY = dict(
         synth=SynthSpec(n=200, noise=0.9, informative=("hydrogen", "methane", "ethylene")),
@@ -242,9 +242,9 @@ class TestSharedWork:
         calls = []
         real = pipeline.fit_reducer
 
-        def counting(table, method, cfg, seed, part=None):
+        def counting(table, method, cfg, seed):
             calls.append((method, table.n_rows, seed))
-            return real(table, method, cfg, seed, part)
+            return real(table, method, cfg, seed)
 
         monkeypatch.setattr(pipeline, "fit_reducer", counting)
         stored = record_memo(monkeypatch)
@@ -321,15 +321,15 @@ class TestSharedWork:
 
 
 def record_memo(monkeypatch) -> list:
-    """Every result `SharedWork.once` returns: what its memo keeps."""
-    stored, real = [], pipeline.SharedWork.once
+    """Every result `pipeline._once` returns: what the matrix's memo keeps."""
+    stored, real = [], pipeline._once
 
-    def recording(self, key, compute):
-        result, notes = real(self, key, compute)
+    def recording(memo, key, compute):
+        result, notes = real(memo, key, compute)
         stored.append(result)
         return result, notes
 
-    monkeypatch.setattr(pipeline.SharedWork, "once", recording)
+    monkeypatch.setattr(pipeline, "_once", recording)
     return stored
 
 
@@ -476,6 +476,20 @@ class TestPooledTrainings:
         monkeypatch.setattr(pipeline, "_train_eval", spy)
         assert [replace(r, time_mean=0.0) for r in run_matrix(cfg).rows] == alone
         assert pids == {os.getpid()}
+
+    def test_spaced_openblas_path_finds_its_setter(self, monkeypatch, tmp_path):
+        """/proc/self/maps names a library by everything after its fifth
+        field, so a path with a space still yields the setter."""
+        with open("/proc/self/maps") as maps:
+            loaded = [ln[ln.index("/"):].rstrip("\n") for ln in maps if "openblas" in ln]
+        if not loaded:
+            pytest.skip("numpy loaded no OpenBLAS")
+        link = tmp_path / "with space" / Path(loaded[0]).name
+        link.parent.mkdir()
+        link.symlink_to(loaded[0])
+        line = f"7f00-7f10 r-xp 00000000 08:01 42                         {link}\n"
+        monkeypatch.setattr(pipeline, "open", lambda *a, **k: io.StringIO(line), raising=False)
+        assert pipeline._blas_threads_setter() is not None
 
 
 def test_converged_svm_trainings_satisfy_kkt(monkeypatch):
@@ -769,9 +783,10 @@ class TestFitReducer:
 
 
 class TestTablePartition:
-    """rs, gr and dt fitted on the same rows of one matrix share one partition."""
+    """Every rs, gr and dt fit partitions the rows it is fitted on, and only
+    those rows."""
 
-    def test_one_discretization_per_fitted_rows(self, monkeypatch):
+    def test_each_fit_discretizes_its_own_rows_once(self, monkeypatch):
         calls = []
         real = Discretizer.fit.__func__
 
@@ -784,16 +799,11 @@ class TestTablePartition:
         cfg = quick_config(preprocessors=reducers, classifiers=("svm",))
         table = pipeline.resolve_data(cfg)
         cells = run_matrix(cfg, table).rows
-        assert calls == [table]
-        # fit_reducer on its own partitions its rows, unless given their partition
+        assert calls == [table] * 3
         seeds = [pipeline.reducer_seed(cfg, pre) for pre in reducers]
         fits = [fit_reducer(table, pre, cfg, seed) for pre, seed in zip(reducers, seeds)]
-        assert calls == [table] * 4
-        part = pipeline.table_partition(table)
-        given = [fit_reducer(table, pre, cfg, seed, part) for pre, seed in zip(reducers, seeds)]
-        assert calls == [table] * 5
+        assert calls == [table] * 6
         assert [c.kept for c in cells] == [f.kept_label for f in fits]
-        assert [f.result for f in fits] == [g.result for g in given]
 
     def test_row_subset_gets_its_own_partition(self):
         table = synth_generate(400, 0.5, 0.5, seed=6)
@@ -828,9 +838,9 @@ class TestTablePartition:
         table = pipeline.resolve_data(cfg)
         assert not run_matrix(cfg, table).any_failed
         plan = pipeline.fold_plan(table, cfg, "svm")
-        # one partition per fold's training rows, shared by the fold's three
-        # fits, and never the whole table's
-        assert sizes == [len(plan.train_indices(f)) for f in range(3)]
+        # one partition per fit, of its fold's training rows (the three
+        # folds, once for each of rs, gr and dt), and never the whole table's
+        assert sizes == [len(plan.train_indices(f)) for f in range(3)] * 3
 
     def test_pickled_table_carries_no_partition(self):
         table = synth_generate(200, 0.5, 0.5, seed=9)
