@@ -3,11 +3,12 @@ reduction, single-classifier training, the full experiment matrix, and report
 format conversion.
 
 The commands that fit a reducer or a classifier (`reduce`, `train`, `matrix`)
-read their settings from one INI config through `_config_from_ini`; without
-`--config`, `reduce` and `train` run at the `ExperimentConfig` defaults.
+read their settings from one INI config through `_config_from_ini`, and take
+no option that repeats an INI key; without `--config`, `reduce` and `train`
+run at the `ExperimentConfig` defaults.
 
-Exit codes: 0 on success, 2 on a configuration error, 3 when any matrix cell
-failed.
+Exit codes: 0 on success, 2 on a configuration error or a path that cannot
+be opened, 3 when any matrix cell failed.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ def _fail_config(message: str):
 
 
 class _Commands(click.Group):
-    """The command group: a DgaError from any command is a configuration
-    error, exit 2."""
+    """The command group: a DgaError or an OSError (a path that cannot be
+    opened) from any command is a configuration error, exit 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except DgaError as exc:
+        except (DgaError, OSError) as exc:
             _fail_config(str(exc))
 
 
@@ -99,13 +100,13 @@ def reduce(path, method, config_path, out):
 @click.option("--in", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--clf", type=click.Choice(list(pipeline.CLASSIFIERS)), required=True)
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None, help="Net seed  [default: [experiment] seed]")
 @click.option("--model-out", default=None, type=click.Path(dir_okay=False))
-def train(path, clf, config_path, seed, model_out):
-    """Train one classifier on a CSV table (standardized internally)."""
+def train(path, clf, config_path, model_out):
+    """Train one classifier on a CSV table (standardized internally).
+
+    The config's [experiment] seed seeds bpnn and rnn."""
     cfg = _config_from_ini(config_path) if config_path else _CONFIG
-    mlp = replace(cfg.mlp, seed=cfg.seed if seed is None else seed)
-    fitted = pipeline.fit_classifier(clf, cfg, load_csv(path), mlp)
+    fitted = pipeline.fit_classifier(clf, cfg, load_csv(path), cfg.seed)
     model = fitted.model
     if model_out:
         pipeline.MODELS[clf].save_model(model, model_out)
@@ -132,10 +133,7 @@ def train(path, clf, config_path, seed, model_out):
 def matrix(config_path, json_out, fmt):
     """Run the preprocessor x classifier experiment matrix from an INI config."""
     cfg = _config_from_ini(config_path)
-    try:
-        report = pipeline.run_matrix(cfg)  # each cell contains its own errors
-    except OSError as exc:
-        _fail_config(str(exc))
+    report = pipeline.run_matrix(cfg)  # each cell contains its own errors
     click.echo(pipeline.emit_report(report, fmt), nl=False)
     if json_out:
         with open(json_out, "w", encoding="utf-8") as fh:

@@ -196,15 +196,15 @@ def resolve_data(cfg: ExperimentConfig) -> GasTable:
 
 @dataclass(frozen=True)
 class FittedReducer:
-    """A fitted preprocessor: either a projection or a kept-name selection."""
+    """A fitted preprocessor: pca's projection, or else a selection of the
+    kept names (every column, for `none`); `result.method` names it."""
 
-    method: str
     result: ReductionResult
     projection: pca.PcaProjection | None = None
 
     @property
     def kept_label(self) -> str:
-        if self.method == "pca":
+        if self.projection is not None:
             return f"pca:p={self.projection.p}"
         return ",".join(self.result.kept)
 
@@ -212,14 +212,12 @@ class FittedReducer:
     def columns(self) -> tuple[str, ...]:
         """The kept names, which name the columns `transform` returns."""
         if not self.result.kept:
-            raise ParameterError(f"{self.method} selected no attributes")
+            raise ParameterError(f"{self.result.method} selected no attributes")
         return self.result.kept
 
     def transform(self, table: Table) -> Table:
-        if self.method == "pca":
+        if self.projection is not None:
             return pca.project(table, self.projection)
-        if self.method == "none":
-            return Table(table.values, table.decisions, table.attributes)
         return table.select(self.columns)
 
 
@@ -227,8 +225,7 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
     """Fit one preprocessor on the given rows; rs, gr and dt read them
     through their `table_partition`."""
     if method == "none":
-        result = ReductionResult("none", tuple(table.attributes))
-        return FittedReducer("none", result)
+        return FittedReducer(ReductionResult("none", tuple(table.attributes)))
     if method == "pca":
         proj = pca.fit_projection(
             table, fixed_count=cfg.pca_components, threshold=cfg.pca_threshold
@@ -244,14 +241,13 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
                 "std": [float(v) for v in proj.scaler.std],
             },
         )
-        return FittedReducer("pca", result, projection=proj)
+        return FittedReducer(result, projection=proj)
     part = table_partition(table)
     if method == "rs":
-        result = reduct_search(part)
-        return FittedReducer("rs", result)
+        return FittedReducer(reduct_search(part))
     if method == "gr":
         result = granular.incremental_rank_reduce(part, cfg.gr_chunk_size, cfg.gr_carry)
-        return FittedReducer("gr", result)
+        return FittedReducer(result)
     if method == "dt":
         grow_idx, val_idx = split_indices(
             part.n_rows, (1.0 - cfg.dt_prune_fraction, cfg.dt_prune_fraction), seed
@@ -260,8 +256,7 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
             part.take(grow_idx), criterion=cfg.dt_criterion, min_rows=cfg.dt_min_rows
         )
         tree = dtree.prune(tree, part.take(val_idx))
-        result = dtree.select_attributes(tree)
-        return FittedReducer("dt", result)
+        return FittedReducer(dtree.select_attributes(tree))
     raise ConfigError(f"unknown preprocessor {method!r}")
 
 
@@ -340,9 +335,10 @@ class FittedClassifier:
         return ivz.apply(disc.apply(raw), std)
 
 
-def fit_classifier(classifier, cfg, train_raw: Table, mlp: bpnn.MlpConfig) -> FittedClassifier:
+def fit_classifier(classifier, cfg, train_raw: Table, seed: int) -> FittedClassifier:
     """Standardize the raw rows, then for rnn discretize and intervalize them,
-    then train one classifier; every fitted step sees these rows only."""
+    then train one classifier under `cfg`'s settings, a net seeded with
+    `seed`; every fitted step sees these rows only."""
     rows, scaler = standardize(train_raw)
     cells = None
     if classifier == "rnn":
@@ -351,6 +347,7 @@ def fit_classifier(classifier, cfg, train_raw: Table, mlp: bpnn.MlpConfig) -> Fi
         categorical = disc.apply(train_raw)
         ivz = Intervalizer.fit(categorical, rows)
         rows, cells = ivz.apply(categorical, rows), (disc, ivz)
+    mlp = replace(cfg.mlp, seed=seed)
     started = time.perf_counter()
     if classifier == "bpnn":
         model = bpnn.train(rows, mlp)
@@ -368,7 +365,7 @@ def fit_classifier(classifier, cfg, train_raw: Table, mlp: bpnn.MlpConfig) -> Fi
 def _train_eval(classifier, cfg, train_raw, test_raw, seed):
     """Train one classifier on a reduced fold; returns (accuracy, seconds,
     stop reason)."""
-    fitted = fit_classifier(classifier, cfg, train_raw, replace(cfg.mlp, seed=seed))
+    fitted = fit_classifier(classifier, cfg, train_raw, seed)
     model = fitted.model
     accuracy = MODELS[classifier].evaluate(model, fitted.inputs(test_raw))
     if classifier == "svm":
@@ -562,14 +559,14 @@ def _assemble(cfg, preprocessor, classifier, folds, failure, outcomes, sources) 
 
 def _reducer_fingerprint(reducer: FittedReducer):
     """Stable summary of fitted parameters, used by the leakage canary."""
-    if reducer.method == "pca":
+    if reducer.projection is not None:
         return (
             "pca",
             tuple(round(float(v), 12) for v in reducer.projection.scaler.mean),
             tuple(round(float(v), 12) for v in reducer.projection.scaler.std),
             tuple(round(float(v), 12) for v in reducer.projection.basis.ravel()),
         )
-    return (reducer.method,) + tuple(reducer.result.kept)
+    return (reducer.result.method,) + tuple(reducer.result.kept)
 
 
 def _kernel_label(kernel: svm.Kernel) -> str:

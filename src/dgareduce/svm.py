@@ -4,7 +4,9 @@ Decisions {0, 1} map to labels {-1, +1} inside this module only.  Each
 update takes i as the maximal violator in I_up and j in I_low by the
 second-order gain -b^2/a (Fan, Chen & Lin, JMLR 2005, the LIBSVM rule) and
 moves the pair by the clipped two-variable step.  The choice is
-deterministic, so the solver takes no seed.
+deterministic, so the solver takes no seed.  A `Kernel` holds its kind
+and the parameters that kind reads (`KERNEL_PARAMS`), and a model file
+saves those alone.
 
 Across updates the solver carries three vectors: score = -y G, with G =
 Q alpha - 1 the dual gradient, and I_up and I_low as float masks (0 or -inf
@@ -66,7 +68,7 @@ _CACHE_BYTES = 256 << 20  # kernel row blocks kept during one training
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel specification: its `kind` and that kind's parameters."""
+    """A kernel `kind` and the parameters it reads; the others keep their defaults."""
 
     kind: str
     degree: int = 3
@@ -80,17 +82,19 @@ class Kernel:
             raise ParameterError(f"kernel kind must be one of {KERNEL_KINDS}")
         if self.kind == "rbf" and not self.gamma > 0:
             raise ParameterError(f"rbf gamma must be positive, got {self.gamma}")
-        for param in _PARAM_FIELDS:
-            value = getattr(self, param.name)
+        for name, default in _DEFAULTS.items():
+            value = getattr(self, name)
+            if name not in KERNEL_PARAMS[self.kind] and value != default:
+                raise ParameterError(f"{self.kind} kernel reads no {name}, got {value}")
             if not math.isfinite(value):
-                raise ParameterError(f"kernel {param.name} must be finite, got {value}")
-        if self.degree != int(self.degree) or (self.kind == "polynomial" and self.degree < 1):
+                raise ParameterError(f"kernel {name} must be finite, got {value}")
+        if self.kind == "polynomial" and (self.degree != int(self.degree) or self.degree < 1):
             raise ParameterError(
                 f"kernel degree must be an integer, positive for polynomial, got {self.degree}"
             )
 
 
-_PARAM_FIELDS = dataclasses.fields(Kernel)[1:]  # every field after `kind`
+_DEFAULTS = {p.name: p.default for p in dataclasses.fields(Kernel)[1:]}  # every field after kind
 
 
 def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -350,7 +354,7 @@ def save_model(model: SvmModel, path) -> None:
     kern = model.kernel
     fields = {
         "kernel": kern.kind,
-        **{param.name: getattr(kern, param.name) for param in _PARAM_FIELDS},
+        **{name: getattr(kern, name) for name in KERNEL_PARAMS[kern.kind]},
         "c": model.c,
         "bias": model.bias,
         "converged": int(model.converged),
@@ -366,10 +370,8 @@ def save_model(model: SvmModel, path) -> None:
 
 def load_model(path) -> SvmModel:
     f = ModelFile(path, "svm")
-    kernel = Kernel(
-        f.get("kernel"),
-        **{param.name: f.get(param.name, type(param.default)) for param in _PARAM_FIELDS},
-    )
+    kind = f.get("kernel")  # an unknown kind reads no parameter and fails in `Kernel`
+    kernel = Kernel(kind, **{n: f.get(n, type(_DEFAULTS[n])) for n in KERNEL_PARAMS.get(kind, ())})
     vectors = f.array("support_vectors")
     n = vectors.shape[:1]  # one label, alpha and index per support vector
     support = f.arrays({"labels": n, "alphas": n})

@@ -5,6 +5,12 @@ import pytest
 
 from dgareduce.dataset import ATTRIBUTES, CategoricalTable, GasTable, Table
 from dgareduce.roughset import partition
+from dgareduce.svm import KERNEL_KINDS, KERNEL_PARAMS
+
+# a value other than its default for every kernel parameter, and each
+# (kind, parameter) pair whose kind does not read the parameter
+KERNEL_CHANGES = {"degree": 2, "coef": 0.5, "gamma": 0.7, "scale": 0.3, "offset": -0.2}
+UNREAD = [(k, p) for k in KERNEL_KINDS for p in KERNEL_CHANGES if p not in KERNEL_PARAMS[k]]
 
 
 def make_gas_table(n_rows=4, decisions=None, **columns) -> GasTable:

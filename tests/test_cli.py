@@ -15,6 +15,8 @@ from dgareduce.dataset import load_csv, synth_generate, write_csv
 from dgareduce.pipeline import ExperimentConfig, SynthSpec, fit_reducer, reducer_seed
 from dgareduce.svm import Kernel
 
+from conftest import KERNEL_CHANGES, UNREAD
+
 
 def _invoke(*args):
     return CliRunner().invoke(main, list(args))
@@ -202,28 +204,25 @@ class TestTrain:
         assert "kind = svm" in model.read_text()
 
     def test_negative_seed_exit_2(self, tmp_path):
-        src = tmp_path / "src.csv"
+        src, ini = tmp_path / "src.csv", tmp_path / "exp.ini"
         _invoke("synth", "-n", "50", "--seed", "4", "--out", str(src))
-        result = _invoke("train", "--in", str(src), "--clf", "bpnn", "--seed", "-1")
+        ini.write_text("[experiment]\nseed = -1\n")
+        result = _invoke("train", "--in", str(src), "--clf", "bpnn", "--config", str(ini))
         assert result.exit_code == 2, result.output
-        assert result.stderr == "config error: seed must be non-negative, got -1\n"
+        assert result.stderr == f"config error: {ini}: seed must be non-negative, got -1\n"
 
-    def test_config_seed_seeds_the_net_and_seed_option_overrides_it(self, tmp_path):
+    def test_config_seed_seeds_the_net(self, tmp_path):
         src = tmp_path / "src.csv"
         _invoke("synth", "-n", "60", "--seed", "4", "--out", str(src))
 
-        def final_error(seed_key, *options):
+        def final_error(seed_key):
             ini = tmp_path / f"seed{seed_key}.ini"
             ini.write_text(f"[experiment]\nseed = {seed_key}\n\n[bpnn]\nepochs = 20\n")
-            result = _invoke(
-                "train", "--in", str(src), "--clf", "bpnn", "--config", str(ini), *options
-            )
+            result = _invoke("train", "--in", str(src), "--clf", "bpnn", "--config", str(ini))
             assert result.exit_code == 0, result.output
             return result.output.split("final-error=")[1].split()[0]
 
         assert final_error(5) != final_error(0)
-        assert final_error(0, "--seed", "5") == final_error(5)
-        assert final_error(5, "--seed", "0") == final_error(0)
 
 
 class TestMatrix:
@@ -396,6 +395,32 @@ class TestNotUtf8:
         assert "Traceback" not in result.output
 
 
+class TestUnopenablePath:
+    """A path that cannot be opened, here one in a missing directory, is a
+    configuration error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("synth", "-n", "40", "--out", "{tmp}/missing/x.csv"),
+            ("discretize", "--in", "{csv}", "--out", "{tmp}/missing/cat.csv"),
+            ("reduce", "--in", "{csv}", "--method", "rs", "--out", "{tmp}/missing/rs.txt"),
+            ("train", "--in", "{csv}", "--clf", "svm", "--model-out", "{tmp}/missing/m.txt"),
+            ("matrix", "--config", "{ini}", "--json-out", "{tmp}/missing/report.json"),
+        ],
+        ids=["synth", "discretize", "reduce", "train", "matrix"],
+    )
+    def test_exit_2(self, tmp_path, args):
+        csv, ini = tmp_path / "rows.csv", tmp_path / "exp.ini"
+        write_csv(synth_generate(40, 0.5, 0.2, seed=3), csv)
+        ini.write_text(MATRIX_INI)
+        result = _invoke(*(arg.format(csv=csv, ini=ini, tmp=tmp_path) for arg in args))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("config error: [Errno 2] No such file or directory: ")
+        assert "Traceback" not in result.output
+
+
 class TestOversizedCell:
     """A cell longer than csv.field_size_limit() that is not a number makes
     csv.reader fail; that is a configuration error naming the file."""
@@ -501,12 +526,20 @@ def _other_value(path: str, default) -> str:
 
 
 def _one_key_inis():
-    """(path, INI text) for every setting an INI key sets."""
+    """(path, INI text) for every setting an INI key sets.  A kernel
+    parameter that the default kind does not read comes with the `kernel`
+    kind that reads it."""
+    reading_kind = {p: kind for kind, params in svm.KERNEL_PARAMS.items() for p in params}
+    default_kind = ExperimentConfig().kernel.kind
     for path, default in _settings(ExperimentConfig()).items():
         where = _ini_key(path)
         if where is not None:
             section, key = where
-            yield path, f"[{section}]\n{key} = {_other_value(path, default)}\n"
+            text = f"[{section}]\n{key} = {_other_value(path, default)}\n"
+            kind = reading_kind.get(path.removeprefix("kernel."), default_kind)
+            if kind != default_kind:
+                text += f"kernel = {kind}\n"
+            yield path, text
 
 
 class TestConfigFromIni:
@@ -564,6 +597,18 @@ class TestConfigFromIni:
         assert result.stderr.startswith(f"config error: {ini}: {message}"), result.stderr
         assert "Average Accuracy (%)" not in result.output
 
+    @pytest.mark.parametrize("kind, key", UNREAD, ids=[f"{k}-{p}" for k, p in UNREAD])
+    def test_kernel_key_its_kind_does_not_read_exit_2(self, tmp_path, kind, key):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(MATRIX_INI.replace("kernel = rbf\ngamma = 0.5", f"kernel = {kind}")
+                       + f"{key} = {KERNEL_CHANGES[key]}\n")
+        result = _invoke("matrix", "--config", str(ini))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(
+            f"config error: {ini}: {kind} kernel reads no {key}, got "
+        ), result.stderr
+        assert "Average Accuracy (%)" not in result.output
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -597,8 +642,8 @@ class TestConfigFromIni:
             "[dt]\ncriterion = gain\nmin_rows = 4\nprune_fraction = 0.2\n"
             "[bpnn]\nepochs = 7\nlearning_rate = 0.1\nhidden = 8\ngoal = 0.01\n"
             "ratios = 0.6,0.4\nmax_fail = 3\n"
-            "[svm]\nkernel = polynomial\ndegree = 2\ncoef = 0.5\ngamma = 0.7\nscale = 2\n"
-            "offset = 0.3\nc = 5\ntol = 0.01\nmax_passes = 12\n"
+            "[svm]\nkernel = polynomial\ndegree = 2\ncoef = 0.5\n"
+            "c = 5\ntol = 0.01\nmax_passes = 12\n"
             "[rnn]\nconnection = full\n",
         )
         assert cfg == ExperimentConfig(
@@ -620,7 +665,7 @@ class TestConfigFromIni:
                 epochs=7, learning_rate=0.1, hidden=(8,), goal=0.01,
                 ratios=(0.6, 0.4), max_fail=3,
             ),
-            kernel=Kernel("polynomial", degree=2, coef=0.5, gamma=0.7, scale=2.0, offset=0.3),
+            kernel=Kernel("polynomial", degree=2, coef=0.5),
             svm_c=5.0,
             svm_tol=0.01,
             svm_max_passes=12,
@@ -628,6 +673,10 @@ class TestConfigFromIni:
         )
         threshold = self._parsed(tmp_path, "[pca]\nthreshold = 90\n")
         assert threshold == ExperimentConfig(pca_components=None, pca_threshold=90.0)
+        rbf = self._parsed(tmp_path, "[svm]\nkernel = rbf\ngamma = 0.7\n")
+        assert rbf == ExperimentConfig(kernel=Kernel("rbf", gamma=0.7))
+        sigmoid = self._parsed(tmp_path, "[svm]\nkernel = sigmoid\nscale = 2\noffset = 0.3\n")
+        assert sigmoid == ExperimentConfig(kernel=Kernel("sigmoid", scale=2.0, offset=0.3))
 
     @pytest.mark.parametrize("path, text", [pytest.param(*p, id=p[0]) for p in _one_key_inis()])
     def test_one_key_sets_one_setting(self, tmp_path, path, text):
@@ -636,4 +685,9 @@ class TestConfigFromIni:
         `components`.  A setting added without a key fails here."""
         got, default = _settings(self._parsed(tmp_path, text)), _settings(ExperimentConfig())
         changed = {name for name in default if got[name] != default[name]}
-        assert changed == ({path, "pca_components"} if path == "pca_threshold" else {path})
+        if path == "pca_threshold":
+            assert changed == {path, "pca_components"}
+        elif "\nkernel = " in text:  # with the kind that reads the key
+            assert changed == {"kernel.kind", path}
+        else:
+            assert changed == {path}

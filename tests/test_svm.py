@@ -11,7 +11,7 @@ from dgareduce.dataset import kfold, standardize, synth_generate
 from dgareduce.errors import ParameterError, ShapeError
 from dgareduce.svm import Kernel, check_kkt, kernel_matrix, train_smo
 
-from conftest import make_table
+from conftest import KERNEL_CHANGES, UNREAD, make_table
 
 
 def brute_margin_2d(values, labels, angles=3600):
@@ -34,6 +34,12 @@ KERNELS = (
     Kernel("rbf", gamma=0.5),
     Kernel("sigmoid", scale=0.2),
 )
+
+
+def changed_kernel(kind):
+    """A `kind` kernel with every parameter it reads at its `KERNEL_CHANGES`
+    value."""
+    return Kernel(kind, **{p: KERNEL_CHANGES[p] for p in svm.KERNEL_PARAMS[kind]})
 
 
 def criterion9_fold(method):
@@ -99,8 +105,13 @@ class TestKernels:
 
     @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
     def test_non_integer_degree_rejected_for_every_kind(self, kind):
-        # a model file writes degree as an integer, so 2.5 would save but not load
-        with pytest.raises(ParameterError, match="^kernel degree must be an integer"):
+        """polynomial reads degree as an integer (a model file writes it as
+        one, so 2.5 would save but not load); the other kinds read none."""
+        if kind == "polynomial":
+            message = "kernel degree must be an integer"
+        else:
+            message = f"{kind} kernel reads no degree, got 2.5"
+        with pytest.raises(ParameterError, match=f"^{message}"):
             Kernel(kind, degree=2.5)
 
     @pytest.mark.parametrize(
@@ -119,12 +130,14 @@ class TestKernels:
         with pytest.raises(ParameterError, match=f"^{message}"):
             Kernel(kind, **setting)
 
+    @pytest.mark.parametrize("kind, name", UNREAD, ids=[f"{k}-{p}" for k, p in UNREAD])
+    def test_parameter_the_kind_does_not_read_keeps_its_default(self, kind, name):
+        assert Kernel(kind, **{name: getattr(Kernel(kind), name)}) == Kernel(kind)
+        with pytest.raises(ParameterError, match=f"^{kind} kernel reads no {name}, got "):
+            Kernel(kind, **{name: KERNEL_CHANGES[name]})
+
     def test_label_names_the_parameters_each_kind_reads(self):
-        labels = [
-            pipeline._kernel_label(Kernel(kind, degree=2, coef=0.5, gamma=0.7, scale=0.3,
-                                          offset=-0.2))
-            for kind in svm.KERNEL_KINDS
-        ]
+        labels = [pipeline._kernel_label(changed_kernel(kind)) for kind in svm.KERNEL_KINDS]
         assert labels == [
             "linear", "polynomial(degree=2,coef=0.5)", "rbf(gamma=0.7)",
             "sigmoid(scale=0.3,offset=-0.2)",
@@ -562,17 +575,18 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
     def test_round_trip_keeps_every_kernel_field(self, tmp_path, kind):
-        """Every field, whether or not `kind` reads it, at a value other than
-        its default."""
-        changed = {"degree": 2, "coef": 0.5, "gamma": 0.7, "scale": 0.3, "offset": -0.2}
-        kernel = Kernel(kind, **changed)
+        """Every field that `kind` reads, at a value other than its default;
+        the file holds those fields alone."""
+        kernel = changed_kernel(kind)
         defaults = Kernel(kind)
-        assert all(getattr(defaults, name) != value for name, value in changed.items())
-        assert set(changed) == {f.name for f in dataclasses.fields(Kernel)} - {"kind"}
+        assert all(getattr(defaults, name) != value for name, value in KERNEL_CHANGES.items())
+        assert set(KERNEL_CHANGES) == {f.name for f in dataclasses.fields(Kernel)} - {"kind"}
         table, _ = standardize(synth_generate(40, 0.5, 0.5, 2))
         path = tmp_path / "svm.txt"
         svm.save_model(train_smo(table, kernel, max_passes=5), path)
         assert svm.load_model(path).kernel == kernel
+        keys = {line.partition(" = ")[0] for line in path.read_text().splitlines()}
+        assert keys & set(KERNEL_CHANGES) == set(svm.KERNEL_PARAMS[kind])
 
     def test_round_trip_keeps_solver_record(self, tmp_path):
         table, _ = standardize(synth_generate(200, 0.5, 1.5, 1))
@@ -583,3 +597,17 @@ class TestSaveLoad:
         svm.save_model(model, path)
         loaded = svm.load_model(path)
         assert (loaded.converged, loaded.sweeps, loaded.training_kkt_rate) == record
+
+    @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
+    def test_file_with_every_kernel_parameter_loads(self, tmp_path, kind):
+        """Files written before a kernel held only the parameters its kind
+        reads have a line for each of the five; the kind reads its own."""
+        path = tmp_path / "svm.txt"
+        path.write_text(
+            f"kind = svm\nkernel = {kind}\ndegree = 2\ncoef = 0.5\n"
+            "gamma = 0.69999999999999996\nscale = 0.29999999999999999\n"
+            "offset = -0.20000000000000001\nc = 10\nbias = 0.25\nconverged = 1\n"
+            "sweeps = 3\ntraining_kkt_rate = 1\nlabels = -1,1\nalphas = 0.5,0.5\n"
+            "indices = 0,1\nsupport_vectors.shape = 2,2\nsupport_vectors = 1,0,0,1\n"
+        )
+        assert svm.load_model(path).kernel == changed_kernel(kind)
