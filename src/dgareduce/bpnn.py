@@ -5,24 +5,35 @@ restores the best-validation weights.
 The training error is the batch mean of the squared output-target difference;
 the factor 2 from differentiating the square is kept in the gradient.
 
+A layer is one (out, in + 1) block [W | b], its weights with its biases as
+one more column, and its buffers are feature-major: one unit per array row,
+one data row per column.  Every layer's input buffer ends in a row of ones,
+written once, so a layer's forward pass is one matmul [W | b] @ [a; 1], its
+packed weight-and-bias gradient one more, delta @ [a; 1].T, and an epoch has
+no bias add and no bias row sum.
+
 A training owns its buffers (`LayerBuffers`): one set for the training rows
 and one for the validation rows, allocated once and rewritten in place by
-every epoch, so an epoch allocates no row-sized array.  The training set
-holds (2 * sum(hidden) + 4) float64 per row, the validation set
-(sum(hidden) + 3): at hidden (20, 30) and 1,120 training rows that is 0.93 MB,
+every epoch, so an epoch allocates no row-sized array.  With m the input
+width and L the number of hidden layers, the training set holds
+(m + 1 + 2 * sum(hidden) + L + 4) float64 per row and the validation set
+(m + 1 + sum(hidden) + L + 3), the L + 1 rows of ones counted: at width 10,
+hidden (20, 30) and 1,120 training rows the training set takes 1.05 MB,
 held for the length of the training.  Every in-place operation keeps the
 order of the allocating formulas, so results are bit-identical to them
 (tests/test_net_buffers.py keeps those formulas as the reference).
 
-A training also keeps its parameters in one flat float64 vector, of which
-the model's weight and bias arrays are views, and its gradients in another
-laid out the same way, so a descent step, snapshot or restore is one
-vector operation.
+A training also keeps its parameters in one flat float64 vector, the layer
+blocks end to end, of which the model's layers are views, and its gradients
+in another laid out the same way, so a descent step, snapshot or restore is
+one vector operation.  The model's `weights` and `biases` are views of the
+blocks, and the model file stores them under their own names.
 
-The buffers carry a leading channel axis.  The point network runs one
-channel; the rough network (`rnn`) runs its shared layers here as two, the
-min and max outputs of its rough layer.  The output is the logsig of the
-channels' mean output net, so one channel gives the plain network exactly.
+The buffers carry a leading channel axis, (channels, units, rows).  The
+point network runs one channel; the rough network (`rnn`) runs its shared
+layers here as two, the min and max outputs of its rough layer.  The output
+is the logsig of the channels' mean output net, so one channel gives the
+plain network exactly.
 """
 
 from __future__ import annotations
@@ -64,7 +75,6 @@ class MlpConfig:
     goal: float = 1e-5
     ratios: tuple[float, float] = (0.7, 0.15)
     max_fail: int = 6
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -87,8 +97,6 @@ class MlpConfig:
             raise ParameterError("max_fail must be at least 1")
         if not 0 <= self.goal < math.inf:
             raise ParameterError(f"goal must be non-negative and finite, got {self.goal}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def shares(self) -> tuple[float, float]:
@@ -115,14 +123,21 @@ class TrainingTrace:
 
 @dataclass
 class MlpModel:
-    """Layer weights/biases (tanh hidden, logsig output) and the training trace."""
+    """Layer blocks [W | b] (tanh hidden, logsig output) and the training trace."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    layers: list[np.ndarray]
     input_width: int
     hidden: tuple[int, ...]
     trace: TrainingTrace
     scaler: Scaler | None = None
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return [layer[:, :-1] for layer in self.layers]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return [layer[:, -1] for layer in self.layers]
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -145,22 +160,26 @@ def layer_shapes(input_width: int, hidden) -> dict[str, tuple[int, ...]]:
     return layer_params(list(zip(sizes[1:], sizes[:-1])), [(size,) for size in sizes[1:]])
 
 
-def carve(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Views of the vector `flat`, one per named shape, laid end to end in
-    order."""
-    views, start = {}, 0
-    for name, shape in shapes.items():
+def pack(weights, biases) -> list[np.ndarray]:
+    """Each layer's weights and biases as one (out, in + 1) block [W | b]."""
+    return [np.column_stack((w, b)) for w, b in zip(weights, biases)]
+
+
+def carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the vector `flat`, one per shape, laid end to end in order."""
+    views, start = [], 0
+    for shape in shapes:
         size = math.prod(shape)
-        views[name] = flat[start:start + size].reshape(shape)
+        views.append(flat[start:start + size].reshape(shape))
         start += size
     return views
 
 
-def flat_copy(named: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The named arrays copied end to end into one float64 vector, and their
-    views of it."""
-    flat = np.concatenate([a.ravel() for a in named.values()])
-    return flat, carve(flat, {name: a.shape for name, a in named.items()})
+def flat_copy(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The arrays copied end to end into one float64 vector, and their views
+    of it."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    return flat, carve(flat, [a.shape for a in arrays])
 
 
 def init_layers(sizes, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -174,42 +193,44 @@ def init_layers(sizes, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 class LayerBuffers:
-    """The arrays one row block `x` needs in a layer stack of the `weights`'
-    shapes, allocated once and rewritten by every pass over those rows.
+    """The arrays one row block needs in a stack of the `layers`' blocks,
+    allocated once and rewritten by every pass over those rows.
 
-    Every array has a leading channel axis: `x` is (channels, n, width), or
-    (n, width) for one channel.  Forward passes fill `acts`: the input first,
-    then each layer's output.  With `backward`, a gradient step also fills
-    `deltas` (each layer's output delta) and the weight and bias gradients,
-    and it turns each hidden activation into its tanh slope in place; with
-    `input_delta` it also fills the delta at the stack's input.  The
-    gradients are views (`grads_w`, `grads_b`) of the vector `flat_grads`,
-    laid out as `layer_params` names them; pass `flat_grads` to have them
-    written into a larger vector, or leave it None to allocate one.
+    Every array is feature-major with a leading channel axis, (channels,
+    units, rows): `x`, copied in here, is the block's (channels, width, n)
+    inputs, or (width, n) for one channel.  Forward passes fill `acts`: the
+    input first, then each layer's output; every layer's input ends in a row
+    of ones, written here once.  With `backward`, a gradient step also fills
+    `deltas` (each layer's output delta) and `grads` (each layer's packed
+    [W | b] gradient), and it turns each hidden activation into its tanh
+    slope in place; with `input_delta` it also fills the delta at the
+    stack's input.  The gradients are views of the vector `flat_grads`, laid
+    out as the layers; pass `flat_grads` to have them written into a larger
+    vector, or leave it None to allocate one.
     """
 
-    def __init__(self, x: np.ndarray, weights, backward: bool = False, input_delta: bool = False,
+    def __init__(self, x: np.ndarray, layers, backward: bool = False, input_delta: bool = False,
                  flat_grads: np.ndarray | None = None):
         x = x if x.ndim == 3 else x[None]
-        channels, n = x.shape[:2]
-        widths = [w.shape[0] for w in weights]
-        self.acts = [x] + [np.empty((channels, n, k)) for k in widths]
-        self.expo = np.empty((n, 1))
-        self.negative = np.empty((n, 1), dtype=bool)
+        channels, width, n = x.shape
+        widths = [layer.shape[0] for layer in layers]
+        self.acts = [np.ones((channels, k + 1, n)) for k in [width] + widths[:-1]]
+        self.acts.append(np.empty((channels, widths[-1], n)))
+        self.acts[0][:, :width] = x
+        self.expo = np.empty((1, n))
+        self.negative = np.empty((1, n), dtype=bool)
         self.resid = np.empty(n)
         if backward:
-            self.deltas = [np.empty((channels, n, k)) for k in widths]
-            self.input_delta = np.empty_like(x) if input_delta else None
-            shapes = layer_params([w.shape for w in weights], [(k,) for k in widths])
+            self.deltas = [np.empty((channels, k, n)) for k in widths]
+            self.input_delta = np.empty((channels, width, n)) if input_delta else None
+            shapes = [layer.shape for layer in layers]
             if flat_grads is None:
-                flat_grads = np.empty(sum(map(math.prod, shapes.values())))
+                flat_grads = np.empty(sum(map(math.prod, shapes)))
             self.flat_grads = flat_grads
-            views = list(carve(flat_grads, shapes).values())
-            self.grads_w, self.grads_b = views[0::2], views[1::2]
+            self.grads = carve(flat_grads, shapes)
             # one channel's matmul writes its gradient in place; more are added after
             self.channel_grads = [
-                g[None] if channels == 1 else np.empty((channels,) + g.shape)
-                for g in self.grads_w
+                g[None] if channels == 1 else np.empty((channels,) + g.shape) for g in self.grads
             ]
 
 
@@ -220,22 +241,21 @@ def _add_channels(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
-def _forward(weights, biases, rows: LayerBuffers) -> np.ndarray:
+def _forward(layers, rows: LayerBuffers) -> np.ndarray:
     """The logsig of the channel mean of the output nets over the rows, as a
     view into `rows`."""
     acts = rows.acts
-    last = len(weights) - 1
-    for layer, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[layer + 1]
-        np.matmul(acts[layer], w.T, out=z)
-        z += b
-        if layer < last:
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        z = acts[i + 1][:, :layer.shape[0]]
+        np.matmul(layer, acts[i], out=z)
+        if i < last:
             np.tanh(z, out=z)
     out = _add_channels(acts[-1])
     if acts[-1].shape[0] > 1:
         out *= 1.0 / acts[-1].shape[0]
     _logsig_inplace(out, rows.expo, rows.negative)
-    return out[:, 0]
+    return out[0]
 
 
 def _tanh_slope(a: np.ndarray) -> np.ndarray:
@@ -247,7 +267,7 @@ def _tanh_slope(a: np.ndarray) -> np.ndarray:
 def _output_delta(a: np.ndarray, resid: np.ndarray, n: int, delta: np.ndarray, scratch: np.ndarray) -> None:
     """The logsig output's delta (2 / n) * resid * (a * (1 - a)) for a mean
     over n rows, written into `delta`; `scratch` is an array of a's shape."""
-    np.multiply(2.0 / n, resid[:, None], out=delta)
+    np.multiply(2.0 / n, resid, out=delta)
     np.subtract(1.0, a, out=scratch)
     scratch *= a
     delta *= scratch
@@ -263,10 +283,10 @@ def scores(model: MlpModel, values: np.ndarray) -> np.ndarray:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != model.input_width:
         raise ShapeError(f"expected width {model.input_width}, got {values.shape[1]}")
-    return _forward(model.weights, model.biases, LayerBuffers(values, model.weights))
+    return _forward(model.layers, LayerBuffers(values.T, model.layers))
 
 
-def _backward(weights, rows: LayerBuffers, n: int) -> None:
+def _backward(layers, rows: LayerBuffers, n: int) -> None:
     """The delta rule after a forward pass, from the output residuals in
     `rows.resid` of a mean over n rows, written into the `backward` buffers
     `rows`.  Each channel takes an equal share of the output delta, and each
@@ -279,30 +299,30 @@ def _backward(weights, rows: LayerBuffers, n: int) -> None:
         for c in range(1, delta.shape[0]):
             np.multiply(share, delta[0], out=delta[c])
         delta[0] *= share
-    for layer in range(len(weights) - 1, -1, -1):
-        channel_grads = rows.channel_grads[layer]
-        np.matmul(delta.transpose(0, 2, 1), acts[layer], out=channel_grads)
+    for i in range(len(layers) - 1, -1, -1):
+        channel_grads = rows.channel_grads[i]
+        np.matmul(delta, acts[i].transpose(0, 2, 1), out=channel_grads)
         if channel_grads.shape[0] > 1:
-            np.add.reduce(channel_grads, axis=0, out=rows.grads_w[layer])
-        below = deltas[layer - 1] if layer > 0 else rows.input_delta
+            np.add.reduce(channel_grads, axis=0, out=rows.grads[i])
+        below = deltas[i - 1] if i > 0 else rows.input_delta
         if below is not None:
-            np.matmul(delta, weights[layer], out=below)
-            if layer > 0:
-                below *= _tanh_slope(acts[layer])
-        np.add.reduce(_add_channels(delta), axis=0, out=rows.grads_b[layer])
+            units = below.shape[1]
+            np.matmul(layers[i][:, :units].T, delta, out=below)
+            if i > 0:
+                below *= _tanh_slope(acts[i][:, :units])
         delta = below
 
 
-def batch_gradients(weights, biases, rows: LayerBuffers, targets):
-    """Mean-squared-error value and full-batch gradients via the delta rule,
-    written into the `backward` buffers `rows`."""
-    np.subtract(_forward(weights, biases, rows), targets, out=rows.resid)
-    _backward(weights, rows, len(targets))
-    return _mean_square(rows.resid), rows.grads_w, rows.grads_b
+def batch_gradients(layers, rows: LayerBuffers, targets):
+    """Mean-squared-error value and each layer's packed [W | b] full-batch
+    gradient via the delta rule, written into the `backward` buffers `rows`."""
+    np.subtract(_forward(layers, rows), targets, out=rows.resid)
+    _backward(layers, rows, len(targets))
+    return _mean_square(rows.resid), rows.grads
 
 
-def _mse(weights, biases, rows: LayerBuffers, targets) -> float:
-    np.subtract(_forward(weights, biases, rows), targets, out=rows.resid)
+def _mse(layers, rows: LayerBuffers, targets) -> float:
+    np.subtract(_forward(layers, rows), targets, out=rows.resid)
     return _mean_square(rows.resid)
 
 
@@ -354,36 +374,32 @@ def descend(params: np.ndarray, gradients, val_error, cfg: MlpConfig, trace: Tra
         np.copyto(params, best)
 
 
-def train(data: Table, cfg: MlpConfig) -> MlpModel:
-    """Full-batch gradient descent (see `descend`) from seeded initial weights.
+def train(data: Table, cfg: MlpConfig, seed: int) -> MlpModel:
+    """Full-batch gradient descent (see `descend`) from initial weights
+    drawn with `seed`.
 
-    The seeded split carves training and validation parts from `data` by
-    cfg.shares (a zero validation ratio gives an empty part).  Whenever a
-    validation part exists, the returned weights are the ones from the epoch
-    with the lowest validation error.
+    The split, seeded with `seed` too, carves training and validation parts
+    from `data` by cfg.shares (a zero validation ratio gives an empty part).
+    Whenever a validation part exists, the returned weights are the ones
+    from the epoch with the lowest validation error.
     """
-    train_idx, val_idx = split_indices(data.n_rows, cfg.shares, cfg.seed)
-    x_train = data.values[train_idx]
+    train_idx, val_idx = split_indices(data.n_rows, cfg.shares, seed)
     d_train = data.decisions[train_idx].astype(float)
-    x_val = data.values[val_idx]
     d_val = data.decisions[val_idx].astype(float)
 
     sizes = (data.n_attributes,) + cfg.hidden + (1,)
-    params, named = flat_copy(layer_params(*init_layers(sizes, np.random.default_rng(cfg.seed))))
-    layers = range(len(cfg.hidden) + 1)
-    weights = [named[f"w{i}"] for i in layers]
-    biases = [named[f"b{i}"] for i in layers]
-    model = MlpModel(weights, biases, data.n_attributes, cfg.hidden, TrainingTrace())
+    params, layers = flat_copy(pack(*init_layers(sizes, np.random.default_rng(seed))))
+    model = MlpModel(layers, data.n_attributes, cfg.hidden, TrainingTrace())
 
-    train_rows = LayerBuffers(x_train, weights, backward=True)
-    val_rows = LayerBuffers(x_val, weights)
+    train_rows = LayerBuffers(data.values[train_idx].T, layers, backward=True)
+    val_rows = LayerBuffers(data.values[val_idx].T, layers)
 
     def gradients():
-        err, _, _ = batch_gradients(weights, biases, train_rows, d_train)
+        err, _ = batch_gradients(layers, train_rows, d_train)
         return err, train_rows.flat_grads
 
     def val_error():
-        return _mse(weights, biases, val_rows, d_val)
+        return _mse(layers, val_rows, d_val)
 
     descend(params, gradients, val_error if val_idx.size else None, cfg, model.trace)
     return model
@@ -416,8 +432,7 @@ def load_model(path) -> MlpModel:
     params = f.arrays(layer_shapes(input_width, hidden))
     layers = range(len(hidden) + 1)
     return MlpModel(
-        [params[f"w{i}"] for i in layers],
-        [params[f"b{i}"] for i in layers],
+        pack([params[f"w{i}"] for i in layers], [params[f"b{i}"] for i in layers]),
         input_width,
         hidden,
         TrainingTrace(stop_reason="loaded"),

@@ -347,16 +347,15 @@ def fit_classifier(classifier, cfg, train_raw: Table, seed: int) -> FittedClassi
         categorical = disc.apply(train_raw)
         ivz = Intervalizer.fit(categorical, rows)
         rows, cells = ivz.apply(categorical, rows), (disc, ivz)
-    mlp = replace(cfg.mlp, seed=seed)
     started = time.perf_counter()
     if classifier == "bpnn":
-        model = bpnn.train(rows, mlp)
+        model = bpnn.train(rows, cfg.mlp, seed)
     elif classifier == "svm":
         model = svm.train_smo(
             rows, cfg.kernel, c=cfg.svm_c, tol=cfg.svm_tol, max_passes=cfg.svm_max_passes
         )
     else:
-        model = rnn.train(rows, mlp, connection=cfg.rnn_connection)
+        model = rnn.train(rows, cfg.mlp, seed, connection=cfg.rnn_connection)
     seconds = time.perf_counter() - started
     model.scaler = scaler
     return FittedClassifier(model, seconds, cells)
@@ -456,12 +455,36 @@ def _train_all(tasks: list, workers: int, setter) -> list:
     processes, joined on return.  The workers inherit `tasks` through fork
     (`initargs` are not pickled under fork), so a submission sends only a
     training's index, and the table, fold plans and reducers never cross a
-    pipe.  A dead worker breaks the pool; each training left unfinished
-    reruns alone, so only one that kills its process fails.  Workers run one
-    BLAS thread through `setter`: idle OpenBLAS threads spin, and 2 workers
-    of 2 threads ran a bpnn training 8x slower on 2 CPUs."""
+    pipe.  Workers run one BLAS thread through `setter`: idle OpenBLAS
+    threads spin, and 2 workers of 2 threads ran a bpnn training 8x slower
+    on 2 CPUs.
+
+    A dead worker breaks its pool and leaves every training in flight or
+    queued unfinished.  Those rerun together in one new pool, the first
+    `workers` of them last: a training that kills its worker was running,
+    so it is among them, and the rest can finish before it runs again.
+    Only a training that this pool leaves unfinished too reruns alone, so
+    only one that kills its process fails."""
     if workers <= 1:
         return list(map(_train_task, tasks))
+    from concurrent.futures.process import BrokenProcessPool
+
+    got = _pooled(tasks, workers, setter)
+    unfinished = [i for i, outcome in enumerate(got) if isinstance(outcome, BrokenProcessPool)]
+    if len(tasks) > 1 and unfinished:
+        again = unfinished[workers:] + unfinished[:workers]
+        for i, outcome in zip(again, _pooled([tasks[i] for i in again], workers, setter)):
+            got[i] = outcome
+        if len(again) > 1:
+            for i in again:
+                if isinstance(got[i], BrokenProcessPool):
+                    got[i] = _pooled(tasks[i : i + 1], workers, setter)[0]
+    return [(_failure_text(o), ()) if isinstance(o, BaseException) else o for o in got]
+
+
+def _pooled(tasks: list, workers: int, setter) -> list:
+    """`_train_task`'s outcome for each of `tasks` on one pool of forked
+    workers, or the exception that kept it from finishing."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -476,11 +499,7 @@ def _train_all(tasks: list, workers: int, setter) -> list:
                 futures.append(pool.submit(_train_index, i))
             except BrokenProcessPool as exc:  # a worker died while tasks were sent
                 futures.append(exc)
-    got = [f if isinstance(f, BaseException) else f.exception() or f.result() for f in futures]
-    for i, outcome in enumerate(got):
-        if len(tasks) > 1 and isinstance(outcome, BrokenProcessPool):
-            got[i] = _train_all(tasks[i : i + 1], workers, setter)[0]
-    return [(_failure_text(o), ()) if isinstance(o, BaseException) else o for o in got]
+    return [f if isinstance(f, BaseException) else f.exception() or f.result() for f in futures]
 
 
 def _once(memo: dict, key, compute):

@@ -6,13 +6,19 @@ point network).
 Each rough unit computes nets from the lower and upper input bounds through
 its own channel weights, applies the activation, and emits the element-wise
 min as the lower output and max as the upper output.  Like the stack's
-buffers, every rough-layer parameter and buffer has a leading channel axis of
-2 (lower, then upper), so each connection is one batched matmul over both
-channels.  The shared stack is the point network's stack
-(`bpnn.LayerBuffers`, `bpnn._forward` and `bpnn._backward`) run with the two
-outputs as its two channels.  At an exact activation tie the gradient of
-both the min and max nodes flows to both branches, which keeps the two
-channels identical whenever their inputs and weights are identical.
+layers, the rough layer is one block with the biases as its last column and
+a leading channel axis of 2 (lower, then upper): [W | b], or [W | C | b]
+with the full connection's cross weights C.  The connection picks, once per
+block of rows, the feature-major input stack each channel's block multiplies
+(`_rough_inputs`): excitatory [x_same; 1], inhibitory [-x_other; 1], full
+[x_same; x_other; 1], where x_same is the channel's own bound and x_other
+the other one.  So the rough nets are one batched matmul over both channels
+and the packed rough gradient one more, for every connection.  The shared
+stack is the point network's stack (`bpnn.LayerBuffers`, `bpnn._forward`
+and `bpnn._backward`) run with the two outputs as its two channels.  At an
+exact activation tie the gradient of both the min and max nodes flows to
+both branches, which keeps the two channels identical whenever their inputs
+and weights are identical.
 
 Rows with the same category pattern get the same (lower, upper) input, so a
 block of rows holds few distinct interval rows: a one-gas cell at most 4, a
@@ -23,13 +29,15 @@ once per distinct row, and training weights each one by its row count (see
 As in the point network, a training owns its buffers (`RoughBuffers`, which
 hold the stack's two-channel `LayerBuffers`), one set for the training rows
 and one for the validation rows, rewritten in place by every epoch.  With m
-the input width and h1 the first hidden width, the training set holds
-(2 * m + 2 * h1 + 4 * sum(hidden) + 10) float64 per distinct row and the
-validation set (2 * m + 2 * h1 + 2 * sum(hidden) + 8), plus 2 * h1 each for
-the full connection's cross nets; each set also keeps one int64 group index
-per row.  At hidden (20, 30) the training set of a one-gas cell's 2 distinct
-rows takes 4 KB plus 10 KB of indices, and that of 240 distinct rows 0.5 MB,
-where 1,318 rows held one each would take 2.8 MB.
+the input width, r = m + 1 the rough inputs per channel (2 * m + 1 for the
+full connection), h1 the first hidden width and L the number of hidden
+layers, the training set holds (2 * r + 2 * h1 + 4 * sum(hidden) + 2 * L + 10)
+float64 per distinct row and the validation set (2 * r + 2 * h1 +
+2 * sum(hidden) + 2 * L + 8), the rows of ones counted; each set also keeps
+one int64 group index per row.  At hidden (20, 30) the training set of a
+one-gas cell's 2 distinct rows takes 4 KB plus 10 KB of indices, and that of
+240 distinct ten-gas rows 0.5 MB, where 1,318 rows held one each would take
+2.9 MB.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .bpnn import (
     init_layers,
     layer_params,
     layer_shapes,
+    pack,
     percent_correct,
     _backward as _stack_backward,
     _forward as _stack_forward,
@@ -150,19 +159,37 @@ def _check_aligned(categories: CategoricalTable, standardized: Table) -> None:
 
 @dataclass
 class RnnModel:
-    """The rough first layer's weights plus the shared stack.  Each rough
-    parameter holds the lower channel, then the upper, on a leading axis."""
+    """The rough first layer's block plus the shared stack's blocks.  The
+    rough block holds the lower channel, then the upper, on a leading axis;
+    its parameters are views of it."""
 
-    rough_w: np.ndarray  # (2, h1, width)
-    rough_b: np.ndarray  # (2, h1)
-    rough_cross: np.ndarray | None  # (2, h1, width), full connection only
-    shared_weights: list[np.ndarray]
-    shared_biases: list[np.ndarray]
+    rough: np.ndarray  # (2, h1, width + 1), or (2, h1, 2 * width + 1) for full
+    shared: list[np.ndarray]
     input_width: int
     hidden: tuple[int, ...]
     connection: str
     trace: TrainingTrace
     scaler: Scaler | None = None
+
+    @property
+    def rough_w(self) -> np.ndarray:  # (2, h1, width)
+        return self.rough[..., :self.input_width]
+
+    @property
+    def rough_b(self) -> np.ndarray:  # (2, h1)
+        return self.rough[..., -1]
+
+    @property
+    def rough_cross(self) -> np.ndarray | None:  # (2, h1, width), full connection only
+        return self.rough[..., self.input_width:-1] if self.connection == "full" else None
+
+    @property
+    def shared_weights(self) -> list[np.ndarray]:
+        return [layer[:, :-1] for layer in self.shared]
+
+    @property
+    def shared_biases(self) -> list[np.ndarray]:
+        return [layer[:, -1] for layer in self.shared]
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -174,30 +201,47 @@ class RnnModel:
         return {**named, **layer_params(self.shared_weights, self.shared_biases, start=1)}
 
 
+def pack_rough(rough_w, rough_b, rough_cross=None) -> np.ndarray:
+    """The rough layer's block: [W | b], or [W | C | b] with cross weights C."""
+    parts = (rough_w,) if rough_cross is None else (rough_w, rough_cross)
+    return np.concatenate(parts + (rough_b[..., None],), axis=-1)
+
+
+def _rough_inputs(connection: str, xl: np.ndarray, xu: np.ndarray) -> np.ndarray:
+    """The rough layer's (lower, upper) input stacks over the rows of bounds
+    `xl` and `xu`, feature-major and C-ordered, each ending in a row of ones."""
+    own = np.stack((xl.T, xu.T))
+    other = own[::-1]
+    parts = {"excitatory": [own], "inhibitory": [-other], "full": [own, other]}[connection]
+    x = np.ones((2, sum(p.shape[1] for p in parts) + 1, xl.shape[0]))
+    np.concatenate(parts, axis=1, out=x[:, :-1])
+    return x
+
+
 class RoughBuffers:
     """The arrays one block of interval rows needs in `model`'s network,
     allocated once and rewritten by every pass over those rows.
 
     The block is held as its distinct (lower, upper) rows, matched bit for
-    bit and kept in order of first occurrence: `x` stacks their lower and
-    upper bounds as the rough layer's two input channels, `inverse` maps
-    each of the `n` rows to its group and `counts` holds each group's row
-    count.  Every other array has one row per group.  Given the rows' 0/1
-    `targets`, it keeps each group's target sum s (`target_sum`), mean
-    target (`target_mean`) and s * (1 - mean target) (`target_sq_dev`, the
-    group's sum of squared target deviations), which stay fixed for the
-    whole training.
+    bit and kept in order of first occurrence: `x` holds their rough-layer
+    input stacks (`_rough_inputs`), `inverse` maps each of the `n` rows to
+    its group and `counts` holds each group's row count.  Every other array
+    has one column per group.  Given the rows' 0/1 `targets`, it keeps each
+    group's target sum s (`target_sum`), mean target (`target_mean`) and
+    s * (1 - mean target) (`target_sq_dev`, the group's sum of squared
+    target deviations), which stay fixed for the whole training.
 
     Forward passes fill `nets` (the rough layer's lower and upper channel
     nets, then their tanh) and write the rough layer's min and max outputs
     into the two channels of `stack`, the point network's buffers
     (`bpnn.LayerBuffers`) for the shared layers.  With `backward`, a
     gradient step also fills the stack's deltas, including the delta at its
-    input, the tie masks `ties` and one gradient per parameter name
-    (`grads`), each a view of the vector `flat_grads`, laid out as
-    `model.params`; the stack writes its gradients into the tail.  It
-    reuses the activations it no longer needs as scratch, so after a step
-    they no longer hold a forward pass.
+    input, the tie masks `ties` and one packed gradient per block (`grads`:
+    the rough block's, then the stack's), each a view of the vector
+    `flat_grads`, laid out as the training's parameter vector; the stack
+    writes its gradients into the tail.  It reuses the activations it no
+    longer needs as scratch, so after a step they no longer hold a forward
+    pass.
     """
 
     def __init__(self, model: RnnModel, xl: np.ndarray, xu: np.ndarray,
@@ -210,21 +254,18 @@ class RoughBuffers:
             self.target_sum = np.bincount(self.inverse, weights=targets, minlength=g)
             self.target_mean = self.target_sum / self.counts
             self.target_sq_dev = (1.0 - self.target_mean) * self.target_sum
-        self.x = np.stack((xl[firsts], xu[firsts]))
-        shape = (2, g, model.hidden[0])
+        self.x = _rough_inputs(model.connection, xl[firsts], xu[firsts])
+        shape = (2, model.hidden[0], g)
         self.nets = np.empty(shape)
-        self.cross = np.empty(shape) if model.connection == "full" else None
         stack_grads = None
         if backward:
             self.ties = np.empty(shape, dtype=bool)
-            params = model.params
-            self.flat_grads = np.empty(sum(p.size for p in params.values()))
-            self.grads = carve(self.flat_grads, {name: p.shape for name, p in params.items()})
-            rough = sum(p.size for name, p in params.items() if name.startswith("rough_"))
-            stack_grads = self.flat_grads[rough:]
+            blocks = [model.rough] + model.shared
+            self.flat_grads = np.empty(sum(b.size for b in blocks))
+            self.grads = carve(self.flat_grads, [b.shape for b in blocks])
+            stack_grads = self.flat_grads[model.rough.size:]
         self.stack = LayerBuffers(
-            np.empty(shape), model.shared_weights, backward, input_delta=backward,
-            flat_grads=stack_grads,
+            np.empty(shape), model.shared, backward, input_delta=backward, flat_grads=stack_grads,
         )
 
 
@@ -240,28 +281,13 @@ def _distinct_rows(xl: np.ndarray, xu: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return firsts[order], rank[inverse]
 
 
-def _rough_nets(model: RnnModel, rows: RoughBuffers) -> None:
-    """The first layer's lower and upper channel nets, written into rows.nets."""
-    x, nets = rows.x, rows.nets
-    rough_w = model.rough_w.transpose(0, 2, 1)
-    if model.connection == "inhibitory":
-        np.matmul(x[::-1], rough_w, out=nets)
-        np.negative(nets, out=nets)
-    else:
-        np.matmul(x, rough_w, out=nets)
-    if model.connection == "full":
-        nets += np.matmul(x[::-1], model.rough_cross.transpose(0, 2, 1), out=rows.cross)
-    nets += model.rough_b[:, None, :]
-
-
 def _forward(model: RnnModel, rows: RoughBuffers) -> np.ndarray:
     """The logsig output column over the rows, as a view into `rows`."""
-    _rough_nets(model, rows)
-    nets = np.tanh(rows.nets, out=rows.nets)
-    low, up = rows.stack.acts[0]
+    nets = np.tanh(np.matmul(model.rough, rows.x, out=rows.nets), out=rows.nets)
+    low, up = rows.stack.acts[0][:, :-1]
     np.minimum(*nets, out=low)
     np.maximum(*nets, out=up)
-    return _stack_forward(model.shared_weights, model.shared_biases, rows.stack)
+    return _stack_forward(model.shared, rows.stack)
 
 
 def scores(model: RnnModel, table: IntervalTable) -> np.ndarray:
@@ -273,8 +299,9 @@ def scores(model: RnnModel, table: IntervalTable) -> np.ndarray:
 
 
 def _gradients(model: RnnModel, rows: RoughBuffers):
-    """Mean-squared-error value over the rows and one gradient per parameter
-    name, written into `rows`, which were made with targets and `backward`.
+    """Mean-squared-error value over the rows and each block's packed
+    gradient (the rough block's, then the stack's), written into `rows`,
+    which were made with targets and `backward`.
 
     A group's output residual is the sum of its rows' residuals,
     count * output - target sum, so each group stands for all its rows.
@@ -283,29 +310,22 @@ def _gradients(model: RnnModel, rows: RoughBuffers):
     stack = rows.stack
     np.multiply(rows.counts, out, out=stack.resid)
     stack.resid -= rows.target_sum
-    _stack_backward(model.shared_weights, stack, rows.n)
+    _stack_backward(model.shared, stack, rows.n)
     err = _grouped_mean_square(rows, out)
-    grads, x, nets, ties = rows.grads, rows.x, rows.nets, rows.ties
+    nets, ties = rows.nets, rows.ties
     # the deltas now sit at the min / max node outputs.  ties[c] marks where
     # channel c holds the max, ties included; a channel takes the max node's
     # delta there and the min node's where the other channel holds the max,
     # so at a tie both: d_z = d_up * ties + d_low * ties[::-1]
     np.logical_not(np.greater(nets[::-1], nets, out=ties), out=ties)
     d_low, d_up = stack.input_delta
-    d_z = np.multiply(d_low, ties[::-1], out=stack.acts[0])
+    d_z = np.multiply(d_low, ties[::-1], out=stack.acts[0][:, :-1])
     np.multiply(d_up, ties[0], out=d_low)
     d_up *= ties[1]
     d_z += stack.input_delta
     d_z *= _tanh_slope(nets)
-    d_zt = d_z.transpose(0, 2, 1)
-    if model.connection == "inhibitory":
-        np.negative(np.matmul(d_zt, x[::-1], out=grads["rough_w"]), out=grads["rough_w"])
-    else:
-        np.matmul(d_zt, x, out=grads["rough_w"])
-    np.add.reduce(d_z, axis=1, out=grads["rough_b"])
-    if model.connection == "full":
-        np.matmul(d_zt, x[::-1], out=grads["rough_cross"])
-    return err, grads
+    np.matmul(d_z, rows.x.transpose(0, 2, 1), out=rows.grads[0])
+    return err, rows.grads
 
 
 def _error(model: RnnModel, rows: RoughBuffers) -> float:
@@ -324,9 +344,11 @@ def _grouped_mean_square(rows: RoughBuffers, out: np.ndarray) -> float:
     return float(np.add.reduce(resid)) / rows.n
 
 
-def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -> RnnModel:
+def train(rows: IntervalTable, cfg: MlpConfig, seed: int,
+          connection: str = "excitatory") -> RnnModel:
     """Gradient descent through both channels with the point-network stop
-    rules (see `bpnn.descend`).
+    rules (see `bpnn.descend`), the split and initial weights drawn with
+    `seed`.
 
     With every interval degenerate a no-uncertainty warning is emitted and the
     run reproduces a point-network training of the same seed: exactly when
@@ -339,35 +361,22 @@ def train(rows: IntervalTable, cfg: MlpConfig, connection: str = "excitatory") -
             "every input interval is degenerate; training as a point network",
             NoUncertaintyWarning,
         )
-    train_idx, val_idx = split_indices(len(rows), cfg.shares, cfg.seed)
+    train_idx, val_idx = split_indices(len(rows), cfg.shares, seed)
     xl_train, xu_train = rows.lower[train_idx], rows.upper[train_idx]
     d_train = rows.decisions[train_idx].astype(float)
     xl_val, xu_val = rows.lower[val_idx], rows.upper[val_idx]
     d_val = rows.decisions[val_idx].astype(float)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     sizes = (rows.n_attributes,) + cfg.hidden + (1,)
     weights, biases = init_layers(sizes, rng)
-    rough = {
-        "rough_w": np.stack((weights[0], weights[0])),
-        "rough_b": np.stack((biases[0], biases[0])),
-    }
+    cross = None
     if connection == "full":
         bound = 1.0 / np.sqrt(rows.n_attributes)
-        rough["rough_cross"] = rng.uniform(-bound, bound, size=(2,) + weights[0].shape)
-    params, named = flat_copy({**rough, **layer_params(weights[1:], biases[1:], start=1)})
-    shared = range(1, len(cfg.hidden) + 1)
-    model = RnnModel(
-        rough_w=named["rough_w"],
-        rough_b=named["rough_b"],
-        rough_cross=named.get("rough_cross"),
-        shared_weights=[named[f"w{i}"] for i in shared],
-        shared_biases=[named[f"b{i}"] for i in shared],
-        input_width=rows.n_attributes,
-        hidden=cfg.hidden,
-        connection=connection,
-        trace=TrainingTrace(),
-    )
+        cross = rng.uniform(-bound, bound, size=(2,) + weights[0].shape)
+    rough = pack_rough(np.stack((weights[0], weights[0])), np.stack((biases[0], biases[0])), cross)
+    params, (rough, *shared) = flat_copy([rough] + pack(weights[1:], biases[1:]))
+    model = RnnModel(rough, shared, rows.n_attributes, cfg.hidden, connection, TrainingTrace())
 
     train_rows = RoughBuffers(model, xl_train, xu_train, d_train, backward=True)
     val_rows = RoughBuffers(model, xl_val, xu_val, d_val)
@@ -414,11 +423,8 @@ def load_model(path) -> RnnModel:
     params = f.arrays({**rough, **shapes})
     shared = range(1, len(hidden) + 1)
     return RnnModel(
-        rough_w=params["rough_w"],
-        rough_b=params["rough_b"],
-        rough_cross=params.get("rough_cross"),
-        shared_weights=[params[f"w{i}"] for i in shared],
-        shared_biases=[params[f"b{i}"] for i in shared],
+        rough=pack_rough(params["rough_w"], params["rough_b"], params.get("rough_cross")),
+        shared=pack([params[f"w{i}"] for i in shared], [params[f"b{i}"] for i in shared]),
         input_width=input_width,
         hidden=hidden,
         connection=connection,

@@ -224,13 +224,19 @@ def test_criterion_05_tree_math():
 def test_criterion_06_bpnn_gradients_and_xor():
     budget = _Budget(60.0)
     rng = np.random.default_rng(5)
+
+    def mse(weights, biases, x, d):
+        layers = bpnn.pack(weights, biases)
+        return bpnn._mse(layers, bpnn.LayerBuffers(x.T, layers), d)
+
     for _ in range(20):
         weights = [rng.normal(size=(2, 3)), rng.normal(size=(1, 2))]
         biases = [rng.normal(size=2), rng.normal(size=1)]
         x = rng.normal(size=(5, 3))
         d = rng.integers(0, 2, 5).astype(float)
-        rows = bpnn.LayerBuffers(x, weights, backward=True)
-        _, grads_w, _ = bpnn.batch_gradients(weights, biases, rows, d)
+        layers = bpnn.pack(weights, biases)
+        _, grads = bpnn.batch_gradients(layers, bpnn.LayerBuffers(x.T, layers, backward=True), d)
+        grads_w = [g[:, :-1] for g in grads]
         h = 1e-5
         for layer in range(2):
             for idx in np.ndindex(weights[layer].shape):
@@ -238,10 +244,7 @@ def test_criterion_06_bpnn_gradients_and_xor():
                 minus = [w.copy() for w in weights]
                 plus[layer][idx] += h
                 minus[layer][idx] -= h
-                numeric = (
-                    bpnn._mse(plus, biases, bpnn.LayerBuffers(x, plus), d)
-                    - bpnn._mse(minus, biases, bpnn.LayerBuffers(x, minus), d)
-                ) / (2 * h)
+                numeric = (mse(plus, biases, x, d) - mse(minus, biases, x, d)) / (2 * h)
                 analytic = grads_w[layer][idx]
                 scale = max(abs(numeric), abs(analytic), 1e-8)
                 assert abs(numeric - analytic) / scale <= 1e-4
@@ -251,9 +254,9 @@ def test_criterion_06_bpnn_gradients_and_xor():
     for seed in range(10):
         cfg = bpnn.MlpConfig(
             epochs=5000, learning_rate=0.5, hidden=(2,), goal=1e-9,
-            ratios=(1.0, 0.0), seed=seed,
+            ratios=(1.0, 0.0),
         )
-        model = bpnn.train(xor, cfg)
+        model = bpnn.train(xor, cfg, seed)
         pred = (bpnn.scores(model, xor.values) >= 0.5).astype(int)
         if not np.array_equal(pred, xor.decisions):
             failing.append(seed)
@@ -264,14 +267,14 @@ def test_criterion_06_bpnn_gradients_and_xor():
     )
     cfg = bpnn.MlpConfig(
         epochs=3000, learning_rate=0.9, hidden=(12,), goal=1e-12,
-        ratios=(0.5, 0.5), max_fail=6, seed=0,
+        ratios=(0.5, 0.5), max_fail=6,
     )
-    model = bpnn.train(noise, cfg)
+    model = bpnn.train(noise, cfg, 0)
     assert model.trace.stop_reason == "early-stop"
     assert model.trace.best_epoch == int(np.argmin(model.trace.val_errors)) + 1
     from dgareduce.dataset import split_indices
 
-    val_idx = split_indices(40, cfg.shares, cfg.seed)[1]
+    val_idx = split_indices(40, cfg.shares, 0)[1]
     err = float(np.mean((bpnn.scores(model, noise.values[val_idx]) - noise.decisions[val_idx]) ** 2))
     assert err == pytest.approx(min(model.trace.val_errors), abs=1e-15)
     budget.done(6, f"gradients within 1e-4, XOR {10 - len(failing)}/10, early stop restores")
@@ -314,9 +317,11 @@ def test_criterion_08_rnn():
         sizes = (m,) + (h,) + (1,)
         weights, biases = bpnn.init_layers(sizes, rng)
         model = rnn.RnnModel(
-            rough_w=np.stack((weights[0] * rng.normal(scale=2), weights[0] * rng.normal(scale=2))),
-            rough_b=np.stack((biases[0], biases[0])), rough_cross=None,
-            shared_weights=weights[1:], shared_biases=biases[1:],
+            rough=rnn.pack_rough(
+                np.stack((weights[0] * rng.normal(scale=2), weights[0] * rng.normal(scale=2))),
+                np.stack((biases[0], biases[0])),
+            ),
+            shared=bpnn.pack(weights[1:], biases[1:]),
             input_width=m, hidden=(h,), connection="excitatory",
             trace=bpnn.TrainingTrace(stop_reason="t"),
         )
@@ -329,11 +334,11 @@ def test_criterion_08_rnn():
         checked += gl.size
     assert checked >= 10_000
     table = make_table(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
-    cfg = bpnn.MlpConfig(epochs=40, hidden=(5,), seed=3)
+    cfg = bpnn.MlpConfig(epochs=40, hidden=(5,))
     degenerate = IntervalTable(table.values, table.values, table.decisions, table.attributes)
     with pytest.warns(NoUncertaintyWarning):
-        rough = rnn.train(degenerate, cfg)
-    point = bpnn.train(table, cfg)
+        rough = rnn.train(degenerate, cfg, 3)
+    point = bpnn.train(table, cfg, 3)
     assert np.abs(rnn.scores(rough, degenerate) - bpnn.scores(point, table.values)).max() <= 1e-9
     budget.done(8, f"ordering on {checked} draws, degenerate == point network, warning emitted")
 
@@ -376,7 +381,7 @@ def test_criterion_09_end_to_end_directional():
     # time reflects per-epoch cost
     fixed = bpnn.MlpConfig(
         epochs=60, hidden=(64,), learning_rate=0.05, goal=0.0,
-        ratios=(1.0, 0.0), seed=1,
+        ratios=(1.0, 0.0),
     )
     reduced = {
         method: pipeline.fit_reducer(table, method, cfg, seed=7).transform(table)
@@ -386,7 +391,7 @@ def test_criterion_09_end_to_end_directional():
     def bpnn_seconds(t):
         std, _ = standardize(t)
         start = time.perf_counter()
-        bpnn.train(std, fixed)
+        bpnn.train(std, fixed, 1)
         return time.perf_counter() - start
 
     def rnn_seconds(t):
@@ -394,7 +399,7 @@ def test_criterion_09_end_to_end_directional():
         cats = Discretizer.fit(t).apply(t)
         intervals = Intervalizer.fit(cats, std).apply(cats, std)
         start = time.perf_counter()
-        rnn.train(intervals, fixed)
+        rnn.train(intervals, fixed, 1)
         return time.perf_counter() - start
 
     for seconds in (bpnn_seconds, rnn_seconds):

@@ -51,8 +51,10 @@ class TestActivations:
 
 def _tiny_model(weights, biases):
     return MlpModel(
-        [np.asarray(w, dtype=float) for w in weights],
-        [np.asarray(b, dtype=float) for b in biases],
+        bpnn.pack(
+            [np.asarray(w, dtype=float) for w in weights],
+            [np.asarray(b, dtype=float) for b in biases],
+        ),
         input_width=weights[0].shape[1] if hasattr(weights[0], "shape") else len(weights[0][0]),
         hidden=tuple(len(b) for b in biases[:-1]),
         trace=TrainingTrace(stop_reason="test"),
@@ -89,7 +91,16 @@ class TestForward:
 
 
 def _mse(weights, biases, x, d):
-    return bpnn._mse(weights, biases, bpnn.LayerBuffers(x, weights), d)
+    layers = bpnn.pack(weights, biases)
+    return bpnn._mse(layers, bpnn.LayerBuffers(x.T, layers), d)
+
+
+def _gradients(weights, biases, x, d):
+    """The error and the weight and bias gradients, taken apart from each
+    layer's packed [W | b] gradient."""
+    layers = bpnn.pack(weights, biases)
+    err, grads = bpnn.batch_gradients(layers, bpnn.LayerBuffers(x.T, layers, backward=True), d)
+    return err, [g[:, :-1] for g in grads], [g[:, -1] for g in grads]
 
 
 class TestGradients:
@@ -99,8 +110,7 @@ class TestGradients:
             biases = [rng.normal(size=2), rng.normal(size=1)]
             x = rng.normal(size=(5, 3))
             d = rng.integers(0, 2, 5).astype(float)
-            rows = bpnn.LayerBuffers(x, weights, backward=True)
-            _, grads_w, grads_b = bpnn.batch_gradients(weights, biases, rows, d)
+            _, grads_w, grads_b = _gradients(weights, biases, x, d)
             h = 1e-5
             for layer in range(2):
                 for idx in np.ndindex(weights[layer].shape):
@@ -120,8 +130,7 @@ class TestGradients:
         biases = [rng.normal(size=3), rng.normal(size=1)]
         x = rng.normal(size=(12, 4))
         d = rng.integers(0, 2, 12).astype(float)
-        rows = bpnn.LayerBuffers(x, weights, backward=True)
-        err0, grads_w, grads_b = bpnn.batch_gradients(weights, biases, rows, d)
+        err0, grads_w, grads_b = _gradients(weights, biases, x, d)
         eta = 1e-6
         stepped_w = [w - eta * g for w, g in zip(weights, grads_w)]
         stepped_b = [b - eta * g for b, g in zip(biases, grads_b)]
@@ -132,8 +141,8 @@ class TestGradients:
 class TestTrain:
     def test_goal_stop_at_first_epoch(self, rng):
         table = make_table(rng.normal(size=(20, 3)), rng.integers(0, 2, 20))
-        cfg = MlpConfig(epochs=50, hidden=(4,), goal=10.0, ratios=(0.8, 0.2), seed=1)
-        model = bpnn.train(table, cfg)
+        cfg = MlpConfig(epochs=50, hidden=(4,), goal=10.0, ratios=(0.8, 0.2))
+        model = bpnn.train(table, cfg, 1)
         assert model.trace.stop_reason == "goal"
         assert model.trace.epochs_run == 1
 
@@ -141,16 +150,16 @@ class TestTrain:
         table = make_table(rng.normal(size=(40, 4)), rng.integers(0, 2, 40))
         cfg = MlpConfig(
             epochs=3000, learning_rate=0.9, hidden=(12,), goal=1e-12,
-            ratios=(0.5, 0.5), max_fail=6, seed=0,
+            ratios=(0.5, 0.5), max_fail=6,
         )
-        model = bpnn.train(table, cfg)
+        model = bpnn.train(table, cfg, 0)
         trace = model.trace
         assert trace.stop_reason == "early-stop"
         diffs = np.diff(trace.val_errors[-(cfg.max_fail + 1):])
         assert (diffs > 0).all()
         assert trace.best_epoch == int(np.argmin(trace.val_errors)) + 1
         # the restored weights reproduce the minimum validation error
-        val_idx = split_indices(40, cfg.shares, cfg.seed)[1]
+        val_idx = split_indices(40, cfg.shares, 0)[1]
         out = bpnn.scores(model, table.values[val_idx])
         err = float(np.mean((out - table.decisions[val_idx]) ** 2))
         assert err == pytest.approx(min(trace.val_errors), abs=1e-15)
@@ -161,9 +170,9 @@ class TestTrain:
         for seed in range(10):
             cfg = MlpConfig(
                 epochs=5000, learning_rate=0.5, hidden=(2,), goal=1e-9,
-                ratios=(1.0, 0.0), seed=seed,
+                ratios=(1.0, 0.0),
             )
-            model = bpnn.train(table, cfg)
+            model = bpnn.train(table, cfg, seed)
             pred = (bpnn.scores(model, table.values) >= 0.5).astype(int)
             if not np.array_equal(pred, table.decisions):
                 failing.append(seed)
@@ -171,24 +180,24 @@ class TestTrain:
 
     def test_deterministic_per_seed(self, rng):
         table = make_table(rng.normal(size=(30, 3)), rng.integers(0, 2, 30))
-        cfg = MlpConfig(epochs=40, hidden=(5,), seed=7)
-        a = bpnn.train(table, cfg)
-        b = bpnn.train(table, cfg)
+        cfg = MlpConfig(epochs=40, hidden=(5,))
+        a = bpnn.train(table, cfg, 7)
+        b = bpnn.train(table, cfg, 7)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         assert a.trace.train_errors == b.trace.train_errors
 
     def test_divergence_raises_with_epoch(self):
         table = Table(np.array([[np.nan], [np.nan], [np.nan]]), [0, 1, 0], ("x",))
-        cfg = MlpConfig(epochs=10, hidden=(2,), ratios=(1.0, 0.0), seed=0)
+        cfg = MlpConfig(epochs=10, hidden=(2,), ratios=(1.0, 0.0))
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
-            bpnn.train(table, cfg)
+            bpnn.train(table, cfg, 0)
 
     def test_split_sizes_validated(self, rng):
         table = make_table(rng.normal(size=(3, 2)), [0, 1, 0])
-        cfg = MlpConfig(epochs=5, hidden=(2,), ratios=(0.9, 0.05), seed=0)
+        cfg = MlpConfig(epochs=5, hidden=(2,), ratios=(0.9, 0.05))
         with pytest.raises(ParameterError):
-            bpnn.train(table, cfg)
+            bpnn.train(table, cfg, 0)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -207,9 +216,8 @@ class TestTrain:
             ({"goal": math.inf}, "goal must be non-negative"),
             ({"ratios": (math.nan, 0.15)}, "ratios must be two non-negative numbers"),
             ({"ratios": (0.7, math.inf)}, "ratios must be two non-negative numbers"),
-            ({"seed": -1}, "seed must be non-negative"),
         ],
-        ids=["lr-nan", "lr-inf", "goal-nan", "goal-inf", "ratio-nan", "ratio-inf", "seed"],
+        ids=["lr-nan", "lr-inf", "goal-nan", "goal-inf", "ratio-nan", "ratio-inf"],
     )
     def test_non_finite_or_negative_seed_rejected(self, setting, message):
         with pytest.raises(ParameterError, match=f"^{message}"):
@@ -255,7 +263,7 @@ class TestEvaluate:
 class TestSaveLoad:
     def test_round_trip_predictions(self, tmp_path, rng):
         table = make_table(rng.normal(size=(25, 3)), rng.integers(0, 2, 25))
-        model = bpnn.train(table, MlpConfig(epochs=20, hidden=(4, 3), seed=2))
+        model = bpnn.train(table, MlpConfig(epochs=20, hidden=(4, 3)), 2)
         path = tmp_path / "model.txt"
         bpnn.save_model(model, path)
         loaded = bpnn.load_model(path)

@@ -480,9 +480,9 @@ def _settings(cfg: ExperimentConfig) -> dict:
 
 
 # The INI section of each nested config, and the fields that the README's
-# naming rule does not place: set by another key, or by no INI key at all.
+# naming rule does not place, because another key sets them.
 NESTED_SECTIONS = {"synth": "data", "mlp": "bpnn", "kernel": "svm"}
-OTHER_KEYS = {"csv_path": ("data", "path"), "kernel.kind": ("svm", "kernel"), "mlp.seed": None}
+OTHER_KEYS = {"csv_path": ("data", "path"), "kernel.kind": ("svm", "kernel")}
 # Non-default values of the settings that are not plain numbers, bools or
 # number lists; the others are derived from their defaults.
 OTHER_VALUES = {
@@ -526,20 +526,18 @@ def _other_value(path: str, default) -> str:
 
 
 def _one_key_inis():
-    """(path, INI text) for every setting an INI key sets.  A kernel
+    """(path, INI text) for every setting, each set by its INI key.  A kernel
     parameter that the default kind does not read comes with the `kernel`
     kind that reads it."""
     reading_kind = {p: kind for kind, params in svm.KERNEL_PARAMS.items() for p in params}
     default_kind = ExperimentConfig().kernel.kind
     for path, default in _settings(ExperimentConfig()).items():
-        where = _ini_key(path)
-        if where is not None:
-            section, key = where
-            text = f"[{section}]\n{key} = {_other_value(path, default)}\n"
-            kind = reading_kind.get(path.removeprefix("kernel."), default_kind)
-            if kind != default_kind:
-                text += f"kernel = {kind}\n"
-            yield path, text
+        section, key = _ini_key(path)
+        text = f"[{section}]\n{key} = {_other_value(path, default)}\n"
+        kind = reading_kind.get(path.removeprefix("kernel."), default_kind)
+        if kind != default_kind:
+            text += f"kernel = {kind}\n"
+        yield path, text
 
 
 class TestConfigFromIni:

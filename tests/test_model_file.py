@@ -24,12 +24,12 @@ def _saved(kind, path, connection="full"):
     rng = np.random.default_rng(3)
     table = make_table(rng.normal(size=(30, 3)), np.arange(30) % 2)
     std, scaler = standardize(table)
-    cfg = MlpConfig(epochs=5, hidden=(4,), seed=1)
+    cfg = MlpConfig(epochs=5, hidden=(4,))
     if kind == "bpnn":
-        model, save = bpnn.train(std, cfg), bpnn.save_model
+        model, save = bpnn.train(std, cfg, 1), bpnn.save_model
     elif kind == "rnn":
         iv = IntervalTable(std.values - 0.1, std.values + 0.1, std.decisions, std.attributes)
-        model, save = rnn.train(iv, cfg, connection=connection), rnn.save_model
+        model, save = rnn.train(iv, cfg, 1, connection=connection), rnn.save_model
     else:
         model, save = svm.train_smo(std, svm.Kernel("rbf", gamma=0.5), max_passes=5), svm.save_model
     model.scaler = scaler

@@ -1,6 +1,7 @@
 """Buffered training steps: bit-identity with the allocating formulas,
 grouped rough-network rows against the per-row formulas, no state carried
-between epochs or trainings, and a bounded allocation peak."""
+between epochs or trainings, model files in their per-parameter format, and
+a bounded allocation peak."""
 
 import tracemalloc
 
@@ -9,11 +10,14 @@ import pytest
 
 from dgareduce import bpnn, pipeline, rnn
 from dgareduce.bpnn import MlpConfig
-from dgareduce.dataset import Discretizer, Table, standardize, synth_generate
+from dgareduce.dataset import Discretizer, Table, standardize, synth_generate, write_model
 from dgareduce.rnn import IntervalTable, RnnModel
 
 
 # -- reference: the allocating formulas the buffered steps must reproduce ----
+# Every array is feature-major, one unit per row and one data row per column;
+# a layer is one (out, in + 1) block [W | b] against its input with a last
+# row of ones.
 
 
 def _ref_logsig(n):
@@ -21,79 +25,83 @@ def _ref_logsig(n):
     return np.where(n >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _ref_forward(weights, biases, x):
+def _with_ones(a):
+    """`a` with a last row of ones, C-ordered like the buffers: a gemm's
+    rounding depends on whether an operand is transposed."""
+    out = np.ones((a.shape[0] + 1, a.shape[1]))
+    out[:-1] = a
+    return out
+
+
+def _ref_forward(layers, x):
     acts = [x]
-    for layer, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(_ref_logsig(z) if layer == len(weights) - 1 else np.tanh(z))
+    for i, layer in enumerate(layers):
+        z = layer @ _with_ones(acts[-1])
+        acts.append(_ref_logsig(z) if i == len(layers) - 1 else np.tanh(z))
     return acts
 
 
-def _ref_batch_gradients(weights, biases, x, targets):
-    acts = _ref_forward(weights, biases, x)
-    out = acts[-1][:, 0]
+def _ref_batch_gradients(layers, x, targets):
+    acts = _ref_forward(layers, x)
+    out = acts[-1][0]
     err = float(np.mean((out - targets) ** 2))
-    n = x.shape[0]
-    delta = (2.0 / n) * (out - targets)[:, None] * (acts[-1] * (1.0 - acts[-1]))
-    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
-    for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = delta.T @ acts[layer]
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ weights[layer]) * (1.0 - acts[layer] ** 2)
-    return err, grads_w, grads_b
+    n = x.shape[1]
+    delta = (2.0 / n) * (out - targets)[None, :] * (acts[-1] * (1.0 - acts[-1]))
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = delta @ _with_ones(acts[i]).T
+        if i > 0:
+            delta = (layers[i][:, :-1].T @ delta) * (1.0 - acts[i] ** 2)
+    return err, grads
 
 
-def _ref_rough_nets(model, xl, xu):
-    (lower_w, upper_w), (lower_b, upper_b) = model.rough_w, model.rough_b
-    if model.connection == "excitatory":
-        zl = xl @ lower_w.T + lower_b
-        zu = xu @ upper_w.T + upper_b
-    elif model.connection == "inhibitory":
-        zl = -(xu @ lower_w.T) + lower_b
-        zu = -(xl @ upper_w.T) + upper_b
-    else:
-        lower_cross, upper_cross = model.rough_cross
-        zl = xl @ lower_w.T + xu @ lower_cross.T + lower_b
-        zu = xu @ upper_w.T + xl @ upper_cross.T + upper_b
-    return zl, zu
+def _ref_rough_inputs(connection, xl, xu):
+    """Each channel's rough-layer input: its own bound, the other one
+    negated, or both, then a row of ones."""
+    same, other = (xl.T, xu.T), (xu.T, xl.T)
+    if connection == "excitatory":
+        return [_with_ones(s) for s in same]
+    if connection == "inhibitory":
+        return [_with_ones(-o) for o in other]
+    return [_with_ones(np.vstack((s, o))) for s, o in zip(same, other)]
 
 
 def _ref_rnn_forward(model, xl, xu):
-    zl, zu = _ref_rough_nets(model, xl, xu)
-    gl, gu = np.tanh(zl), np.tanh(zu)
+    inputs = _ref_rough_inputs(model.connection, xl, xu)
+    gl, gu = (np.tanh(model.rough[c] @ inputs[c]) for c in (0, 1))
     a_low = [np.minimum(gl, gu)]
     a_up = [np.maximum(gl, gu)]
-    last = len(model.shared_weights) - 1
-    for layer, (w, b) in enumerate(zip(model.shared_weights, model.shared_biases)):
-        if layer == last:
-            z_low_out = a_low[-1] @ w.T + b
-            z_up_out = a_up[-1] @ w.T + b
+    last = len(model.shared) - 1
+    for i, layer in enumerate(model.shared):
+        if i == last:
+            z_low_out = layer @ _with_ones(a_low[-1])
+            z_up_out = layer @ _with_ones(a_up[-1])
         else:
-            a_low.append(np.tanh(a_low[-1] @ w.T + b))
-            a_up.append(np.tanh(a_up[-1] @ w.T + b))
-    out = _ref_logsig(0.5 * (z_low_out + z_up_out))[:, 0]
+            a_low.append(np.tanh(layer @ _with_ones(a_low[-1])))
+            a_up.append(np.tanh(layer @ _with_ones(a_up[-1])))
+    out = _ref_logsig(0.5 * (z_low_out + z_up_out))[0]
     return out, gl, gu, a_low, a_up
 
 
 def _ref_rnn_gradients(model, xl, xu, targets):
+    """The error and each block's packed gradient: the rough block's, then
+    the shared stack's."""
     out, gl, gu, a_low, a_up = _ref_rnn_forward(model, xl, xu)
     err = float(np.mean((out - targets) ** 2))
     n = xl.shape[0]
-    out2 = out[:, None]
-    delta_out = (2.0 / n) * (out - targets)[:, None] * (out2 * (1.0 - out2))
+    out2 = out[None, :]
+    delta_out = (2.0 / n) * (out - targets)[None, :] * (out2 * (1.0 - out2))
     d_low = 0.5 * delta_out
     d_up = 0.5 * delta_out
-    grads = {}
-    for layer in range(len(model.shared_weights) - 1, -1, -1):
-        w = model.shared_weights[layer]
-        if layer < len(model.shared_weights) - 1:
-            d_low = d_low * (1.0 - a_low[layer + 1] ** 2)
-            d_up = d_up * (1.0 - a_up[layer + 1] ** 2)
-        grads[f"w{layer + 1}"] = d_low.T @ a_low[layer] + d_up.T @ a_up[layer]
-        grads[f"b{layer + 1}"] = (d_low + d_up).sum(axis=0)
-        d_low = d_low @ w
-        d_up = d_up @ w
+    grads = [None] * (len(model.shared) + 1)
+    for i in range(len(model.shared) - 1, -1, -1):
+        layer = model.shared[i]
+        if i < len(model.shared) - 1:
+            d_low = d_low * (1.0 - a_low[i + 1] ** 2)
+            d_up = d_up * (1.0 - a_up[i + 1] ** 2)
+        grads[i + 1] = d_low @ _with_ones(a_low[i]).T + d_up @ _with_ones(a_up[i]).T
+        d_low = layer[:, :-1].T @ d_low
+        d_up = layer[:, :-1].T @ d_up
     up_gt = gu > gl
     lo_gt = gl > gu
     tie = ~(up_gt | lo_gt)
@@ -101,13 +109,8 @@ def _ref_rnn_gradients(model, xl, xu, targets):
     d_gl = d_up * (lo_gt | tie) + d_low * (up_gt | tie)
     d_zu = d_gu * (1.0 - gu**2)
     d_zl = d_gl * (1.0 - gl**2)
-    if model.connection == "inhibitory":
-        grads["rough_w"] = np.stack((-(d_zl.T @ xu), -(d_zu.T @ xl)))
-    else:
-        grads["rough_w"] = np.stack((d_zl.T @ xl, d_zu.T @ xu))
-    grads["rough_b"] = np.stack((d_zl.sum(axis=0), d_zu.sum(axis=0)))
-    if model.connection == "full":
-        grads["rough_cross"] = np.stack((d_zl.T @ xu, d_zu.T @ xl))
+    inputs = _ref_rough_inputs(model.connection, xl, xu)
+    grads[0] = np.stack((d_zl @ inputs[0].T, d_zu @ inputs[1].T))
     return err, grads
 
 
@@ -120,11 +123,12 @@ def _rnn_model(rng, width, hidden, connection):
     weights, biases = bpnn.init_layers(sizes, rng)
     cross = rng.normal(scale=0.3, size=weights[0].shape) if connection == "full" else None
     return RnnModel(
-        rough_w=np.stack((weights[0], weights[0])),
-        rough_b=np.stack((biases[0], biases[0])),
-        rough_cross=None if cross is None else np.stack((cross, cross)),
-        shared_weights=weights[1:],
-        shared_biases=biases[1:],
+        rough=rnn.pack_rough(
+            np.stack((weights[0], weights[0])),
+            np.stack((biases[0], biases[0])),
+            None if cross is None else np.stack((cross, cross)),
+        ),
+        shared=bpnn.pack(weights[1:], biases[1:]),
         input_width=width,
         hidden=hidden,
         connection=connection,
@@ -161,19 +165,19 @@ def _interval_data(n=160, width=10, seed=7):
 class TestBitIdentity:
     def test_bpnn_step_matches_reference(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(120, 10))
+        x = rng.normal(size=(120, 10)).T
         d = rng.integers(0, 2, 120).astype(float)
-        weights, biases = bpnn.init_layers((10, 20, 30, 1), rng)
-        rows = bpnn.LayerBuffers(x, weights, backward=True)
+        layers = bpnn.pack(*bpnn.init_layers((10, 20, 30, 1), rng))
+        rows = bpnn.LayerBuffers(x, layers, backward=True)
         for _ in range(3):  # a reused buffer gives the same answer again
-            err, grads_w, grads_b = bpnn.batch_gradients(weights, biases, rows, d)
-            ref_err, ref_w, ref_b = _ref_batch_gradients(weights, biases, x, d)
+            err, grads = bpnn.batch_gradients(layers, rows, d)
+            ref_err, ref_grads = _ref_batch_gradients(layers, x, d)
             assert err == ref_err
-            for got, want in zip(grads_w + grads_b, ref_w + ref_b):
+            for got, want in zip(grads, ref_grads, strict=True):
                 assert np.array_equal(got, want)
-        val = bpnn.LayerBuffers(x[:40], weights)
-        assert bpnn._mse(weights, biases, val, d[:40]) == _ref_batch_gradients(
-            weights, biases, x[:40], d[:40]
+        val = bpnn.LayerBuffers(x[:, :40], layers)
+        assert bpnn._mse(layers, val, d[:40]) == _ref_batch_gradients(
+            layers, x[:, :40], d[:40]
         )[0]
 
     def test_two_equal_channels_match_one_channel(self):
@@ -181,19 +185,19 @@ class TestBitIdentity:
         two halves back, both exactly, so two channels that both hold `x`
         give the one-channel error and gradients bit for bit."""
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(120, 10))
+        x = rng.normal(size=(120, 10)).T
         d = rng.integers(0, 2, 120).astype(float)
-        weights, biases = bpnn.init_layers((10, 20, 30, 1), rng)
-        one = bpnn.LayerBuffers(x, weights, backward=True)
-        two = bpnn.LayerBuffers(np.stack([x, x]), weights, backward=True)
-        err, grads_w, grads_b = bpnn.batch_gradients(weights, biases, one, d)
-        err2, grads_w2, grads_b2 = bpnn.batch_gradients(weights, biases, two, d)
+        layers = bpnn.pack(*bpnn.init_layers((10, 20, 30, 1), rng))
+        one = bpnn.LayerBuffers(x, layers, backward=True)
+        two = bpnn.LayerBuffers(np.stack([x, x]), layers, backward=True)
+        err, grads = bpnn.batch_gradients(layers, one, d)
+        err2, grads2 = bpnn.batch_gradients(layers, two, d)
         assert err2 == err
-        for got, want in zip(grads_w2 + grads_b2, grads_w + grads_b, strict=True):
+        for got, want in zip(grads2, grads, strict=True):
             assert np.array_equal(got, want)
-        val = bpnn.LayerBuffers(np.stack([x[:40], x[:40]]), weights)
-        assert bpnn._mse(weights, biases, val, d[:40]) == bpnn._mse(
-            weights, biases, bpnn.LayerBuffers(x[:40], weights), d[:40]
+        val = bpnn.LayerBuffers(np.stack([x[:, :40], x[:, :40]]), layers)
+        assert bpnn._mse(layers, val, d[:40]) == bpnn._mse(
+            layers, bpnn.LayerBuffers(x[:, :40], layers), d[:40]
         )
 
     @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
@@ -209,9 +213,8 @@ class TestBitIdentity:
             err, grads = rnn._gradients(model, rows)
             ref_err, ref_grads = _ref_rnn_gradients(model, xl, xu, d)
             assert err == ref_err
-            assert grads.keys() == ref_grads.keys() == model.params.keys()
-            for name, want in ref_grads.items():
-                assert np.array_equal(grads[name], want), name
+            for got, want in zip(grads, ref_grads, strict=True):
+                assert np.array_equal(got, want)
         val = rnn.RoughBuffers(model, xl[:40], xu[:40], d[:40])
         want = float(np.mean((ref_out[:40] - d[:40]) ** 2))
         assert rnn._error(model, val) == want
@@ -233,17 +236,17 @@ class TestGroupedRows:
         ref_out, ref_gl, ref_gu, _, _ = _ref_rnn_forward(model, xl, xu)
         assert np.any(ref_gl == ref_gu) and np.any(ref_gl != ref_gu)
         rows = rnn.RoughBuffers(model, xl, xu, d, backward=True)
-        assert rows.n == 120 and rows.x.shape[1] == rows.nets.shape[1] == patterns
+        assert rows.n == 120 and rows.x.shape[2] == rows.nets.shape[2] == patterns
         for _ in range(2):
             err, grads = rnn._gradients(model, rows)
             ref_err, ref_grads = _ref_rnn_gradients(model, xl, xu, d)
             assert err == pytest.approx(ref_err, rel=1e-12, abs=0)
-            assert grads.keys() == ref_grads.keys()
+            assert len(grads) == len(ref_grads)
             # relative to each array's largest entry: an entry that sums rows
             # of both signs can be far smaller than its rounding in either order
-            for name, want in ref_grads.items():
+            for block, (got, want) in enumerate(zip(grads, ref_grads)):
                 scale = 1e-12 * np.abs(want).max()
-                np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=scale, err_msg=name)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=scale, err_msg=str(block))
         val = rnn.RoughBuffers(model, xl[:40], xu[:40], d[:40])
         want = float(np.mean((ref_out[:40] - d[:40]) ** 2))
         assert rnn._error(model, val) == pytest.approx(want, rel=1e-12, abs=0)
@@ -259,7 +262,7 @@ class TestGroupedRows:
         model = _rnn_model(np.random.default_rng(0), 1, (20, 30), "full")
         rows = rnn.RoughBuffers(model, iv.lower, iv.upper, backward=True)
         assert rows.n == 1600 and rows.counts.sum() == 1600
-        assert rows.x.shape[1] == rows.nets.shape[1] == rows.stack.input_delta.shape[1] <= 4
+        assert rows.x.shape[2] == rows.nets.shape[2] == rows.stack.input_delta.shape[2] <= 4
 
 
 class TestRepeatTraining:
@@ -277,35 +280,91 @@ class TestRepeatTraining:
 
     EARLY_STOP = MlpConfig(
         epochs=400, learning_rate=0.9, hidden=(20, 30), goal=1e-12,
-        ratios=(0.5, 0.5), max_fail=3, seed=2,
+        ratios=(0.5, 0.5), max_fail=3,
     )
     NO_VALIDATION = MlpConfig(
-        epochs=30, hidden=(20, 30), ratios=(1.0, 0.0), seed=4,
+        epochs=30, hidden=(20, 30), ratios=(1.0, 0.0),
     )
+    RUNS = [(EARLY_STOP, 2), (NO_VALIDATION, 4)]
 
-    @pytest.mark.parametrize("cfg", [EARLY_STOP, NO_VALIDATION], ids=["early-stop", "no-val"])
-    def test_bpnn(self, cfg):
+    @pytest.mark.parametrize("cfg, seed", RUNS, ids=["early-stop", "no-val"])
+    def test_bpnn(self, cfg, seed):
         table = _net_data()
-        first, second = bpnn.train(table, cfg), bpnn.train(table, cfg)
+        first, second = bpnn.train(table, cfg, seed), bpnn.train(table, cfg, seed)
         self._assert_same(first, second)
         expected = "early-stop" if cfg is self.EARLY_STOP else "epochs"
         assert first.trace.stop_reason == expected
 
-    @pytest.mark.parametrize("cfg", [EARLY_STOP, NO_VALIDATION], ids=["early-stop", "no-val"])
+    @pytest.mark.parametrize("cfg, seed", RUNS, ids=["early-stop", "no-val"])
     @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
-    def test_rnn(self, cfg, connection):
+    def test_rnn(self, cfg, seed, connection):
         table = _interval_data()
-        first = rnn.train(table, cfg, connection)
-        second = rnn.train(table, cfg, connection)
+        first = rnn.train(table, cfg, seed, connection)
+        second = rnn.train(table, cfg, seed, connection)
         self._assert_same(first, second)
         expected = "early-stop" if cfg is self.EARLY_STOP else "epochs"
         assert first.trace.stop_reason == expected
+
+
+# -- model files -------------------------------------------------------------
+
+
+class TestModelFileFormat:
+    """Model files keep one array per parameter, under the names and in the
+    shapes they had before the layers were packed: `w<i>` (out, in) and
+    `b<i>` (out,), and for rnn `rough_w` and `rough_cross` (2, h1, width)
+    and `rough_b` (2, h1).  A file written from such arrays loads to the
+    scores of the reference forward pass."""
+
+    @staticmethod
+    def _stack_fields(weights, biases, start):
+        fields = {}
+        for i, (w, b) in enumerate(zip(weights, biases), start):
+            fields[f"w{i}"] = w
+            fields[f"b{i}"] = b
+        return fields
+
+    def test_bpnn_file(self, tmp_path):
+        rng = np.random.default_rng(31)
+        weights, biases = bpnn.init_layers((10, 20, 30, 1), rng)
+        path = tmp_path / "bpnn.txt"
+        fields = {"input_width": 10, "hidden": (20, 30)}
+        write_model(path, "bpnn", {**fields, **self._stack_fields(weights, biases, 0)})
+        x = rng.normal(size=(50, 10))
+        want = _ref_forward(bpnn.pack(weights, biases), x.T)[-1][0]
+        assert np.array_equal(bpnn.scores(bpnn.load_model(path), x), want)
+
+    @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
+    def test_rnn_file(self, tmp_path, connection):
+        rng = np.random.default_rng(37)
+        weights, biases = bpnn.init_layers((10, 20, 30, 1), rng)
+        rough_w = np.stack((weights[0], rng.normal(size=(20, 10))))
+        rough_b = np.stack((biases[0], rng.normal(size=20)))
+        fields = {"input_width": 10, "hidden": (20, 30), "connection": connection,
+                  "rough_w": rough_w, "rough_b": rough_b}
+        cross = None
+        if connection == "full":
+            cross = fields["rough_cross"] = rng.normal(scale=0.3, size=(2, 20, 10))
+        path = tmp_path / "rnn.txt"
+        write_model(path, "rnn", {**fields, **self._stack_fields(weights[1:], biases[1:], 1)})
+        lower, upper = _intervals_with_ties(rng, 50, 10)
+        reference = RnnModel(
+            rough=rnn.pack_rough(rough_w, rough_b, cross),
+            shared=bpnn.pack(weights[1:], biases[1:]),
+            input_width=10,
+            hidden=(20, 30),
+            connection=connection,
+            trace=bpnn.TrainingTrace(stop_reason="t"),
+        )
+        want = _ref_rnn_forward(reference, lower, upper)[0]
+        table = IntervalTable(lower, upper, np.zeros(50, dtype=int), tuple(f"g{i}" for i in range(10)))
+        assert np.array_equal(rnn.scores(rnn.load_model(path), table), want)
 
 
 # -- allocation --------------------------------------------------------------
 
 ALLOCATION_LIMIT = 256 * 1024
-README_CFG = MlpConfig(epochs=1, hidden=(20, 30), ratios=(0.7, 0.15), seed=0)
+README_CFG = MlpConfig(epochs=1, hidden=(20, 30), ratios=(0.7, 0.15))
 
 
 def _descent_closures(module, monkeypatch, *args):
@@ -340,11 +399,11 @@ class TestAllocation:
 
     def test_bpnn_step_peak(self, monkeypatch):
         table = _net_data(n=1600)
-        closures = _descent_closures(bpnn, monkeypatch, table, README_CFG)
+        closures = _descent_closures(bpnn, monkeypatch, table, README_CFG, 0)
         assert _step_peak(*closures) < ALLOCATION_LIMIT
 
     @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
     def test_rnn_step_peak(self, monkeypatch, connection):
         table = _interval_data(n=1600)
-        closures = _descent_closures(rnn, monkeypatch, table, README_CFG, connection)
+        closures = _descent_closures(rnn, monkeypatch, table, README_CFG, 0, connection)
         assert _step_peak(*closures) < ALLOCATION_LIMIT

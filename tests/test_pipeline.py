@@ -412,6 +412,56 @@ class TestPooledTrainings:
             else:
                 assert row == expected
 
+    def test_one_dead_worker_costs_few_pools(self, monkeypatch):
+        """The trainings that a dead worker leaves unfinished rerun together
+        in one new pool, the ones that may have been running last, and only
+        those that this pool leaves unfinished too run alone.  The second
+        pool loses at most the killer, the trainings running beside it and
+        the ones queued after it: 2 * workers - 1, so at most 2 * workers + 1
+        pools in all, where one pool per unfinished training takes about one
+        per training."""
+        import concurrent.futures
+
+        # no `none` row, so no row is paired with the one that fails
+        cfg = quick_config(**{**NETS_AND_SVM, "preprocessors": ("rs",),
+                              "classifiers": ("bpnn", "svm", "rnn")})
+        alone = self.rows(monkeypatch, cfg, 1)
+        parent, real_task = os.getpid(), pipeline._train_task
+        tasks, pools = [], []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        def first_kills(task):  # the first training submitted kills its worker
+            classifier, *_, fold = task
+            if (classifier, fold) == ("bpnn", 0):
+                if os.getpid() == parent:  # never end the test process
+                    raise AssertionError("bpnn trained in-process")
+                os._exit(1)
+            return real_task(task)
+
+        real_all = pipeline._train_all
+
+        def recording(all_tasks, workers, setter):
+            if not tasks:  # the matrix's own call
+                tasks.extend(all_tasks)
+            return real_all(all_tasks, workers, setter)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(pipeline, "_train_task", first_kills)
+        monkeypatch.setattr(pipeline, "_train_all", recording)
+        pooled = self.rows(monkeypatch, cfg, 2)
+        assert tasks[0][0] == "bpnn" and tasks[0][5] == 0 and len(tasks) == 9
+        assert 2 < len(pools) <= 2 * 2 + 1
+        for row, expected in zip(pooled, alone, strict=True):
+            if row.classifier == "bpnn":
+                assert row.failed
+                assert row.error.startswith("fold 0 stage train: BrokenProcessPool: ")
+            else:
+                assert row == expected
+
     def test_unpicklable_task_trains_on_a_worker(self, monkeypatch):
         """Workers inherit the tasks, so a reducer that cannot be pickled
         trains there; sent through a pipe, its trainings would fail."""

@@ -38,11 +38,10 @@ def _degenerate(table: Table) -> IntervalTable:
 
 def _model_from_mlp(mlp: bpnn.MlpModel, connection="excitatory") -> RnnModel:
     return RnnModel(
-        rough_w=np.stack((mlp.weights[0], mlp.weights[0])),
-        rough_b=np.stack((mlp.biases[0], mlp.biases[0])),
-        rough_cross=None,
-        shared_weights=[w.copy() for w in mlp.weights[1:]],
-        shared_biases=[b.copy() for b in mlp.biases[1:]],
+        rough=rnn.pack_rough(
+            np.stack((mlp.weights[0], mlp.weights[0])), np.stack((mlp.biases[0], mlp.biases[0]))
+        ),
+        shared=[layer.copy() for layer in mlp.layers[1:]],
         input_width=mlp.input_width,
         hidden=mlp.hidden,
         connection=connection,
@@ -53,7 +52,9 @@ def _model_from_mlp(mlp: bpnn.MlpModel, connection="excitatory") -> RnnModel:
 def _random_mlp(rng, width=3, hidden=(4, 3)):
     sizes = (width,) + hidden + (1,)
     weights, biases = bpnn.init_layers(sizes, rng)
-    return bpnn.MlpModel(weights, biases, width, hidden, bpnn.TrainingTrace(stop_reason="t"))
+    return bpnn.MlpModel(
+        bpnn.pack(weights, biases), width, hidden, bpnn.TrainingTrace(stop_reason="t")
+    )
 
 
 def _channel_outputs(model: RnnModel, xl, xu):
@@ -152,8 +153,7 @@ class TestRoughNeuronOutput:
     @staticmethod
     def _first_layer(net_lower, net_upper, weight=1.0):
         mlp = bpnn.MlpModel(
-            [np.array([[weight]]), np.array([[1.0]])],
-            [np.zeros(1), np.zeros(1)],
+            bpnn.pack([np.array([[weight]]), np.array([[1.0]])], [np.zeros(1), np.zeros(1)]),
             1,
             (1,),
             bpnn.TrainingTrace(stop_reason="t"),
@@ -163,8 +163,8 @@ class TestRoughNeuronOutput:
         model = _model_from_mlp(mlp)
         rows = rnn.RoughBuffers(model, xl, xu)
         rnn._forward(model, rows)
-        low, up = rows.stack.acts[0]
-        return low[:, 0], up[:, 0]
+        low, up = rows.stack.acts[0][:, :-1]
+        return low[0], up[0]
 
     def test_degenerate_zero(self):
         lo, hi = self._first_layer([0.0], [0.0])
@@ -207,8 +207,7 @@ class TestForward:
     def test_widening_grows_spread_on_1_1_1(self):
         for w in (0.8, -1.3):
             mlp = bpnn.MlpModel(
-                [np.array([[w]]), np.array([[1.0]])],
-                [np.zeros(1), np.zeros(1)],
+                bpnn.pack([np.array([[w]]), np.array([[1.0]])], [np.zeros(1), np.zeros(1)]),
                 1,
                 (1,),
                 bpnn.TrainingTrace(stop_reason="t"),
@@ -267,20 +266,16 @@ class TestGradients:
             targets = rng.integers(0, 2, 4).astype(float)
             _, grads = rnn._gradients(model, rnn.RoughBuffers(model, xl, xu, targets, backward=True))
             h = 1e-5
-            w = model.rough_w  # both channels, lower first
+            w = model.rough_w  # both channels, lower first; a view of the rough block
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
-                w_mut = w.copy()
-                w_mut[idx] = orig + h
-                model.rough_w = w_mut
+                w[idx] = orig + h
                 e_plus = rnn._error(model, rnn.RoughBuffers(model, xl, xu, targets))
-                w_mut = w.copy()
-                w_mut[idx] = orig - h
-                model.rough_w = w_mut
+                w[idx] = orig - h
                 e_minus = rnn._error(model, rnn.RoughBuffers(model, xl, xu, targets))
-                model.rough_w = w
+                w[idx] = orig
                 numeric = (e_plus - e_minus) / (2 * h)
-                analytic = grads["rough_w"][idx]
+                analytic = grads[0][idx]  # the rough block's gradient, W first
                 scale = max(abs(numeric), abs(analytic), 1e-8)
                 assert abs(numeric - analytic) / scale <= 1e-4
 
@@ -297,10 +292,10 @@ class TestTrain:
 
     def test_degenerate_matches_point_network_run(self, rng):
         table = make_table(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
-        cfg = MlpConfig(epochs=60, hidden=(5,), seed=3)
+        cfg = MlpConfig(epochs=60, hidden=(5,))
         with pytest.warns(NoUncertaintyWarning):
-            rough = rnn.train(_degenerate(table), cfg)
-        point = bpnn.train(table, cfg)
+            rough = rnn.train(_degenerate(table), cfg, 3)
+        point = bpnn.train(table, cfg, 3)
         s_r = rnn.scores(rough, _degenerate(table))
         assert np.array_equal(s_r, bpnn.scores(point, table.values))
         for side in (0, 1):
@@ -319,9 +314,9 @@ class TestTrain:
         for seed in range(10):
             cfg = MlpConfig(
                 epochs=1000, learning_rate=0.5, hidden=(4,), goal=1e-9,
-                ratios=(1.0, 0.0), seed=seed,
+                ratios=(1.0, 0.0),
             )
-            model = rnn.train(table, cfg)
+            model = rnn.train(table, cfg, seed)
             pred = (rnn.scores(model, table) >= 0.5).astype(int)
             wins += int(np.array_equal(pred, table.decisions))
         assert wins >= 8
@@ -334,9 +329,9 @@ class TestTrain:
         )
         cfg = MlpConfig(
             epochs=3000, learning_rate=0.9, hidden=(12,), goal=1e-12,
-            ratios=(0.5, 0.5), max_fail=6, seed=0,
+            ratios=(0.5, 0.5), max_fail=6,
         )
-        model = rnn.train(iv, cfg)
+        model = rnn.train(iv, cfg, 0)
         trace = model.trace
         if trace.stop_reason == "early-stop":
             diffs = np.diff(trace.val_errors[-7:])
@@ -345,22 +340,22 @@ class TestTrain:
 
     def test_deterministic_per_seed(self):
         table = self._separable_intervals(n=30)
-        cfg = MlpConfig(epochs=30, hidden=(3,), seed=11)
-        a = rnn.train(table, cfg)
-        b = rnn.train(table, cfg)
+        cfg = MlpConfig(epochs=30, hidden=(3,))
+        a = rnn.train(table, cfg, 11)
+        b = rnn.train(table, cfg, 11)
         assert np.array_equal(a.rough_w, b.rough_w)
         assert a.trace.train_errors == b.trace.train_errors
 
     def test_connection_modes_run(self):
         table = self._separable_intervals(n=24)
         for mode in ("excitatory", "inhibitory", "full"):
-            cfg = MlpConfig(epochs=10, hidden=(3,), seed=1)
-            model = rnn.train(table, cfg, connection=mode)
+            cfg = MlpConfig(epochs=10, hidden=(3,))
+            model = rnn.train(table, cfg, 1, connection=mode)
             assert model.connection == mode
             out = rnn.scores(model, table)
             assert np.all((out > 0) & (out < 1))
         with pytest.raises(ParameterError):
-            rnn.train(table, MlpConfig(epochs=5, hidden=(2,), seed=1), connection="sideways")
+            rnn.train(table, MlpConfig(epochs=5, hidden=(2,)), 1, connection="sideways")
 
     def test_full_pipeline_on_discretized_gas_data(self):
         from dgareduce.dataset import synth_generate
@@ -369,15 +364,15 @@ class TestTrain:
         std, _ = standardize(gas)
         cats = discretize(gas)
         iv = Intervalizer.fit(cats, std).apply(cats, std)
-        cfg = MlpConfig(epochs=150, hidden=(6,), seed=0)
-        model = rnn.train(iv, cfg)
+        cfg = MlpConfig(epochs=150, hidden=(6,))
+        model = rnn.train(iv, cfg, 0)
         assert rnn.evaluate(model, iv) >= 90.0
 
 
 class TestSaveLoad:
     def test_round_trip_scores(self, tmp_path):
         table = TestTrain()._separable_intervals(n=30)
-        model = rnn.train(table, MlpConfig(epochs=20, hidden=(4, 3), seed=5))
+        model = rnn.train(table, MlpConfig(epochs=20, hidden=(4, 3)), 5)
         path = tmp_path / "rnn.txt"
         rnn.save_model(model, path)
         loaded = rnn.load_model(path)
