@@ -26,8 +26,7 @@ order of the allocating formulas, so results are bit-identical to them
 A training also keeps its parameters in one flat float64 vector, the layer
 blocks end to end, of which the model's layers are views, and its gradients
 in another laid out the same way, so a descent step, snapshot or restore is
-one vector operation.  The model's `weights` and `biases` are views of the
-blocks, and the model file stores them under their own names.
+one vector operation.
 
 The buffers carry a leading channel axis, (channels, units, rows).  The
 point network runs one channel; the rough network (`rnn`) runs its shared
@@ -131,38 +130,11 @@ class MlpModel:
     trace: TrainingTrace
     scaler: Scaler | None = None
 
-    @property
-    def weights(self) -> list[np.ndarray]:
-        return [layer[:, :-1] for layer in self.layers]
 
-    @property
-    def biases(self) -> list[np.ndarray]:
-        return [layer[:, -1] for layer in self.layers]
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return layer_params(self.weights, self.biases)
-
-
-def layer_params(weights, biases, start: int = 0) -> dict[str, np.ndarray]:
-    """A layer stack as named parameters: `w<i>` then `b<i>` for each layer,
-    numbered from `start`."""
-    named = {}
-    for i, (w, b) in enumerate(zip(weights, biases), start):
-        named[f"w{i}"] = w
-        named[f"b{i}"] = b
-    return named
-
-
-def layer_shapes(input_width: int, hidden) -> dict[str, tuple[int, ...]]:
-    """The shape of each parameter of a layer stack, named as in `layer_params`."""
+def layer_shapes(input_width: int, hidden) -> list[tuple[int, int]]:
+    """The (out, in + 1) shape of each [W | b] block of a layer stack."""
     sizes = (input_width,) + tuple(hidden) + (1,)
-    return layer_params(list(zip(sizes[1:], sizes[:-1])), [(size,) for size in sizes[1:]])
-
-
-def pack(weights, biases) -> list[np.ndarray]:
-    """Each layer's weights and biases as one (out, in + 1) block [W | b]."""
-    return [np.column_stack((w, b)) for w, b in zip(weights, biases)]
+    return [(out, fan_in + 1) for fan_in, out in zip(sizes[:-1], sizes[1:])]
 
 
 def carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -182,14 +154,17 @@ def flat_copy(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, carve(flat, [a.shape for a in arrays])
 
 
-def init_layers(sizes, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Uniform +-1/sqrt(fan-in) weights and biases, drawn layer by layer."""
-    weights, biases = [], []
+def init_layers(sizes, rng) -> list[np.ndarray]:
+    """Uniform +-1/sqrt(fan-in) [W | b] blocks: each layer's weights, then
+    its biases, drawn layer by layer."""
+    layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return weights, biases
+        layer = np.empty((fan_out, fan_in + 1))
+        layer[:, :-1] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        layer[:, -1] = rng.uniform(-bound, bound, size=fan_out)
+        layers.append(layer)
+    return layers
 
 
 class LayerBuffers:
@@ -388,7 +363,7 @@ def train(data: Table, cfg: MlpConfig, seed: int) -> MlpModel:
     d_val = data.decisions[val_idx].astype(float)
 
     sizes = (data.n_attributes,) + cfg.hidden + (1,)
-    params, layers = flat_copy(pack(*init_layers(sizes, np.random.default_rng(seed))))
+    params, layers = flat_copy(init_layers(sizes, np.random.default_rng(seed)))
     model = MlpModel(layers, data.n_attributes, cfg.hidden, TrainingTrace())
 
     train_rows = LayerBuffers(data.values[train_idx].T, layers, backward=True)
@@ -422,17 +397,18 @@ def evaluate(model: MlpModel, test: Table) -> float:
 
 def save_model(model: MlpModel, path) -> None:
     fields = {"input_width": model.input_width, "hidden": model.hidden}
-    write_model(path, "bpnn", {**fields, **model.params}, model.scaler)
+    layers = {f"layer{i}": layer for i, layer in enumerate(model.layers)}
+    write_model(path, "bpnn", {**fields, **layers}, model.scaler)
 
 
 def load_model(path) -> MlpModel:
     f = ModelFile(path, "bpnn")
     hidden = tuple(f.array("hidden", int).tolist())
     input_width = f.get("input_width", int)
-    params = f.arrays(layer_shapes(input_width, hidden))
-    layers = range(len(hidden) + 1)
+    shapes = layer_shapes(input_width, hidden)
+    layers = f.arrays({f"layer{i}": shape for i, shape in enumerate(shapes)})
     return MlpModel(
-        pack([params[f"w{i}"] for i in layers], [params[f"b{i}"] for i in layers]),
+        list(layers.values()),
         input_width,
         hidden,
         TrainingTrace(stop_reason="loaded"),

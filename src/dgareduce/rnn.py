@@ -31,13 +31,13 @@ hold the stack's two-channel `LayerBuffers`), one set for the training rows
 and one for the validation rows, rewritten in place by every epoch.  With m
 the input width, r = m + 1 the rough inputs per channel (2 * m + 1 for the
 full connection), h1 the first hidden width and L the number of hidden
-layers, the training set holds (2 * r + 2 * h1 + 4 * sum(hidden) + 2 * L + 10)
+layers, the training set holds (2 * r + 4 * h1 + 4 * sum(hidden) + 2 * L + 10)
 float64 per distinct row and the validation set (2 * r + 2 * h1 +
 2 * sum(hidden) + 2 * L + 8), the rows of ones counted; each set also keeps
 one int64 group index per row.  At hidden (20, 30) the training set of a
-one-gas cell's 2 distinct rows takes 4 KB plus 10 KB of indices, and that of
-240 distinct ten-gas rows 0.5 MB, where 1,318 rows held one each would take
-2.9 MB.
+one-gas cell's 2 distinct rows takes 5 KB plus 10 KB of indices, and that of
+240 distinct ten-gas rows 0.6 MB, where 1,318 rows held one each would take
+3.3 MB.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ from .bpnn import (
     descend,
     flat_copy,
     init_layers,
-    layer_params,
     layer_shapes,
-    pack,
     percent_correct,
     _backward as _stack_backward,
     _forward as _stack_forward,
@@ -160,8 +158,7 @@ def _check_aligned(categories: CategoricalTable, standardized: Table) -> None:
 @dataclass
 class RnnModel:
     """The rough first layer's block plus the shared stack's blocks.  The
-    rough block holds the lower channel, then the upper, on a leading axis;
-    its parameters are views of it."""
+    rough block holds the lower channel, then the upper, on a leading axis."""
 
     rough: np.ndarray  # (2, h1, width + 1), or (2, h1, 2 * width + 1) for full
     shared: list[np.ndarray]
@@ -170,41 +167,6 @@ class RnnModel:
     connection: str
     trace: TrainingTrace
     scaler: Scaler | None = None
-
-    @property
-    def rough_w(self) -> np.ndarray:  # (2, h1, width)
-        return self.rough[..., :self.input_width]
-
-    @property
-    def rough_b(self) -> np.ndarray:  # (2, h1)
-        return self.rough[..., -1]
-
-    @property
-    def rough_cross(self) -> np.ndarray | None:  # (2, h1, width), full connection only
-        return self.rough[..., self.input_width:-1] if self.connection == "full" else None
-
-    @property
-    def shared_weights(self) -> list[np.ndarray]:
-        return [layer[:, :-1] for layer in self.shared]
-
-    @property
-    def shared_biases(self) -> list[np.ndarray]:
-        return [layer[:, -1] for layer in self.shared]
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        """The rough first layer's parameters, then the shared stack's layers
-        named as in the point network (`w1`, `b1`, ...)."""
-        named = {"rough_w": self.rough_w, "rough_b": self.rough_b}
-        if self.connection == "full":
-            named["rough_cross"] = self.rough_cross
-        return {**named, **layer_params(self.shared_weights, self.shared_biases, start=1)}
-
-
-def pack_rough(rough_w, rough_b, rough_cross=None) -> np.ndarray:
-    """The rough layer's block: [W | b], or [W | C | b] with cross weights C."""
-    parts = (rough_w,) if rough_cross is None else (rough_w, rough_cross)
-    return np.concatenate(parts + (rough_b[..., None],), axis=-1)
 
 
 def _rough_inputs(connection: str, xl: np.ndarray, xu: np.ndarray) -> np.ndarray:
@@ -236,12 +198,12 @@ class RoughBuffers:
     into the two channels of `stack`, the point network's buffers
     (`bpnn.LayerBuffers`) for the shared layers.  With `backward`, a
     gradient step also fills the stack's deltas, including the delta at its
-    input, the tie masks `ties` and one packed gradient per block (`grads`:
-    the rough block's, then the stack's), each a view of the vector
-    `flat_grads`, laid out as the training's parameter vector; the stack
-    writes its gradients into the tail.  It reuses the activations it no
-    longer needs as scratch, so after a step they no longer hold a forward
-    pass.
+    input, the tie masks `ties` (and `mask`, the same as float64) and one
+    packed gradient per block (`grads`: the rough block's, then the
+    stack's), each a view of the vector `flat_grads`, laid out as the
+    training's parameter vector; the stack writes its gradients into the
+    tail.  It reuses the activations it no longer needs as scratch, so after
+    a step they no longer hold a forward pass.
     """
 
     def __init__(self, model: RnnModel, xl: np.ndarray, xu: np.ndarray,
@@ -260,6 +222,7 @@ class RoughBuffers:
         stack_grads = None
         if backward:
             self.ties = np.empty(shape, dtype=bool)
+            self.mask = np.empty(shape)
             blocks = [model.rough] + model.shared
             self.flat_grads = np.empty(sum(b.size for b in blocks))
             self.grads = carve(self.flat_grads, [b.shape for b in blocks])
@@ -312,16 +275,18 @@ def _gradients(model: RnnModel, rows: RoughBuffers):
     stack.resid -= rows.target_sum
     _stack_backward(model.shared, stack, rows.n)
     err = _grouped_mean_square(rows, out)
-    nets, ties = rows.nets, rows.ties
+    nets, ties, mask = rows.nets, rows.ties, rows.mask
     # the deltas now sit at the min / max node outputs.  ties[c] marks where
     # channel c holds the max, ties included; a channel takes the max node's
     # delta there and the min node's where the other channel holds the max,
-    # so at a tie both: d_z = d_up * ties + d_low * ties[::-1]
+    # so at a tie both: d_z = d_up * ties + d_low * ties[::-1].  The float64
+    # copy of the masks spares each product a cast buffer
     np.logical_not(np.greater(nets[::-1], nets, out=ties), out=ties)
+    np.copyto(mask, ties)
     d_low, d_up = stack.input_delta
-    d_z = np.multiply(d_low, ties[::-1], out=stack.acts[0][:, :-1])
-    np.multiply(d_up, ties[0], out=d_low)
-    d_up *= ties[1]
+    d_z = np.multiply(d_low, mask[::-1], out=stack.acts[0][:, :-1])
+    np.multiply(d_up, mask[0], out=d_low)
+    d_up *= mask[1]
     d_z += stack.input_delta
     d_z *= _tanh_slope(nets)
     np.matmul(d_z, rows.x.transpose(0, 2, 1), out=rows.grads[0])
@@ -368,15 +333,15 @@ def train(rows: IntervalTable, cfg: MlpConfig, seed: int,
     d_val = rows.decisions[val_idx].astype(float)
 
     rng = np.random.default_rng(seed)
-    sizes = (rows.n_attributes,) + cfg.hidden + (1,)
-    weights, biases = init_layers(sizes, rng)
-    cross = None
+    width = rows.n_attributes
+    first, *shared = init_layers((width,) + cfg.hidden + (1,), rng)
+    rough = np.stack((first, first))
     if connection == "full":
-        bound = 1.0 / np.sqrt(rows.n_attributes)
-        cross = rng.uniform(-bound, bound, size=(2,) + weights[0].shape)
-    rough = pack_rough(np.stack((weights[0], weights[0])), np.stack((biases[0], biases[0])), cross)
-    params, (rough, *shared) = flat_copy([rough] + pack(weights[1:], biases[1:]))
-    model = RnnModel(rough, shared, rows.n_attributes, cfg.hidden, connection, TrainingTrace())
+        bound = 1.0 / np.sqrt(width)
+        cross = rng.uniform(-bound, bound, size=(2, cfg.hidden[0], width))
+        rough = np.concatenate((rough[..., :-1], cross, rough[..., -1:]), axis=-1)
+    params, (rough, *shared) = flat_copy([rough] + shared)
+    model = RnnModel(rough, shared, width, cfg.hidden, connection, TrainingTrace())
 
     train_rows = RoughBuffers(model, xl_train, xu_train, d_train, backward=True)
     val_rows = RoughBuffers(model, xl_val, xu_val, d_val)
@@ -404,8 +369,10 @@ def save_model(model: RnnModel, path) -> None:
         "input_width": model.input_width,
         "hidden": model.hidden,
         "connection": model.connection,
+        "rough": model.rough,
     }
-    write_model(path, "rnn", {**fields, **model.params}, model.scaler)
+    layers = {f"layer{i}": layer for i, layer in enumerate(model.shared, 1)}
+    write_model(path, "rnn", {**fields, **layers}, model.scaler)
 
 
 def load_model(path) -> RnnModel:
@@ -415,16 +382,14 @@ def load_model(path) -> RnnModel:
     connection = f.get("connection")
     if connection not in CONNECTIONS:
         raise ParameterError(f"{path}: connection must be one of {CONNECTIONS}")
-    shapes = layer_shapes(input_width, hidden)
-    w0, b0 = (2,) + shapes.pop("w0"), (2,) + shapes.pop("b0")
-    rough = {"rough_w": w0, "rough_b": b0}
+    (h1, columns), *shared = layer_shapes(input_width, hidden)
     if connection == "full":
-        rough["rough_cross"] = w0
-    params = f.arrays({**rough, **shapes})
-    shared = range(1, len(hidden) + 1)
+        columns += input_width
+    shapes = {"rough": (2, h1, columns), **{f"layer{i}": s for i, s in enumerate(shared, 1)}}
+    rough, *shared = f.arrays(shapes).values()
     return RnnModel(
-        rough=pack_rough(params["rough_w"], params["rough_b"], params.get("rough_cross")),
-        shared=pack([params[f"w{i}"] for i in shared], [params[f"b{i}"] for i in shared]),
+        rough=rough,
+        shared=shared,
         input_width=input_width,
         hidden=hidden,
         connection=connection,

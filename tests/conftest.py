@@ -38,6 +38,12 @@ def row_granules(values, decisions):
     return partition(CategoricalTable(values, decisions, names)).granules
 
 
+def blocks(weights, biases) -> list[np.ndarray]:
+    """Each layer's weights and biases as one [W | b] block, the biases as
+    its last column."""
+    return [np.column_stack((w, b)) for w, b in zip(weights, biases)]
+
+
 def make_table(values, decisions, names=None) -> Table:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if names is None:

@@ -32,7 +32,7 @@ from dgareduce.roughset import (
 )
 from dgareduce.rnn import IntervalTable, Intervalizer
 
-from conftest import make_categorical, make_gas_table, make_table, row_granules
+from conftest import blocks, make_categorical, make_gas_table, make_table, row_granules
 
 INFORMATIVE = ("hydrogen", "methane", "ethylene")
 
@@ -226,7 +226,7 @@ def test_criterion_06_bpnn_gradients_and_xor():
     rng = np.random.default_rng(5)
 
     def mse(weights, biases, x, d):
-        layers = bpnn.pack(weights, biases)
+        layers = blocks(weights, biases)
         return bpnn._mse(layers, bpnn.LayerBuffers(x.T, layers), d)
 
     for _ in range(20):
@@ -234,7 +234,7 @@ def test_criterion_06_bpnn_gradients_and_xor():
         biases = [rng.normal(size=2), rng.normal(size=1)]
         x = rng.normal(size=(5, 3))
         d = rng.integers(0, 2, 5).astype(float)
-        layers = bpnn.pack(weights, biases)
+        layers = blocks(weights, biases)
         _, grads = bpnn.batch_gradients(layers, bpnn.LayerBuffers(x.T, layers, backward=True), d)
         grads_w = [g[:, :-1] for g in grads]
         h = 1e-5
@@ -315,13 +315,13 @@ def test_criterion_08_rnn():
     for _ in range(100):
         m, h = 4, 6
         sizes = (m,) + (h,) + (1,)
-        weights, biases = bpnn.init_layers(sizes, rng)
+        first, *shared = bpnn.init_layers(sizes, rng)
+        rough = np.stack((first, first))
+        rough[0, :, :-1] *= rng.normal(scale=2)  # each channel's weights scaled apart
+        rough[1, :, :-1] *= rng.normal(scale=2)
         model = rnn.RnnModel(
-            rough=rnn.pack_rough(
-                np.stack((weights[0] * rng.normal(scale=2), weights[0] * rng.normal(scale=2))),
-                np.stack((biases[0], biases[0])),
-            ),
-            shared=bpnn.pack(weights[1:], biases[1:]),
+            rough=rough,
+            shared=shared,
             input_width=m, hidden=(h,), connection="excitatory",
             trace=bpnn.TrainingTrace(stop_reason="t"),
         )

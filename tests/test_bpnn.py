@@ -10,7 +10,7 @@ from dgareduce.bpnn import MlpConfig, MlpModel, TrainingTrace
 from dgareduce.dataset import Table, split_indices
 from dgareduce.errors import ParameterError, ShapeError, TrainingDivergedError
 
-from conftest import make_table
+from conftest import blocks, make_table
 
 
 def xor_table(replicas=25):
@@ -51,7 +51,7 @@ class TestActivations:
 
 def _tiny_model(weights, biases):
     return MlpModel(
-        bpnn.pack(
+        blocks(
             [np.asarray(w, dtype=float) for w in weights],
             [np.asarray(b, dtype=float) for b in biases],
         ),
@@ -91,14 +91,14 @@ class TestForward:
 
 
 def _mse(weights, biases, x, d):
-    layers = bpnn.pack(weights, biases)
+    layers = blocks(weights, biases)
     return bpnn._mse(layers, bpnn.LayerBuffers(x.T, layers), d)
 
 
 def _gradients(weights, biases, x, d):
     """The error and the weight and bias gradients, taken apart from each
     layer's packed [W | b] gradient."""
-    layers = bpnn.pack(weights, biases)
+    layers = blocks(weights, biases)
     err, grads = bpnn.batch_gradients(layers, bpnn.LayerBuffers(x.T, layers, backward=True), d)
     return err, [g[:, :-1] for g in grads], [g[:, -1] for g in grads]
 
@@ -183,8 +183,8 @@ class TestTrain:
         cfg = MlpConfig(epochs=40, hidden=(5,))
         a = bpnn.train(table, cfg, 7)
         b = bpnn.train(table, cfg, 7)
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
+        for la, lb in zip(a.layers, b.layers, strict=True):
+            assert np.array_equal(la, lb)
         assert a.trace.train_errors == b.trace.train_errors
 
     def test_divergence_raises_with_epoch(self):

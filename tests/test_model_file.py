@@ -5,7 +5,7 @@ import pytest
 
 from dgareduce import bpnn, rnn, svm
 from dgareduce.bpnn import MlpConfig
-from dgareduce.dataset import standardize
+from dgareduce.dataset import standardize, write_model
 from dgareduce.errors import ParameterError
 from dgareduce.rnn import IntervalTable
 
@@ -63,11 +63,9 @@ def test_rnn_round_trips(connection, tmp_path):
     saved = _saved("rnn", path, connection)
     loaded = rnn.load_model(path)
     assert loaded.connection == connection
-    assert loaded.rough_w.shape == (2, 4, 3)
-    assert loaded.params.keys() == saved.params.keys()
-    for name, p in saved.params.items():
-        assert np.array_equal(loaded.params[name], p), name
-    assert (loaded.rough_cross is None) == (connection != "full")
+    assert loaded.rough.shape == (2, 4, 7 if connection == "full" else 4)
+    for got, want in zip([loaded.rough, *loaded.shared], [saved.rough, *saved.shared], strict=True):
+        assert np.array_equal(got, want)
     assert loaded.scaler is not None
 
 
@@ -105,11 +103,10 @@ def _write_fields(path, fields):
 @pytest.mark.parametrize(
     "kind, key",
     [
-        ("bpnn", "b0"),
-        ("bpnn", "w1"),
-        ("rnn", "rough_b"),
-        ("rnn", "rough_w"),
-        ("rnn", "b1"),
+        ("bpnn", "layer0"),
+        ("bpnn", "layer1"),
+        ("rnn", "rough"),
+        ("rnn", "layer1"),
         # one entry per support vector
         ("svm", "labels"),
         ("svm", "alphas"),
@@ -144,4 +141,43 @@ def test_network_header_disagreeing_with_arrays_raises(kind, key, tmp_path):
     fields[key] = str(int(fields[key]) + 1)
     _write_fields(path, fields)
     with pytest.raises(ParameterError, match="has shape"):
+        LOADERS[kind](path)
+
+
+def test_rnn_connection_must_match_rough_block(tmp_path):
+    """A full-connection file relabelled excitatory would drop its cross
+    weights; the rough block's shape check rejects it instead."""
+    path = tmp_path / "rnn.txt"
+    _saved("rnn", path, "full")
+    fields = _fields(path)
+    assert fields["rough.shape"] == "2,4,7"
+    fields["connection"] = "excitatory"
+    _write_fields(path, fields)
+    with pytest.raises(ParameterError, match=r"'rough' has shape \(2, 4, 7\), expected \(2, 4, 4\)"):
+        rnn.load_model(path)
+
+
+@pytest.mark.parametrize("kind, key", [("bpnn", "layer0"), ("rnn", "rough")])
+def test_per_parameter_file_does_not_load(kind, key, tmp_path):
+    """A file with one array per parameter (`w0`, `b0`, ...; `rough_w`,
+    `rough_b`, `rough_cross`, then `w1`, `b1`, ...), the layout before the
+    blocks were stored whole, names the first block key it lacks."""
+    path = tmp_path / f"{kind}.txt"
+    model = _saved(kind, path)
+    fields = _fields(path)
+    layers = model.layers if kind == "bpnn" else model.shared
+    start = 0 if kind == "bpnn" else 1
+    per_parameter = {}
+    if kind == "rnn":
+        width = model.input_width
+        per_parameter["rough_w"] = model.rough[..., :width]
+        per_parameter["rough_b"] = model.rough[..., -1]
+        if model.connection == "full":
+            per_parameter["rough_cross"] = model.rough[..., width:-1]
+    for i, layer in enumerate(layers, start):
+        per_parameter[f"w{i}"] = layer[:, :-1]
+        per_parameter[f"b{i}"] = layer[:, -1]
+    header = {key: fields[key] for key in ("input_width", "hidden", "connection") if key in fields}
+    write_model(path, kind, {**header, **per_parameter}, model.scaler)
+    with pytest.raises(ParameterError, match=f"missing key '{key}'"):
         LOADERS[kind](path)

@@ -1,6 +1,6 @@
 """Buffered training steps: bit-identity with the allocating formulas,
 grouped rough-network rows against the per-row formulas, no state carried
-between epochs or trainings, model files in their per-parameter format, and
+between epochs or trainings, model files that store the layer blocks, and
 a bounded allocation peak."""
 
 import tracemalloc
@@ -120,15 +120,13 @@ def _ref_rnn_gradients(model, xl, xu, targets):
 def _rnn_model(rng, width, hidden, connection):
     """Equal channel weights, so degenerate rows tie exactly in the rough layer."""
     sizes = (width,) + hidden + (1,)
-    weights, biases = bpnn.init_layers(sizes, rng)
-    cross = rng.normal(scale=0.3, size=weights[0].shape) if connection == "full" else None
+    first, *shared = bpnn.init_layers(sizes, rng)
+    if connection == "full":  # [W | C | b]
+        cross = rng.normal(scale=0.3, size=(hidden[0], width))
+        first = np.concatenate((first[:, :-1], cross, first[:, -1:]), axis=1)
     return RnnModel(
-        rough=rnn.pack_rough(
-            np.stack((weights[0], weights[0])),
-            np.stack((biases[0], biases[0])),
-            None if cross is None else np.stack((cross, cross)),
-        ),
-        shared=bpnn.pack(weights[1:], biases[1:]),
+        rough=np.stack((first, first)),
+        shared=shared,
         input_width=width,
         hidden=hidden,
         connection=connection,
@@ -159,6 +157,11 @@ def _interval_data(n=160, width=10, seed=7):
     return IntervalTable(lower, upper, table.decisions, table.attributes)
 
 
+def _blocks(model):
+    """Every layer block of a bpnn or rnn model, the rough block first."""
+    return model.layers if isinstance(model, bpnn.MlpModel) else [model.rough, *model.shared]
+
+
 # -- bit identity ------------------------------------------------------------
 
 
@@ -167,7 +170,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(120, 10)).T
         d = rng.integers(0, 2, 120).astype(float)
-        layers = bpnn.pack(*bpnn.init_layers((10, 20, 30, 1), rng))
+        layers = bpnn.init_layers((10, 20, 30, 1), rng)
         rows = bpnn.LayerBuffers(x, layers, backward=True)
         for _ in range(3):  # a reused buffer gives the same answer again
             err, grads = bpnn.batch_gradients(layers, rows, d)
@@ -187,7 +190,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(120, 10)).T
         d = rng.integers(0, 2, 120).astype(float)
-        layers = bpnn.pack(*bpnn.init_layers((10, 20, 30, 1), rng))
+        layers = bpnn.init_layers((10, 20, 30, 1), rng)
         one = bpnn.LayerBuffers(x, layers, backward=True)
         two = bpnn.LayerBuffers(np.stack([x, x]), layers, backward=True)
         err, grads = bpnn.batch_gradients(layers, one, d)
@@ -275,8 +278,8 @@ class TestRepeatTraining:
         assert first.trace.val_errors == second.trace.val_errors
         assert first.trace.best_epoch == second.trace.best_epoch
         assert first.trace.stop_reason == second.trace.stop_reason
-        for name, p in first.params.items():
-            assert np.array_equal(p, second.params[name]), name
+        for i, (p, q) in enumerate(zip(_blocks(first), _blocks(second), strict=True)):
+            assert np.array_equal(p, q), i
 
     EARLY_STOP = MlpConfig(
         epochs=400, learning_rate=0.9, hidden=(20, 30), goal=1e-12,
@@ -310,47 +313,39 @@ class TestRepeatTraining:
 
 
 class TestModelFileFormat:
-    """Model files keep one array per parameter, under the names and in the
-    shapes they had before the layers were packed: `w<i>` (out, in) and
-    `b<i>` (out,), and for rnn `rough_w` and `rough_cross` (2, h1, width)
-    and `rough_b` (2, h1).  A file written from such arrays loads to the
-    scores of the reference forward pass."""
+    """Model files keep each layer block whole: `layer<i>` (out, in + 1)
+    for the stack, and for rnn `rough` (2, h1, width + 1), or
+    (2, h1, 2 * width + 1) with the full connection.  A file written from
+    such arrays, drawn here on their own, loads to the scores of the
+    reference forward pass."""
 
-    @staticmethod
-    def _stack_fields(weights, biases, start):
-        fields = {}
-        for i, (w, b) in enumerate(zip(weights, biases), start):
-            fields[f"w{i}"] = w
-            fields[f"b{i}"] = b
-        return fields
+    STACK = {"layer1": (30, 21), "layer2": (1, 31)}
 
     def test_bpnn_file(self, tmp_path):
         rng = np.random.default_rng(31)
-        weights, biases = bpnn.init_layers((10, 20, 30, 1), rng)
+        layers = {"layer0": rng.normal(scale=0.3, size=(20, 11))}
+        layers.update((key, rng.normal(scale=0.3, size=shape)) for key, shape in self.STACK.items())
         path = tmp_path / "bpnn.txt"
-        fields = {"input_width": 10, "hidden": (20, 30)}
-        write_model(path, "bpnn", {**fields, **self._stack_fields(weights, biases, 0)})
+        write_model(path, "bpnn", {"input_width": 10, "hidden": (20, 30), **layers})
+        assert "layer0.shape = 20,11" in path.read_text().splitlines()
         x = rng.normal(size=(50, 10))
-        want = _ref_forward(bpnn.pack(weights, biases), x.T)[-1][0]
+        want = _ref_forward(list(layers.values()), x.T)[-1][0]
         assert np.array_equal(bpnn.scores(bpnn.load_model(path), x), want)
 
     @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
     def test_rnn_file(self, tmp_path, connection):
         rng = np.random.default_rng(37)
-        weights, biases = bpnn.init_layers((10, 20, 30, 1), rng)
-        rough_w = np.stack((weights[0], rng.normal(size=(20, 10))))
-        rough_b = np.stack((biases[0], rng.normal(size=20)))
-        fields = {"input_width": 10, "hidden": (20, 30), "connection": connection,
-                  "rough_w": rough_w, "rough_b": rough_b}
-        cross = None
-        if connection == "full":
-            cross = fields["rough_cross"] = rng.normal(scale=0.3, size=(2, 20, 10))
+        columns = 21 if connection == "full" else 11
+        rough = rng.normal(scale=0.3, size=(2, 20, columns))
+        shared = {key: rng.normal(scale=0.3, size=shape) for key, shape in self.STACK.items()}
+        fields = {"input_width": 10, "hidden": (20, 30), "connection": connection, "rough": rough}
         path = tmp_path / "rnn.txt"
-        write_model(path, "rnn", {**fields, **self._stack_fields(weights[1:], biases[1:], 1)})
+        write_model(path, "rnn", {**fields, **shared})
+        assert f"rough.shape = 2,20,{columns}" in path.read_text().splitlines()
         lower, upper = _intervals_with_ties(rng, 50, 10)
         reference = RnnModel(
-            rough=rnn.pack_rough(rough_w, rough_b, cross),
-            shared=bpnn.pack(weights[1:], biases[1:]),
+            rough=rough,
+            shared=list(shared.values()),
             input_width=10,
             hidden=(20, 30),
             connection=connection,
@@ -364,6 +359,7 @@ class TestModelFileFormat:
 # -- allocation --------------------------------------------------------------
 
 ALLOCATION_LIMIT = 256 * 1024
+CAST_LIMIT = 16 * 1024
 README_CFG = MlpConfig(epochs=1, hidden=(20, 30), ratios=(0.7, 0.15))
 
 
@@ -407,3 +403,12 @@ class TestAllocation:
         table = _interval_data(n=1600)
         closures = _descent_closures(rnn, monkeypatch, table, README_CFG, 0, connection)
         assert _step_peak(*closures) < ALLOCATION_LIMIT
+
+    @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
+    def test_rnn_step_casts_no_tie_mask(self, monkeypatch, connection):
+        """The tie masks multiply the deltas as float64, so no product casts
+        bool to float64 through a 64 KB buffer (the casting step peaked at
+        67 KB, the float64 masks at under 2 KB)."""
+        table = _interval_data(n=1600)
+        closures = _descent_closures(rnn, monkeypatch, table, README_CFG, 0, connection)
+        assert _step_peak(*closures) < CAST_LIMIT

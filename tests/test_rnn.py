@@ -38,9 +38,7 @@ def _degenerate(table: Table) -> IntervalTable:
 
 def _model_from_mlp(mlp: bpnn.MlpModel, connection="excitatory") -> RnnModel:
     return RnnModel(
-        rough=rnn.pack_rough(
-            np.stack((mlp.weights[0], mlp.weights[0])), np.stack((mlp.biases[0], mlp.biases[0]))
-        ),
+        rough=np.stack((mlp.layers[0], mlp.layers[0])),
         shared=[layer.copy() for layer in mlp.layers[1:]],
         input_width=mlp.input_width,
         hidden=mlp.hidden,
@@ -51,9 +49,8 @@ def _model_from_mlp(mlp: bpnn.MlpModel, connection="excitatory") -> RnnModel:
 
 def _random_mlp(rng, width=3, hidden=(4, 3)):
     sizes = (width,) + hidden + (1,)
-    weights, biases = bpnn.init_layers(sizes, rng)
     return bpnn.MlpModel(
-        bpnn.pack(weights, biases), width, hidden, bpnn.TrainingTrace(stop_reason="t")
+        bpnn.init_layers(sizes, rng), width, hidden, bpnn.TrainingTrace(stop_reason="t")
     )
 
 
@@ -153,7 +150,7 @@ class TestRoughNeuronOutput:
     @staticmethod
     def _first_layer(net_lower, net_upper, weight=1.0):
         mlp = bpnn.MlpModel(
-            bpnn.pack([np.array([[weight]]), np.array([[1.0]])], [np.zeros(1), np.zeros(1)]),
+            [np.array([[weight, 0.0]]), np.array([[1.0, 0.0]])],
             1,
             (1,),
             bpnn.TrainingTrace(stop_reason="t"),
@@ -207,7 +204,7 @@ class TestForward:
     def test_widening_grows_spread_on_1_1_1(self):
         for w in (0.8, -1.3):
             mlp = bpnn.MlpModel(
-                bpnn.pack([np.array([[w]]), np.array([[1.0]])], [np.zeros(1), np.zeros(1)]),
+                [np.array([[w, 0.0]]), np.array([[1.0, 0.0]])],
                 1,
                 (1,),
                 bpnn.TrainingTrace(stop_reason="t"),
@@ -266,7 +263,7 @@ class TestGradients:
             targets = rng.integers(0, 2, 4).astype(float)
             _, grads = rnn._gradients(model, rnn.RoughBuffers(model, xl, xu, targets, backward=True))
             h = 1e-5
-            w = model.rough_w  # both channels, lower first; a view of the rough block
+            w = model.rough[..., :model.input_width]  # both channels' W, lower first; a view
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
                 w[idx] = orig + h
@@ -299,10 +296,8 @@ class TestTrain:
         s_r = rnn.scores(rough, _degenerate(table))
         assert np.array_equal(s_r, bpnn.scores(point, table.values))
         for side in (0, 1):
-            assert np.array_equal(rough.rough_w[side], point.weights[0])
-            assert np.array_equal(rough.rough_b[side], point.biases[0])
-        shared = rough.shared_weights + rough.shared_biases
-        for got, want in zip(shared, point.weights[1:] + point.biases[1:], strict=True):
+            assert np.array_equal(rough.rough[side], point.layers[0])
+        for got, want in zip(rough.shared, point.layers[1:], strict=True):
             assert np.array_equal(got, want)
         assert rough.trace.train_errors == point.trace.train_errors
         acc_r = rnn.evaluate(rough, _degenerate(table))
@@ -343,7 +338,7 @@ class TestTrain:
         cfg = MlpConfig(epochs=30, hidden=(3,))
         a = rnn.train(table, cfg, 11)
         b = rnn.train(table, cfg, 11)
-        assert np.array_equal(a.rough_w, b.rough_w)
+        assert np.array_equal(a.rough, b.rough)
         assert a.trace.train_errors == b.trace.train_errors
 
     def test_connection_modes_run(self):
