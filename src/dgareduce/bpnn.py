@@ -154,14 +154,14 @@ def flat_copy(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, carve(flat, [a.shape for a in arrays])
 
 
-def init_layers(sizes, rng) -> list[np.ndarray]:
-    """Uniform +-1/sqrt(fan-in) [W | b] blocks: each layer's weights, then
-    its biases, drawn layer by layer."""
+def init_layers(input_width: int, hidden, rng) -> list[np.ndarray]:
+    """The [W | b] blocks of `layer_shapes`, uniform in +-1/sqrt(fan-in):
+    each layer's weights, then its biases, drawn layer by layer."""
     layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        layer = np.empty((fan_out, fan_in + 1))
-        layer[:, :-1] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+    for fan_out, columns in layer_shapes(input_width, hidden):
+        bound = 1.0 / np.sqrt(columns - 1)
+        layer = np.empty((fan_out, columns))
+        layer[:, :-1] = rng.uniform(-bound, bound, size=(fan_out, columns - 1))
         layer[:, -1] = rng.uniform(-bound, bound, size=fan_out)
         layers.append(layer)
     return layers
@@ -362,8 +362,8 @@ def train(data: Table, cfg: MlpConfig, seed: int) -> MlpModel:
     d_train = data.decisions[train_idx].astype(float)
     d_val = data.decisions[val_idx].astype(float)
 
-    sizes = (data.n_attributes,) + cfg.hidden + (1,)
-    params, layers = flat_copy(init_layers(sizes, np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    params, layers = flat_copy(init_layers(data.n_attributes, cfg.hidden, rng))
     model = MlpModel(layers, data.n_attributes, cfg.hidden, TrainingTrace())
 
     train_rows = LayerBuffers(data.values[train_idx].T, layers, backward=True)
@@ -382,16 +382,15 @@ def train(data: Table, cfg: MlpConfig, seed: int) -> MlpModel:
 
 def percent_correct(predicted: np.ndarray, actual: np.ndarray) -> float:
     """The percentage of rows whose predicted class (0/1 or False/True) is
-    the actual one."""
-    hits = int(np.count_nonzero(np.equal(predicted, actual)))
-    return 100.0 * hits / len(actual)
+    the actual one; no rows is a ParameterError."""
+    if len(actual) == 0:
+        raise ParameterError("empty test set")
+    return 100.0 * int(np.count_nonzero(np.equal(predicted, actual))) / len(actual)
 
 
 def evaluate(model: MlpModel, test: Table) -> float:
     """Accuracy percentage on a table standardized with the training
     parameters."""
-    if test.n_rows == 0:
-        raise ParameterError("empty test set")
     return percent_correct(scores(model, test.values) >= 0.5, test.decisions)
 
 
@@ -401,11 +400,16 @@ def save_model(model: MlpModel, path) -> None:
     write_model(path, "bpnn", {**fields, **layers}, model.scaler)
 
 
-def load_model(path) -> MlpModel:
-    f = ModelFile(path, "bpnn")
+def read_stack(f: ModelFile) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
+    """A bpnn or rnn model file's `input_width`, `hidden` and their `layer_shapes`."""
     hidden = tuple(f.array("hidden", int).tolist())
     input_width = f.get("input_width", int)
-    shapes = layer_shapes(input_width, hidden)
+    return input_width, hidden, layer_shapes(input_width, hidden)
+
+
+def load_model(path) -> MlpModel:
+    f = ModelFile(path, "bpnn")
+    input_width, hidden, shapes = read_stack(f)
     layers = f.arrays({f"layer{i}": shape for i, shape in enumerate(shapes)})
     return MlpModel(
         list(layers.values()),

@@ -177,29 +177,6 @@ class CategoricalTable(Table):
         object.__setattr__(self, "values", _freeze(cells.astype(np.int64)))
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Cross-validation assignment: per-row fold index in [0, k)."""
-
-    k: int
-    assignments: np.ndarray
-
-    def __post_init__(self):
-        assignments = np.asarray(self.assignments, dtype=np.int64)
-        if assignments.min(initial=0) < 0 or assignments.max(initial=0) >= self.k:
-            raise ParameterError("fold assignment out of range")
-        sizes = np.bincount(assignments, minlength=self.k)
-        if sizes.max() - sizes.min() > 1:
-            raise ParameterError("fold sizes differ by more than 1")
-        object.__setattr__(self, "assignments", _freeze(assignments))
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments != fold)
-
-
 def load_csv(path) -> GasTable:
     """Read a gas table from CSV, dropping rows with empty or non-numeric cells.
 
@@ -501,8 +478,10 @@ def discretize(table: Table) -> CategoricalTable:
     return Discretizer.fit(table).apply(table)
 
 
-def kfold(table: Table, k: int, seed: int) -> FoldPlan:
-    """Stratified, seeded fold plan; per-class counts per fold differ by <= 1."""
+def kfold(table: Table, k: int, seed: int) -> np.ndarray:
+    """Stratified, seeded fold plan: a read-only int64 array of each row's fold
+    in [0, k), whose folds' per-class counts differ by at most 1.  Fold f tests
+    on the rows where `plan == f` and trains on the rest."""
     if k < 2:
         raise ParameterError("k must be at least 2")
     if k > table.n_rows:
@@ -514,7 +493,7 @@ def kfold(table: Table, k: int, seed: int) -> FoldPlan:
         rows = rng.permutation(np.flatnonzero(table.decisions == cls))
         assignments[rows] = (pos + np.arange(rows.size)) % k
         pos += rows.size
-    return FoldPlan(k, assignments)
+    return _freeze(assignments)
 
 
 def split_indices(n: int, ratios, seed: int) -> tuple[np.ndarray, ...]:

@@ -8,7 +8,8 @@ are information gain or gain ratio in bits, read off one joint count of
 row counts: the same integers a count over the rows gives, so the scores,
 ties, leaves and pruning decisions are those of a tree grown on the rows.
 Pruning is reduced-error against a held-out validation table, whose
-granules come from the same partition.  The tree itself is never the final
+granules come from the same partition, and pruning and its accuracy check
+route them through one step (`_route`).  The tree itself is never the final
 classifier here: after pruning, the attributes appearing as split nodes form
 the reduction result.
 """
@@ -142,19 +143,25 @@ def _grow(part: Partition, criterion, min_rows, held, available) -> TreeNode:
     return Internal(part.attributes[best_j], children, majority, count_t, count_f)
 
 
-def _hits(node: TreeNode, part: Partition, held) -> int:
-    """Rows of the granules `held` that the subtree at `node` classifies
-    correctly; a value with no child stops at the node's majority class."""
-    if isinstance(node, Leaf):
-        return _correct(part, held, node.decision)
+def _route(node: Internal, part: Partition, held) -> tuple[list, np.ndarray]:
+    """Each (value, child, the granules of `held` it takes) of `node`, and
+    the granules whose value has no child, left to the node's majority."""
     col = part.granules.patterns[held, part.attributes.index(node.attribute)]
     unmatched = np.ones(len(held), dtype=bool)
-    hits = 0
+    routed = []
     for v, child in node.children:
         reached = col == v
-        unmatched &= ~reached
-        hits += _hits(child, part, held[reached])
-    return hits + _correct(part, held[unmatched], node.decision)
+        unmatched ^= reached  # children's values differ, so each granule flips once at most
+        routed.append((v, child, held[reached]))
+    return routed, held[unmatched]
+
+
+def _hits(node: TreeNode, part: Partition, held) -> int:
+    """Rows of the granules `held` that the subtree at `node` classifies correctly."""
+    if isinstance(node, Leaf):
+        return _correct(part, held, node.decision)
+    routed, stopped = _route(node, part, held)
+    return _correct(part, stopped, node.decision) + sum(_hits(c, part, g) for _, c, g in routed)
 
 
 def accuracy(node: TreeNode, table: CategoricalTable | Partition) -> float:
@@ -181,28 +188,21 @@ def prune(root: TreeNode, validation: CategoricalTable | Partition) -> TreeNode:
 
 def _prune(node: TreeNode, part: Partition, held) -> tuple[TreeNode, int]:
     """The pruned subtree for the validation granules `held` that reach
-    `node`, and its hits on their rows: the sum of its pruned children's
-    hits, plus the rows whose value has no child scored against the node's
-    majority."""
+    `node`, and its hits on their rows: its pruned children's hits plus the
+    rows `_route` leaves to the node's majority."""
     leaf_hits = _correct(part, held, node.decision)
     if isinstance(node, Leaf):
         return node, leaf_hits
-    col = part.granules.patterns[held, part.attributes.index(node.attribute)]
-    unmatched = np.ones(len(held), dtype=bool)
-    subtree_hits = 0
-    pruned_children = []
-    for v, child in node.children:
-        reached = col == v
-        unmatched &= ~reached
-        pruned, hits = _prune(child, part, held[reached])
-        pruned_children.append((v, pruned))
+    routed, stopped = _route(node, part, held)
+    subtree_hits = _correct(part, stopped, node.decision)
+    children = []
+    for v, child, granules in routed:
+        pruned, hits = _prune(child, part, granules)
+        children.append((v, pruned))
         subtree_hits += hits
-    subtree_hits += _correct(part, held[unmatched], node.decision)
     if leaf_hits >= subtree_hits:
         return Leaf(node.decision, node.count_t, node.count_f), leaf_hits
-    candidate = Internal(
-        node.attribute, tuple(pruned_children), node.decision, node.count_t, node.count_f
-    )
+    candidate = Internal(node.attribute, tuple(children), node.decision, node.count_t, node.count_f)
     return candidate, subtree_hits
 
 

@@ -47,9 +47,9 @@ from . import bpnn, dtree, granular, pca, rnn, svm
 from .dataset import (
     ATTRIBUTES,
     Discretizer,
-    FoldPlan,
     GasTable,
     Table,
+    discretize,
     kfold,
     load_csv,
     split_indices,
@@ -58,7 +58,7 @@ from .dataset import (
 )
 from .errors import ConfigError, ParameterError
 from .reduction import ReductionResult
-from .roughset import Partition, partition, reduct_search
+from .roughset import partition, reduct_search
 from .rnn import Intervalizer
 
 PREPROCESSORS = ("none", "pca", "rs", "gr", "dt")
@@ -169,8 +169,8 @@ def reducer_seed(cfg: ExperimentConfig, preprocessor: str) -> int:
     return derive_seed(cfg.seed, *fit_key(preprocessor))
 
 
-def fold_plan(table: Table, cfg: ExperimentConfig, classifier: str) -> FoldPlan:
-    """The classifier's fold plan, shared by every preprocessor."""
+def fold_plan(table: Table, cfg: ExperimentConfig, classifier: str) -> np.ndarray:
+    """The classifier's fold plan (`kfold`), shared by every preprocessor."""
     seed = derive_seed(cfg.seed, 1, 0, CLASSIFIERS.index(classifier))
     return kfold(table, cfg.folds_for(classifier), seed)
 
@@ -223,7 +223,7 @@ class FittedReducer:
 
 def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> FittedReducer:
     """Fit one preprocessor on the given rows; rs, gr and dt read them
-    through their `table_partition`."""
+    through the `roughset.partition` of the rows discretized on themselves."""
     if method == "none":
         return FittedReducer(ReductionResult("none", tuple(table.attributes)))
     if method == "pca":
@@ -242,7 +242,7 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
             },
         )
         return FittedReducer(result, projection=proj)
-    part = table_partition(table)
+    part = partition(discretize(table))
     if method == "rs":
         return FittedReducer(reduct_search(part))
     if method == "gr":
@@ -258,13 +258,6 @@ def fit_reducer(table: Table, method: str, cfg: ExperimentConfig, seed: int) -> 
         tree = dtree.prune(tree, part.take(val_idx))
         return FittedReducer(dtree.select_attributes(tree))
     raise ConfigError(f"unknown preprocessor {method!r}")
-
-
-def table_partition(table: Table) -> Partition:
-    """The partition (`roughset.partition`) of the table discretized on its
-    own rows: the full-pattern granules and each row's granule index, which
-    is all rs, gr and dt read of the discretized cells."""
-    return partition(Discretizer.fit(table).apply(table))
 
 
 @dataclass(frozen=True)
@@ -392,7 +385,7 @@ def _train_task(task) -> tuple:
     classifier, cfg, table, plan, reducer, fold = task
 
     def train():
-        rows = (plan.train_indices(fold), plan.test_indices(fold))
+        rows = (np.flatnonzero(plan != fold), np.flatnonzero(plan == fold))
         train_raw, test_raw = (reducer.transform(table.take(r)) for r in rows)
         return _train_eval(classifier, cfg, train_raw, test_raw, fold_seed(cfg, classifier, fold))
 
@@ -528,7 +521,7 @@ def _plan_cell(cfg, preprocessor, classifier, table, memo) -> tuple[list, str | 
                 key += (CLASSIFIERS.index(classifier), fold)
 
             def fit():
-                rows = table.take(plan.train_indices(fold)) if strict else table
+                rows = table.take(np.flatnonzero(plan != fold)) if strict else table
                 return fit_reducer(rows, preprocessor, cfg, derive_seed(cfg.seed, *key))
 
             reducer, notes = _once(memo, key, fit)

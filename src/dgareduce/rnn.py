@@ -55,8 +55,8 @@ from .bpnn import (
     descend,
     flat_copy,
     init_layers,
-    layer_shapes,
     percent_correct,
+    read_stack,
     _backward as _stack_backward,
     _forward as _stack_forward,
     _tanh_slope,
@@ -334,7 +334,7 @@ def train(rows: IntervalTable, cfg: MlpConfig, seed: int,
 
     rng = np.random.default_rng(seed)
     width = rows.n_attributes
-    first, *shared = init_layers((width,) + cfg.hidden + (1,), rng)
+    first, *shared = init_layers(width, cfg.hidden, rng)
     rough = np.stack((first, first))
     if connection == "full":
         bound = 1.0 / np.sqrt(width)
@@ -359,8 +359,6 @@ def train(rows: IntervalTable, cfg: MlpConfig, seed: int,
 
 def evaluate(model: RnnModel, test: IntervalTable) -> float:
     """Accuracy percentage over interval rows."""
-    if len(test) == 0:
-        raise ParameterError("empty test set")
     return percent_correct(scores(model, test) >= 0.5, test.decisions)
 
 
@@ -377,12 +375,10 @@ def save_model(model: RnnModel, path) -> None:
 
 def load_model(path) -> RnnModel:
     f = ModelFile(path, "rnn")
-    hidden = tuple(f.array("hidden", int).tolist())
-    input_width = f.get("input_width", int)
+    input_width, hidden, ((h1, columns), *shared) = read_stack(f)
     connection = f.get("connection")
     if connection not in CONNECTIONS:
         raise ParameterError(f"{path}: connection must be one of {CONNECTIONS}")
-    (h1, columns), *shared = layer_shapes(input_width, hidden)
     if connection == "full":
         columns += input_width
     shapes = {"rough": (2, h1, columns), **{f"layer{i}": s for i, s in enumerate(shared, 1)}}

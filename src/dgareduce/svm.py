@@ -345,8 +345,6 @@ def train_smo(
 
 def evaluate(model: SvmModel, test: Table) -> float:
     """Accuracy percentage on a standardized table."""
-    if test.n_rows == 0:
-        raise ParameterError("empty test set")
     return percent_correct(decision_scores(model, test.values) >= 0, test.decisions)
 
 

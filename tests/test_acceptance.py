@@ -314,8 +314,7 @@ def test_criterion_08_rnn():
     checked = 0
     for _ in range(100):
         m, h = 4, 6
-        sizes = (m,) + (h,) + (1,)
-        first, *shared = bpnn.init_layers(sizes, rng)
+        first, *shared = bpnn.init_layers(m, (h,), rng)
         rough = np.stack((first, first))
         rough[0, :, :-1] *= rng.normal(scale=2)  # each channel's weights scaled apart
         rough[1, :, :-1] *= rng.normal(scale=2)

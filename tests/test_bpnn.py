@@ -259,6 +259,10 @@ class TestEvaluate:
         with pytest.raises(ParameterError):
             bpnn.evaluate(model, make_table(np.zeros((0, 2)), []))
 
+    def test_percent_correct_of_no_rows_rejected(self):
+        with pytest.raises(ParameterError, match="empty test set"):
+            bpnn.percent_correct(np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
+
 
 class TestSaveLoad:
     def test_round_trip_predictions(self, tmp_path, rng):

@@ -545,21 +545,21 @@ class TestKfold:
     def test_exact_division(self):
         table = synth_generate(30, 0.5, 0.1, seed=4)
         plan = kfold(table, 15, seed=0)
-        sizes = np.bincount(plan.assignments, minlength=15)
+        sizes = np.bincount(plan, minlength=15)
         assert np.all(sizes == 2)
 
     def test_stratification_forced(self):
         table = make_gas_table(n_rows=10, decisions=[0] * 5 + [1] * 5, hydrogen=range(10))
         plan = kfold(table, 5, seed=3)
         for fold in range(5):
-            decs = table.decisions[plan.test_indices(fold)]
+            decs = table.decisions[np.flatnonzero(plan == fold)]
             assert sorted(decs) == [0, 1]
 
     def test_deterministic(self):
         table = synth_generate(40, 0.5, 0.1, seed=4)
         a = kfold(table, 5, seed=7)
         b = kfold(table, 5, seed=7)
-        assert np.array_equal(a.assignments, b.assignments)
+        assert np.array_equal(a, b)
 
     def test_partition_and_balance(self, rng):
         for _ in range(10):
@@ -569,10 +569,16 @@ class TestKfold:
                 n_rows=n, decisions=rng.integers(0, 2, n), hydrogen=rng.uniform(0, 10, n)
             )
             plan = kfold(table, k, seed=int(rng.integers(1e6)))
-            assert len(plan.assignments) == n
+            assert len(plan) == n
             for cls in (0, 1):
-                counts = np.bincount(plan.assignments[table.decisions == cls], minlength=k)
+                counts = np.bincount(plan[table.decisions == cls], minlength=k)
                 assert counts.max() - counts.min() <= 1
+
+    def test_plan_is_a_read_only_int64_array(self):
+        plan = kfold(synth_generate(20, 0.5, 0.1, seed=4), 4, seed=0)
+        assert isinstance(plan, np.ndarray) and plan.dtype == np.int64
+        with pytest.raises(ValueError):
+            plan[0] = 1
 
     def test_k_too_large(self):
         table = synth_generate(10, 0.5, 0.1, seed=4)
@@ -596,7 +602,7 @@ class TestKfold:
             decisions = np.random.default_rng(seed).permutation(decisions)
             table = make_gas_table(n_rows=n, decisions=decisions, hydrogen=range(n))
             plan = kfold(table, k, seed)
-            assert np.array_equal(plan.assignments, reference(decisions, k, seed))
+            assert np.array_equal(plan, reference(decisions, k, seed))
 
 
 class TestSplitIndices:

@@ -119,8 +119,7 @@ def _ref_rnn_gradients(model, xl, xu, targets):
 
 def _rnn_model(rng, width, hidden, connection):
     """Equal channel weights, so degenerate rows tie exactly in the rough layer."""
-    sizes = (width,) + hidden + (1,)
-    first, *shared = bpnn.init_layers(sizes, rng)
+    first, *shared = bpnn.init_layers(width, hidden, rng)
     if connection == "full":  # [W | C | b]
         cross = rng.normal(scale=0.3, size=(hidden[0], width))
         first = np.concatenate((first[:, :-1], cross, first[:, -1:]), axis=1)
@@ -170,7 +169,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(120, 10)).T
         d = rng.integers(0, 2, 120).astype(float)
-        layers = bpnn.init_layers((10, 20, 30, 1), rng)
+        layers = bpnn.init_layers(10, (20, 30), rng)
         rows = bpnn.LayerBuffers(x, layers, backward=True)
         for _ in range(3):  # a reused buffer gives the same answer again
             err, grads = bpnn.batch_gradients(layers, rows, d)
@@ -190,7 +189,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(120, 10)).T
         d = rng.integers(0, 2, 120).astype(float)
-        layers = bpnn.init_layers((10, 20, 30, 1), rng)
+        layers = bpnn.init_layers(10, (20, 30), rng)
         one = bpnn.LayerBuffers(x, layers, backward=True)
         two = bpnn.LayerBuffers(np.stack([x, x]), layers, backward=True)
         err, grads = bpnn.batch_gradients(layers, one, d)

@@ -657,7 +657,7 @@ class TestLeakageCanary:
         plan = pipeline.fold_plan(base, cfg, "svm")
         for method in ("pca", "rs", "dt", "gr"):
             poisoned_values = base.values.copy()
-            poisoned_values[plan.test_indices(0)] = 1e9  # out-of-range sentinel
+            poisoned_values[np.flatnonzero(plan == 0)] = 1e9  # out-of-range sentinel
             poisoned = GasTable(poisoned_values, base.decisions, base.attributes)
             clean_row = run_cell(cfg, method, "svm", table=base)
             poisoned_row = run_cell(cfg, method, "svm", table=poisoned)
@@ -831,6 +831,17 @@ class TestFitReducer:
         assert out.attributes == reducer.result.kept
 
 
+@pytest.mark.parametrize("classifier", pipeline.CLASSIFIERS)
+def test_evaluate_rejects_an_empty_test_set(classifier):
+    """Each classifier's `evaluate`, on test rows encoded as a fold's are,
+    refuses zero rows with the one check in `bpnn.percent_correct`."""
+    table = synth_generate(60, 0.5, 0.2, seed=1)
+    fitted = pipeline.fit_classifier(classifier, quick_config(), table, 0)
+    empty = fitted.inputs(table.take(np.arange(0)))
+    with pytest.raises(ParameterError, match="empty test set"):
+        pipeline.MODELS[classifier].evaluate(fitted.model, empty)
+
+
 
 class TestTablePartition:
     """Every rs, gr and dt fit partitions the rows it is fitted on, and only
@@ -855,12 +866,20 @@ class TestTablePartition:
         assert calls == [table] * 6
         assert [c.kept for c in cells] == [f.kept_label for f in fits]
 
-    def test_row_subset_gets_its_own_partition(self):
+    def test_row_subset_gets_its_own_partition(self, monkeypatch):
         table = synth_generate(400, 0.5, 0.5, seed=6)
         oxygen = table.column("oxygen")
         rows = np.flatnonzero(oxygen < np.median(oxygen))  # a narrower min-max span
         subset = table.take(rows)
-        own = pipeline.table_partition(subset)
+        seen = []  # the partition an rs fit on the subset reads
+
+        def recording(categorical):
+            seen.append(partition(categorical))
+            return seen[-1]
+
+        monkeypatch.setattr(pipeline, "partition", recording)
+        pipeline.fit_reducer(subset, "rs", quick_config(), seed=0)
+        (own,) = seen
         expected = partition(discretize(subset))
         for got, want in zip(own.granules, expected.granules):
             np.testing.assert_array_equal(got, want)
@@ -890,7 +909,7 @@ class TestTablePartition:
         plan = pipeline.fold_plan(table, cfg, "svm")
         # one partition per fit, of its fold's training rows (the three
         # folds, once for each of rs, gr and dt), and never the whole table's
-        assert sizes == [len(plan.train_indices(f)) for f in range(3)] * 3
+        assert sizes == [np.count_nonzero(plan != f) for f in range(3)] * 3
 
     def test_pickled_table_carries_no_partition(self):
         table = synth_generate(200, 0.5, 0.5, seed=9)

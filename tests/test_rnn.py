@@ -48,9 +48,8 @@ def _model_from_mlp(mlp: bpnn.MlpModel, connection="excitatory") -> RnnModel:
 
 
 def _random_mlp(rng, width=3, hidden=(4, 3)):
-    sizes = (width,) + hidden + (1,)
     return bpnn.MlpModel(
-        bpnn.init_layers(sizes, rng), width, hidden, bpnn.TrainingTrace(stop_reason="t")
+        bpnn.init_layers(width, hidden, rng), width, hidden, bpnn.TrainingTrace(stop_reason="t")
     )
 
 

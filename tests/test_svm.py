@@ -51,7 +51,7 @@ def criterion9_fold(method):
     )
     table = pipeline.resolve_data(cfg)
     reduced = pipeline.fit_reducer(table, method, cfg, 0).transform(table)
-    train, _ = standardize(reduced.take(kfold(reduced, 5, 0).train_indices(0)))
+    train, _ = standardize(reduced.take(np.flatnonzero(kfold(reduced, 5, 0) != 0)))
     return train
 
 
