@@ -122,17 +122,18 @@ class Table:
     def n_attributes(self) -> int:
         return self.values.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
+    def column_index(self, name: str) -> int:
         try:
-            return self.values[:, self.attributes.index(name)]
+            return self.attributes.index(name)
         except ValueError:
             raise ParameterError(f"unknown attribute {name!r}") from None
 
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self.column_index(name)]
+
     def select(self, names) -> "Table":
         """New plain Table keeping only the named columns, in the given order."""
-        idx = [self.attributes.index(n) if n in self.attributes else -1 for n in names]
-        if -1 in idx:
-            raise ParameterError(f"unknown attribute {names[idx.index(-1)]!r}")
+        idx = [self.column_index(n) for n in names]
         return Table(self.values[:, idx], self.decisions, tuple(names))
 
     def take(self, rows) -> "Table":
@@ -439,6 +440,8 @@ class Discretizer:
 
     @classmethod
     def fit(cls, table: Table) -> "Discretizer":
+        if table.n_rows == 0:
+            raise ParameterError("discretize needs at least 1 row, got an empty table")
         spans = []
         for name in table.attributes:
             if name in CATEGORY_BOUNDS:

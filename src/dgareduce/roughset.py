@@ -8,11 +8,11 @@ type is refused with `ValidationError`, so only cells in {1..4} reach the
 pattern codes.
 `InformationSystem` is the same table under its rough-set name.
 
-Every partition is built from pattern codes: a row's values over a column
-subset read as one mixed-radix int64 number (`pattern_codes`), so blocks are
-the distinct codes and their ascending order is the lexicographic order of
-the value tuples.  `_group` sums decision counts per distinct code; it is the
-package's one grouping routine, shared with the granular layer.
+Every partition is built from pattern codes: a row's values over a subset of
+at most 31 columns read as one base-4 int64 number (`pattern_codes`), so
+blocks are the distinct codes and their ascending order is the lexicographic
+order of the value tuples.  `_group` sums decision counts per distinct code;
+it is the package's one grouping routine, shared with the granular layer.
 
 `partition` groups a table's rows into full-pattern granules once and keeps
 each row's granule; the reduct search, the granular ranking and the decision
@@ -42,35 +42,23 @@ class InformationSystem(CategoricalTable):
         return cls(table.values, table.decisions, table.attributes)
 
 
-_CODE_LIMIT = 1 << 62
-
-
 def pattern_codes(values: np.ndarray, cols) -> np.ndarray:
     """One int64 code per row for its values over the given columns.
 
     Cells lie in {1..4}, so each column is one base-4 digit and the first
     column is the most significant: ascending codes order the rows like their
-    value tuples.  Up to 31 columns code as one product of the rows with a
-    weight per column (4**digit, 0 for a column not in `cols`), which reads
-    no column copy.  Before the radix would pass 2**62 the running code is
-    replaced by its dense rank, which keeps that order, so any number of
-    columns codes exactly.
+    value tuples.  The code is one product of the rows with a weight per
+    column (4**digit, 0 for a column not in `cols`), which reads no column
+    copy.  At most 31 columns code, as 4**31 - 1 is the largest code an int64
+    holds; a wider subset raises `ParameterError`.
     """
-    code = np.zeros(values.shape[0], dtype=np.int64)
-    cols, span = list(cols), 1
-    while cols:
-        if span > 1:  # the digits so far fill the radix
-            _, code = np.unique(code, return_inverse=True)
-            span = int(code.max()) + 1 if code.size else 1
-        k = 1
-        while k < len(cols) and span * 4 ** (k + 1) <= _CODE_LIMIT:
-            k += 1
-        weights = np.zeros(values.shape[1], dtype=np.int64)
-        for digit, c in enumerate(cols[:k]):
-            weights[c] += 4 ** (k - 1 - digit)
-        code = code * 4**k + (values @ weights - weights.sum())
-        cols, span = cols[k:], span * 4**k
-    return code
+    cols = list(cols)
+    if len(cols) > 31:
+        raise ParameterError(f"pattern codes cover at most 31 columns, got {len(cols)}")
+    weights = np.zeros(values.shape[1], dtype=np.int64)
+    for digit, c in enumerate(cols):
+        weights[c] += 4 ** (len(cols) - 1 - digit)
+    return values @ weights - weights.sum()
 
 
 class _Granules(NamedTuple):
@@ -170,10 +158,9 @@ def degree_of_dependency(table: CategoricalTable, subset) -> float:
     subset = tuple(subset)
     if not subset:
         raise ParameterError("attribute subset must be non-empty")
-    for name in subset:
-        if name not in table.attributes:
-            raise ParameterError(f"unknown attribute {name!r}")
-    cols = [table.attributes.index(name) for name in subset]
+    cols = [table.column_index(name) for name in subset]
+    if table.n_rows == 0:
+        raise DependencyDegenerateError("degree of dependency of a table with no rows is undefined")
     return _positive_region_size(partition(table).granules, cols) / table.n_rows
 
 

@@ -475,6 +475,12 @@ class TestDiscretize:
         table = synth_generate(30, 0.5, 0.1, seed=1)
         assert discretize(table).n_rows == table.n_rows
 
+    def test_no_rows_rejected(self):
+        # the oxygen and nitrogen spans need at least one row to fit
+        table = make_gas_table(n_rows=0)
+        with pytest.raises(ParameterError, match="empty table"):
+            discretize(table)
+
 
 # The per-column formula that the whole-table compares against a cut matrix
 # replace, kept here as the oracle.

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from dgareduce import granular, roughset
 from dgareduce.dataset import CategoricalTable
-from dgareduce.errors import DgaError, ValidationError
+from dgareduce.errors import DgaError, ParameterError, ValidationError
 from dgareduce.granular import incremental_rank_reduce
 from dgareduce.roughset import InformationSystem, partition, pattern_codes, reduct_search
 
@@ -144,9 +144,9 @@ class TestBlockInverse:
         assert np.array_equal(block_inverse(table.values, cols), expected)
 
     @PROPERTY
-    @given(tables(max_cols=70, max_rows=25))
+    @given(tables(max_cols=31, max_rows=25))
     def test_wide_tables_code_exactly(self, table):
-        # more than 31 base-4 digits: the running code is re-densified
+        # up to 31 base-4 digits, the widest code an int64 holds
         cols = list(range(table.n_attributes))[::-1]
         expected = oracle_codes(table.values, cols)
         assert np.array_equal(block_inverse(table.values, cols), expected)
@@ -159,8 +159,14 @@ class TestBlockInverse:
         assert pattern_codes(values, []).tolist() == [0, 0, 0]
 
     def test_identical_rows_form_one_block(self):
-        values = np.full((64, 40), 3)
-        assert not block_inverse(values, range(40)).any()
+        values = np.full((64, 31), 3)
+        assert not block_inverse(values, range(31)).any()
+
+    def test_codes_cover_at_most_31_columns(self):
+        # 31 digits of 4 (digit 3 each) are the largest code, 4**31 - 1
+        assert pattern_codes(np.full((2, 31), 4), range(31)).tolist() == [4**31 - 1] * 2
+        with pytest.raises(ParameterError, match="got 32"):
+            pattern_codes(np.full((2, 32), 4), range(32))
 
 
 class TestReducersMatchOracle:

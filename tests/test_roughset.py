@@ -133,6 +133,12 @@ class TestDegreeOfDependency:
         system = InformationSystem.from_table(table)
         assert degree_of_dependency(system, ("a1",)) == pytest.approx(1 / 3)
 
+    def test_no_rows_is_degenerate(self):
+        # |universe| is 0: the ratio is undefined, not a ZeroDivisionError
+        table = make_categorical(np.empty((2, 0), dtype=np.int64), [])
+        with pytest.raises(DependencyDegenerateError, match="no rows"):
+            degree_of_dependency(table, ("a1",))
+
     def test_matches_brute_oracle(self, rng):
         for _ in range(40):
             n, m = int(rng.integers(3, 12)), int(rng.integers(1, 5))
