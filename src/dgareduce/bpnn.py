@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ModelFile, Scaler, Table, split_indices, write_model
+from .dataset import ModelFile, Table, split_indices
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 
 STOP_GOAL = "goal"
@@ -128,7 +128,6 @@ class MlpModel:
     input_width: int
     hidden: tuple[int, ...]
     trace: TrainingTrace
-    scaler: Scaler | None = None
 
 
 def layer_shapes(input_width: int, hidden) -> list[tuple[int, int]]:
@@ -394,27 +393,17 @@ def evaluate(model: MlpModel, test: Table) -> float:
     return percent_correct(scores(model, test.values) >= 0.5, test.decisions)
 
 
-def save_model(model: MlpModel, path) -> None:
-    fields = {"input_width": model.input_width, "hidden": model.hidden}
-    layers = {f"layer{i}": layer for i, layer in enumerate(model.layers)}
-    write_model(path, "bpnn", {**fields, **layers}, model.scaler)
+def model_fields(model: MlpModel) -> dict:
+    return {"hidden": model.hidden, **{f"layer{i}": layer for i, layer in enumerate(model.layers)}}
 
 
-def read_stack(f: ModelFile) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
-    """A bpnn or rnn model file's `input_width`, `hidden` and their `layer_shapes`."""
+def read_stack(f: ModelFile, width: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """A bpnn or rnn model file's `hidden` and its `layer_shapes` from `width` inputs."""
     hidden = tuple(f.array("hidden", int).tolist())
-    input_width = f.get("input_width", int)
-    return input_width, hidden, layer_shapes(input_width, hidden)
+    return hidden, layer_shapes(width, hidden)
 
 
-def load_model(path) -> MlpModel:
-    f = ModelFile(path, "bpnn")
-    input_width, hidden, shapes = read_stack(f)
+def read_model(f: ModelFile, width: int) -> MlpModel:
+    hidden, shapes = read_stack(f, width)
     layers = f.arrays({f"layer{i}": shape for i, shape in enumerate(shapes)})
-    return MlpModel(
-        list(layers.values()),
-        input_width,
-        hidden,
-        TrainingTrace(stop_reason="loaded"),
-        scaler=f.scaler(input_width),
-    )
+    return MlpModel(list(layers.values()), width, hidden, TrainingTrace(stop_reason="loaded"))

@@ -104,12 +104,13 @@ def reduce(path, method, config_path, out):
 def train(path, clf, config_path, model_out):
     """Train one classifier on a CSV table (standardized internally).
 
-    The config's [experiment] seed seeds bpnn and rnn."""
+    The config's [experiment] seed seeds bpnn and rnn.  --model-out writes
+    the model with its encoding, which `pipeline.load_classifier` reads."""
     cfg = _config_from_ini(config_path) if config_path else _CONFIG
     fitted = pipeline.fit_classifier(clf, cfg, load_csv(path), cfg.seed)
     model = fitted.model
     if model_out:
-        pipeline.MODELS[clf].save_model(model, model_out)
+        pipeline.save_classifier(fitted, model_out)
     if clf == "svm":
         click.echo(
             f"trained {clf}: converged={model.converged} sweeps={model.sweeps} "

@@ -322,23 +322,15 @@ class Scaler:
         return np.where(self.constant, 0.0, z)
 
 
-def write_model(path, kind: str, fields: dict, scaler: Scaler | None = None) -> None:
+def write_model(path, kind: str, fields: dict) -> None:
     """Write a model file: `kind = <kind>` first, then one `key = value` line
-    per field, then the scaler's `scaler_mean`, `scaler_std` and
-    `scaler_constant` arrays when one is given.
+    per field.
 
     Strings are written as they are.  Numbers, tuples and arrays are comma
     lists (arrays flattened) with numbers at %.17g, so a file reloads to
     exactly the same values; each array of 2 or more dimensions gets a
     `key.shape = a,b,...` line before its values.
     """
-    if scaler is not None:
-        fields = dict(
-            fields,
-            scaler_mean=scaler.mean,
-            scaler_std=scaler.std,
-            scaler_constant=scaler.constant,
-        )
     lines = [f"kind = {kind}"]
     for key, value in fields.items():
         if np.ndim(value) >= 2:
@@ -351,13 +343,14 @@ def write_model(path, kind: str, fields: dict, scaler: Scaler | None = None) -> 
 
 
 class ModelFile:
-    """The fields of a file written by `write_model`, checked to be of `kind`.
+    """The fields of a file written by `write_model`.
 
-    A wrong kind, a missing key, a value that does not parse or an array of
-    the wrong shape raises ParameterError naming the file.
+    A missing key, a value that does not parse (a non-integral number where
+    an integer belongs, say) or an array of the wrong shape raises
+    ParameterError naming the file.
     """
 
-    def __init__(self, path, kind: str):
+    def __init__(self, path):
         self.path = path
         self.fields = {}
         with open(path, encoding="utf-8") as fh:
@@ -365,8 +358,6 @@ class ModelFile:
                 key, sep, raw = line.partition("=")
                 if sep:
                     self.fields[key.strip()] = raw.strip()
-        if self.fields.get("kind") != kind:
-            raise ParameterError(f"{path}: not a {kind} model file")
 
     def get(self, key: str, parse=str):
         """The value of `key`, passed through `parse`."""
@@ -378,12 +369,13 @@ class ModelFile:
             raise ParameterError(f"{self.path}: bad value for {key!r}: {exc}") from None
 
     def array(self, key: str, dtype=float) -> np.ndarray:
+        """The array of `key`; each value of an integer `dtype` is read by int()."""
+        cast = int if np.dtype(dtype).kind in "iu" else float
+
         def parse(raw):
-            flat = np.array([float(v) for v in raw.split(",")] if raw else [])
+            flat = np.array([cast(v) for v in raw.split(",")] if raw else [], dtype=dtype)
             shape = self.fields.get(f"{key}.shape")
-            if shape is not None:
-                flat = flat.reshape([int(v) for v in shape.split(",")])
-            return flat.astype(dtype)
+            return flat if shape is None else flat.reshape([int(v) for v in shape.split(",")])
 
         return self.get(key, parse)
 
@@ -397,15 +389,6 @@ class ModelFile:
                     f"{self.path}: {key!r} has shape {named[key].shape}, expected {shape}"
                 )
         return named
-
-    def scaler(self, width: int) -> Scaler | None:
-        """The embedded scaler, checked to be `width` columns wide, or None
-        when the file has none."""
-        if "scaler_mean" not in self.fields:
-            return None
-        keys = ("scaler_mean", "scaler_std", "scaler_constant")
-        named = self.arrays({key: (width,) for key in keys})
-        return Scaler(*(named[key] for key in keys))
 
 
 def standardize(table: Table) -> tuple[Table, Scaler]:

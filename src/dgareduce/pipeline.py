@@ -48,6 +48,8 @@ from .dataset import (
     ATTRIBUTES,
     Discretizer,
     GasTable,
+    ModelFile,
+    Scaler,
     Table,
     discretize,
     kfold,
@@ -55,8 +57,9 @@ from .dataset import (
     split_indices,
     standardize,
     synth_generate,
+    write_model,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, ShapeError
 from .reduction import ReductionResult
 from .roughset import partition, reduct_search
 from .rnn import Intervalizer
@@ -311,17 +314,24 @@ MODELS = {"bpnn": bpnn, "svm": svm, "rnn": rnn}
 
 @dataclass(frozen=True)
 class FittedClassifier:
-    """A trained model with its `scaler` set, the wall-clock seconds of the
-    train call alone and, for rnn, the discretizer and intervalizer fitted on
-    the same rows."""
+    """A trained model of `kind` and the encoding it was trained under: the
+    raw `columns` it reads, the `scaler` and, for rnn, the discretizer and
+    intervalizer (`cells`) fitted on its training rows.  `seconds` is the
+    wall-clock time of the train call alone, 0 for one read from a file."""
 
+    kind: str
+    columns: tuple[str, ...]
+    scaler: Scaler
+    cells: tuple[Discretizer, Intervalizer] | None
     model: bpnn.MlpModel | svm.SvmModel | rnn.RnnModel
     seconds: float
-    cells: tuple[Discretizer, Intervalizer] | None = None
 
     def inputs(self, raw: Table) -> Table:
-        """Other raw rows encoded as the model's training rows were."""
-        std = Table(self.model.scaler.transform(raw.values), raw.decisions, raw.attributes)
+        """Other raw rows of the same columns encoded as the model's training
+        rows were."""
+        if raw.attributes != self.columns:
+            raise ShapeError(f"expected columns {self.columns}, got {raw.attributes}")
+        std = Table(self.scaler.transform(raw.values), raw.decisions, raw.attributes)
         if self.cells is None:
             return std
         disc, ivz = self.cells
@@ -350,8 +360,40 @@ def fit_classifier(classifier, cfg, train_raw: Table, seed: int) -> FittedClassi
     else:
         model = rnn.train(rows, cfg.mlp, seed, connection=cfg.rnn_connection)
     seconds = time.perf_counter() - started
-    model.scaler = scaler
-    return FittedClassifier(model, seconds, cells)
+    return FittedClassifier(classifier, train_raw.attributes, scaler, cells, model, seconds)
+
+
+def save_classifier(fitted: FittedClassifier, path) -> None:
+    """Write a fitted classifier as one model file: `kind`, `columns`, the
+    scaler's `mean`, `std` and `constant`, for rnn the discretizer's `spans`
+    and the intervalizer's `lower` and `upper`, then the model's own fields."""
+    fields = {"columns": fitted.columns, **vars(fitted.scaler)}  # mean, std, constant
+    if fitted.cells is not None:
+        disc, ivz = fitted.cells
+        fields.update(spans=np.array(disc.spans), lower=ivz.lower, upper=ivz.upper)
+    write_model(path, fitted.kind, {**fields, **MODELS[fitted.kind].model_fields(fitted.model)})
+
+
+def load_classifier(path) -> FittedClassifier:
+    """The fitted classifier of a `save_classifier` file.  Every array is
+    checked against the width of `columns`; an unknown kind, a missing key, a
+    value that does not parse or an array of the wrong shape raises
+    ParameterError naming the file."""
+    f = ModelFile(path)
+    kind = f.get("kind")
+    if kind not in MODELS:
+        raise ParameterError(f"{path}: unknown model kind {kind!r}")
+    columns = f.get("columns", lambda raw: tuple(raw.split(",")))
+    width = len(columns)
+    scaler = Scaler(**f.arrays({key: (width,) for key in ("mean", "std", "constant")}))
+    cells = None
+    if kind == "rnn":
+        spans, lower, upper = f.arrays(
+            {"spans": (width, 2), "lower": (width, 5), "upper": (width, 5)}
+        ).values()
+        spans = tuple(map(tuple, spans.tolist()))
+        cells = (Discretizer(columns, spans), Intervalizer(columns, lower, upper))
+    return FittedClassifier(kind, columns, scaler, cells, MODELS[kind].read_model(f, width), 0.0)
 
 
 def _train_eval(classifier, cfg, train_raw, test_raw, seed):

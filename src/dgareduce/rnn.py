@@ -61,7 +61,7 @@ from .bpnn import (
     _forward as _stack_forward,
     _tanh_slope,
 )
-from .dataset import CategoricalTable, ModelFile, Scaler, Table, split_indices, write_model
+from .dataset import CategoricalTable, ModelFile, Table, split_indices
 from .errors import NoUncertaintyWarning, ParameterError, ShapeError, ValidationError
 
 CONNECTIONS = ("excitatory", "inhibitory", "full")
@@ -166,7 +166,6 @@ class RnnModel:
     hidden: tuple[int, ...]
     connection: str
     trace: TrainingTrace
-    scaler: Scaler | None = None
 
 
 def _rough_inputs(connection: str, xl: np.ndarray, xu: np.ndarray) -> np.ndarray:
@@ -362,33 +361,18 @@ def evaluate(model: RnnModel, test: IntervalTable) -> float:
     return percent_correct(scores(model, test) >= 0.5, test.decisions)
 
 
-def save_model(model: RnnModel, path) -> None:
-    fields = {
-        "input_width": model.input_width,
-        "hidden": model.hidden,
-        "connection": model.connection,
-        "rough": model.rough,
-    }
-    layers = {f"layer{i}": layer for i, layer in enumerate(model.shared, 1)}
-    write_model(path, "rnn", {**fields, **layers}, model.scaler)
+def model_fields(model: RnnModel) -> dict:
+    fields = {"hidden": model.hidden, "connection": model.connection, "rough": model.rough}
+    return {**fields, **{f"layer{i}": layer for i, layer in enumerate(model.shared, 1)}}
 
 
-def load_model(path) -> RnnModel:
-    f = ModelFile(path, "rnn")
-    input_width, hidden, ((h1, columns), *shared) = read_stack(f)
+def read_model(f: ModelFile, width: int) -> RnnModel:
+    hidden, ((h1, columns), *shared) = read_stack(f, width)
     connection = f.get("connection")
     if connection not in CONNECTIONS:
-        raise ParameterError(f"{path}: connection must be one of {CONNECTIONS}")
+        raise ParameterError(f"{f.path}: connection must be one of {CONNECTIONS}")
     if connection == "full":
-        columns += input_width
+        columns += width
     shapes = {"rough": (2, h1, columns), **{f"layer{i}": s for i, s in enumerate(shared, 1)}}
     rough, *shared = f.arrays(shapes).values()
-    return RnnModel(
-        rough=rough,
-        shared=shared,
-        input_width=input_width,
-        hidden=hidden,
-        connection=connection,
-        trace=TrainingTrace(stop_reason="loaded"),
-        scaler=f.scaler(input_width),
-    )
+    return RnnModel(rough, shared, width, hidden, connection, TrainingTrace(stop_reason="loaded"))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpnn import percent_correct
-from .dataset import ModelFile, Scaler, Table, write_model
+from .dataset import ModelFile, Table
 from .errors import ParameterError, ShapeError
 
 # Each kernel kind and the `Kernel` parameters it reads, in label order.
@@ -138,7 +138,6 @@ class SvmModel:
     converged: bool
     sweeps: int
     training_kkt_rate: float
-    scaler: Scaler | None = None
 
 
 def decision_scores(model: SvmModel, values: np.ndarray) -> np.ndarray:
@@ -348,9 +347,9 @@ def evaluate(model: SvmModel, test: Table) -> float:
     return percent_correct(decision_scores(model, test.values) >= 0, test.decisions)
 
 
-def save_model(model: SvmModel, path) -> None:
+def model_fields(model: SvmModel) -> dict:
     kern = model.kernel
-    fields = {
+    return {
         "kernel": kern.kind,
         **{name: getattr(kern, name) for name in KERNEL_PARAMS[kern.kind]},
         "c": model.c,
@@ -363,15 +362,17 @@ def save_model(model: SvmModel, path) -> None:
         "indices": model.support_indices,
         "support_vectors": model.support_vectors,
     }
-    write_model(path, "svm", fields, model.scaler)
 
 
-def load_model(path) -> SvmModel:
-    f = ModelFile(path, "svm")
+def read_model(f: ModelFile, width: int) -> SvmModel:
     kind = f.get("kernel")  # an unknown kind reads no parameter and fails in `Kernel`
     kernel = Kernel(kind, **{n: f.get(n, type(_DEFAULTS[n])) for n in KERNEL_PARAMS.get(kind, ())})
     vectors = f.array("support_vectors")
     n = vectors.shape[:1]  # one label, alpha and index per support vector
+    if vectors.shape != n + (width,):
+        raise ParameterError(
+            f"{f.path}: 'support_vectors' has shape {vectors.shape}, expected {n + (width,)}"
+        )
     support = f.arrays({"labels": n, "alphas": n})
     return SvmModel(
         kernel=kernel,
@@ -384,5 +385,4 @@ def load_model(path) -> SvmModel:
         converged=bool(f.get("converged", int)),
         sweeps=f.get("sweeps", int),
         training_kkt_rate=f.get("training_kkt_rate", float),
-        scaler=f.scaler(vectors.shape[-1]),
     )

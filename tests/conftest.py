@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from dgareduce.dataset import ATTRIBUTES, CategoricalTable, GasTable, Table
+from dgareduce import pipeline
+from dgareduce.dataset import ATTRIBUTES, CategoricalTable, Discretizer, GasTable, Scaler, Table
+from dgareduce.rnn import Intervalizer
 from dgareduce.roughset import partition
 from dgareduce.svm import KERNEL_KINDS, KERNEL_PARAMS
 
@@ -49,6 +51,23 @@ def make_table(values, decisions, names=None) -> Table:
     if names is None:
         names = tuple(f"a{i + 1}" for i in range(values.shape[1]))
     return Table(values, np.asarray(decisions), tuple(names))
+
+
+def bundle_round_trip(kind, model, attributes, path):
+    """`model`, saved to `path` as a fitted classifier of `kind` over the
+    columns `attributes` and loaded back: the loaded model.  The encoding
+    saved with it is an identity scaler and, for rnn, cells fitted on no
+    min-max column and no category."""
+    width = len(attributes)
+    scaler = Scaler(np.zeros(width), np.ones(width), np.zeros(width, dtype=bool))
+    cells = None
+    if kind == "rnn":
+        unseen = np.full((width, 5), np.nan)
+        spans = ((np.nan, np.nan),) * width
+        cells = (Discretizer(attributes, spans), Intervalizer(attributes, unseen, unseen))
+    fitted = pipeline.FittedClassifier(kind, attributes, scaler, cells, model, 0.0)
+    pipeline.save_classifier(fitted, path)
+    return pipeline.load_classifier(path).model
 
 
 @pytest.fixture

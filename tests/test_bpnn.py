@@ -10,7 +10,7 @@ from dgareduce.bpnn import MlpConfig, MlpModel, TrainingTrace
 from dgareduce.dataset import Table, split_indices
 from dgareduce.errors import ParameterError, ShapeError, TrainingDivergedError
 
-from conftest import blocks, make_table
+from conftest import blocks, bundle_round_trip, make_table
 
 
 def xor_table(replicas=25):
@@ -268,9 +268,7 @@ class TestSaveLoad:
     def test_round_trip_predictions(self, tmp_path, rng):
         table = make_table(rng.normal(size=(25, 3)), rng.integers(0, 2, 25))
         model = bpnn.train(table, MlpConfig(epochs=20, hidden=(4, 3)), 2)
-        path = tmp_path / "model.txt"
-        bpnn.save_model(model, path)
-        loaded = bpnn.load_model(path)
+        loaded = bundle_round_trip("bpnn", model, table.attributes, tmp_path / "model.txt")
         probe = rng.normal(size=(10, 3))
         np.testing.assert_array_equal(
             bpnn.scores(model, probe), bpnn.scores(loaded, probe)

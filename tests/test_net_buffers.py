@@ -10,8 +10,10 @@ import pytest
 
 from dgareduce import bpnn, pipeline, rnn
 from dgareduce.bpnn import MlpConfig
-from dgareduce.dataset import Discretizer, Table, standardize, synth_generate, write_model
+from dgareduce.dataset import Discretizer, Table, standardize, synth_generate
 from dgareduce.rnn import IntervalTable, RnnModel
+
+from conftest import bundle_round_trip
 
 
 # -- reference: the allocating formulas the buffered steps must reproduce ----
@@ -314,22 +316,24 @@ class TestRepeatTraining:
 class TestModelFileFormat:
     """Model files keep each layer block whole: `layer<i>` (out, in + 1)
     for the stack, and for rnn `rough` (2, h1, width + 1), or
-    (2, h1, 2 * width + 1) with the full connection.  A file written from
-    such arrays, drawn here on their own, loads to the scores of the
-    reference forward pass."""
+    (2, h1, 2 * width + 1) with the full connection.  A classifier file
+    saved from such arrays, drawn here on their own, loads to the scores of
+    the reference forward pass."""
 
     STACK = {"layer1": (30, 21), "layer2": (1, 31)}
+    COLUMNS = tuple(f"g{i}" for i in range(10))
 
     def test_bpnn_file(self, tmp_path):
         rng = np.random.default_rng(31)
         layers = {"layer0": rng.normal(scale=0.3, size=(20, 11))}
         layers.update((key, rng.normal(scale=0.3, size=shape)) for key, shape in self.STACK.items())
         path = tmp_path / "bpnn.txt"
-        write_model(path, "bpnn", {"input_width": 10, "hidden": (20, 30), **layers})
+        model = bpnn.MlpModel(list(layers.values()), 10, (20, 30), bpnn.TrainingTrace())
+        loaded = bundle_round_trip("bpnn", model, self.COLUMNS, path)
         assert "layer0.shape = 20,11" in path.read_text().splitlines()
         x = rng.normal(size=(50, 10))
         want = _ref_forward(list(layers.values()), x.T)[-1][0]
-        assert np.array_equal(bpnn.scores(bpnn.load_model(path), x), want)
+        assert np.array_equal(bpnn.scores(loaded, x), want)
 
     @pytest.mark.parametrize("connection", rnn.CONNECTIONS)
     def test_rnn_file(self, tmp_path, connection):
@@ -337,10 +341,6 @@ class TestModelFileFormat:
         columns = 21 if connection == "full" else 11
         rough = rng.normal(scale=0.3, size=(2, 20, columns))
         shared = {key: rng.normal(scale=0.3, size=shape) for key, shape in self.STACK.items()}
-        fields = {"input_width": 10, "hidden": (20, 30), "connection": connection, "rough": rough}
-        path = tmp_path / "rnn.txt"
-        write_model(path, "rnn", {**fields, **shared})
-        assert f"rough.shape = 2,20,{columns}" in path.read_text().splitlines()
         lower, upper = _intervals_with_ties(rng, 50, 10)
         reference = RnnModel(
             rough=rough,
@@ -350,9 +350,12 @@ class TestModelFileFormat:
             connection=connection,
             trace=bpnn.TrainingTrace(stop_reason="t"),
         )
+        path = tmp_path / "rnn.txt"
+        loaded = bundle_round_trip("rnn", reference, self.COLUMNS, path)
+        assert f"rough.shape = 2,20,{columns}" in path.read_text().splitlines()
         want = _ref_rnn_forward(reference, lower, upper)[0]
-        table = IntervalTable(lower, upper, np.zeros(50, dtype=int), tuple(f"g{i}" for i in range(10)))
-        assert np.array_equal(rnn.scores(rnn.load_model(path), table), want)
+        table = IntervalTable(lower, upper, np.zeros(50, dtype=int), self.COLUMNS)
+        assert np.array_equal(rnn.scores(loaded, table), want)
 
 
 # -- allocation --------------------------------------------------------------

@@ -15,7 +15,7 @@ from dgareduce.errors import (
 )
 from dgareduce.rnn import IntervalTable, Intervalizer, RnnModel
 
-from conftest import make_categorical, make_table
+from conftest import bundle_round_trip, make_categorical, make_table
 
 
 def _aligned_pair(rng, n=20, m=3):
@@ -367,8 +367,6 @@ class TestSaveLoad:
     def test_round_trip_scores(self, tmp_path):
         table = TestTrain()._separable_intervals(n=30)
         model = rnn.train(table, MlpConfig(epochs=20, hidden=(4, 3)), 5)
-        path = tmp_path / "rnn.txt"
-        rnn.save_model(model, path)
-        loaded = rnn.load_model(path)
+        loaded = bundle_round_trip("rnn", model, table.attributes, tmp_path / "rnn.txt")
         np.testing.assert_array_equal(rnn.scores(model, table), rnn.scores(loaded, table))
         assert loaded.connection == "excitatory"

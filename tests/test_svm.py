@@ -11,7 +11,7 @@ from dgareduce.dataset import kfold, standardize, synth_generate
 from dgareduce.errors import ParameterError, ShapeError
 from dgareduce.svm import Kernel, check_kkt, kernel_matrix, train_smo
 
-from conftest import KERNEL_CHANGES, UNREAD, make_table
+from conftest import KERNEL_CHANGES, UNREAD, bundle_round_trip, make_table
 
 
 def brute_margin_2d(values, labels, angles=3600):
@@ -564,10 +564,9 @@ class TestSaveLoad:
     def test_round_trip_scores(self, tmp_path, rng):
         values = rng.normal(size=(25, 3))
         d = (values[:, 1] > 0).astype(int)
-        model = train_smo(make_table(values, d), Kernel("polynomial", degree=2, coef=0.5))
-        path = tmp_path / "svm.txt"
-        svm.save_model(model, path)
-        loaded = svm.load_model(path)
+        table = make_table(values, d)
+        model = train_smo(table, Kernel("polynomial", degree=2, coef=0.5))
+        loaded = bundle_round_trip("svm", model, table.attributes, tmp_path / "svm.txt")
         probe = rng.normal(size=(10, 3))
         np.testing.assert_array_equal(
             svm.decision_scores(model, probe), svm.decision_scores(loaded, probe)
@@ -583,8 +582,8 @@ class TestSaveLoad:
         assert set(KERNEL_CHANGES) == {f.name for f in dataclasses.fields(Kernel)} - {"kind"}
         table, _ = standardize(synth_generate(40, 0.5, 0.5, 2))
         path = tmp_path / "svm.txt"
-        svm.save_model(train_smo(table, kernel, max_passes=5), path)
-        assert svm.load_model(path).kernel == kernel
+        model = train_smo(table, kernel, max_passes=5)
+        assert bundle_round_trip("svm", model, table.attributes, path).kernel == kernel
         keys = {line.partition(" = ")[0] for line in path.read_text().splitlines()}
         assert keys & set(KERNEL_CHANGES) == set(svm.KERNEL_PARAMS[kind])
 
@@ -593,21 +592,21 @@ class TestSaveLoad:
         model = train_smo(table, Kernel("rbf", gamma=0.5), max_passes=1)
         record = (model.converged, model.sweeps, model.training_kkt_rate)
         assert record[:2] == (False, 1) and record[2] < 1.0
-        path = tmp_path / "svm.txt"
-        svm.save_model(model, path)
-        loaded = svm.load_model(path)
+        loaded = bundle_round_trip("svm", model, table.attributes, tmp_path / "svm.txt")
         assert (loaded.converged, loaded.sweeps, loaded.training_kkt_rate) == record
 
     @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
     def test_file_with_every_kernel_parameter_loads(self, tmp_path, kind):
-        """Files written before a kernel held only the parameters its kind
-        reads have a line for each of the five; the kind reads its own."""
+        """A file with a line for each of the five kernel parameters, as svm
+        files had before a kernel held only the parameters its kind reads,
+        loads; the kind reads its own."""
         path = tmp_path / "svm.txt"
         path.write_text(
-            f"kind = svm\nkernel = {kind}\ndegree = 2\ncoef = 0.5\n"
+            "kind = svm\ncolumns = a1,a2\nmean = 0,0\nstd = 1,1\nconstant = 0,0\n"
+            f"kernel = {kind}\ndegree = 2\ncoef = 0.5\n"
             "gamma = 0.69999999999999996\nscale = 0.29999999999999999\n"
             "offset = -0.20000000000000001\nc = 10\nbias = 0.25\nconverged = 1\n"
             "sweeps = 3\ntraining_kkt_rate = 1\nlabels = -1,1\nalphas = 0.5,0.5\n"
             "indices = 0,1\nsupport_vectors.shape = 2,2\nsupport_vectors = 1,0,0,1\n"
         )
-        assert svm.load_model(path).kernel == changed_kernel(kind)
+        assert pipeline.load_classifier(path).model.kernel == changed_kernel(kind)
